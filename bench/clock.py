@@ -1,12 +1,16 @@
 """The benchmark's clock and its span recorder.
 
-Every time is process CPU time: user plus system time of this process and
-its threads, plus that of reaped child processes (``getrusage`` of SELF and
-CHILDREN), so work moved off the main thread still counts.
+Every time of an operation or of set-up is process CPU time: user plus
+system time of this process and its threads, plus that of reaped child
+processes (``getrusage`` of SELF and CHILDREN), so work moved off the main
+thread still counts.  Only the calibration loop is timed on the main
+thread's clock (see ``calibrate``).
 """
 
 import gc
 import resource
+import sys
+import time
 
 _SELF = resource.RUSAGE_SELF
 _CHILDREN = resource.RUSAGE_CHILDREN
@@ -96,8 +100,13 @@ class Tracer:
 # dict: of the loops tried, this blend tracked the workloads best (in a
 # 110 s window the log of an operation's time grew 0.91-1.05 times as fast
 # as the log of the loop's; without the string lookups 0.85-0.98, and
-# 0.85-1.28 for an integer-only loop over three windows).  The garbage
-# collector is off while it runs, so the program's heap cannot slow it.
+# 0.85-1.28 for an integer-only loop over three windows).
+#
+# The loop is timed on the main thread's own CPU clock (``time.thread_time``),
+# not on ``cpu()``, and runs with the garbage collector, the profile hook and
+# the trace hook off.  So CPU the program spends in other threads or child
+# processes, its heap, and any hook it installs slow the operations but not
+# the loop, and the scaling keeps them.
 # ---------------------------------------------------------------------------
 
 _CALIBRATION_TABLE = {i: (i * 2654435761) & 0xFFFF for i in range(256)}
@@ -113,13 +122,15 @@ def _step(a, b):
 
 
 def calibrate() -> float:
-    """CPU seconds of one pass of the fixed calibration loop."""
+    """Main-thread CPU seconds of one pass of the fixed calibration loop."""
     table, keys, words = _CALIBRATION_TABLE, _CALIBRATION_KEYS, _CALIBRATION_WORDS
     acc, x = 0, 0.0
-    collecting = gc.isenabled()
+    collecting, profile, trace = gc.isenabled(), sys.getprofile(), sys.gettrace()
     gc.disable()
+    sys.setprofile(None)
+    sys.settrace(None)
     try:
-        start = cpu()
+        start = time.thread_time()
         for i in range(15000):
             acc ^= table[i & 255] + i % 13
         for i in range(3000):
@@ -127,7 +138,9 @@ def calibrate() -> float:
             x = min(pair[0], pair[1] + 3.0) % 7.0
         for i in range(8000):
             acc += words[keys[(i * 2654435761) & 4095]]
-        return cpu() - start
+        return time.thread_time() - start
     finally:
+        sys.settrace(trace)
+        sys.setprofile(profile)
         if collecting:
             gc.enable()

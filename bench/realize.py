@@ -208,14 +208,20 @@ INTERPOLATIONS = 8
 CHAIN_DEPTH, CHAIN_LOWER, CHAIN_UPPER = 6, 2, 2
 
 
-def _make_type_op(name, rng, conditions, sorts, tol, verdict, n):
+def _make_type_op(name, seed, conditions, sorts, tol, verdict, n):
     algebra = CStarAlgebraFin(n)
     program_conditions = [TypeCondition(to_clogic(t), target) for t, target in conditions]
     names = sorted({v for t, _ in conditions for v in _variables(t)})
     domains = {v: sorts.get(v, "ball") for v in names}
-    samples = [{v: [_sample(rng, domains[v]) for _ in range(n)] for v in names}
-               for _ in range(REFUTATION_SAMPLES)]
-    floors_checked = set()
+    floors_checked, drawn = set(), []
+
+    def samples():
+        # check data, not input: drawn at the first check, outside set-up
+        if not drawn:
+            rng = random.Random(f"realize-{seed}-samples-{name}")
+            drawn.extend({v: [_sample(rng, domains[v]) for _ in range(n)] for v in names}
+                         for _ in range(REFUTATION_SAMPLES))
+        return drawn
 
     def run(tr):
         result = tr.call("saturation.realize_type", realize_type, program_conditions, algebra, tol,
@@ -240,7 +246,7 @@ def _make_type_op(name, rng, conditions, sorts, tol, verdict, n):
         else:
             require(data > tol, f"refutation floor {data} is not above tol {tol}")
             if data not in floors_checked:
-                for env in samples:
+                for env in samples():
                     require(not beats(conditions, env, n, data),
                             f"an admissible assignment beats the floor {data}")
                 floors_checked.add(data)
@@ -324,7 +330,7 @@ def build(seed):
     for family, n, args in PLAN:
         conditions, sorts, tol, verdict = family(rng, n, *args)
         name = f"{family.__name__}.n{n}.{len(ops)}"
-        ops.append(_make_type_op(name, rng, conditions, sorts, tol, verdict, n))
+        ops.append(_make_type_op(name, seed, conditions, sorts, tol, verdict, n))
     for i in range(INTERPOLATIONS):
         ops.append(_make_interpolation_op(f"interpolate.{i}", rng))
     rng.shuffle(ops)

@@ -34,7 +34,6 @@ HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 sys.path.insert(0, str(HERE))
 
-from common import CheckError  # noqa: E402
 from clock import CALIBRATION_REF_S, NullTracer, Tracer, calibrate, cpu, peak_rss_mb  # noqa: E402
 
 WORKLOADS = ("bridge", "certify", "realize", "decide")
@@ -94,7 +93,7 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
     return parser.parse_args(argv)
@@ -166,7 +165,7 @@ def setup_probe(args):
 def run_probes(args):
     """Median set-up over ``SETUP_PROBES`` fresh interpreters."""
     command = [sys.executable, str(HERE / "run.py"), "--workload", args.workload, "--seed",
-               str(args.seed), "--trace", str(args.trace), "--setup-probe"]
+               str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace), "--setup-probe"]
     results = []
     for _ in range(SETUP_PROBES):
         done = subprocess.run(command, capture_output=True, text=True, timeout=120, check=True)
@@ -246,13 +245,14 @@ def measure(ops, counters, tracer, seconds, min_passes):
                 continue
             try:
                 op.check(out)
-                counters.record(run.passes, op, out)
-            except CheckError as exc:
+            except Exception as exc:  # a malformed output is a wrong answer too
                 # a known fault's wrong answer is its failure; any other is a wrong answer
                 if op.fault is None:
-                    run.wrong.append(f"{op.name}: {exc}")
+                    run.wrong.append(f"{op.name}: {exc!r}")
                 else:
                     run.failed += 1
+            else:
+                counters.record(run.passes, op, out)
         counters.after_pass(run.passes)
         run.passes += 1
         if run.passes >= min_passes and (
@@ -314,8 +314,10 @@ def main(argv=None):
     for line in summary(args, run, ops):
         print(line)
     if args.trace:
-        scale = run.median_scale()
-        spans = [(name, op_id, scale * t) for name, op_id, t in tracer.self_times()]
+        # a span is scaled like the operation it ran in
+        n = len(ops)
+        spans = [(name, op_id, t * run.scale(run.raw[op_id % n][op_id // n][1]))
+                 for name, op_id, t in tracer.self_times()]
         values = dict.fromkeys(PER_LAYER, 0.0)
         values.update(counters.layer_metrics(spans, len(ops)))
         values.update(imports)
@@ -330,7 +332,8 @@ def main(argv=None):
         values = end_to_end(run, setup, rss)
         metrics = {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END.items()}
     print(json.dumps({
-        "correct": not run.wrong,
+        # only the known faults may fail; any other failure is an error of the program
+        "correct": not run.wrong and not run.errors,
         "attempted": run.attempted,
         "failed": run.failed,
         "metrics": metrics,

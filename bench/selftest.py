@@ -28,7 +28,6 @@ import decide  # noqa: E402
 import ordmath as om  # noqa: E402
 import realize  # noqa: E402
 from clock import NullTracer  # noqa: E402
-from common import CheckError  # noqa: E402
 
 TRACER = NullTracer()
 FAILURES = []
@@ -38,7 +37,7 @@ def expect(accepts, op, out, what):
     try:
         op.check(out)
         ok = accepts
-    except CheckError:
+    except Exception:  # as in run.py, any exception from a check rejects the answer
         ok = not accepts
     if not ok:
         FAILURES.append(f"{op.name}: the check {'rejects' if accepts else 'accepts'} {what}")
@@ -157,7 +156,7 @@ def test_decide():
         for op, out in zip(ops, outputs):
             try:
                 op.check(out)
-            except CheckError:
+            except Exception:
                 names.add(op.name)
         return names
 

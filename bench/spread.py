@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run-to-run spread of the end-to-end metrics, one seed per run.
 
-    python3 bench/spread.py --workload bridge --seeds 1-10 --seconds 12
+    python3 bench/spread.py --workload bridge --seeds 1-10
 
-Runs ``bench/run.py`` once per seed, one run at a time, and prints for each
+Runs ``bench/run.py`` untraced once per seed, one run at a time, for the
+``run_seconds`` of ``BENCHMARK.json``, and prints for each
 metric its median and the distance between the first and third quartiles as
 a share of the median, next to the bound in ``BENCHMARK.json``.  It also
 prints the share of failed operations, which must be the same in every run.
@@ -31,17 +32,14 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seeds, default=seeds("1-10"))
-    parser.add_argument("--seconds", type=float)
-    parser.add_argument("--trace", type=int, default=0)
     args = parser.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
-    bounds = {m["name"]: m.get("bound") for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     values, shares = {}, set()
     for seed in args.seeds:
         done = subprocess.run(
             [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(seed),
-             "--seconds", str(seconds), "--trace", str(args.trace)],
+             "--seconds", str(spec["run_seconds"]), "--trace", "0"],
             cwd=ROOT, capture_output=True, text=True, check=True, timeout=600)
         lines = done.stdout.strip().splitlines()
         result = json.loads(lines[-1])
@@ -55,10 +53,8 @@ def main():
     print(f"failed shares: {sorted({f / a for f, a in shares})}")
     for name, vals in values.items():
         q1, med, q3 = statistics.quantiles(vals, n=4)
-        bound = bounds.get(name)
-        spread = (q3 - q1) / med if med else float("nan")
-        print(f"{name:16s} median {statistics.median(vals):.5g}  iqr/median {spread:.3f}"
-              + (f"  bound {bound}" if bound is not None else ""))
+        print(f"{name:16s} median {statistics.median(vals):.5g}  iqr/median {(q3 - q1) / med:.3f}"
+              f"  bound {bounds[name]}")
 
 
 if __name__ == "__main__":
