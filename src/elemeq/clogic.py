@@ -10,7 +10,10 @@ node has a computable Lipschitz modulus in each free variable, obtained by
 composing the children's moduli.
 
 Evaluation returns an enclosure certificate.  Formulas whose quantifiers all
-range over projections are evaluated exactly (the sort is finite); the
+range over projections are evaluated exactly (the sort is finite), compiled
+once per call into closures over one projection bit mask per quantifier:
+atoms read per-point tables of their terms' moduli, and a quantifier that
+ignores an enclosing variable is memoised on the masks it reads.  The
 continuous sorts are handled by deterministic branch-and-bound over per-point
 complex boxes, pruned by both interval arithmetic and the Lipschitz moduli.
 The truth-value bridge ``translate_fo`` maps a classical sentence about
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -131,9 +135,6 @@ class CStar:
 class CScale:
     scalar: complex
     arg: object
-
-
-_TERM_TYPES = (CVar, CZero, COne, CConst, CAdd, CSub, CMul, CStar, CScale)
 
 
 # ---------------------------------------------------------------------------
@@ -408,18 +409,10 @@ def _term_enclosure(term, env: dict, algebra: CStarAlgebraFin) -> tuple:
         if len(term.values) != algebra.point_count:
             raise PreconditionError("constant element has the wrong size")
         return _box_point(term.values)
-    if isinstance(term, CAdd):
+    if isinstance(term, (CAdd, CSub, CMul)):
+        op = {CAdd: _rect_add, CSub: _rect_sub, CMul: _rect_mul}[type(term)]
         l = _term_enclosure(term.left, env, algebra)
-        r = _term_enclosure(term.right, env, algebra)
-        return tuple(_rect_add(a, b) for a, b in zip(l, r))
-    if isinstance(term, CSub):
-        l = _term_enclosure(term.left, env, algebra)
-        r = _term_enclosure(term.right, env, algebra)
-        return tuple(_rect_sub(a, b) for a, b in zip(l, r))
-    if isinstance(term, CMul):
-        l = _term_enclosure(term.left, env, algebra)
-        r = _term_enclosure(term.right, env, algebra)
-        return tuple(_rect_mul(a, b) for a, b in zip(l, r))
+        return tuple(map(op, l, _term_enclosure(term.right, env, algebra)))
     if isinstance(term, CStar):
         return tuple(_rect_conj(a) for a in _term_enclosure(term.arg, env, algebra))
     if isinstance(term, CScale):
@@ -527,46 +520,32 @@ def _interval_eval(phi, env, algebra, tol, state):
         return max(m[0] for m in mods), max(m[1] for m in mods)
     if isinstance(phi, FConst):
         return phi.value, phi.value
-    if isinstance(phi, FPlus):
-        l = _interval_eval(phi.left, env, algebra, tol / 2, state)
-        r = _interval_eval(phi.right, env, algebra, tol / 2, state)
-        return l[0] + r[0], l[1] + r[1]
-    if isinstance(phi, FTruncSub):
-        l = _interval_eval(phi.left, env, algebra, tol / 2, state)
-        r = _interval_eval(phi.right, env, algebra, tol / 2, state)
-        return max(l[0] - r[1], 0.0), max(l[1] - r[0], 0.0)
-    if isinstance(phi, FMax):
-        l = _interval_eval(phi.left, env, algebra, tol, state)
-        r = _interval_eval(phi.right, env, algebra, tol, state)
-        return max(l[0], r[0]), max(l[1], r[1])
-    if isinstance(phi, FMin):
-        l = _interval_eval(phi.left, env, algebra, tol, state)
-        r = _interval_eval(phi.right, env, algebra, tol, state)
-        return min(l[0], r[0]), min(l[1], r[1])
+    if isinstance(phi, _BINARY_TYPES):
+        # max and min are as wide as their wider child; the others add widths
+        sub_tol = tol if isinstance(phi, (FMax, FMin)) else tol / 2
+        l = _interval_eval(phi.left, env, algebra, sub_tol, state)
+        r = _interval_eval(phi.right, env, algebra, sub_tol, state)
+        if isinstance(phi, FPlus):
+            return l[0] + r[0], l[1] + r[1]
+        if isinstance(phi, FTruncSub):
+            return max(l[0] - r[1], 0.0), max(l[1] - r[0], 0.0)
+        if isinstance(phi, FMax):
+            return max(l[0], r[0]), max(l[1], r[1])
+        if isinstance(phi, FMin):
+            return min(l[0], r[0]), min(l[1], r[1])
+        lo = 0.0 if (l[0] <= r[1] and r[0] <= l[1]) else max(l[0] - r[1], r[0] - l[1])
+        return lo, max(l[1] - r[0], r[1] - l[0])
     if isinstance(phi, FScale):
         if phi.scalar == 0:
             return 0.0, 0.0
         inner = _interval_eval(phi.arg, env, algebra, tol / phi.scalar, state)
         return phi.scalar * inner[0], phi.scalar * inner[1]
-    if isinstance(phi, FAbsDiff):
-        l = _interval_eval(phi.left, env, algebra, tol / 2, state)
-        r = _interval_eval(phi.right, env, algebra, tol / 2, state)
-        lo = 0.0 if (l[0] <= r[1] and r[0] <= l[1]) else max(l[0] - r[1], r[0] - l[1])
-        return lo, max(l[1] - r[0], r[1] - l[0])
     if isinstance(phi, _QUANT_TYPES):
         if phi.sort == SORT_PROJ:
-            out_lo, out_hi = None, None
-            for p in projections(algebra):
-                sub = dict(env)
-                sub[phi.var] = _box_point(p)
-                lo, hi = _interval_eval(phi.body, sub, algebra, tol, state)
-                if out_lo is None:
-                    out_lo, out_hi = lo, hi
-                elif isinstance(phi, FSup):
-                    out_lo, out_hi = max(out_lo, lo), max(out_hi, hi)
-                else:
-                    out_lo, out_hi = min(out_lo, lo), min(out_hi, hi)
-            return out_lo, out_hi
+            combine = max if isinstance(phi, FSup) else min
+            subs = ({**env, phi.var: _box_point(p)} for p in projections(algebra))
+            found = [_interval_eval(phi.body, sub, algebra, tol, state) for sub in subs]
+            return combine(lo for lo, _ in found), combine(hi for _, hi in found)
         return _branch_and_bound(phi, env, algebra, tol, state)
     raise PreconditionError(f"not a formula: {phi!r}")
 
@@ -666,15 +645,12 @@ def _branch_and_bound(phi, env, algebra, tol, state):
 
 
 def _all_proj_quantified(phi) -> bool:
-    if isinstance(phi, (FNorm, FConst)):
-        return True
-    if isinstance(phi, _BINARY_TYPES):
-        return _all_proj_quantified(phi.left) and _all_proj_quantified(phi.right)
-    if isinstance(phi, FScale):
-        return _all_proj_quantified(phi.arg)
+    """Whether every quantifier of a well-formed formula ranges over projections."""
     if isinstance(phi, _QUANT_TYPES):
         return phi.sort == SORT_PROJ and _all_proj_quantified(phi.body)
-    raise PreconditionError(f"not a formula: {phi!r}")
+    if isinstance(phi, _BINARY_TYPES):
+        return _all_proj_quantified(phi.left) and _all_proj_quantified(phi.right)
+    return not isinstance(phi, FScale) or _all_proj_quantified(phi.arg)
 
 
 def _term_value(term, env, algebra):
@@ -688,18 +664,10 @@ def _term_value(term, env, algebra):
         if len(term.values) != algebra.point_count:
             raise PreconditionError("constant element has the wrong size")
         return term.values
-    if isinstance(term, CAdd):
+    if isinstance(term, (CAdd, CSub, CMul)):
+        op = {CAdd: operator.add, CSub: operator.sub, CMul: operator.mul}[type(term)]
         l = _term_value(term.left, env, algebra)
-        r = _term_value(term.right, env, algebra)
-        return tuple(a + b for a, b in zip(l, r))
-    if isinstance(term, CSub):
-        l = _term_value(term.left, env, algebra)
-        r = _term_value(term.right, env, algebra)
-        return tuple(a - b for a, b in zip(l, r))
-    if isinstance(term, CMul):
-        l = _term_value(term.left, env, algebra)
-        r = _term_value(term.right, env, algebra)
-        return tuple(a * b for a, b in zip(l, r))
+        return tuple(map(op, l, _term_value(term.right, env, algebra)))
     if isinstance(term, CStar):
         return tuple(a.conjugate() for a in _term_value(term.arg, env, algebra))
     if isinstance(term, CScale):
@@ -708,59 +676,89 @@ def _term_value(term, env, algebra):
     raise PreconditionError(f"not a term: {term!r}")
 
 
-def _exact_eval(phi, env, algebra, memo) -> float:
-    """Exact value when every quantifier ranges over projections."""
-    key = (
-        id(phi),
-        tuple(env[v] for v in sorted(cformula_free_vars(phi))),
-    )
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(phi, FNorm):
-        values = _term_value(phi.term, env, algebra)
-        out = max(abs(v) for v in values)
-    elif isinstance(phi, FConst):
-        out = phi.value
-    elif isinstance(phi, FPlus):
-        out = _exact_eval(phi.left, env, algebra, memo) + _exact_eval(
-            phi.right, env, algebra, memo
-        )
-    elif isinstance(phi, FTruncSub):
-        out = max(
-            _exact_eval(phi.left, env, algebra, memo)
-            - _exact_eval(phi.right, env, algebra, memo),
-            0.0,
-        )
-    elif isinstance(phi, FMax):
-        out = max(
-            _exact_eval(phi.left, env, algebra, memo),
-            _exact_eval(phi.right, env, algebra, memo),
-        )
-    elif isinstance(phi, FMin):
-        out = min(
-            _exact_eval(phi.left, env, algebra, memo),
-            _exact_eval(phi.right, env, algebra, memo),
-        )
-    elif isinstance(phi, FScale):
-        out = phi.scalar * _exact_eval(phi.arg, env, algebra, memo)
-    elif isinstance(phi, FAbsDiff):
-        out = abs(
-            _exact_eval(phi.left, env, algebra, memo)
-            - _exact_eval(phi.right, env, algebra, memo)
-        )
-    elif isinstance(phi, _QUANT_TYPES):
-        combine = max if isinstance(phi, FSup) else min
-        out = None
-        for p in projections(algebra):
-            sub = dict(env)
-            sub[phi.var] = p
-            v = _exact_eval(phi.body, sub, algebra, memo)
-            out = v if out is None else combine(out, v)
-    else:
-        raise PreconditionError(f"not a formula: {phi!r}")
-    memo[key] = out
-    return out
+#: The exact value of each binary connective from its children's values.
+_EXACT_OPS = {
+    FPlus: operator.add, FMax: max, FMin: min,
+    FTruncSub: lambda l, r: max(l - r, 0.0), FAbsDiff: lambda l, r: abs(l - r),
+}
+
+
+def _compile_exact(phi, env, algebra):
+    """Compile a projection-only formula into a function returning its value.
+
+    The quantifier at depth d loops ``masks[d]`` over ``range(1 << n)``: its
+    variable is the projection with value 1 at the points whose bit is set.
+    A term's value at point p depends only on the bits at p of the k bound
+    variables it mentions, so each atom tabulates |t(p)| for all 2^k bit
+    patterns per point and reads the table by indices built from the masks.
+    A quantifier that ignores an enclosing binder is memoised on the masks
+    it reads.  The values are the floats of node-by-node evaluation.
+    """
+    n = algebra.point_count
+    zeros, ones, masks = (0j,) * n, (1 + 0j,) * n, []
+
+    def build(phi, scope, depth):  # -> (function, the slots of masks it reads)
+        if isinstance(phi, FNorm):
+            names = sorted(term_free_vars(phi.term) & scope.keys())
+            k, rows = len(names), [[] for _ in range(n)]
+            for bits in range(1 << k):
+                sub = dict(env)
+                for j, v in enumerate(names):
+                    sub[v] = ones if bits >> j & 1 else zeros
+                for row, value in zip(rows, _term_value(phi.term, sub, algebra)):
+                    row.append(abs(value))
+            # spread[m] moves bit p of mask m to bit p*k + j of the index
+            gather = [
+                (scope[v], [sum((m >> p & 1) << (p * k + j) for p in range(n))
+                            for m in range(1 << n)])
+                for j, v in enumerate(names)
+            ]
+            shifted, low = [(row, p * k) for p, row in enumerate(rows)], (1 << k) - 1
+
+            def atom():
+                index = 0
+                for slot, spread in gather:
+                    index |= spread[masks[slot]]
+                return max([row[index >> shift & low] for row, shift in shifted])
+
+            return atom, frozenset(slot for slot, _ in gather)
+        if isinstance(phi, FConst):
+            return (lambda: phi.value), frozenset()
+        if isinstance(phi, _BINARY_TYPES):
+            left, ls = build(phi.left, scope, depth)
+            right, rs = build(phi.right, scope, depth)
+            op = _EXACT_OPS[type(phi)]
+            return (lambda: op(left(), right())), ls | rs
+        if isinstance(phi, FScale):
+            (arg, slots), scalar = build(phi.arg, scope, depth), phi.scalar
+            return (lambda: scalar * arg()), slots
+        if depth == len(masks):
+            masks.append(0)
+        body, slots = build(phi.body, {**scope, phi.var: depth}, depth + 1)
+        slots, combine = slots - {depth}, max if isinstance(phi, FSup) else min
+
+        def quant():
+            values = []
+            for mask in range(1 << n):
+                masks[depth] = mask
+                values.append(body())
+            return combine(values)
+
+        if len(slots) == depth:  # reads every enclosing binder: never repeats
+            return quant, slots
+        order, memo = sorted(slots), {}
+
+        def hoisted():
+            key = 0
+            for slot in order:
+                key = key << n | masks[slot]
+            if key not in memo:
+                memo[key] = quant()
+            return memo[key]
+
+        return hoisted, slots
+
+    return build(phi, {}, 0)[0]
 
 
 def ceval(
@@ -787,12 +785,9 @@ def ceval(
     missing = cformula_free_vars(phi) - set(params)
     if missing:
         raise PreconditionError(f"unassigned free variables: {sorted(missing)}")
-    env_exact = {
-        name: algebra.element(value)
-        for name, value in params.items()
-    }
+    env_exact = {name: algebra.element(value) for name, value in params.items()}
     if _all_proj_quantified(phi):
-        value = _exact_eval(phi, env_exact, algebra, {})
+        value = _compile_exact(phi, env_exact, algebra)()
         return EvalCertificate(value, value, 0)
     env = {name: _box_point(value) for name, value in env_exact.items()}
     state = {"boxes": 0, "max": max_boxes, "depth": 0}

@@ -13,7 +13,6 @@ finite dimensions.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,7 +39,7 @@ __all__ = [
 ]
 
 #: Largest space size accepted by the infinite-projection score: the
-#: infimum runs over 5^n phase-restricted partial isometries.
+#: infimum runs over the 2^n {0, 1}-valued partial isometries.
 MAX_PSI_POINTS = 4
 
 #: Residual bound used when certifying solvability of the singularity
@@ -277,19 +276,16 @@ def reconstruct(codes) -> tuple:
 # Infinite-projection score
 # ---------------------------------------------------------------------------
 
-#: Phase alphabet making the partial-isometry search finite: coordinates of
-#: a candidate range over zero and the fourth roots of unity.
-_ISOMETRY_PHASES = (0j, 1 + 0j, -1 + 0j, 1j, -1j)
-
 
 def psi_infinite_projection(p: tuple, algebra: CStarAlgebraFin) -> float:
     """The infinite-projection score of a projection ``p``.
 
     The score is ``||p - p*|| + ||p - p^2|| + inf_y (||y*y - p|| +
     ||(yy*)p - yy*|| + (1 - ||yy* - p||)_+)`` with the infimum over the
-    finite set of partial isometries whose coordinates have modulus 0 or 1
-    (phases restricted to fourth roots of unity, which is exhaustive for the
-    score since only ``|y|`` enters).  A zero would witness a proper
+    finite set of partial isometries whose coordinates have modulus 0 or 1.
+    Only ``|y|`` enters the score, so the infimum runs over the 2^n
+    candidates with coordinates 0 and 1, one per modulus pattern; every
+    other phase gives the same terms.  A zero would witness a proper
     subprojection equivalent to ``p``; in finite dimensions that is
     impossible, so the score stays at least 1/4 — in fact the infimum term
     alone contributes at least 1 here.
@@ -304,8 +300,7 @@ def psi_infinite_projection(p: tuple, algebra: CStarAlgebraFin) -> float:
         raise PreconditionError("the score is defined on projections only")
     fixed = c_norm(c_sub(p, c_star(p))) + c_norm(c_sub(p, c_mul(p, p)))
     best = math.inf
-    for phases in itertools.product(_ISOMETRY_PHASES, repeat=algebra.point_count):
-        y = tuple(phases)
+    for y in projections(algebra):
         yy = c_mul(y, c_star(y))
         gap = c_norm(c_sub(yy, p))
         under = c_norm(c_sub(c_mul(yy, p), yy))

@@ -38,7 +38,6 @@ __all__ = [
     "ord_add",
     "ord_mul",
     "ord_pow",
-    "ord_arith",
     "left_difference",
     "split_mod_omega_omega",
     "ord_equiv",
@@ -286,17 +285,6 @@ def ord_pow(a: Ordinal, b: Ordinal) -> Ordinal:
     else:
         head = omega_power(ord_mul(a.terms[0][0], limit))
     return ord_mul(head, _pow_finite(a, n))
-
-
-def ord_arith(op: str, a: Ordinal, b: Ordinal) -> Ordinal:
-    """Dispatch used by the command line driver."""
-    if op == "add":
-        return ord_add(a, b)
-    if op == "mul":
-        return ord_mul(a, b)
-    if op == "pow":
-        return ord_pow(a, b)
-    raise PreconditionError(f"unknown ordinal operation {op!r}")
 
 
 def left_difference(a: Ordinal, b: Ordinal) -> Ordinal:

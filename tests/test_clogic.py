@@ -1,5 +1,6 @@
 """Tests for the continuous-logic evaluator and the classical translation."""
 
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from elemeq import boolalg
 from elemeq.boolalg import FiniteBoolAlg, fo_eval, sentence_corpus
 from elemeq.clogic import (
+    CAdd,
     COne,
     CConst,
     CMul,
@@ -36,7 +38,16 @@ from elemeq.clogic import (
     term_modulus,
     translate_fo,
 )
-from elemeq.cstar import CStarAlgebraFin, c_norm, c_sub
+from elemeq.cstar import (
+    CStarAlgebraFin,
+    c_add,
+    c_mul,
+    c_norm,
+    c_scale,
+    c_star,
+    c_sub,
+    projections,
+)
 from elemeq.errors import PreconditionError, ResourceBudgetError
 
 
@@ -189,6 +200,187 @@ def test_ceval_budget_error_reports_best_enclosure():
         ceval(phi, A, {}, 1e-12, max_boxes=50)
     best = info.value.best_known
     assert best.lower <= 2 <= best.upper
+
+
+# ---------------------------------------------------------------------------
+# The exact projection path against a reference evaluator
+# ---------------------------------------------------------------------------
+
+
+def _ref_term(term, env, A):
+    if isinstance(term, CVar):
+        return env[term.name]
+    if isinstance(term, CZero):
+        return A.zero()
+    if isinstance(term, COne):
+        return A.one()
+    if isinstance(term, CConst):
+        return term.values
+    if isinstance(term, CStar):
+        return c_star(_ref_term(term.arg, env, A))
+    if isinstance(term, CScale):
+        return c_scale(term.scalar, _ref_term(term.arg, env, A))
+    op = {CAdd: c_add, CSub: c_sub, CMul: c_mul}[type(term)]
+    return op(_ref_term(term.left, env, A), _ref_term(term.right, env, A))
+
+
+def _ref_value(phi, env, A):
+    """The formula value by direct recursion: cstar operations on elements,
+    quantifiers as max/min over every projection."""
+    if isinstance(phi, FNorm):
+        return c_norm(_ref_term(phi.term, env, A))
+    if isinstance(phi, FConst):
+        return phi.value
+    if isinstance(phi, FScale):
+        return phi.scalar * _ref_value(phi.arg, env, A)
+    if isinstance(phi, (FSup, FInf)):
+        values = [_ref_value(phi.body, {**env, phi.var: p}, A) for p in projections(A)]
+        return max(values) if isinstance(phi, FSup) else min(values)
+    left, right = _ref_value(phi.left, env, A), _ref_value(phi.right, env, A)
+    if isinstance(phi, FPlus):
+        return left + right
+    if isinstance(phi, FTruncSub):
+        return max(left - right, 0.0)
+    if isinstance(phi, FMax):
+        return max(left, right)
+    if isinstance(phi, FMin):
+        return min(left, right)
+    return abs(left - right)
+
+
+_NAMES = ("x", "y", "z")
+
+
+def _random_element(rng, n):
+    return tuple(
+        complex(rng.choice((-1.0, 0.0, 0.5, 1.0)), rng.choice((0.0, 0.25, -1.0)))
+        for _ in range(n)
+    )
+
+
+def _random_term(rng, n, depth):
+    if depth == 0 or rng.random() < 0.3:
+        pick = rng.randrange(5)
+        if pick < 2:
+            return CVar(rng.choice(_NAMES))
+        return (CZero(), COne(), CConst(_random_element(rng, n)))[pick - 2]
+    kind = rng.randrange(5)
+    if kind == 0:
+        return CStar(_random_term(rng, n, depth - 1))
+    if kind == 1:
+        scalar = complex(rng.choice((0.5, -2.0, 1.0)), rng.choice((0.0, 0.75)))
+        return CScale(scalar, _random_term(rng, n, depth - 1))
+    op = (CAdd, CSub, CMul)[kind - 2]
+    return op(_random_term(rng, n, depth - 1), _random_term(rng, n, depth - 1))
+
+
+def _random_formula(rng, n, depth, quantifiers):
+    """Projection-only formulas with at most ``quantifiers`` nested binders;
+    names repeat, so binders shadow parameters and each other, and some
+    quantifiers ignore their variable."""
+    if depth == 0 or rng.random() < 0.15:
+        if rng.random() < 0.15:
+            return FConst(rng.choice((0.0, 0.5, 1.0)))
+        return FNorm(_random_term(rng, n, 2))
+    kind = rng.randrange(8 if quantifiers else 6)
+    if kind < 5:
+        op = (FPlus, FTruncSub, FMax, FMin, FAbsDiff)[kind]
+        return op(
+            _random_formula(rng, n, depth - 1, quantifiers),
+            _random_formula(rng, n, depth - 1, quantifiers),
+        )
+    if kind == 5:
+        arg = _random_formula(rng, n, depth - 1, quantifiers)
+        return FScale(rng.choice((0.0, 0.5, 2.0)), arg)
+    body = _random_formula(rng, n, depth - 1, quantifiers - 1)
+    return (FSup, FInf)[kind - 6](rng.choice(_NAMES), SORT_PROJ, body)
+
+
+def _assert_exact(phi, A, params):
+    cert = ceval(phi, A, params)
+    expected = _ref_value(phi, {k: A.element(v) for k, v in params.items()}, A)
+    assert cert.lower == expected and cert.upper == expected, phi
+    assert cert.grid_depth == 0
+
+
+def test_exact_path_equals_reference_on_random_formulas():
+    rng = random.Random(20141)
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        A = CStarAlgebraFin(n)
+        phi = _random_formula(rng, n, rng.randint(1, 5), 3)
+        params = {v: _random_element(rng, n) for v in _NAMES}
+        _assert_exact(phi, A, params)
+
+
+def test_exact_path_equals_reference_over_projection_parameters():
+    x, y, z = CVar("x"), CVar("y"), CVar("z")
+    phi = FMax(
+        FNorm(CSub(CMul(x, y), CStar(x))),
+        FInf("z", SORT_PROJ, FAbsDiff(FNorm(CAdd(x, z)), FScale(0.5, FNorm(y)))),
+    )
+    for n in range(1, 5):
+        A = CStarAlgebraFin(n)
+        for px, py in itertools.product(projections(A), repeat=2):
+            _assert_exact(phi, A, {"x": px, "y": py})
+            _assert_exact(FInf("z", SORT_PROJ, FNorm(CSub(x, z))), A, {"x": px})
+
+
+def test_exact_path_shadowed_parameter():
+    # the inner x is the bound projection, the outer x the parameter
+    x, y = CVar("x"), CVar("y")
+    inner = FSup("x", SORT_PROJ, FNorm(CSub(x, CConst((0.5 + 0j, 0.25j)))))
+    phi = FPlus(FNorm(x), inner)
+    A = CStarAlgebraFin(2)
+    params = {"x": (0.125 + 0j, -0.5 + 0j)}
+    _assert_exact(phi, A, params)
+    assert ceval(phi, A, params).lower == 0.5 + abs(1 - 0.25j)
+    # a binder shadowing another binder of the same name
+    nested = FSup("x", SORT_PROJ, FInf("y", SORT_PROJ, FMin(
+        FNorm(CSub(x, y)), FInf("x", SORT_PROJ, FNorm(CMul(x, CStar(y))))
+    )))
+    for n in range(1, 5):
+        _assert_exact(nested, CStarAlgebraFin(n), params if n == 2 else {})
+
+
+def test_exact_path_vacuous_and_hoisted_quantifiers():
+    x, z = CVar("x"), CVar("z")
+    # the z quantifier ignores y, so it is evaluated once per value of x
+    hoisted = FSup("x", SORT_PROJ, FInf("y", SORT_PROJ, FPlus(
+        FSup("z", SORT_PROJ, FNorm(CSub(x, z))), FScale(0.25, FNorm(CVar("y")))
+    )))
+    # a quantifier whose body ignores its own variable
+    vacuous = FInf("x", SORT_PROJ, FSup("y", SORT_PROJ, FNorm(CAdd(x, COne()))))
+    for n in range(1, 5):
+        A = CStarAlgebraFin(n)
+        _assert_exact(hoisted, A, {})
+        _assert_exact(vacuous, A, {})
+    assert ceval(vacuous, CStarAlgebraFin(3), {}).lower == 1
+
+
+def test_exact_path_hoists_on_several_binders():
+    # the w quantifier reads x and z but not y, so it is memoised on two masks;
+    # its atom tells the three bound variables apart
+    x, y, z, w = (CVar(v) for v in "xyzw")
+    atom = FNorm(CSub(CMul(x, CSub(COne(), w)), CScale(0.5j, CMul(z, w))))
+    phi = FSup("x", SORT_PROJ, FInf("y", SORT_PROJ, FSup("z", SORT_PROJ, FTruncSub(
+        FInf("w", SORT_PROJ, FMax(atom, FScale(0.75, FNorm(CSub(w, z))))),
+        FScale(0.5, FNorm(CMul(y, CSub(COne(), x)))),
+    ))))
+    for n in range(1, 4):
+        _assert_exact(phi, CStarAlgebraFin(n), {})
+
+
+def test_exact_path_preconditions():
+    A = CStarAlgebraFin(3)
+    wrong_size = FSup("x", SORT_PROJ, FNorm(CMul(CVar("x"), CConst((1 + 0j, 0j)))))
+    with pytest.raises(PreconditionError):
+        ceval(wrong_size, A, {})
+    open_body = FSup("x", SORT_PROJ, FNorm(CSub(CVar("x"), CVar("q"))))
+    with pytest.raises(PreconditionError):
+        ceval(open_body, A, {})
+    with pytest.raises(PreconditionError):
+        ceval(open_body, A, {"x": A.one()})
 
 
 # ---------------------------------------------------------------------------

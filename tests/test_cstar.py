@@ -1,5 +1,6 @@
 """Tests for the finite-dimensional function algebras and spectrum tools."""
 
+import itertools
 import math
 import random
 
@@ -219,6 +220,28 @@ def test_psi_bounded_below_exhaustively():
         A = CStarAlgebraFin(n)
         for p in projections(A):
             assert psi_infinite_projection(p, A) >= 0.25
+
+
+def _psi_over_phases(p, algebra):
+    """The score with the infimum over all 5^n candidates whose coordinates
+    are zero or a fourth root of unity."""
+    fixed = c_norm(c_sub(p, c_star(p))) + c_norm(c_sub(p, c_mul(p, p)))
+    best = math.inf
+    phases = (0j, 1 + 0j, -1 + 0j, 1j, -1j)
+    for y in itertools.product(phases, repeat=algebra.point_count):
+        yy = c_mul(y, c_star(y))
+        gap = c_norm(c_sub(yy, p))
+        under = c_norm(c_sub(c_mul(yy, p), yy))
+        best = min(best, gap + under + max(1 - gap, 0.0))
+    return fixed + best
+
+
+def test_psi_equals_the_search_over_all_phases():
+    # only |y| enters the score, so the 2^n {0, 1} candidates give the same value
+    for n in range(1, 5):
+        A = CStarAlgebraFin(n)
+        for p in projections(A):
+            assert psi_infinite_projection(p, A) == _psi_over_phases(p, A)
 
 
 def test_psi_preconditions():
