@@ -9,13 +9,19 @@ self-adjoint and positive parts, and the (finite) set of projections.  Every
 node has a computable Lipschitz modulus in each free variable, obtained by
 composing the children's moduli.
 
+Terms are evaluated by one walker, ``eval_term``, in an arithmetic passed to
+it: exact elements (the ``cstar`` operations), per-point complex rectangles,
+and (norm bound, Lipschitz modulus) pairs here, batched numpy rectangles and
+values in ``saturation``.  The walker alone dispatches on term nodes, rejects
+unbound variables and constants of the wrong size.
+
 Evaluation returns an enclosure certificate.  Formulas whose quantifiers all
 range over projections are evaluated exactly (the sort is finite), compiled
 once per call into closures over one projection bit mask per quantifier:
 atoms read per-point tables of their terms' moduli, and a quantifier that
 ignores an enclosing variable is memoised on the masks it reads.  The
 continuous sorts are handled by deterministic branch-and-bound over per-point
-complex boxes, pruned by both interval arithmetic and the Lipschitz moduli.
+complex boxes, pruned by both rectangle arithmetic and the Lipschitz moduli.
 The truth-value bridge ``translate_fo`` maps a classical sentence about
 Boolean algebras to a projection-sorted formula whose value is 0 on algebras
 satisfying the sentence and 1 on algebras refuting it.
@@ -28,9 +34,10 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from . import boolalg
-from .cstar import CStarAlgebraFin, projections
+from .cstar import CStarAlgebraFin, c_norm, c_scale, c_star, projections
 from .errors import PreconditionError, ResourceBudgetError
 
 __all__ = [
@@ -60,6 +67,9 @@ __all__ = [
     "FInf",
     "cformula_free_vars",
     "term_free_vars",
+    "Arith",
+    "EXACT",
+    "eval_term",
     "term_bound",
     "term_modulus",
     "formula_modulus",
@@ -79,6 +89,10 @@ MAX_CEVAL_POINTS = 6
 
 #: Default cap on branch-and-bound boxes processed per evaluation.
 DEFAULT_MAX_BOXES = 200_000
+
+#: Entries kept by each free-variable memo; a long-lived process evaluating
+#: fresh formulas would otherwise keep every node it has seen.
+FREE_VARS_MEMO_SIZE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +238,7 @@ _BINARY_TYPES = (FPlus, FTruncSub, FMax, FMin, FAbsDiff)
 _QUANT_TYPES = (FSup, FInf)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FREE_VARS_MEMO_SIZE)
 def term_free_vars(term) -> frozenset:
     if isinstance(term, CVar):
         return frozenset({term.name})
@@ -237,7 +251,7 @@ def term_free_vars(term) -> frozenset:
     raise PreconditionError(f"not a term: {term!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FREE_VARS_MEMO_SIZE)
 def cformula_free_vars(phi) -> frozenset:
     if isinstance(phi, FNorm):
         return term_free_vars(phi.term)
@@ -253,6 +267,76 @@ def cformula_free_vars(phi) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
+# Term evaluation: one walker, one arithmetic per kind of value
+# ---------------------------------------------------------------------------
+
+
+class Arith(NamedTuple):
+    """The operations a term is evaluated in.
+
+    ``const`` lifts an element (one complex value per point), ``scale``
+    takes a complex scalar and a value, and the rest act on the values of
+    the children.
+    """
+
+    const: Callable
+    add: Callable
+    sub: Callable
+    mul: Callable
+    conj: Callable
+    scale: Callable
+
+
+def eval_term(term, env: dict, algebra: CStarAlgebraFin, arith: Arith):
+    """The value of a term in ``arith``, its variables' values read from ``env``."""
+    if isinstance(term, CVar):
+        if term.name not in env:
+            raise PreconditionError(f"unbound variable {term.name!r}")
+        return env[term.name]
+    if isinstance(term, (CAdd, CSub, CMul)):
+        op = arith.add if isinstance(term, CAdd) else (
+            arith.sub if isinstance(term, CSub) else arith.mul)
+        left = eval_term(term.left, env, algebra, arith)
+        return op(left, eval_term(term.right, env, algebra, arith))
+    if isinstance(term, CStar):
+        return arith.conj(eval_term(term.arg, env, algebra, arith))
+    if isinstance(term, CScale):
+        return arith.scale(complex(term.scalar), eval_term(term.arg, env, algebra, arith))
+    if isinstance(term, CZero):
+        return arith.const(algebra.zero())
+    if isinstance(term, COne):
+        return arith.const(algebra.one())
+    if isinstance(term, CConst):
+        if len(term.values) != algebra.point_count:
+            raise PreconditionError("constant element has the wrong size")
+        return arith.const(term.values)
+    raise PreconditionError(f"not a term: {term!r}")
+
+
+def _pointwise(op):
+    return lambda l, r: tuple(map(op, l, r))
+
+
+#: Exact elements: tuples of complex values, combined point by point.
+EXACT = Arith(
+    tuple, _pointwise(operator.add), _pointwise(operator.sub), _pointwise(operator.mul),
+    c_star, c_scale,
+)
+
+#: (norm bound, Lipschitz constant in one variable) pairs: sums and
+#: differences add both, and a product's constant is the product rule's,
+#: |l r - l' r'| <= |l| |r - r'| + |r'| |l - l'|.
+_LIPSCHITZ = Arith(
+    lambda values: (c_norm(values), 0.0),
+    lambda l, r: (l[0] + r[0], l[1] + r[1]),
+    lambda l, r: (l[0] + r[0], l[1] + r[1]),
+    lambda l, r: (l[0] * r[0], l[0] * r[1] + r[0] * l[1]),
+    lambda a: a,
+    lambda s, a: (abs(s) * a[0], abs(s) * a[1]),
+)
+
+
+# ---------------------------------------------------------------------------
 # Lipschitz moduli and bounds
 # ---------------------------------------------------------------------------
 
@@ -263,52 +347,14 @@ def term_bound(term, algebra: CStarAlgebraFin, bounds: dict) -> float:
     ``bounds`` maps each free variable to a norm bound (quantified variables
     get 1, the radius of every sort).
     """
-    if isinstance(term, CVar):
-        if term.name not in bounds:
-            raise PreconditionError(f"unbounded variable {term.name!r}")
-        return bounds[term.name]
-    if isinstance(term, CZero):
-        return 0.0
-    if isinstance(term, COne):
-        return 1.0
-    if isinstance(term, CConst):
-        return max(abs(v) for v in term.values) if term.values else 0.0
-    if isinstance(term, (CAdd, CSub)):
-        return term_bound(term.left, algebra, bounds) + term_bound(
-            term.right, algebra, bounds
-        )
-    if isinstance(term, CMul):
-        return term_bound(term.left, algebra, bounds) * term_bound(
-            term.right, algebra, bounds
-        )
-    if isinstance(term, CStar):
-        return term_bound(term.arg, algebra, bounds)
-    if isinstance(term, CScale):
-        return abs(term.scalar) * term_bound(term.arg, algebra, bounds)
-    raise PreconditionError(f"not a term: {term!r}")
+    env = {name: (bound, 0.0) for name, bound in bounds.items()}
+    return eval_term(term, env, algebra, _LIPSCHITZ)[0]
 
 
 def term_modulus(term, var: str, algebra: CStarAlgebraFin, bounds: dict) -> float:
     """A Lipschitz constant of the term in ``var`` (sup-norm metric)."""
-    if isinstance(term, CVar):
-        return 1.0 if term.name == var else 0.0
-    if isinstance(term, (CZero, COne, CConst)):
-        return 0.0
-    if isinstance(term, (CAdd, CSub)):
-        return term_modulus(term.left, var, algebra, bounds) + term_modulus(
-            term.right, var, algebra, bounds
-        )
-    if isinstance(term, CMul):
-        bl = term_bound(term.left, algebra, bounds)
-        br = term_bound(term.right, algebra, bounds)
-        return bl * term_modulus(term.right, var, algebra, bounds) + br * (
-            term_modulus(term.left, var, algebra, bounds)
-        )
-    if isinstance(term, CStar):
-        return term_modulus(term.arg, var, algebra, bounds)
-    if isinstance(term, CScale):
-        return abs(term.scalar) * term_modulus(term.arg, var, algebra, bounds)
-    raise PreconditionError(f"not a term: {term!r}")
+    env = {name: (bound, 1.0 if name == var else 0.0) for name, bound in bounds.items()}
+    return eval_term(term, env, algebra, _LIPSCHITZ)[1]
 
 
 def formula_modulus(phi, var: str, algebra: CStarAlgebraFin, bounds: dict) -> float:
@@ -396,31 +442,16 @@ def _box_point(values: tuple) -> tuple:
     return tuple(_rect_point(v) for v in values)
 
 
-def _term_enclosure(term, env: dict, algebra: CStarAlgebraFin) -> tuple:
-    if isinstance(term, CVar):
-        if term.name not in env:
-            raise PreconditionError(f"unbound variable {term.name!r}")
-        return env[term.name]
-    if isinstance(term, CZero):
-        return (_rect_point(0j),) * algebra.point_count
-    if isinstance(term, COne):
-        return (_rect_point(1 + 0j),) * algebra.point_count
-    if isinstance(term, CConst):
-        if len(term.values) != algebra.point_count:
-            raise PreconditionError("constant element has the wrong size")
-        return _box_point(term.values)
-    if isinstance(term, (CAdd, CSub, CMul)):
-        op = {CAdd: _rect_add, CSub: _rect_sub, CMul: _rect_mul}[type(term)]
-        l = _term_enclosure(term.left, env, algebra)
-        return tuple(map(op, l, _term_enclosure(term.right, env, algebra)))
-    if isinstance(term, CStar):
-        return tuple(_rect_conj(a) for a in _term_enclosure(term.arg, env, algebra))
-    if isinstance(term, CScale):
-        s = _rect_point(complex(term.scalar))
-        return tuple(
-            _rect_mul(s, a) for a in _term_enclosure(term.arg, env, algebra)
-        )
-    raise PreconditionError(f"not a term: {term!r}")
+def _rect_scale(s: complex, box: tuple) -> tuple:
+    s = _rect_point(s)
+    return tuple(_rect_mul(s, a) for a in box)
+
+
+#: Element enclosures: tuples of rectangles, one per point.
+_RECTS = Arith(
+    _box_point, _pointwise(_rect_add), _pointwise(_rect_sub), _pointwise(_rect_mul),
+    lambda box: tuple(map(_rect_conj, box)), _rect_scale,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +546,7 @@ def _interval_eval(phi, env, algebra, tol, state):
     in the environment widen the result soundly.
     """
     if isinstance(phi, FNorm):
-        rects = _term_enclosure(phi.term, env, algebra)
+        rects = eval_term(phi.term, env, algebra, _RECTS)
         mods = [_rect_mod(r) for r in rects]
         return max(m[0] for m in mods), max(m[1] for m in mods)
     if isinstance(phi, FConst):
@@ -653,29 +684,6 @@ def _all_proj_quantified(phi) -> bool:
     return not isinstance(phi, FScale) or _all_proj_quantified(phi.arg)
 
 
-def _term_value(term, env, algebra):
-    if isinstance(term, CVar):
-        return env[term.name]
-    if isinstance(term, CZero):
-        return (0j,) * algebra.point_count
-    if isinstance(term, COne):
-        return (1 + 0j,) * algebra.point_count
-    if isinstance(term, CConst):
-        if len(term.values) != algebra.point_count:
-            raise PreconditionError("constant element has the wrong size")
-        return term.values
-    if isinstance(term, (CAdd, CSub, CMul)):
-        op = {CAdd: operator.add, CSub: operator.sub, CMul: operator.mul}[type(term)]
-        l = _term_value(term.left, env, algebra)
-        return tuple(map(op, l, _term_value(term.right, env, algebra)))
-    if isinstance(term, CStar):
-        return tuple(a.conjugate() for a in _term_value(term.arg, env, algebra))
-    if isinstance(term, CScale):
-        s = complex(term.scalar)
-        return tuple(s * a for a in _term_value(term.arg, env, algebra))
-    raise PreconditionError(f"not a term: {term!r}")
-
-
 #: The exact value of each binary connective from its children's values.
 _EXACT_OPS = {
     FPlus: operator.add, FMax: max, FMin: min,
@@ -705,7 +713,7 @@ def _compile_exact(phi, env, algebra):
                 sub = dict(env)
                 for j, v in enumerate(names):
                     sub[v] = ones if bits >> j & 1 else zeros
-                for row, value in zip(rows, _term_value(phi.term, sub, algebra)):
+                for row, value in zip(rows, eval_term(phi.term, sub, algebra, EXACT)):
                     row.append(abs(value))
             # spread[m] moves bit p of mask m to bit p*k + j of the index
             gather = [

@@ -18,18 +18,17 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from elemeq.boolalg import FiniteBoolAlg
 from elemeq.clogic import (
-    CAdd,
     CConst,
     CMul,
     CScale,
     CStar,
-    CSub,
     CVar,
     CZero,
     COne,
@@ -37,7 +36,10 @@ from elemeq.clogic import (
     SORT_BALL,
     SORT_POS,
     SORT_SA,
+    Arith,
+    _initial_box,
     ceval,
+    eval_term,
     term_free_vars,
 )
 from elemeq.cstar import CStarAlgebraFin, c_mul, c_norm
@@ -301,10 +303,12 @@ class Inconclusive:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized interval arithmetic over batches of boxes
+# Batched arithmetics for ``clogic.eval_term``
 #
 # A box assigns to each (variable, point) slot a rectangle
-# (re_lo, re_hi, im_lo, im_hi); arrays have shape (N, slots, 4).
+# (re_lo, re_hi, im_lo, im_hi); arrays have shape (N, slots, 4).  Terms are
+# evaluated over a batch of N boxes in numpy rectangles, and at the N sample
+# points in numpy complex values, shape (N, slots).
 # ---------------------------------------------------------------------------
 
 
@@ -339,36 +343,23 @@ def _np_rect_mul(a, b):
     return np.stack([rr_lo - ii_hi, rr_hi - ii_lo, ri_lo + ir_lo, ri_hi + ir_hi], axis=-1)
 
 
-def _np_const_rect(values, points: int):
-    rect = np.empty((1, points, 4))
+def _np_const_rect(values):
+    rect = np.empty((1, len(values), 4))
     for j, v in enumerate(values):
         v = complex(v)
         rect[0, j] = (v.real, v.real, v.imag, v.imag)
     return rect
 
 
-def _np_term_rects(term, env, algebra):
-    if isinstance(term, CVar):
-        return env[term.name]
-    if isinstance(term, CZero):
-        return _np_const_rect(algebra.zero(), algebra.point_count)
-    if isinstance(term, COne):
-        return _np_const_rect(algebra.one(), algebra.point_count)
-    if isinstance(term, CConst):
-        return _np_const_rect(term.values, algebra.point_count)
-    if isinstance(term, CStar):
-        return _np_rect_conj(_np_term_rects(term.arg, env, algebra))
-    if isinstance(term, CScale):
-        s = complex(term.scalar)
-        scalar = _np_const_rect((s,) * algebra.point_count, algebra.point_count)
-        return _np_rect_mul(scalar, _np_term_rects(term.arg, env, algebra))
-    left = _np_term_rects(term.left, env, algebra)
-    right = _np_term_rects(term.right, env, algebra)
-    if isinstance(term, CAdd):
-        return _np_rect_add(left, right)
-    if isinstance(term, CSub):
-        return _np_rect_sub(left, right)
-    return _np_rect_mul(left, right)
+_NP_RECTS = Arith(
+    _np_const_rect, _np_rect_add, _np_rect_sub, _np_rect_mul, _np_rect_conj,
+    lambda s, a: _np_rect_mul(_np_const_rect((s,)), a),
+)
+
+_NP_VALUES = Arith(
+    lambda values: np.array(values, dtype=complex).reshape(1, -1),
+    operator.add, operator.sub, operator.mul, np.conj, operator.mul,
+)
 
 
 def _np_norm_bounds(rect):
@@ -383,28 +374,6 @@ def _np_norm_bounds(rect):
         np.maximum(np.abs(rect[..., 2]), np.abs(rect[..., 3])),
     )
     return min_mod.max(axis=-1), max_mod.max(axis=-1)
-
-
-def _np_term_values(term, env, algebra):
-    if isinstance(term, CVar):
-        return env[term.name]
-    if isinstance(term, CZero):
-        return np.zeros((1, algebra.point_count), dtype=complex)
-    if isinstance(term, COne):
-        return np.ones((1, algebra.point_count), dtype=complex)
-    if isinstance(term, CConst):
-        return np.array(term.values, dtype=complex).reshape(1, -1)
-    if isinstance(term, CStar):
-        return np.conj(_np_term_values(term.arg, env, algebra))
-    if isinstance(term, CScale):
-        return complex(term.scalar) * _np_term_values(term.arg, env, algebra)
-    left = _np_term_values(term.left, env, algebra)
-    right = _np_term_values(term.right, env, algebra)
-    if isinstance(term, CAdd):
-        return left + right
-    if isinstance(term, CSub):
-        return left - right
-    return left * right
 
 
 def _np_distance(values, target):
@@ -441,16 +410,7 @@ class _RealizeProblem:
         self.slots = len(self.names) * self.points
 
     def initial_box(self):
-        rows = []
-        for sort in self.sorts:
-            if sort == SORT_BALL:
-                row = (-1.0, 1.0, -1.0, 1.0)
-            elif sort == SORT_SA:
-                row = (-1.0, 1.0, 0.0, 0.0)
-            else:
-                row = (0.0, 1.0, 0.0, 0.0)
-            rows.extend([row] * self.points)
-        return np.array([rows])
+        return np.array([sum((_initial_box(sort, self.points) for sort in self.sorts), ())])
 
     def _env_rects(self, boxes):
         env = {}
@@ -483,7 +443,7 @@ class _RealizeProblem:
         g_lo = np.zeros(boxes.shape[0])
         g_hi = np.zeros(boxes.shape[0])
         for condition in self.conditions:
-            rect = _np_term_rects(condition.polynomial, env, self.algebra)
+            rect = eval_term(condition.polynomial, env, self.algebra, _NP_RECTS)
             nlo, nhi = _np_norm_bounds(rect)
             d_lo, d_hi = _np_distance_range(nlo, nhi, condition.target)
             g_lo = np.maximum(g_lo, d_lo)
@@ -497,7 +457,7 @@ class _RealizeProblem:
             env[name] = reps[:, i * self.points : (i + 1) * self.points]
         g = np.zeros(reps.shape[0])
         for condition in self.conditions:
-            values = _np_term_values(condition.polynomial, env, self.algebra)
+            values = eval_term(condition.polynomial, env, self.algebra, _NP_VALUES)
             norms = np.abs(values).max(axis=-1)
             g = np.maximum(g, _np_distance(norms, condition.target))
         return g
@@ -517,29 +477,18 @@ class _RealizeProblem:
         return np.concatenate([low, high])
 
 
-def _term_constants_ok(term, points: int) -> bool:
-    if isinstance(term, CConst):
-        return len(term.values) == points
-    if isinstance(term, (CStar, CScale)):
-        return _term_constants_ok(term.arg, points)
-    if isinstance(term, (CAdd, CSub, CMul)):
-        return _term_constants_ok(term.left, points) and _term_constants_ok(term.right, points)
-    return True
-
-
-def _certify_assignment(conditions, algebra, assignment, tol):
-    """Certify every condition at the assignment via formula evaluation."""
-    certificates = []
-    for condition in conditions:
-        cert = ceval(FNorm(condition.polynomial), algebra, assignment, tol=1e-9)
-        worst = max(
-            distance_to_target(cert.lower, condition.target),
-            distance_to_target(cert.upper, condition.target),
-        )
-        if worst > tol:
-            return None
-        certificates.append(cert)
-    return tuple(certificates)
+def _certify_assignment(conditions, algebra, assignment):
+    """Certify every condition at the assignment via formula evaluation:
+    the certificates and the largest certified distance to a target."""
+    certificates = tuple(
+        ceval(FNorm(c.polynomial), algebra, assignment, tol=1e-9) for c in conditions
+    )
+    deviation = max(
+        distance_to_target(bound, c.target)
+        for c, cert in zip(conditions, certificates)
+        for bound in (cert.lower, cert.upper)
+    )
+    return certificates, deviation
 
 
 def realize_type(
@@ -570,8 +519,6 @@ def realize_type(
     for condition in conditions:
         if not isinstance(condition, TypeCondition):
             raise PreconditionError("conditions must be TypeCondition instances")
-        if not _term_constants_ok(condition.polynomial, algebra.point_count):
-            raise PreconditionError("polynomial constants must match the algebra's points")
     names = sorted(frozenset().union(*(c.variables() for c in conditions)))
     if len(names) > MAX_REALIZE_VARIABLES:
         raise PreconditionError(f"at most {MAX_REALIZE_VARIABLES} variables are supported")
@@ -582,12 +529,8 @@ def realize_type(
     sorts_by_var = {name: sorts.get(name, SORT_BALL) for name in names}
 
     if not names:
-        deviation = max(
-            distance_to_target(c_norm(_point_values(c.polynomial, algebra)), c.target)
-            for c in conditions
-        )
+        certificates, deviation = _certify_assignment(conditions, algebra, {})
         if deviation <= tol:
-            certificates = _certify_assignment(conditions, algebra, {}, tol)
             return Realized({}, deviation, certificates)
         return Unsatisfiable(deviation, conditions)
 
@@ -627,9 +570,9 @@ def realize_type(
                 )
                 for i, name in enumerate(problem.names)
             }
-            certificates = _certify_assignment(conditions, algebra, assignment, tol)
-            if certificates is not None:
-                return Realized(assignment, best_value, certificates)
+            certificates, deviation = _certify_assignment(conditions, algebra, assignment)
+            if deviation <= tol:
+                return Realized(assignment, deviation, certificates)
             best_value = np.inf  # keep searching from surviving boxes
         if not heap:
             return Unsatisfiable(float(floor), conditions)
@@ -637,11 +580,6 @@ def realize_type(
             return Inconclusive(float(best_value), boxes_used)
         batch = [heapq.heappop(heap)[2] for _ in range(min(_BATCH_SIZE, len(heap)))]
         assess(problem.split(np.stack(batch)))
-
-
-def _point_values(term, algebra):
-    values = _np_term_values(term, {}, algebra)
-    return tuple(complex(v) for v in values[0])
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,15 @@ from elemeq.clogic import (
     SORT_POS,
     SORT_PROJ,
     SORT_SA,
+    EXACT,
+    _RECTS,
+    _box_point,
     ceval,
     cformula_free_vars,
+    eval_term,
     formula_modulus,
     term_bound,
+    term_free_vars,
     term_modulus,
     translate_fo,
 )
@@ -49,6 +54,7 @@ from elemeq.cstar import (
     projections,
 )
 from elemeq.errors import PreconditionError, ResourceBudgetError
+from util import TERM_NAMES, random_element, random_term
 
 
 # ---------------------------------------------------------------------------
@@ -248,32 +254,6 @@ def _ref_value(phi, env, A):
     return abs(left - right)
 
 
-_NAMES = ("x", "y", "z")
-
-
-def _random_element(rng, n):
-    return tuple(
-        complex(rng.choice((-1.0, 0.0, 0.5, 1.0)), rng.choice((0.0, 0.25, -1.0)))
-        for _ in range(n)
-    )
-
-
-def _random_term(rng, n, depth):
-    if depth == 0 or rng.random() < 0.3:
-        pick = rng.randrange(5)
-        if pick < 2:
-            return CVar(rng.choice(_NAMES))
-        return (CZero(), COne(), CConst(_random_element(rng, n)))[pick - 2]
-    kind = rng.randrange(5)
-    if kind == 0:
-        return CStar(_random_term(rng, n, depth - 1))
-    if kind == 1:
-        scalar = complex(rng.choice((0.5, -2.0, 1.0)), rng.choice((0.0, 0.75)))
-        return CScale(scalar, _random_term(rng, n, depth - 1))
-    op = (CAdd, CSub, CMul)[kind - 2]
-    return op(_random_term(rng, n, depth - 1), _random_term(rng, n, depth - 1))
-
-
 def _random_formula(rng, n, depth, quantifiers):
     """Projection-only formulas with at most ``quantifiers`` nested binders;
     names repeat, so binders shadow parameters and each other, and some
@@ -281,7 +261,7 @@ def _random_formula(rng, n, depth, quantifiers):
     if depth == 0 or rng.random() < 0.15:
         if rng.random() < 0.15:
             return FConst(rng.choice((0.0, 0.5, 1.0)))
-        return FNorm(_random_term(rng, n, 2))
+        return FNorm(random_term(rng, n, 2))
     kind = rng.randrange(8 if quantifiers else 6)
     if kind < 5:
         op = (FPlus, FTruncSub, FMax, FMin, FAbsDiff)[kind]
@@ -293,7 +273,7 @@ def _random_formula(rng, n, depth, quantifiers):
         arg = _random_formula(rng, n, depth - 1, quantifiers)
         return FScale(rng.choice((0.0, 0.5, 2.0)), arg)
     body = _random_formula(rng, n, depth - 1, quantifiers - 1)
-    return (FSup, FInf)[kind - 6](rng.choice(_NAMES), SORT_PROJ, body)
+    return (FSup, FInf)[kind - 6](rng.choice(TERM_NAMES), SORT_PROJ, body)
 
 
 def _assert_exact(phi, A, params):
@@ -309,7 +289,7 @@ def test_exact_path_equals_reference_on_random_formulas():
         n = rng.randint(1, 4)
         A = CStarAlgebraFin(n)
         phi = _random_formula(rng, n, rng.randint(1, 5), 3)
-        params = {v: _random_element(rng, n) for v in _NAMES}
+        params = {v: random_element(rng, n) for v in TERM_NAMES}
         _assert_exact(phi, A, params)
 
 
@@ -381,6 +361,100 @@ def test_exact_path_preconditions():
         ceval(open_body, A, {})
     with pytest.raises(PreconditionError):
         ceval(open_body, A, {"x": A.one()})
+
+
+# ---------------------------------------------------------------------------
+# The term walker and its arithmetics
+# ---------------------------------------------------------------------------
+
+
+def _ref_bound(term, bounds):
+    if isinstance(term, CVar):
+        return bounds[term.name]
+    if isinstance(term, CZero):
+        return 0.0
+    if isinstance(term, COne):
+        return 1.0
+    if isinstance(term, CConst):
+        return max(abs(v) for v in term.values)
+    if isinstance(term, (CStar, CScale)):
+        scale = abs(term.scalar) if isinstance(term, CScale) else 1
+        return scale * _ref_bound(term.arg, bounds)
+    left, right = _ref_bound(term.left, bounds), _ref_bound(term.right, bounds)
+    return left * right if isinstance(term, CMul) else left + right
+
+
+def _ref_modulus(term, var, bounds):
+    """The product rule by direct recursion, bounds recomputed per node."""
+    if isinstance(term, CVar):
+        return 1.0 if term.name == var else 0.0
+    if isinstance(term, (CZero, COne, CConst)):
+        return 0.0
+    if isinstance(term, (CStar, CScale)):
+        scale = abs(term.scalar) if isinstance(term, CScale) else 1
+        return scale * _ref_modulus(term.arg, var, bounds)
+    left = _ref_modulus(term.left, var, bounds)
+    right = _ref_modulus(term.right, var, bounds)
+    if isinstance(term, CMul):
+        return _ref_bound(term.left, bounds) * right + _ref_bound(term.right, bounds) * left
+    return left + right
+
+
+def test_bound_and_modulus_equal_reference_recursion():
+    rng = random.Random(4101)
+    for _ in range(600):
+        n = rng.randint(1, 3)
+        A = CStarAlgebraFin(n)
+        term = random_term(rng, n, rng.randint(1, 5))
+        bounds = {v: rng.choice((1.0, 0.5, 2.0, rng.uniform(0, 2))) for v in TERM_NAMES}
+        assert term_bound(term, A, bounds) == _ref_bound(term, bounds), term
+        for v in TERM_NAMES:
+            assert term_modulus(term, v, A, bounds) == _ref_modulus(term, v, bounds), term
+
+
+def test_bound_and_modulus_reject_unbounded_variables():
+    A = CStarAlgebraFin(2)
+    x, y = CVar("x"), CVar("y")
+    with pytest.raises(PreconditionError):
+        term_bound(CAdd(x, y), A, {"x": 1.0})
+    with pytest.raises(PreconditionError):
+        term_modulus(x, "x", A, {})
+    with pytest.raises(PreconditionError):
+        term_modulus(CMul(x, y), "x", A, {"x": 1.0})
+    with pytest.raises(PreconditionError):
+        term_bound(CMul(x, CConst((1 + 0j,))), A, {"x": 1.0})
+
+
+def test_rectangles_on_point_boxes_reproduce_exact_values():
+    rng = random.Random(4102)
+    for _ in range(2000):
+        n = rng.randint(1, 3)
+        A = CStarAlgebraFin(n)
+        term = random_term(rng, n, rng.randint(1, 4))
+        env = {
+            v: tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n))
+            for v in TERM_NAMES
+        }
+        boxes = {v: _box_point(value) for v, value in env.items()}
+        exact = eval_term(term, env, A, EXACT)
+        assert eval_term(term, boxes, A, _RECTS) == _box_point(exact), term
+        assert exact == _ref_term(term, env, A)
+
+
+def test_walker_rejects_unbound_variables_and_wrong_sizes():
+    A = CStarAlgebraFin(2)
+    for arith, env in ((EXACT, {"x": A.one()}), (_RECTS, {"x": _box_point(A.one())})):
+        with pytest.raises(PreconditionError):
+            eval_term(CAdd(CVar("x"), CVar("q")), env, A, arith)
+        with pytest.raises(PreconditionError):
+            eval_term(CMul(CVar("x"), CConst((1 + 0j,))), env, A, arith)
+        with pytest.raises(PreconditionError):
+            eval_term("x", env, A, arith)
+
+
+def test_free_variable_memos_are_bounded():
+    for memo in (term_free_vars, cformula_free_vars):
+        assert memo.cache_info().maxsize is not None
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from elemeq.boolalg import FiniteBoolAlg
 from elemeq.clogic import (
+    _RECTS,
     CAdd,
     CConst,
     CMul,
@@ -15,10 +17,12 @@ from elemeq.clogic import (
     CStar,
     CVar,
     SORT_POS,
+    eval_term,
 )
 from elemeq.cstar import CStarAlgebraFin, c_add, c_mul, c_norm, c_scale, c_star, c_sub
 from elemeq.errors import PreconditionError
 from elemeq.saturation import (
+    _NP_RECTS,
     NOT_FOUND,
     CylinderElement,
     Inconclusive,
@@ -32,6 +36,7 @@ from elemeq.saturation import (
     orthogonal_witness_family,
     realize_type,
 )
+from util import TERM_NAMES, random_term
 
 BA = PresentedAtomlessBA()
 
@@ -381,6 +386,8 @@ def test_realize_preconditions():
     with pytest.raises(PreconditionError):
         realize_type([TypeCondition(CConst((1 + 0j,)), [(1.0, 1.0)])], algebra, 0.1)
     with pytest.raises(PreconditionError):
+        realize_type([TypeCondition(CMul(CVar("x"), CConst((1 + 0j,))), [(1.0, 1.0)])], algebra, 0.1)
+    with pytest.raises(PreconditionError):
         realize_type(["not a condition"], algebra, 0.1)
 
 
@@ -391,6 +398,49 @@ def test_realize_is_deterministic():
     second = realize_type(conditions, algebra, 0.01)
     assert first.assignment == second.assignment
     assert first.max_deviation == second.max_deviation
+
+
+def test_max_deviation_is_the_certified_deviation():
+    rng = random.Random(4103)
+    realized = 0
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        algebra = CStarAlgebraFin(n)
+        c = CConst(tuple(complex(rng.choice((-0.75, 0.5)), rng.choice((0.0, 0.5, -0.25))) for _ in range(n)))
+        target = rng.choice((0.625, 0.75, 0.875))
+        conditions = [TypeCondition(CSub(CMul(c, CVar("x")), COne()), [(target, target)])]
+        if rng.random() < 0.5:
+            conditions.append(TypeCondition(CVar("x"), [(0.25, 1.0)]))
+        result = realize_type(conditions, algebra, 0.01)
+        if isinstance(result, Realized):
+            realized += 1
+            assert result.max_deviation == max(
+                distance_to_target(bound, condition.target)
+                for condition, cert in zip(conditions, result.certificates)
+                for bound in (cert.lower, cert.upper)
+            )
+    assert realized >= 10
+
+
+def _random_rect(rng):
+    re, im = sorted(rng.uniform(-1, 1) for _ in "ab"), sorted(rng.uniform(-1, 1) for _ in "ab")
+    return (re[0], re[1], im[0], im[1])
+
+
+def test_batched_rectangles_equal_scalar_rectangles_per_box():
+    rng = random.Random(4104)
+    cases = 0
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        algebra = CStarAlgebraFin(n)
+        term = random_term(rng, n, rng.randint(1, 4))
+        boxes = [{v: tuple(_random_rect(rng) for _ in range(n)) for v in TERM_NAMES} for _ in range(25)]
+        batch = {v: np.array([box[v] for box in boxes]) for v in TERM_NAMES}
+        rows = np.broadcast_to(eval_term(term, batch, algebra, _NP_RECTS), (len(boxes), n, 4))
+        for row, box in zip(rows, boxes):
+            assert tuple(map(tuple, row.tolist())) == eval_term(term, box, algebra, _RECTS), term
+            cases += 1
+    assert cases == 10_000
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+from elemeq.clogic import CAdd, CConst, CMul, COne, CScale, CStar, CSub, CVar, CZero
 from elemeq.ordinals import Ordinal, ZERO, finite, omega_power, ord_add, ord_mul
 
 
@@ -40,3 +41,30 @@ def osum(*parts: Ordinal) -> Ordinal:
     for p in parts:
         total = ord_add(total, p)
     return total
+
+
+TERM_NAMES = ("x", "y", "z")
+
+
+def random_element(rng, n):
+    return tuple(
+        complex(rng.choice((-1.0, 0.0, 0.5, 1.0)), rng.choice((0.0, 0.25, -1.0)))
+        for _ in range(n)
+    )
+
+
+def random_term(rng, n, depth):
+    """A *-polynomial over ``TERM_NAMES`` with every kind of node."""
+    if depth == 0 or rng.random() < 0.3:
+        pick = rng.randrange(5)
+        if pick < 2:
+            return CVar(rng.choice(TERM_NAMES))
+        return (CZero(), COne(), CConst(random_element(rng, n)))[pick - 2]
+    kind = rng.randrange(5)
+    if kind == 0:
+        return CStar(random_term(rng, n, depth - 1))
+    if kind == 1:
+        scalar = complex(rng.choice((0.5, -2.0, 1.0)), rng.choice((0.0, 0.75)))
+        return CScale(scalar, random_term(rng, n, depth - 1))
+    op = (CAdd, CSub, CMul)[kind - 2]
+    return op(random_term(rng, n, depth - 1), random_term(rng, n, depth - 1))
