@@ -377,14 +377,28 @@ def _term_variables(t) -> set[str]:
 
 def free_variables(phi) -> set[str]:
     """The free variables of a formula."""
+    return _without_vacuous(phi)[1]
+
+
+def _without_vacuous(phi) -> tuple:
+    """``phi`` without the quantifiers whose body ignores their variable (the
+    domain is never empty, so no truth value changes), and its free variables."""
     if isinstance(phi, (Eq, Le)):
-        return _term_variables(phi.left) | _term_variables(phi.right)
+        return phi, _term_variables(phi.left) | _term_variables(phi.right)
     if isinstance(phi, Not):
-        return free_variables(phi.arg)
+        arg, free = _without_vacuous(phi.arg)
+        return (phi if arg is phi.arg else Not(arg)), free
     if isinstance(phi, (And, Or, Implies)):
-        return free_variables(phi.left) | free_variables(phi.right)
+        left, free_left = _without_vacuous(phi.left)
+        right, free_right = _without_vacuous(phi.right)
+        if left is not phi.left or right is not phi.right:
+            phi = type(phi)(left, right)
+        return phi, free_left | free_right
     if isinstance(phi, (Forall, Exists)):
-        return free_variables(phi.body) - {phi.var}
+        body, free = _without_vacuous(phi.body)
+        if phi.var not in free:
+            return body, free
+        return (phi if body is phi.body else type(phi)(phi.var, body)), free - {phi.var}
     raise PreconditionError(f"not a formula node: {phi!r}")
 
 
@@ -450,7 +464,8 @@ def fo_eval(phi, b: FiniteBoolAlg, assignment: dict[str, int] | None = None) -> 
     ``FO_EVAL_BUDGET_EXPONENT``.
     """
     env = dict(assignment) if assignment else {}
-    missing = free_variables(phi) - set(env)
+    body, free = _without_vacuous(phi)
+    missing = free - set(env)
     if missing:
         raise PreconditionError(f"assignment misses free variables: {sorted(missing)}")
     cost = b.atom_count * quantifier_rank(phi)
@@ -458,7 +473,7 @@ def fo_eval(phi, b: FiniteBoolAlg, assignment: dict[str, int] | None = None) -> 
         raise ResourceBudgetError(
             f"exhaustive evaluation budget exceeded: 2**{cost} leaves"
         )
-    return _eval(phi, b, env)
+    return _eval(body, b, env)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from elemeq.batheory import (
     FinCof,
@@ -113,19 +114,11 @@ from elemeq.ordinals import (
     ord_mul,
     ord_pow,
 )
-from elemeq.saturation import (
-    NOT_FOUND,
-    CylinderElement,
-    Inconclusive,
-    PresentedAtomlessBA,
-    Realized,
-    TypeCondition,
-    Unsatisfiable,
-    interpolate_chain,
-    max_orthogonal_family,
-    orthogonal_witness_family,
-    realize_type,
-)
+
+# ``elemeq.saturation`` loads numpy (~72 ms and ~12 MB a process), so only
+# the functions that use it import it.
+if TYPE_CHECKING:
+    from elemeq.saturation import CylinderElement, TypeCondition
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -661,6 +654,8 @@ def parse_element(text: str) -> tuple:
 
 def parse_cylinder_element(text: str) -> CylinderElement:
     """Parse ``top``, ``bottom``, or a comma-separated union of binary words."""
+    from elemeq.saturation import PresentedAtomlessBA
+
     text = text.strip()
     algebra = PresentedAtomlessBA()
     if text == "top":
@@ -699,6 +694,8 @@ def parse_target(text: str) -> tuple:
 
 def parse_condition(text: str) -> TypeCondition:
     """Parse ``<term s-expression> in <target>``."""
+    from elemeq.saturation import TypeCondition
+
     marker = " in "
     split_at = text.rfind(marker)
     if split_at < 0:
@@ -1002,6 +999,8 @@ def _cmd_code(args):
 
 
 def _cmd_interpolate(args):
+    from elemeq.saturation import NOT_FOUND, CylinderElement, PresentedAtomlessBA, interpolate_chain
+
     if args.algebra == "cyl":
         algebra = PresentedAtomlessBA()
         lower = [parse_cylinder_element(text) for text in args.lower]
@@ -1031,6 +1030,8 @@ def _cmd_interpolate(args):
 
 
 def _cylinder_str(element: CylinderElement) -> str:
+    from elemeq.saturation import PresentedAtomlessBA
+
     if element == PresentedAtomlessBA().top:
         return "top"
     if element.is_zero():
@@ -1049,6 +1050,8 @@ def _parse_mask(text: str, algebra: FiniteBoolAlg) -> int:
 
 
 def _cmd_realize(args):
+    from elemeq.saturation import Realized, Unsatisfiable, realize_type
+
     conditions = [parse_condition(text) for text in args.cond]
     algebra = CStarAlgebraFin(args.points)
     sorts = {}
@@ -1087,6 +1090,8 @@ def _cmd_realize(args):
 
 
 def _cmd_orth(args):
+    from elemeq.saturation import max_orthogonal_family, orthogonal_witness_family
+
     algebra = CStarAlgebraFin(args.points)
     size = max_orthogonal_family(algebra)
     family = orthogonal_witness_family(algebra)

@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import boolalg
-from .cstar import CStarAlgebraFin, c_norm, c_scale, c_star, projections
+from .cstar import CStarAlgebraFin, c_add, c_mul, c_norm, c_scale, c_star, c_sub, projections
 from .errors import PreconditionError, ResourceBudgetError
 
 __all__ = [
@@ -318,10 +318,7 @@ def _pointwise(op):
 
 
 #: Exact elements: tuples of complex values, combined point by point.
-EXACT = Arith(
-    tuple, _pointwise(operator.add), _pointwise(operator.sub), _pointwise(operator.mul),
-    c_star, c_scale,
-)
+EXACT = Arith(tuple, c_add, c_sub, c_mul, c_star, c_scale)
 
 #: (norm bound, Lipschitz constant in one variable) pairs: sums and
 #: differences add both, and a product's constant is the product rule's,

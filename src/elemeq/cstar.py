@@ -14,6 +14,7 @@ finite dimensions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import PreconditionError
@@ -83,20 +84,27 @@ class CStarAlgebraFin:
 
 
 # ---------------------------------------------------------------------------
-# Pointwise element arithmetic
+# Pointwise element arithmetic; sizes are checked inline, since a helper's
+# call would cost more than the operation itself on a few points.
 # ---------------------------------------------------------------------------
 
 
 def c_add(f: tuple, g: tuple) -> tuple:
-    return tuple(a + b for a, b in zip(f, g, strict=True))
+    if len(f) != len(g):
+        raise PreconditionError("elements of different sizes")
+    return tuple(map(operator.add, f, g))
 
 
 def c_sub(f: tuple, g: tuple) -> tuple:
-    return tuple(a - b for a, b in zip(f, g, strict=True))
+    if len(f) != len(g):
+        raise PreconditionError("elements of different sizes")
+    return tuple(map(operator.sub, f, g))
 
 
 def c_mul(f: tuple, g: tuple) -> tuple:
-    return tuple(a * b for a, b in zip(f, g, strict=True))
+    if len(f) != len(g):
+        raise PreconditionError("elements of different sizes")
+    return tuple(map(operator.mul, f, g))
 
 
 def c_star(f: tuple) -> tuple:

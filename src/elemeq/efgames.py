@@ -1,14 +1,14 @@
 """Back-and-forth game solvers for linear orders and finite Boolean algebras.
 
-Three independent deciders for rank-``r`` back-and-forth equivalence:
+Three deciders for rank-``r`` back-and-forth equivalence:
 
-* :func:`ef_finite_orders` — finite linear orders given by size, decided by
-  exhaustive split recursion with memoization.
 * :func:`ef_ordinals` — ordinal linear orders below ``omega**omega * omega``,
   decided exactly by compositional type arithmetic: the hereditary rank-``r``
   type of a sum is computed from the types of the summands, and the type of
   an ``omega``-power from the orbit of the multiply-by-``omega`` operator.
   No move-set heuristics are involved; the computation is exact.
+* :func:`ef_finite_orders` — finite linear orders given by size, decided by
+  the same type arithmetic: ``n`` points are ``n`` copies of a singleton.
 * :func:`ef_finite_bas` — finite powerset algebras, decided over abstracted
   positions (cell-size vectors of the partition generated by played
   elements), with the end condition that played tuples generate isomorphic
@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from .boolalg import FiniteBoolAlg
 from .errors import PreconditionError, ResourceBudgetError
-from .ordinals import OMEGA, ONE, Ordinal, compare, left_difference, ord_add
+from .ordinals import OMEGA, ONE, Ordinal, compare, finite, left_difference, ord_add
 
 __all__ = [
     "GamePosition",
@@ -44,7 +44,9 @@ __all__ = [
 
 #: Rank cap for the finite-order solver.
 MAX_RANK_ORDERS = 6
-#: Size cap for the finite-order solver (the recursion is quadratic in size).
+#: Size cap for the finite-order solver.  Sizes from ``2**rank - 1`` on
+#: share one type, so the cycle cut-off of the repetition stops after at
+#: most ``2**rank`` sums whatever the size.
 MAX_SIZE_ORDERS = 1000
 #: Rank cap for the ordinal solver.
 MAX_RANK_ORDINALS = 4
@@ -185,39 +187,7 @@ def _raw_value(pos: GamePosition) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Finite linear orders
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _order_type(size: int, rank: int):
-    """The rank-``rank`` type of the ``size``-point linear order.
-
-    Playing point ``i`` splits the order into disjoint intervals of sizes
-    ``i`` and ``size - 1 - i``; two orders are rank-``r`` equivalent exactly
-    when their sets of split type pairs at rank ``r - 1`` coincide.
-    """
-    if rank == 0:
-        return 0
-    return frozenset(
-        (_order_type(i, rank - 1), _order_type(size - 1 - i, rank - 1))
-        for i in range(size)
-    )
-
-
-def ef_finite_orders(m: int, n: int, rank: int) -> bool:
-    """Duplicator wins the rank-``rank`` game on linear orders of sizes ``m``, ``n``."""
-    if m < 0 or n < 0 or rank < 0:
-        raise PreconditionError("sizes and rank must be natural numbers")
-    if rank > MAX_RANK_ORDERS:
-        raise ResourceBudgetError(f"rank {rank} exceeds the cap {MAX_RANK_ORDERS}")
-    if max(m, n) > MAX_SIZE_ORDERS:
-        raise ResourceBudgetError(f"size exceeds the cap {MAX_SIZE_ORDERS}")
-    return _order_type(m, rank) == _order_type(n, rank)
-
-
-# ---------------------------------------------------------------------------
-# Ordinal linear orders: compositional type arithmetic
+# Linear orders: compositional type arithmetic
 # ---------------------------------------------------------------------------
 #
 # The hereditary rank-r type of a linear order L is
@@ -268,26 +238,18 @@ def _type_singleton(rank: int):
     return _intern((rank, _type_singleton(rank - 1), frozenset({(z, z)})))
 
 
-_sum_memo: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _type_sum(a, b):
     """The hereditary type of ``A + B`` from the types of ``A`` and ``B``."""
     if a[0] == 0:
         return _T0
-    key = (a, b)
-    cached = _sum_memo.get(key)
-    if cached is not None:
-        return cached
     sub = _type_sum(a[1], b[1])
     pairs = set()
     for left, right in a[2]:
         pairs.add((left, _type_sum(right, b[1])))
     for left, right in b[2]:
         pairs.add((_type_sum(a[1], left), right))
-    out = _intern((a[0], sub, frozenset(pairs)))
-    _sum_memo[key] = out
-    return out
+    return _intern((a[0], sub, frozenset(pairs)))
 
 
 def _iterate_with_cycle(step, start, count: int):
@@ -325,16 +287,11 @@ def _type_repeat(t, count: int):
     return _iterate_with_cycle(lambda s: _type_sum(s, t), zero, count)
 
 
-_mul_omega_memo: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _type_mul_omega(t):
     """The hereditary type of ``L * omega`` from the hereditary type of ``L``."""
     if t[0] == 0:
         return _T0
-    cached = _mul_omega_memo.get(t)
-    if cached is not None:
-        return cached
     sub = _type_mul_omega(t[1])
     prefixes = _orbit(lambda s: _type_sum(s, t[1]), _type_empty(t[0] - 1))
     pairs = set()
@@ -342,9 +299,7 @@ def _type_mul_omega(t):
         tail = _type_sum(right, sub)
         for prefix in prefixes:
             pairs.add((_type_sum(prefix, left), tail))
-    out = _intern((t[0], sub, frozenset(pairs)))
-    _mul_omega_memo[t] = out
-    return out
+    return _intern((t[0], sub, frozenset(pairs)))
 
 
 @lru_cache(maxsize=None)
@@ -414,6 +369,17 @@ def ef_ordinals(a: Ordinal, b: Ordinal, rank: int) -> bool:
     return _ordinal_type(a, rank) == _ordinal_type(b, rank)
 
 
+def ef_finite_orders(m: int, n: int, rank: int) -> bool:
+    """Duplicator wins the rank-``rank`` game on linear orders of sizes ``m``, ``n``."""
+    if m < 0 or n < 0 or rank < 0:
+        raise PreconditionError("sizes and rank must be natural numbers")
+    if rank > MAX_RANK_ORDERS:
+        raise ResourceBudgetError(f"rank {rank} exceeds the cap {MAX_RANK_ORDERS}")
+    if max(m, n) > MAX_SIZE_ORDERS:
+        raise ResourceBudgetError(f"size exceeds the cap {MAX_SIZE_ORDERS}")
+    return _ordinal_type(finite(m), rank) == _ordinal_type(finite(n), rank)
+
+
 def interval_above(alpha: Ordinal, x: Ordinal) -> Ordinal:
     """The order type of the open interval of ``alpha`` strictly above ``x``."""
     if compare(x, alpha) >= 0:
@@ -433,25 +399,16 @@ def interval_above(alpha: Ordinal, x: Ordinal) -> Ordinal:
 # each cell.  At the end of play the tuples generate isomorphic subalgebras
 # exactly when the same pattern cells are nonempty on both sides.
 
-_ba_memo: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _ba_type(cells: tuple[int, ...], rank: int):
-    key = (cells, rank)
-    cached = _ba_memo.get(key)
-    if cached is not None:
-        return cached
     occupied = frozenset(p for p, size in enumerate(cells) if size)
     if rank == 0:
-        out = (occupied,)
-    else:
-        children = set()
-        for taken in itertools.product(*(range(size + 1) for size in cells)):
-            nxt = tuple(size - t for size, t in zip(cells, taken)) + taken
-            children.add(_ba_type(nxt, rank - 1))
-        out = (occupied, frozenset(children))
-    _ba_memo[key] = out
-    return out
+        return (occupied,)
+    children = set()
+    for taken in itertools.product(*(range(size + 1) for size in cells)):
+        nxt = tuple(size - t for size, t in zip(cells, taken)) + taken
+        children.add(_ba_type(nxt, rank - 1))
+    return (occupied, frozenset(children))
 
 
 def ef_finite_bas(b1: FiniteBoolAlg, b2: FiniteBoolAlg, rank: int) -> bool:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elemeq import boolalg
 from elemeq.boolalg import (
     And,
     BAHomomorphism,
@@ -231,6 +232,19 @@ def test_fo_eval_budget():
     with pytest.raises(ResourceBudgetError):
         fo_eval(deep, FiniteBoolAlg(9))
     assert fo_eval(deep, FiniteBoolAlg(8))
+
+
+def test_fo_eval_vacuous_quantifier_parity():
+    # Wrapping a sentence in a quantifier it ignores changes no truth value;
+    # the direct exhaustive walk over the wrapped sentence is the reference.
+    corpus = sentence_corpus(200, 3, seed=2026)
+    for atoms in (1, 2, 3):
+        b = FiniteBoolAlg(atoms)
+        for phi in corpus:
+            want = fo_eval(phi, b)
+            for quantifier in (Forall, Exists):
+                wrapped = quantifier("v", phi)
+                assert fo_eval(wrapped, b) == want == boolalg._eval(wrapped, b, {}), phi
 
 
 def test_quantifier_rank_and_free_variables():

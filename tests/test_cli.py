@@ -1,7 +1,11 @@
 """Command-line surface: grammars, round trips, exit codes, JSON schema."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -608,3 +612,19 @@ def test_cli_unbound_variable_reports_scope_error(capsys):
     code, _, err = run_cli(capsys, ["translate", "forall x. x /\\ y = x"])
     assert code == EXIT_PARSE
     assert "unbound variable" in err
+
+
+def test_cli_loads_numpy_only_for_the_verbs_that_need_it():
+    script = (
+        "import sys\n"
+        "from elemeq.cli import main\n"
+        "assert main(['ord-eq', 'w', 'w']) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+        "main(['orth', '--points', '2'])\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

@@ -67,6 +67,14 @@ def test_star_algebra_laws_sampled():
         assert c_norm(c_add(f, c_scale(-1, f))) == 0
 
 
+def test_pointwise_ops_reject_mismatched_sizes():
+    for op in (c_add, c_sub, c_mul):
+        with pytest.raises(PreconditionError):
+            op((1j, 2j), (1j,))
+        with pytest.raises(ValueError):
+            op((), (0j,))
+
+
 def test_projections_enumeration():
     a = CStarAlgebraFin(3)
     ps = projections(a)

@@ -7,11 +7,13 @@ low-rank sentences (noted inline where used).
 """
 
 import itertools
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elemeq import efgames
 from elemeq.boolalg import FiniteBoolAlg, fo_eval, quantifier_rank, sentence_corpus
 from elemeq.efgames import (
     GamePosition,
@@ -53,6 +55,44 @@ def test_finite_orders_closed_form_exhaustive():
             for n in range(41):
                 want = m == n or (m >= threshold and n >= threshold)
                 assert ef_finite_orders(m, n, r) == want, (m, n, r)
+
+
+@lru_cache(maxsize=None)
+def _split_type(size, rank):
+    """The rank-``rank`` type of ``size`` points by direct split recursion.
+
+    Playing point ``i`` leaves independent intervals of sizes ``i`` and
+    ``size - 1 - i``; two orders are rank-``r`` equivalent exactly when
+    their sets of split type pairs at rank ``r - 1`` coincide.
+    """
+    if rank == 0:
+        return 0
+    return frozenset(
+        (_split_type(i, rank - 1), _split_type(size - 1 - i, rank - 1))
+        for i in range(size)
+    )
+
+
+def test_finite_orders_agree_with_split_recursion():
+    for r in range(7):
+        for m in range(70):
+            for n in range(m, 70):
+                want = _split_type(m, r) == _split_type(n, r)
+                assert ef_finite_orders(m, n, r) == want, (m, n, r)
+
+
+def test_finite_orders_closed_form_to_size_cap_with_bounded_memo():
+    # Sizes up to the cap against "m = n, or both at least 2**r - 1"; every
+    # size shares the same few types, so the sum memo stays small.
+    efgames._type_sum.cache_clear()
+    for r in range(7):
+        threshold = 2**r - 1
+        for m in range(1001):
+            for n in {0, threshold - 1, threshold, m - 1, m, m + 1, 1000}:
+                if 0 <= n <= 1000:
+                    want = m == n or (m >= threshold and n >= threshold)
+                    assert ef_finite_orders(m, n, r) == want, (m, n, r)
+    assert efgames._type_sum.cache_info().currsize < 1000
 
 
 def test_finite_orders_budget():
@@ -105,12 +145,14 @@ def test_ordinals_classical_facts():
 
 
 def test_ordinals_agree_with_finite_order_solver():
-    for m in range(13):
-        for n in range(13):
+    # Both solvers read the same type arithmetic, so each is also compared
+    # with the split recursion.
+    for m in range(70):
+        for n in range(70):
             for r in range(5):
-                assert ef_ordinals(finite(m), finite(n), r) == ef_finite_orders(
-                    m, n, r
-                ), (m, n, r)
+                want = _split_type(m, r) == _split_type(n, r)
+                assert ef_ordinals(finite(m), finite(n), r) == want, (m, n, r)
+                assert ef_finite_orders(m, n, r) == want, (m, n, r)
 
 
 FAMILY = below_omega_cubed(max_terms=3, max_coeff=2)
