@@ -436,22 +436,20 @@ def _eval(phi, b: FiniteBoolAlg, env: dict[str, int]) -> bool:
         return _eval(phi.left, b, env) or _eval(phi.right, b, env)
     if isinstance(phi, Implies):
         return not _eval(phi.left, b, env) or _eval(phi.right, b, env)
-    if isinstance(phi, Forall):
+    if isinstance(phi, (Forall, Exists)):
+        # an inner binder shadows an outer one of the same name only while it runs
+        wanted, outer = isinstance(phi, Exists), env.get(phi.var)
+        result = not wanted
         for a in b.elements():
             env[phi.var] = a
-            if not _eval(phi.body, b, env):
-                del env[phi.var]
-                return False
-        env.pop(phi.var, None)
-        return True
-    if isinstance(phi, Exists):
-        for a in b.elements():
-            env[phi.var] = a
-            if _eval(phi.body, b, env):
-                del env[phi.var]
-                return True
-        env.pop(phi.var, None)
-        return False
+            if _eval(phi.body, b, env) == wanted:
+                result = wanted
+                break
+        if outer is None:
+            env.pop(phi.var, None)
+        else:
+            env[phi.var] = outer
+        return result
     raise PreconditionError(f"not a formula node: {phi!r}")
 
 

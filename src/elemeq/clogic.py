@@ -11,9 +11,10 @@ composing the children's moduli.
 
 Terms are evaluated by one walker, ``eval_term``, in an arithmetic passed to
 it: exact elements (the ``cstar`` operations), per-point complex rectangles,
-and (norm bound, Lipschitz modulus) pairs here, batched numpy rectangles and
-values in ``saturation``.  The walker alone dispatches on term nodes, rejects
-unbound variables and constants of the wrong size.
+their centred form, per-point modulus bounds and (norm bound, Lipschitz
+modulus) pairs here, batched numpy rectangles and values in ``saturation``.
+The walker alone dispatches on term nodes, rejects unbound variables and
+constants of the wrong size.
 
 Evaluation returns an enclosure certificate.  Formulas whose quantifiers all
 range over projections are evaluated exactly (the sort is finite), compiled
@@ -21,10 +22,13 @@ once per call into closures over one projection bit mask per quantifier:
 atoms read per-point tables of their terms' moduli, and a quantifier that
 ignores an enclosing variable is memoised on the masks it reads.  The
 continuous sorts are handled by deterministic branch-and-bound over per-point
-complex boxes, pruned by both rectangle arithmetic and the Lipschitz moduli.
-The truth-value bridge ``translate_fo`` maps a classical sentence about
-Boolean algebras to a projection-sorted formula whose value is 0 on algebras
-satisfying the sentence and 1 on algebras refuting it.
+complex boxes, pruned by both rectangle arithmetic and the Lipschitz moduli,
+with a few witness candidates scored per box (``_branch_and_bound``) and
+norm atoms bounded by the naive, centred and unit-disc forms
+(``_atom_enclosure``).  The truth-value bridge ``translate_fo`` maps a
+classical sentence about Boolean algebras to a projection-sorted formula
+whose value is 0 on algebras satisfying the sentence and 1 on algebras
+refuting it.
 """
 
 from __future__ import annotations
@@ -451,6 +455,95 @@ _RECTS = Arith(
 )
 
 
+# Centred form: per point the rectangles (naive, at the box centre c,
+# slope_1, ..., slope_K), one slope per varying real coordinate x_k of the
+# box-valued variables, with t(x) - t(c) in sum_k slope_k (x_k - c_k) on the
+# box; a product's slopes are s(ab) = s(a) b + a(c) s(b).  Operations act
+# point by point, so no slope crosses points.
+
+
+def _cf_mul(a, b):
+    return (_rect_mul(a[0], b[0]), _rect_mul(a[1], b[1]), *(
+        _rect_add(_rect_mul(sa, b[0]), _rect_mul(a[1], sb)) for sa, sb in zip(a[2:], b[2:])))
+
+
+def _centred_arith(zeros: tuple) -> Arith:
+    return Arith(
+        lambda values: tuple((r, r) + zeros for r in map(_rect_point, values)),
+        _pointwise(lambda a, b: tuple(map(_rect_add, a, b))),
+        _pointwise(lambda a, b: tuple(map(_rect_sub, a, b))), _pointwise(_cf_mul),
+        lambda value: tuple(tuple(map(_rect_conj, a)) for a in value),
+        lambda s, value: tuple(_rect_scale(s, a) for a in value),
+    )
+
+
+#: Per-point modulus bounds by the triangle inequality.
+_MODULI = Arith(lambda values: tuple(map(abs, values)), _pointwise(operator.add),
+                _pointwise(operator.add), _pointwise(operator.mul), lambda a: a,
+                lambda s, a: tuple(abs(s) * m for m in a))
+
+
+@lru_cache(maxsize=FREE_VARS_MEMO_SIZE)
+def _term_vars(term) -> tuple:
+    """The term's variables, sorted, and the set of those occurring more than once."""
+    names, stack = [], [term]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, CVar):
+            names.append(node.name)
+        stack += [getattr(node, f) for f in ("left", "right", "arg") if hasattr(node, f)]
+    return tuple(sorted(set(names))), frozenset(n for n in names if names.count(n) > 1)
+
+
+def _centred_rects(term, env, algebra, boxed):
+    """The term's naive rectangles met with its centred form over the
+    varying real coordinates of the ``boxed`` variables."""
+    axes = [(name, k) for name in boxed for k in (0, 2) if any(r[k] != r[k + 1] for r in env[name])]
+    units, zero = {0: (1.0, 1.0, 0.0, 0.0), 2: (0.0, 0.0, 1.0, 1.0)}, (0.0,) * 4
+    sub = {}
+    for name in _term_vars(term)[0]:
+        if name in env:
+            slopes = tuple(units[k] if v == name else zero for v, k in axes)
+            sub[name] = tuple((r, _rect_point(complex((r[0] + r[1]) / 2, (r[2] + r[3]) / 2))
+                               if name in boxed else r) + slopes for r in env[name])
+    rects = []
+    for p, (naive, centre, *slopes) in enumerate(
+            eval_term(term, sub, algebra, _centred_arith((zero,) * len(axes)))):
+        for s, (name, k) in zip(slopes, axes):
+            lo, hi = env[name][p][k:k + 2]
+            mid = (lo + hi) / 2
+            centre = _rect_add(centre, _rect_mul(s, (lo - mid, hi - mid, 0.0, 0.0)))
+        rects.append((max(naive[0], centre[0]), min(naive[1], centre[1]),
+                      max(naive[2], centre[2]), min(naive[3], centre[3])))
+    return rects
+
+
+def _atom_enclosure(term, env, algebra):
+    """(lo, hi) enclosing the norm of the term over the environment's boxes.
+
+    The per-point rectangles are the naive ones, met with the centred form
+    when a box-valued variable occurs more than once (where the naive form
+    converges only to first order).  When a box has a corner outside the
+    unit disc, each point's modulus bound is also capped by the triangle
+    inequality, a box-valued variable counting as min(1, the modulus of its
+    rectangle's farthest corner) and any other as its modulus.
+    """
+    names, repeated = _term_vars(term)
+    boxed = [name for name in names if name in env
+             and any(r[0] != r[1] or r[2] != r[3] for r in env[name])]
+    if repeated.isdisjoint(boxed):
+        rects = eval_term(term, env, algebra, _RECTS)
+    else:
+        rects = _centred_rects(term, env, algebra, boxed)
+    mods = list(map(_rect_mod, rects))
+    lo, hi = max(m[0] for m in mods), [m[1] for m in mods]
+    if any(_rect_mod(r)[1] > 1 for name in boxed for r in env[name]):
+        moduli = {name: tuple(min(1.0, _rect_mod(r)[1]) if name in boxed else _rect_mod(r)[1]
+                              for r in env[name]) for name in names if name in env}
+        hi = map(min, hi, eval_term(term, moduli, algebra, _MODULI))
+    return lo, max(hi)
+
+
 # ---------------------------------------------------------------------------
 # Quantifier domains
 # ---------------------------------------------------------------------------
@@ -466,54 +559,61 @@ def _initial_box(sort: str, n: int) -> tuple:
     raise PreconditionError(f"sort {sort!r} has no box domain")
 
 
-def _box_representative(box: tuple, sort: str):
-    """A point of box ∩ sort-domain, or None when the intersection is empty.
+def _in_disc(re: float, im: float) -> bool:
+    """Whether re + i im lies in the closed unit disc, decided exactly: the
+    float sum of squares is within 3 ulps of the exact one."""
+    square = re * re + im * im
+    if abs(square - 1) > 2.0**-50:
+        return square < 1
+    from fractions import Fraction  # rarely needed; spares every process its import
 
-    The per-coordinate point closest to the origin always lies in the unit
-    disc if any box point does; for the real sorts the box is already inside
-    the domain, so the midpoint is used instead.
-    """
-    rep = []
-    for relo, rehi, imlo, imhi in box:
-        if sort == SORT_BALL:
-            re = min(max(0.0, relo), rehi)
-            im = min(max(0.0, imlo), imhi)
-            if math.hypot(re, im) > 1:
-                return None
-            rep.append(complex(re, im))
-        else:
-            rep.append(complex((relo + rehi) / 2, 0.0))
-    return tuple(rep)
+    return Fraction(re) ** 2 + Fraction(im) ** 2 <= 1
+
+
+def _onto_disc(re: float, im: float) -> complex:
+    """re + i im if it lies in the unit disc, else a point of the disc on the
+    segment from it to the origin, within a few ulps of the unit circle."""
+    if not _in_disc(re, im):
+        shrink = (1 - 2.0**-50) / math.hypot(re, im)
+        re, im = re * shrink, im * shrink
+        while not _in_disc(re, im):
+            re, im = math.nextafter(re, 0.0), math.nextafter(im, 0.0)
+    return complex(re, im)
+
+
+def _witness_candidates(box: tuple, sort: str):
+    """Points of the sort's domain to score as witnesses, or None when the box
+    misses the domain: the representative (the midpoint for the real sorts;
+    for the ball the box point nearest 0, in the disc if any box point is),
+    then the corners with every coordinate at the same end, for the ball
+    each of the four pulled radially into the disc."""
+    if sort == SORT_BALL:
+        rep = tuple(complex(min(max(0.0, relo), rehi), min(max(0.0, imlo), imhi))
+                    for relo, rehi, imlo, imhi in box)
+        if not all(_in_disc(v.real, v.imag) for v in rep):
+            return None
+        corners = [tuple(_onto_disc(r[re], r[im]) for r in box)
+                   for re in (0, 1) for im in (2, 3)]
+    else:
+        rep = tuple(complex((r[0] + r[1]) / 2, 0.0) for r in box)
+        corners = [tuple(complex(r[end], 0.0) for r in box) for end in (0, 1)]
+    return [rep] + corners
 
 
 def _box_radius(box: tuple, rep: tuple) -> float:
     """Max distance (sup metric over points) from ``rep`` to box points."""
-    worst = 0.0
-    for (relo, rehi, imlo, imhi), v in zip(box, rep):
-        dre = max(abs(relo - v.real), abs(rehi - v.real))
-        dim = max(abs(imlo - v.imag), abs(imhi - v.imag))
-        worst = max(worst, math.hypot(dre, dim))
-    return worst
+    return max((math.hypot(max(abs(r[0] - v.real), abs(r[1] - v.real)),
+                           max(abs(r[2] - v.imag), abs(r[3] - v.imag)))
+                for r, v in zip(box, rep)), default=0.0)
 
 
 def _split_box(box: tuple) -> tuple:
     """Split the widest axis (ties: lowest point index, real before imag)."""
-    best, best_width = None, -1.0
-    for idx, (relo, rehi, imlo, imhi) in enumerate(box):
-        if rehi - relo > best_width:
-            best, best_width = (idx, 0), rehi - relo
-        if imhi - imlo > best_width:
-            best, best_width = (idx, 1), imhi - imlo
-    idx, axis = best
+    idx, k = max(((i, k) for i in range(len(box)) for k in (0, 2)),
+                 key=lambda ik: box[ik[0]][ik[1] + 1] - box[ik[0]][ik[1]])
     rect = box[idx]
-    if axis == 0:
-        mid = (rect[0] + rect[1]) / 2
-        a = (rect[0], mid, rect[2], rect[3])
-        b = (mid, rect[1], rect[2], rect[3])
-    else:
-        mid = (rect[2] + rect[3]) / 2
-        a = (rect[0], rect[1], rect[2], mid)
-        b = (rect[0], rect[1], mid, rect[3])
+    mid = (rect[k] + rect[k + 1]) / 2
+    a, b = rect[:k + 1] + (mid,) + rect[k + 2:], rect[:k] + (mid,) + rect[k + 1:]
     return (box[:idx] + (a,) + box[idx + 1 :], box[:idx] + (b,) + box[idx + 1 :])
 
 
@@ -543,9 +643,7 @@ def _interval_eval(phi, env, algebra, tol, state):
     in the environment widen the result soundly.
     """
     if isinstance(phi, FNorm):
-        rects = eval_term(phi.term, env, algebra, _RECTS)
-        mods = [_rect_mod(r) for r in rects]
-        return max(m[0] for m in mods), max(m[1] for m in mods)
+        return _atom_enclosure(phi.term, env, algebra)
     if isinstance(phi, FConst):
         return phi.value, phi.value
     if isinstance(phi, _BINARY_TYPES):
@@ -589,13 +687,16 @@ def _branch_and_bound(phi, env, algebra, tol, state):
     """Enclose a sup/inf over a continuous sort by best-first box refinement.
 
     Each box yields (a) an interval-arithmetic enclosure of the body over
-    the whole box, intersected with a Lipschitz cone around the box
-    representative, and (b) the representative's own enclosure, which
-    witnesses attainable values.  For a supremum the certified interval is
-    [best witness lower bound, largest surviving box upper bound]; infima
-    are handled by the mirrored rule.  The queue is a heap on the box bound
-    that currently blocks the certificate, and boxes that can no longer
-    move it are pruned.
+    the whole box, intersected with a Lipschitz cone around its witness,
+    and (b) the witness's own enclosure, which bounds attainable values.
+    The witness is the best of the box's ``_witness_candidates`` (highest
+    lower bound for a supremum, lowest upper bound for an infimum; the
+    representative on ties); every candidate lies in the sort's domain, so
+    the others never move the enclosure.  For a supremum the certified
+    interval is [best witness lower bound, largest surviving box upper
+    bound]; infima are handled by the mirrored rule.  The queue is a heap
+    on the box bound that currently blocks the certificate, and boxes that
+    can no longer move it are pruned.
     """
     is_sup = isinstance(phi, FSup)
     sign = -1.0 if is_sup else 1.0  # heap pops the blocking box first
@@ -609,14 +710,19 @@ def _branch_and_bound(phi, env, algebra, tol, state):
     def assess(box, depth):
         state["boxes"] += 1
         state["depth"] = max(state["depth"], depth)
-        rep = _box_representative(box, phi.sort)
-        if rep is None:
+        candidates = _witness_candidates(box, phi.sort)
+        if candidates is None:
             return None
         sub = dict(env)
         sub[phi.var] = box
         box_lo, box_hi = _interval_eval(phi.body, sub, algebra, tol / 2, state)
-        sub[phi.var] = _box_point(rep)
-        rep_lo, rep_hi = _interval_eval(phi.body, sub, algebra, tol / 2, state)
+        scored = []
+        for point in candidates:
+            sub[phi.var] = _box_point(point)
+            scored.append((_interval_eval(phi.body, sub, algebra, tol / 2, state), point))
+        # the first best candidate: a higher attained lower bound for sup
+        (rep_lo, rep_hi), rep = max(scored, key=lambda c: c[0][0]) if is_sup else min(
+            scored, key=lambda c: c[0][1])
         radius = _box_radius(box, rep)
         box_lo = max(box_lo, rep_lo - lip * radius)
         box_hi = min(box_hi, rep_hi + lip * radius)
@@ -662,14 +768,9 @@ def _branch_and_bound(phi, env, algebra, tol, state):
             e = assess(child, depth + 1)
             if e is None:
                 continue
-            if is_sup:
-                witness = max(witness, e[2])
-                if e[1] > witness:  # still able to raise the supremum bound
-                    heapq.heappush(heap, (sign * e[1], depth + 1, e, child))
-            else:
-                witness = min(witness, e[3])
-                if e[0] < witness:
-                    heapq.heappush(heap, (e[0], depth + 1, e, child))
+            witness = max(witness, e[2]) if is_sup else min(witness, e[3])
+            if e[1] > witness if is_sup else e[0] < witness:  # can still move the bound
+                heapq.heappush(heap, (sign * (e[1] if is_sup else e[0]), depth + 1, e, child))
 
 
 def _all_proj_quantified(phi) -> bool:

@@ -252,39 +252,27 @@ def _type_sum(a, b):
     return _intern((a[0], sub, frozenset(pairs)))
 
 
-def _iterate_with_cycle(step, start, count: int):
-    """``step`` applied ``count`` times to ``start``, with cycle short-circuit."""
-    seen = {start: 0}
-    values = [start]
-    current = start
-    for k in range(1, count + 1):
-        current = step(current)
-        if current in seen:
-            first = seen[current]
-            period = k - first
-            return values[first + (count - first) % period]
-        seen[current] = k
+def _orbit(step, start, count: int | None = None):
+    """``step`` applied ``count`` times to ``start`` or, without ``count``, the
+    list of values ``step**k(start)`` up to the first repeat; either way the
+    iteration stops at the first repeated value."""
+    index, values = {start: 0}, [start]
+    while count is None or len(values) <= count:
+        current = step(values[-1])
+        if current in index:
+            if count is None:
+                return values
+            first = index[current]
+            return values[first + (count - first) % (len(values) - first)]
+        index[current] = len(values)
         values.append(current)
-    return current
-
-
-def _orbit(step, start) -> list:
-    """All values ``step**k(start)`` for ``k >= 0`` (finite by cycling)."""
-    seen = {start}
-    out = [start]
-    current = start
-    while True:
-        current = step(current)
-        if current in seen:
-            return out
-        seen.add(current)
-        out.append(current)
+    return values[count]
 
 
 def _type_repeat(t, count: int):
     """The hereditary type of ``L * count`` from the type of ``L``."""
     zero = _type_empty(t[0])
-    return _iterate_with_cycle(lambda s: _type_sum(s, t), zero, count)
+    return _orbit(lambda s: _type_sum(s, t), zero, count)
 
 
 @lru_cache(maxsize=None)
@@ -305,7 +293,7 @@ def _type_mul_omega(t):
 @lru_cache(maxsize=None)
 def _type_omega_power_finite(exponent: int, rank: int):
     """The hereditary type of ``omega**exponent`` for a finite exponent."""
-    return _iterate_with_cycle(_type_mul_omega, _type_singleton(rank), exponent)
+    return _orbit(_type_mul_omega, _type_singleton(rank), exponent)
 
 
 @lru_cache(maxsize=None)

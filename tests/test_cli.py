@@ -425,9 +425,9 @@ def test_cli_ceval_ok_and_budget(capsys):
         capsys,
         [
             "ceval",
-            "(sup x :ball (norm (- (* x x) x)))",
+            "(sup x :pos (norm (* x (- 1 x))))",
             "--points",
-            "1",
+            "2",
             "--tol",
             "1e-12",
             "--max-boxes",
@@ -438,7 +438,7 @@ def test_cli_ceval_ok_and_budget(capsys):
     payload = json.loads(out)
     assert code == EXIT_BUDGET
     certificate = payload["certificate"]
-    assert certificate["lower"] <= 2.0 <= certificate["upper"]
+    assert certificate["lower"] <= 0.25 <= certificate["upper"]
 
 
 def test_cli_ceval_with_parameter(capsys):

@@ -1,7 +1,9 @@
 """Tests for the continuous-logic evaluator and the classical translation."""
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -33,7 +35,11 @@ from elemeq.clogic import (
     SORT_SA,
     EXACT,
     _RECTS,
+    _atom_enclosure,
     _box_point,
+    _initial_box,
+    _split_box,
+    _witness_candidates,
     ceval,
     cformula_free_vars,
     eval_term,
@@ -197,15 +203,148 @@ def test_ceval_monotone_refinement():
 
 
 def test_ceval_budget_error_reports_best_enclosure():
-    # On the unit ball the supremum of ||x*x - x|| is 2 (witnessed by -1),
-    # but interval bounds cannot certify it to 1e-12 within 50 boxes.
-    A = CStarAlgebraFin(1)
+    # Over positive contractions the supremum of ||x(1-x)|| is 1/4 (at
+    # x = 1/2), but interval bounds cannot certify it to 1e-12 within 50 boxes.
+    A = CStarAlgebraFin(2)
     x = CVar("x")
-    phi = FSup("x", SORT_BALL, FNorm(CSub(CMul(x, x), x)))
+    phi = FSup("x", SORT_POS, FNorm(CMul(x, CSub(COne(), x))))
     with pytest.raises(ResourceBudgetError) as info:
         ceval(phi, A, {}, 1e-12, max_boxes=50)
     best = info.value.best_known
-    assert best.lower <= 2 <= best.upper
+    assert best.lower <= 0.25 <= best.upper
+
+
+def test_ceval_ball_optimum_on_the_unit_circle():
+    # The optima sit on the unit circle, where boxes straddling it used to
+    # overestimate: both exhausted the 200,000-box budget.  |c_1| = 0.625.
+    A = CStarAlgebraFin(2)
+    x, c = CVar("x"), (0.375 + 0.5j, -0.5 + 0.25j)
+    for term, value in ((CMul(x, CVar("c")), 0.625), (CAdd(x, CVar("c")), 1.625)):
+        cert = ceval(FSup("x", SORT_BALL, FNorm(term)), A, {"c": c}, 1e-2)
+        assert cert.lower <= value <= cert.upper
+        assert cert.width() <= 1e-2
+
+
+def test_ceval_corner_optimum_certified_at_the_first_box():
+    # Optima at a corner of the domain are witnessed by the corner candidates
+    # before any split, so the certificate's depth is 0.
+    x, c = CVar("x"), CVar("c")
+    cases = [
+        (FSup("x", SORT_SA, FNorm(CAdd(x, CStar(x)))), 2, {}, 2.0),
+        (FSup("x", SORT_SA, FNorm(CSub(x, c))), 2, {"c": (0.375 + 0j, -0.625 + 0j)}, 1.625),
+        (FSup("x", SORT_POS, FNorm(CMul(CStar(x), c))), 2, {"c": (0.375 + 0.5j, 0.5j)}, 0.625),
+        (FSup("x", SORT_BALL, FNorm(CMul(x, c))), 1, {"c": (0.375 + 0.5j,)}, 0.625),
+    ]
+    for phi, n, params, value in cases:
+        cert = ceval(phi, CStarAlgebraFin(n), params, 1e-3)
+        assert cert.lower <= value <= cert.upper, phi
+        assert cert.grid_depth == 0, phi
+
+
+def test_ceval_repeated_variable_within_a_thousand_boxes():
+    # ||x(1-x)|| mentions x twice; the naive rectangle form took 59,911 boxes.
+    A = CStarAlgebraFin(2)
+    x = CVar("x")
+    phi = FSup("x", SORT_POS, FNorm(CMul(x, CSub(COne(), x))))
+    cert = ceval(phi, A, {}, 1e-3, max_boxes=1000)
+    assert cert.lower <= 0.25 <= cert.upper
+    assert cert.width() <= 1e-3
+
+
+def _in_domain(v, sort):
+    if sort == SORT_BALL:
+        return Fraction(v.real) ** 2 + Fraction(v.imag) ** 2 <= 1
+    low = -1 if sort == SORT_SA else 0
+    return v.imag == 0 and low <= v.real <= 1
+
+
+def test_witness_candidates_lie_in_the_domain():
+    rng = random.Random(6061)
+    for sort in (SORT_BALL, SORT_SA, SORT_POS):
+        for n in (1, 2, 3):
+            boxes = [_initial_box(sort, n)]
+            for _ in range(200):
+                boxes.extend(_split_box(boxes.pop(rng.randrange(len(boxes)))))
+            for box in boxes:
+                candidates = _witness_candidates(box, sort)
+                if candidates is None:
+                    assert sort == SORT_BALL
+                    continue
+                assert len(candidates) == (5 if sort == SORT_BALL else 3)
+                for point in candidates:
+                    assert all(_in_domain(v, sort) for v in point), (box, point)
+    # corners off dyadic grids, just outside and just inside the circle
+    for _ in range(500):
+        re, im = rng.uniform(0, 1), rng.uniform(0, 1)
+        scale = 1 / math.hypot(re, im)
+        for k in (-2, -1, 0, 1, 2):
+            r = scale * (1 + k * 2.0**-52)
+            box = ((re * r / 2, re * r, im * r / 2, im * r),)
+            for point in _witness_candidates(box, SORT_BALL):
+                assert _in_domain(point[0], SORT_BALL), box
+
+
+def _sample_in(rect, sort, rng):
+    while True:
+        v = complex(rng.uniform(rect[0], rect[1]), rng.uniform(rect[2], rect[3]))
+        if _in_domain(v, sort):
+            return v
+
+
+def test_atom_enclosure_contains_sampled_values():
+    # Naive, centred and disc-capped bounds together, on boxes of every sort
+    # with one or two box-valued variables.
+    rng = random.Random(6062)
+    for _ in range(400):
+        n, sort = rng.randint(1, 2), rng.choice((SORT_BALL, SORT_SA, SORT_POS))
+        A = CStarAlgebraFin(n)
+        term = random_term(rng, n, rng.randint(1, 4))
+        boxes = {v: _box_point(random_element(rng, n)) for v in TERM_NAMES}
+        for v in rng.sample(TERM_NAMES, rng.randint(1, 2)):
+            box = _initial_box(sort, n)
+            for _ in range(rng.randint(0, 8)):
+                box = rng.choice(_split_box(box))
+            if _witness_candidates(box, sort) is not None:
+                boxes[v] = box
+        lo, hi = _atom_enclosure(term, boxes, A)
+        for _ in range(20):
+            env = {v: tuple(_sample_in(r, sort, rng) if r[0] != r[1] or r[2] != r[3]
+                            else complex(r[0], r[2]) for r in box)
+                   for v, box in boxes.items()}
+            value = c_norm(eval_term(term, env, A, EXACT))
+            assert lo - 1e-9 <= value <= hi + 1e-9, (term, boxes, env)
+
+
+def _domain_samples(sort, n, rng, count):
+    ends = {SORT_BALL: (-1.0, 1.0, 1j, -1j), SORT_SA: (-1.0, 1.0), SORT_POS: (0.0, 1.0)}[sort]
+    samples = [tuple(rng.choice(ends) for _ in range(n)) for _ in range(count // 4)]
+    rect = _initial_box(sort, 1)[0]
+    while len(samples) < count:
+        samples.append(tuple(_sample_in(rect, sort, rng) for _ in range(n)))
+    return samples
+
+
+def test_ceval_bounds_dominate_sampled_body_values():
+    # Rounding is to nearest (ROADMAP item 2), so a sampled float value may
+    # pass an attained bound by a few ulps; 1e-12 absorbs that and no more.
+    rng = random.Random(6063)
+    for _ in range(60):
+        n, sort = rng.randint(1, 2), rng.choice((SORT_BALL, SORT_SA, SORT_POS))
+        A = CStarAlgebraFin(n)
+        term = random_term(rng, n, rng.randint(1, 3))
+        params = {"y": random_element(rng, n), "z": random_element(rng, n)}
+        is_sup = rng.random() < 0.5
+        phi = (FSup if is_sup else FInf)("x", sort, FNorm(term))
+        try:
+            cert = ceval(phi, A, params, 0.05, max_boxes=2000)
+        except ResourceBudgetError as err:
+            cert = err.best_known
+        for point in _domain_samples(sort, n, rng, 200):
+            value = c_norm(eval_term(term, {**params, "x": point}, A, EXACT))
+            if is_sup:
+                assert value <= cert.upper + 1e-12, (phi, params, point)
+            else:
+                assert value >= cert.lower - 1e-12, (phi, params, point)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +576,11 @@ def test_rectangles_on_point_boxes_reproduce_exact_values():
         }
         boxes = {v: _box_point(value) for v, value in env.items()}
         exact = eval_term(term, env, A, EXACT)
-        assert eval_term(term, boxes, A, _RECTS) == _box_point(exact), term
+        rects = eval_term(term, boxes, A, _RECTS)
+        assert rects == _box_point(exact), term
         assert exact == _ref_term(term, env, A)
+        norm = max(math.hypot(v.real, v.imag) for v in exact)
+        assert _atom_enclosure(term, boxes, A) == (norm, norm)
 
 
 def test_walker_rejects_unbound_variables_and_wrong_sizes():
@@ -501,6 +643,35 @@ def test_translation_values_are_two_valued():
         cert = ceval(translate_fo(phi), A, {}, 1e-6)
         assert cert.width() == 0
         assert cert.lower in (0.0, 1.0)
+
+
+def _shadowed_sentences(rng, corpus, count):
+    """Sentences ``Q x. (s op a)`` with ``s`` a corpus sentence binding x
+    itself and ``a`` an atom read after ``s``, so under the outer x."""
+    x, zero = boolalg.TVar("x"), boolalg.TZero()
+    atoms = [boolalg.Eq(x, zero), boolalg.Eq(x, boolalg.TOne()), boolalg.Le(boolalg.TCompl(x), x),
+             boolalg.Not(boolalg.Eq(boolalg.TMeet(x, x), zero))]
+    inner = [phi for phi in corpus
+             if isinstance(phi, (boolalg.Forall, boolalg.Exists)) and phi.var == "x"]
+    out = []
+    for _ in range(count):
+        op = rng.choice((boolalg.And, boolalg.Or, boolalg.Implies))
+        body = op(rng.choice(inner), rng.choice(atoms))
+        out.append(rng.choice((boolalg.Forall, boolalg.Exists))("x", body))
+    return out
+
+
+def test_translation_bridge_on_shadowed_sentences():
+    x = boolalg.TVar("x")
+    sent = boolalg.Exists("x", boolalg.And(
+        boolalg.Forall("x", boolalg.Le(x, boolalg.TOne())), boolalg.Eq(x, boolalg.TZero())))
+    assert fo_eval(sent, FiniteBoolAlg(2))
+    rng = random.Random(6064)
+    for phi in [sent] + _shadowed_sentences(rng, sentence_corpus(60), 60):
+        for n in (1, 2, 3):
+            truth = fo_eval(phi, FiniteBoolAlg(n))
+            value = ceval(translate_fo(phi), CStarAlgebraFin(n), {}, 1e-6).lower
+            assert value == (0.0 if truth else 1.0), phi
 
 
 def test_translation_bridge_sampled():
