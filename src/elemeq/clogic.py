@@ -24,8 +24,8 @@ ignores an enclosing variable is memoised on the masks it reads.  The
 continuous sorts are handled by deterministic branch-and-bound over per-point
 complex boxes, pruned by both rectangle arithmetic and the Lipschitz moduli,
 with a few witness candidates scored per box (``_branch_and_bound``) and
-norm atoms bounded by the naive, centred and unit-disc forms
-(``_atom_enclosure``).  The truth-value bridge ``translate_fo`` maps a
+norm atoms bounded by the naive, centred and outward-rounded unit-disc
+forms (``_atom_enclosure``).  The truth-value bridge ``translate_fo`` maps a
 classical sentence about Boolean algebras to a projection-sorted formula
 whose value is 0 on algebras satisfying the sentence and 1 on algebras
 refuting it.
@@ -477,10 +477,22 @@ def _centred_arith(zeros: tuple) -> Arith:
     )
 
 
-#: Per-point modulus bounds by the triangle inequality.
-_MODULI = Arith(lambda values: tuple(map(abs, values)), _pointwise(operator.add),
-                _pointwise(operator.add), _pointwise(operator.mul), lambda a: a,
-                lambda s, a: tuple(abs(s) * m for m in a))
+# Per-point modulus intervals (lo, hi), the triangle inequality above and its
+# reverse below, rounded outward: a computed endpoint steps one float out and
+# a modulus from ``hypot`` (error under 1 ulp) two; lower endpoints stay >= 0.
+def _out(lo, hi):
+    return max(0.0, math.nextafter(lo, -math.inf)), math.nextafter(hi, math.inf)
+
+
+def _abs_iv(rect):
+    return _out(*_out(*_rect_mod(rect)))
+
+
+_mod_add = _pointwise(lambda a, b: _out(max(a[0] - b[1], b[0] - a[1]), a[1] + b[1]))
+_mod_mul = _pointwise(lambda a, b: _out(a[0] * b[0], a[1] * b[1]))
+_mod_const = lambda values: tuple(_abs_iv(_rect_point(v)) for v in values)
+_MODULI = Arith(_mod_const, _mod_add, _mod_add, _mod_mul, lambda a: a,
+                lambda s, a: _mod_mul(_mod_const((s,) * len(a)), a))
 
 
 @lru_cache(maxsize=FREE_VARS_MEMO_SIZE)
@@ -524,9 +536,10 @@ def _atom_enclosure(term, env, algebra):
     The per-point rectangles are the naive ones, met with the centred form
     when a box-valued variable occurs more than once (where the naive form
     converges only to first order).  When a box has a corner outside the
-    unit disc, each point's modulus bound is also capped by the triangle
-    inequality, a box-valued variable counting as min(1, the modulus of its
-    rectangle's farthest corner) and any other as its modulus.
+    unit disc, the rectangles overestimate there, so each point's modulus
+    is also enclosed by the outward-rounded ``_MODULI`` interval: the
+    triangle inequality above, its reverse below, a box-valued variable
+    counting as (its rectangle's least modulus, min(1, its greatest)).
     """
     names, repeated = _term_vars(term)
     boxed = [name for name in names if name in env
@@ -538,9 +551,10 @@ def _atom_enclosure(term, env, algebra):
     mods = list(map(_rect_mod, rects))
     lo, hi = max(m[0] for m in mods), [m[1] for m in mods]
     if any(_rect_mod(r)[1] > 1 for name in boxed for r in env[name]):
-        moduli = {name: tuple(min(1.0, _rect_mod(r)[1]) if name in boxed else _rect_mod(r)[1]
-                              for r in env[name]) for name in names if name in env}
-        hi = map(min, hi, eval_term(term, moduli, algebra, _MODULI))
+        moduli = {name: tuple((m[0], min(1.0, m[1])) if name in boxed else m
+                              for m in map(_abs_iv, env[name])) for name in names if name in env}
+        caps = eval_term(term, moduli, algebra, _MODULI)
+        lo, hi = max(lo, max(c[0] for c in caps)), map(min, hi, (c[1] for c in caps))
     return lo, max(hi)
 
 
@@ -639,8 +653,10 @@ def _interval_eval(phi, env, algebra, tol, state):
 
     Environment entries are element enclosures (tuples of rectangles);
     degenerate rectangles encode exact values.  ``tol`` is the width the
-    node should aim for when all its environment entries are exact; boxes
-    in the environment widen the result soundly.
+    node should aim for.  Boxes in the environment widen the result soundly,
+    and may keep it from reaching ``tol``: a quantifier evaluated over a box
+    gets its caller's Lipschitz cone width as ``tol``, the finest width the
+    caller can use.
     """
     if isinstance(phi, FNorm):
         return _atom_enclosure(phi.term, env, algebra)
@@ -676,36 +692,36 @@ def _interval_eval(phi, env, algebra, tol, state):
     raise PreconditionError(f"not a formula: {phi!r}")
 
 
-#: A nested branch-and-bound (environment contains genuine boxes) stops
-#: once this many consecutive refinements fail to shrink the enclosure:
-#: its width is then dominated by the outer boxes, which only the caller
-#: can refine.
+#: Safety net for a nested search (its environment holds genuine boxes),
+#: which normally stops at the target width its caller takes from the outer
+#: Lipschitz cone: it also stops once this many consecutive refinements
+#: fail to shrink its enclosure, whose width the outer boxes then dominate.
 _STALL_LIMIT = 64
 
 
 def _branch_and_bound(phi, env, algebra, tol, state):
     """Enclose a sup/inf over a continuous sort by best-first box refinement.
 
-    Each box yields (a) an interval-arithmetic enclosure of the body over
-    the whole box, intersected with a Lipschitz cone around its witness,
-    and (b) the witness's own enclosure, which bounds attainable values.
-    The witness is the best of the box's ``_witness_candidates`` (highest
-    lower bound for a supremum, lowest upper bound for an infimum; the
+    Each box yields (a) the witness's own enclosure, which bounds attainable
+    values, and (b) an interval-arithmetic enclosure of the body over the
+    whole box, intersected with the Lipschitz cone around the witness.  The
+    witness is the best of the box's ``_witness_candidates`` (highest lower
+    bound for a supremum, lowest upper bound for an infimum; the
     representative on ties); every candidate lies in the sort's domain, so
-    the others never move the enclosure.  For a supremum the certified
-    interval is [best witness lower bound, largest surviving box upper
-    bound]; infima are handled by the mirrored rule.  The queue is a heap
-    on the box bound that currently blocks the certificate, and boxes that
-    can no longer move it are pruned.
+    the others never move the enclosure.  The cone is built first, and (b)
+    aims only for its width, since the intersection discards anything
+    finer: a search nested in a box stops there.  For a supremum the
+    certified interval is [best witness lower bound, largest surviving box
+    upper bound] at every step, so stopping early is sound; infima are
+    handled by the mirrored rule.  The queue is a heap on the box bound
+    that currently blocks the certificate, and boxes that can no longer
+    move it are pruned.
     """
     is_sup = isinstance(phi, FSup)
     sign = -1.0 if is_sup else 1.0  # heap pops the blocking box first
-    bounds = {v: 1.0 for v in cformula_free_vars(phi)}
-    bounds[phi.var] = 1.0
-    lip = formula_modulus(phi.body, phi.var, algebra, bounds)
-    nested = any(
-        r[1] - r[0] > 0 or r[3] - r[2] > 0 for box in env.values() for r in box
-    )
+    lip = formula_modulus(phi.body, phi.var, algebra,
+                          dict.fromkeys(cformula_free_vars(phi) | {phi.var}, 1.0))
+    nested = any(r[1] - r[0] > 0 or r[3] - r[2] > 0 for box in env.values() for r in box)
 
     def assess(box, depth):
         state["boxes"] += 1
@@ -713,10 +729,7 @@ def _branch_and_bound(phi, env, algebra, tol, state):
         candidates = _witness_candidates(box, phi.sort)
         if candidates is None:
             return None
-        sub = dict(env)
-        sub[phi.var] = box
-        box_lo, box_hi = _interval_eval(phi.body, sub, algebra, tol / 2, state)
-        scored = []
+        sub, scored = dict(env), []
         for point in candidates:
             sub[phi.var] = _box_point(point)
             scored.append((_interval_eval(phi.body, sub, algebra, tol / 2, state), point))
@@ -724,30 +737,25 @@ def _branch_and_bound(phi, env, algebra, tol, state):
         (rep_lo, rep_hi), rep = max(scored, key=lambda c: c[0][0]) if is_sup else min(
             scored, key=lambda c: c[0][1])
         radius = _box_radius(box, rep)
-        box_lo = max(box_lo, rep_lo - lip * radius)
-        box_hi = min(box_hi, rep_hi + lip * radius)
-        return box_lo, box_hi, rep_lo, rep_hi
+        cone_lo, cone_hi = rep_lo - lip * radius, rep_hi + lip * radius
+        sub[phi.var] = box
+        box_lo, box_hi = _interval_eval(phi.body, sub, algebra,
+                                        max(tol / 2, cone_hi - cone_lo), state)
+        return max(box_lo, cone_lo), min(box_hi, cone_hi), rep_lo, rep_hi
 
-    first = assess(_initial_box(phi.sort, algebra.point_count), 0)
+    box = _initial_box(phi.sort, algebra.point_count)
+    first = assess(box, 0)
     if first is None:
         raise PreconditionError("empty quantifier domain")
     # witness: certified attained bound (max rep_lo for sup, min rep_hi
     # for inf); heap key: the box bound that blocks certification.
     witness = first[2] if is_sup else first[3]
-    heap = [
-        (sign * (first[1] if is_sup else first[0]), 0, first,
-         _initial_box(phi.sort, algebra.point_count))
-    ]
-    stall = 0
-    best_width = math.inf
+    heap = [(sign * (first[1] if is_sup else first[0]), 0, first, box)]
+    stall, best_width = 0, math.inf
 
     while True:
-        if heap:
-            blocking = -heap[0][0] if is_sup else heap[0][0]
-            lo, hi = (witness, max(blocking, witness)) if is_sup else (
-                min(blocking, witness), witness)
-        else:
-            lo = hi = witness
+        blocking = sign * heap[0][0] if heap else witness
+        lo, hi = (witness, max(blocking, witness)) if is_sup else (min(blocking, witness), witness)
         width = hi - lo
         if width <= tol:
             return lo, hi
@@ -757,12 +765,8 @@ def _branch_and_bound(phi, env, algebra, tol, state):
             stall += 1
             if nested and stall >= _STALL_LIMIT:
                 return lo, hi
-        if state["boxes"] >= state["max"]:
-            err = ResourceBudgetError(
-                f"branch-and-bound exceeded {state['max']} boxes"
-            )
-            err.best_known = EvalCertificate(lo, hi, state["depth"])
-            raise err
+        if state["boxes"] >= state["max"]:  # ``ceval`` reports the exhausted budget
+            return lo, hi
         _, depth, _, box = heapq.heappop(heap)
         for child in _split_box(box):
             e = assess(child, depth + 1)
@@ -878,15 +882,15 @@ def ceval(
 
     Free variables must be assigned concrete elements through ``params``.
     Projection-sorted quantifiers are evaluated exactly; continuous sorts go
-    through deterministic branch-and-bound, and exhausting the box budget
-    raises a resource error carrying the best enclosure found.
+    through deterministic branch-and-bound.  Once the box budget is spent,
+    every search returns its current enclosure, and a result still wider
+    than ``tol`` raises a resource error carrying it as ``best_known``.
     """
     if tol <= 0:
         raise PreconditionError("the tolerance must be positive")
     if algebra.point_count > MAX_CEVAL_POINTS:
         raise PreconditionError(
-            f"certified evaluation accepts at most {MAX_CEVAL_POINTS} points"
-        )
+            f"certified evaluation accepts at most {MAX_CEVAL_POINTS} points")
     params = dict(params or {})
     missing = cformula_free_vars(phi) - set(params)
     if missing:
@@ -898,7 +902,10 @@ def ceval(
     env = {name: _box_point(value) for name, value in env_exact.items()}
     state = {"boxes": 0, "max": max_boxes, "depth": 0}
     lo, hi = _interval_eval(phi, env, algebra, tol, state)
-    return EvalCertificate(lo, hi, state["depth"])
+    cert = EvalCertificate(lo, hi, state["depth"])
+    if hi - lo > tol and state["boxes"] >= max_boxes:
+        raise ResourceBudgetError(f"branch-and-bound exceeded {max_boxes} boxes", cert)
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +218,19 @@ def test_ceval_budget_error_reports_best_enclosure():
     assert best.lower <= 0.25 <= best.upper
 
 
+def test_budget_error_encloses_the_whole_formula():
+    # The budget runs out in a quantifier below a connective or another
+    # quantifier; the enclosure reported was that quantifier's (about 1/4).
+    A, x, y = CStarAlgebraFin(2), CVar("x"), CVar("y")
+    inner = FSup("x", SORT_POS, FNorm(CMul(x, CSub(COne(), x))))
+    for phi, value in ((FPlus(FConst(0.5), inner), 0.75),
+                       (FSup("y", SORT_POS, FPlus(inner, FNorm(y))), 1.25)):
+        with pytest.raises(ResourceBudgetError) as info:
+            ceval(phi, A, {}, 1e-12, max_boxes=50)
+        best = info.value.best_known
+        assert best.lower <= value <= best.upper, phi
+
+
 def test_ceval_ball_optimum_on_the_unit_circle():
     # The optima sit on the unit circle, where boxes straddling it used to
     # overestimate: both exhausted the 200,000-box budget.  |c_1| = 0.625.
@@ -345,6 +362,97 @@ def test_ceval_bounds_dominate_sampled_body_values():
                 assert value <= cert.upper + 1e-12, (phi, params, point)
             else:
                 assert value >= cert.lower - 1e-12, (phi, params, point)
+
+
+def test_nested_search_stops_at_the_outer_cone_width():
+    # Each inner search over an x-box aims only for the outer Lipschitz cone's
+    # width: aiming for tol ran 64 non-improving rounds (665 and 931 boxes).
+    phi = FInf("x", SORT_SA, FSup("y", SORT_POS, FNorm(CSub(CVar("x"), CVar("y")))))
+    for n, tol, budget in ((1, 1e-3, 60), (2, 1e-2, 100)):
+        cert = ceval(phi, CStarAlgebraFin(n), {}, tol, max_boxes=budget)
+        assert cert.lower <= 0.5 <= cert.upper
+        assert cert.width() <= tol
+
+
+def _modsq(z):
+    return Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+
+
+def test_ball_modulus_interval_is_rounded_outward():
+    # Both bounds sit on a modulus |c| of a decimal constant, which no float
+    # holds: rounded to nearest, |c| - 1 exceeded the value and |c| fell short.
+    rng, x, c, A = random.Random(7071), CVar("x"), CVar("c"), CStarAlgebraFin(1)
+    gap = FInf("x", SORT_BALL, FNorm(CSub(x, c)))
+    scale = FSup("x", SORT_BALL, FNorm(CMul(x, c)))
+    for _ in range(200):
+        a, b = 0, 0
+        while a * a + b * b <= 10**6:
+            a, b = rng.randint(-1999, 1999), rng.randint(-1999, 1999)
+        z = complex(a / 1000, b / 1000)
+        cert = ceval(gap, A, {"c": (z,)}, 1e-2)
+        assert (Fraction(cert.lower) + 1) ** 2 <= _modsq(z), z  # lower <= |c| - 1
+        z = complex(rng.randint(1, 999) / 1000, rng.randint(1, 999) / 1000)
+        cert = ceval(scale, A, {"c": (z,)}, 1e-2)
+        assert Fraction(cert.upper) ** 2 >= _modsq(z), z  # upper >= |c|
+
+
+def test_ball_gap_lower_bound_from_the_reverse_triangle_inequality():
+    # Boxes straddling the unit circle were bounded below by the rectangle's
+    # nearest point to c, outside the disc: 861 boxes.
+    c = (1.25 + 0.5j, 1.125 + 0.75j)
+    phi = FInf("x", SORT_BALL, FNorm(CSub(CVar("x"), CVar("c"))))
+    cert = ceval(phi, CStarAlgebraFin(2), {"c": c}, 1e-2, max_boxes=150)
+    exact = max(_modsq(z) for z in c)  # the value is max |c_i| - 1
+    assert (Fraction(cert.lower) + 1) ** 2 <= exact <= (Fraction(cert.upper) + 1) ** 2
+    assert cert.width() <= 1e-2
+
+
+def test_nested_enclosures_are_sound_and_agree_across_tolerances():
+    # Two quantifiers over every pair of sorts and of quantifier kinds; a
+    # budget error's best enclosure counts, so truncated searches are checked too.
+    rng = random.Random(7073)
+    sorts = (SORT_BALL, SORT_SA, SORT_POS)
+    for (s1, s2), (q1, q2) in itertools.product(
+            itertools.product(sorts, repeat=2), itertools.product((FSup, FInf), repeat=2)):
+        n = rng.randint(1, 2)
+        A = CStarAlgebraFin(n)
+        term = random_term(rng, n, rng.randint(1, 2))
+        while not {"x", "y"} <= term_free_vars(term):
+            term = random_term(rng, n, rng.randint(1, 2))
+        params, phi = {"z": random_element(rng, n)}, q1("x", s1, q2("y", s2, FNorm(term)))
+        certs = []
+        for tol in (0.05, 1e-3):
+            try:
+                certs.append(ceval(phi, A, params, tol, max_boxes=500))
+            except ResourceBudgetError as err:
+                certs.append(err.best_known)
+        coarse, fine = certs
+        assert coarse.lower <= fine.upper and fine.lower <= coarse.upper, (phi, params)
+        if q1 is not q2:
+            continue
+        for xs in _domain_samples(s1, n, rng, 12):
+            for ys in _domain_samples(s2, n, rng, 12):
+                value = c_norm(eval_term(term, {**params, "x": xs, "y": ys}, A, EXACT))
+                for cert in certs:  # 1e-12: sampled values are rounded to nearest
+                    if q1 is FSup:
+                        assert value <= cert.upper + 1e-12, (phi, params, xs, ys)
+                    else:
+                        assert value >= cert.lower - 1e-12, (phi, params, xs, ys)
+
+
+def test_importing_clogic_loads_no_numpy_fractions_or_decimal():
+    # Each would add to the set-up of every process that only evaluates.
+    script = (
+        "import sys\n"
+        "import elemeq.clogic\n"
+        "print(sorted(m for m in ('numpy', 'fractions', 'decimal') if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
