@@ -14,7 +14,11 @@ it: exact elements (the ``cstar`` operations), per-point complex rectangles,
 their centred form, per-point modulus bounds and (norm bound, Lipschitz
 modulus) pairs here, batched numpy rectangles and values in ``saturation``.
 The walker alone dispatches on term nodes, rejects unbound variables and
-constants of the wrong size.
+constants of the wrong size.  The rectangle ops are written once, for a
+rectangle of four components that are floats here and arrays over a batch
+of boxes in ``saturation``; product and modulus bounds come from
+``_rect_kernel``, given min, max and hypot from builtins and ``math`` here
+and from numpy there, so this module never imports numpy.
 
 Evaluation returns an enclosure certificate.  Formulas whose quantifiers all
 range over projections are evaluated exactly (the sort is finite), compiled
@@ -395,12 +399,36 @@ def formula_modulus(phi, var: str, algebra: CStarAlgebraFin, bounds: dict) -> fl
 # Interval arithmetic over per-point complex rectangles
 # ---------------------------------------------------------------------------
 # A rectangle is (re_lo, re_hi, im_lo, im_hi); an element enclosure is a
-# tuple of rectangles, one per point of the space.
+# tuple of rectangles, one per point of the space.  A component may be a
+# float or an array of them (``saturation`` batches boxes that way), so each
+# op is written once: add, sub, conj and the point rectangle use only
+# arithmetic, and product and modulus take min, max and hypot from a numeric
+# namespace.
 
 
-def _imul(al, ah, bl, bh):
-    c1, c2, c3, c4 = al * bl, al * bh, ah * bl, ah * bh
-    return min(c1, c2, c3, c4), max(c1, c2, c3, c4)
+def _rect_kernel(lo, hi, hypot):
+    """The rectangle product and modulus bounds over ``lo``/``hi`` (min and
+    max of any number of values) and ``hypot``."""
+
+    def imul(al, ah, bl, bh):
+        c1, c2, c3, c4 = al * bl, al * bh, ah * bl, ah * bh
+        return lo(c1, c2, c3, c4), hi(c1, c2, c3, c4)
+
+    def mul(a, b):
+        rr = imul(a[0], a[1], b[0], b[1])
+        ii = imul(a[2], a[3], b[2], b[3])
+        ri = imul(a[0], a[1], b[2], b[3])
+        ir = imul(a[2], a[3], b[0], b[1])
+        return (rr[0] - ii[1], rr[1] - ii[0], ri[0] + ir[0], ri[1] + ir[1])
+
+    def mod(a):  # the moduli of the rectangle's point nearest 0 and farthest point
+        return (hypot(hi(a[0], -a[1], 0.0), hi(a[2], -a[3], 0.0)),
+                hypot(hi(a[1], -a[0]), hi(a[3], -a[2])))
+
+    return mul, mod
+
+
+_rect_mul, _rect_mod = _rect_kernel(min, max, math.hypot)
 
 
 def _rect_point(v: complex):
@@ -415,28 +443,8 @@ def _rect_sub(a, b):
     return (a[0] - b[1], a[1] - b[0], a[2] - b[3], a[3] - b[2])
 
 
-def _rect_mul(a, b):
-    rr = _imul(a[0], a[1], b[0], b[1])
-    ii = _imul(a[2], a[3], b[2], b[3])
-    ri = _imul(a[0], a[1], b[2], b[3])
-    ir = _imul(a[2], a[3], b[0], b[1])
-    return (rr[0] - ii[1], rr[1] - ii[0], ri[0] + ir[0], ri[1] + ir[1])
-
-
 def _rect_conj(a):
     return (a[0], a[1], -a[3], -a[2])
-
-
-def _axis_gap(lo, hi):
-    if lo <= 0 <= hi:
-        return 0.0
-    return min(abs(lo), abs(hi))
-
-
-def _rect_mod(a):
-    lo = math.hypot(_axis_gap(a[0], a[1]), _axis_gap(a[2], a[3]))
-    hi = math.hypot(max(abs(a[0]), abs(a[1])), max(abs(a[2]), abs(a[3])))
-    return lo, hi
 
 
 def _box_point(values: tuple) -> tuple:

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from .boolalg import FiniteBoolAlg
 from .errors import PreconditionError, ResourceBudgetError
-from .ordinals import OMEGA, ONE, Ordinal, compare, finite, left_difference, ord_add
+from .ordinals import OMEGA, Ordinal, compare, finite
 
 __all__ = [
     "GamePosition",
@@ -366,13 +366,6 @@ def ef_finite_orders(m: int, n: int, rank: int) -> bool:
     if max(m, n) > MAX_SIZE_ORDERS:
         raise ResourceBudgetError(f"size exceeds the cap {MAX_SIZE_ORDERS}")
     return _ordinal_type(finite(m), rank) == _ordinal_type(finite(n), rank)
-
-
-def interval_above(alpha: Ordinal, x: Ordinal) -> Ordinal:
-    """The order type of the open interval of ``alpha`` strictly above ``x``."""
-    if compare(x, alpha) >= 0:
-        raise PreconditionError("the point must lie below the ordinal")
-    return left_difference(ord_add(x, ONE), alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ Three capabilities live here:
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import operator
@@ -38,6 +39,11 @@ from elemeq.clogic import (
     SORT_SA,
     Arith,
     _initial_box,
+    _rect_add,
+    _rect_conj,
+    _rect_kernel,
+    _rect_point,
+    _rect_sub,
     ceval,
     eval_term,
     term_free_vars,
@@ -306,74 +312,25 @@ class Inconclusive:
 # Batched arithmetics for ``clogic.eval_term``
 #
 # A box assigns to each (variable, point) slot a rectangle
-# (re_lo, re_hi, im_lo, im_hi); arrays have shape (N, slots, 4).  Terms are
-# evaluated over a batch of N boxes in numpy rectangles, and at the N sample
-# points in numpy complex values, shape (N, slots).
+# (re_lo, re_hi, im_lo, im_hi); stored boxes have shape (N, slots, 4).  Terms
+# are evaluated over a batch of N boxes in the rectangles of ``clogic``, whose
+# components here are arrays of shape (N, points), with product and modulus
+# bounds from its kernel on numpy's min, max and hypot; and at sample points
+# in numpy complex values, shape (N, slots).
 # ---------------------------------------------------------------------------
 
-
-def _np_imul(plo, phi, qlo, qhi):
-    cands = np.stack([plo * qlo, plo * qhi, phi * qlo, phi * qhi], axis=-1)
-    return cands.min(axis=-1), cands.max(axis=-1)
-
-
-def _np_rect_add(a, b):
-    return np.stack(
-        [a[..., 0] + b[..., 0], a[..., 1] + b[..., 1], a[..., 2] + b[..., 2], a[..., 3] + b[..., 3]],
-        axis=-1,
-    )
-
-
-def _np_rect_sub(a, b):
-    return np.stack(
-        [a[..., 0] - b[..., 1], a[..., 1] - b[..., 0], a[..., 2] - b[..., 3], a[..., 3] - b[..., 2]],
-        axis=-1,
-    )
-
-
-def _np_rect_conj(a):
-    return np.stack([a[..., 0], a[..., 1], -a[..., 3], -a[..., 2]], axis=-1)
-
-
-def _np_rect_mul(a, b):
-    rr_lo, rr_hi = _np_imul(a[..., 0], a[..., 1], b[..., 0], b[..., 1])
-    ii_lo, ii_hi = _np_imul(a[..., 2], a[..., 3], b[..., 2], b[..., 3])
-    ri_lo, ri_hi = _np_imul(a[..., 0], a[..., 1], b[..., 2], b[..., 3])
-    ir_lo, ir_hi = _np_imul(a[..., 2], a[..., 3], b[..., 0], b[..., 1])
-    return np.stack([rr_lo - ii_hi, rr_hi - ii_lo, ri_lo + ir_lo, ri_hi + ir_hi], axis=-1)
-
-
-def _np_const_rect(values):
-    rect = np.empty((1, len(values), 4))
-    for j, v in enumerate(values):
-        v = complex(v)
-        rect[0, j] = (v.real, v.real, v.imag, v.imag)
-    return rect
-
+_np_mul, _np_mod = _rect_kernel(lambda *xs: functools.reduce(np.minimum, xs),
+                                lambda *xs: functools.reduce(np.maximum, xs), np.hypot)
 
 _NP_RECTS = Arith(
-    _np_const_rect, _np_rect_add, _np_rect_sub, _np_rect_mul, _np_rect_conj,
-    lambda s, a: _np_rect_mul(_np_const_rect((s,)), a),
+    lambda values: _rect_point(np.array(values, dtype=complex).reshape(1, -1)),
+    _rect_add, _rect_sub, _np_mul, _rect_conj, lambda s, a: _np_mul(_rect_point(s), a),
 )
 
 _NP_VALUES = Arith(
     lambda values: np.array(values, dtype=complex).reshape(1, -1),
     operator.add, operator.sub, operator.mul, np.conj, operator.mul,
 )
-
-
-def _np_norm_bounds(rect):
-    """Pointwise sup-norm bounds from per-point modulus bounds."""
-
-    def axis_gap(lo, hi):
-        return np.where((lo <= 0.0) & (hi >= 0.0), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
-
-    min_mod = np.hypot(axis_gap(rect[..., 0], rect[..., 1]), axis_gap(rect[..., 2], rect[..., 3]))
-    max_mod = np.hypot(
-        np.maximum(np.abs(rect[..., 0]), np.abs(rect[..., 1])),
-        np.maximum(np.abs(rect[..., 2]), np.abs(rect[..., 3])),
-    )
-    return min_mod.max(axis=-1), max_mod.max(axis=-1)
 
 
 def _np_distance(values, target):
@@ -413,29 +370,32 @@ class _RealizeProblem:
         return np.array([sum((_initial_box(sort, self.points) for sort in self.sorts), ())])
 
     def _env_rects(self, boxes):
-        env = {}
-        for i, name in enumerate(self.names):
-            env[name] = boxes[:, i * self.points : (i + 1) * self.points, :]
-        return env
+        return {name: tuple(boxes[:, i * self.points : (i + 1) * self.points, k] for k in range(4))
+                for i, name in enumerate(self.names)}
 
-    def representatives(self, boxes):
-        """In-domain sample point per box, plus a feasibility mask.
+    def candidates(self, boxes):
+        """In-domain witness candidates per box, shape (3, N, slots), plus a
+        feasibility mask.
 
-        Ball coordinates use the box point closest to the origin; a box
-        whose closest point leaves the unit disc contains no admissible
-        value at all.  Real sorts use interval midpoints.
+        Ball coordinates use the box point closest to the origin in every
+        candidate; a box whose closest point leaves the unit disc contains no
+        admissible value at all.  Real sorts use the interval midpoint, then
+        the all-low and the all-high corner, so a target on the sort's
+        boundary is met without refining down to it.
         """
         re = np.minimum(np.maximum(boxes[..., 0], 0.0), boxes[..., 1])
         im = np.minimum(np.maximum(boxes[..., 2], 0.0), boxes[..., 3])
+        cands = np.stack([re + 1j * im] * 3)
         feasible = np.ones(boxes.shape[0], dtype=bool)
         for i, sort in enumerate(self.sorts):
             cols = slice(i * self.points, (i + 1) * self.points)
             if sort == SORT_BALL:
                 feasible &= (np.hypot(re[:, cols], im[:, cols]) <= 1.0).all(axis=1)
             else:
-                re[:, cols] = (boxes[:, cols, 0] + boxes[:, cols, 1]) / 2.0
-                im[:, cols] = 0.0
-        return re + 1j * im, feasible
+                cands[0, :, cols] = (boxes[:, cols, 0] + boxes[:, cols, 1]) / 2.0
+                cands[1, :, cols] = boxes[:, cols, 0]
+                cands[2, :, cols] = boxes[:, cols, 1]
+        return cands, feasible
 
     def deviation_bounds(self, boxes):
         """Elementwise bounds on max-over-conditions deviation per box."""
@@ -444,7 +404,7 @@ class _RealizeProblem:
         g_hi = np.zeros(boxes.shape[0])
         for condition in self.conditions:
             rect = eval_term(condition.polynomial, env, self.algebra, _NP_RECTS)
-            nlo, nhi = _np_norm_bounds(rect)
+            nlo, nhi = (m.max(axis=-1) for m in _np_mod(rect))
             d_lo, d_hi = _np_distance_range(nlo, nhi, condition.target)
             g_lo = np.maximum(g_lo, d_lo)
             g_hi = np.maximum(g_hi, d_hi)
@@ -545,16 +505,16 @@ def realize_type(
     def assess(boxes):
         nonlocal floor, best_value, best_rep, boxes_used
         boxes_used += boxes.shape[0]
-        reps, feasible = problem.representatives(boxes)
-        boxes, reps = boxes[feasible], reps[feasible]
+        cands, feasible = problem.candidates(boxes)
+        boxes, cands = boxes[feasible], cands[:, feasible].reshape(-1, problem.slots)
         if boxes.shape[0] == 0:
             return
         g_lo, _ = problem.deviation_bounds(boxes)
-        g_rep = problem.deviation_at(reps)
-        leader = int(np.argmin(g_rep))
-        if g_rep[leader] < best_value:
-            best_value = float(g_rep[leader])
-            best_rep = reps[leader].copy()
+        g_cand = problem.deviation_at(cands)
+        leader = int(np.argmin(g_cand))
+        if g_cand[leader] < best_value:
+            best_value = float(g_cand[leader])
+            best_rep = cands[leader].copy()
         for k in range(boxes.shape[0]):
             if g_lo[k] > tol:
                 floor = min(floor, float(g_lo[k]))

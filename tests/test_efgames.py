@@ -21,10 +21,19 @@ from elemeq.efgames import (
     ef_finite_bas,
     ef_finite_orders,
     ef_ordinals,
-    interval_above,
 )
 from elemeq.errors import PreconditionError, ResourceBudgetError
-from elemeq.ordinals import OMEGA, ZERO, compare, finite, omega_power, ord_add, ord_mul
+from elemeq.ordinals import (
+    OMEGA,
+    ONE,
+    ZERO,
+    compare,
+    finite,
+    left_difference,
+    omega_power,
+    ord_add,
+    ord_mul,
+)
 from util import below_omega_cubed, mk, nat, osum, w
 
 
@@ -211,14 +220,6 @@ def test_ordinals_large_domain_is_fast():
     assert ef_ordinals(big1, ord_mul(omega_power(OMEGA), nat(3)), 2) is False
 
 
-def test_interval_above():
-    assert interval_above(OMEGA, nat(4)) == OMEGA
-    assert interval_above(ord_mul(OMEGA, nat(2)), OMEGA) == OMEGA
-    assert interval_above(nat(7), nat(2)) == nat(4)
-    with pytest.raises(PreconditionError):
-        interval_above(nat(3), nat(3))
-
-
 def test_ordinal_split_pairs_match_sum_rule_on_samples():
     # Independent spot check of the compositional machinery: playing x in
     # alpha must leave intervals (x, rest) whose equivalence data the solver
@@ -228,7 +229,7 @@ def test_ordinal_split_pairs_match_sum_rule_on_samples():
         for x in below_omega_cubed(max_terms=2, max_coeff=2):
             if compare(x, alpha) >= 0:
                 continue
-            rest = interval_above(alpha, x)
+            rest = left_difference(ord_add(x, ONE), alpha)
             recombined = osum(x, nat(1), rest)
             assert recombined == alpha
 

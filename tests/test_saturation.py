@@ -1,6 +1,7 @@
 """Tests for chain interpolation and degree-1 type realization."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from elemeq.boolalg import FiniteBoolAlg
 from elemeq.clogic import (
     _RECTS,
+    _rect_kernel,
+    _rect_mod,
     CAdd,
     CConst,
     CMul,
@@ -17,12 +20,14 @@ from elemeq.clogic import (
     CStar,
     CVar,
     SORT_POS,
+    SORT_SA,
     eval_term,
 )
 from elemeq.cstar import CStarAlgebraFin, c_add, c_mul, c_norm, c_scale, c_star, c_sub
 from elemeq.errors import PreconditionError
 from elemeq.saturation import (
     _NP_RECTS,
+    _np_mod,
     NOT_FOUND,
     CylinderElement,
     Inconclusive,
@@ -250,6 +255,18 @@ def test_realize_unit_norm_element():
         assert c_norm(value) <= 1.0 + 1e-12
 
 
+def test_realize_norm_one_on_the_real_sorts_boundary():
+    # the target is met only on the boundary of the sa and pos domains,
+    # which midpoints approach by refinement alone; a corner candidate hits it
+    algebra = CStarAlgebraFin(4)
+    for sort in (SORT_SA, SORT_POS):
+        result = realize_type(
+            [TypeCondition(CVar("x"), [(1.0, 1.0)])], algebra, 0.01, sorts={"x": sort}, max_boxes=1000
+        )
+        assert isinstance(result, Realized), sort
+        assert result.max_deviation <= 0.01
+
+
 def test_realize_constant_conditions():
     algebra = CStarAlgebraFin(2)
     ok = realize_type([TypeCondition(COne(), [(1.0, 1.0)])], algebra, 0.01)
@@ -427,7 +444,22 @@ def _random_rect(rng):
     return (re[0], re[1], im[0], im[1])
 
 
+def _clipped_moduli(rect):
+    """The moduli of the rectangle's point nearest 0 and of its farthest point."""
+    near = [min(max(0.0, lo), hi) for lo, hi in (rect[:2], rect[2:])]
+    far = [hi if abs(hi) >= abs(lo) else lo for lo, hi in (rect[:2], rect[2:])]
+    return math.hypot(*near), math.hypot(*far)
+
+
+def _within_ulp(batched, scalar):
+    return all(abs(b - s) <= math.ulp(s) for b, s in zip(batched, scalar))
+
+
 def test_batched_rectangles_equal_scalar_rectangles_per_box():
+    # np.hypot (the C library's) is not always correctly rounded and
+    # math.hypot is, so the batched norm bounds are compared with == to the
+    # scalar kernel run on np.hypot, and to the scalar path within one ulp
+    _, libm_mod = _rect_kernel(min, max, lambda x, y: float(np.hypot(x, y)))
     rng = random.Random(4104)
     cases = 0
     for _ in range(400):
@@ -435,12 +467,27 @@ def test_batched_rectangles_equal_scalar_rectangles_per_box():
         algebra = CStarAlgebraFin(n)
         term = random_term(rng, n, rng.randint(1, 4))
         boxes = [{v: tuple(_random_rect(rng) for _ in range(n)) for v in TERM_NAMES} for _ in range(25)]
-        batch = {v: np.array([box[v] for box in boxes]) for v in TERM_NAMES}
-        rows = np.broadcast_to(eval_term(term, batch, algebra, _NP_RECTS), (len(boxes), n, 4))
-        for row, box in zip(rows, boxes):
-            assert tuple(map(tuple, row.tolist())) == eval_term(term, box, algebra, _RECTS), term
+        batch = {v: tuple(np.array([box[v] for box in boxes])[..., k] for k in range(4)) for v in TERM_NAMES}
+        rect = eval_term(term, batch, algebra, _NP_RECTS)
+        rows = np.broadcast_to(np.stack(rect, axis=-1), (len(boxes), n, 4))
+        norms = zip(*(np.broadcast_to(m.max(axis=-1), len(boxes)).tolist() for m in _np_mod(rect)))
+        for row, bounds, box in zip(rows, norms, boxes):
+            rects = eval_term(term, box, algebra, _RECTS)
+            assert tuple(map(tuple, row.tolist())) == rects, term
+            assert bounds == tuple(map(max, zip(*map(libm_mod, rects)))), term
+            assert _within_ulp(bounds, map(max, zip(*map(_rect_mod, rects)))), term
             cases += 1
     assert cases == 10_000
+    # signed zeros, degenerate rectangles and rectangles straddling zero
+    ends = (-0.75, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0)
+    edges = [
+        (0.0, 0.0, -0.0, -0.0), (-0.0, 0.0, -0.0, 0.0), (-0.5, 0.25, -0.0, 0.0),
+        (0.25, 0.25, 0.5, 0.5), (-0.75, -0.5, -0.5, 0.25), (-1.0, 1.0, -1.0, 1.0),
+    ] + [tuple(sorted(rng.sample(ends, 2)) + sorted(rng.sample(ends, 2))) for _ in range(40)]
+    batched = zip(*(m.tolist() for m in _np_mod(tuple(np.array([r[k] for r in edges]) for k in range(4)))))
+    for rect, bounds in zip(edges, batched):
+        assert _rect_mod(rect) == _clipped_moduli(rect), rect
+        assert bounds == libm_mod(rect) and _within_ulp(bounds, _rect_mod(rect)), rect
 
 
 # ---------------------------------------------------------------------------
