@@ -38,7 +38,9 @@ from elemeq.clogic import (
     SORT_POS,
     SORT_SA,
     Arith,
+    _in_disc,
     _initial_box,
+    _onto_disc,
     _rect_add,
     _rect_conj,
     _rect_kernel,
@@ -316,7 +318,10 @@ class Inconclusive:
 # are evaluated over a batch of N boxes in the rectangles of ``clogic``, whose
 # components here are arrays of shape (N, points), with product and modulus
 # bounds from its kernel on numpy's min, max and hypot; and at sample points
-# in numpy complex values, shape (N, slots).
+# in numpy complex values, shape (N, points).  A level is one pass: all
+# conditions' rectangles (values) are stacked, shape (4, C, N, points), and
+# their norm bounds, widened by two floats as np.hypot is not correctly
+# rounded, and their target distances are taken at once.
 # ---------------------------------------------------------------------------
 
 _np_mul, _np_mod = _rect_kernel(lambda *xs: functools.reduce(np.minimum, xs),
@@ -333,26 +338,29 @@ _NP_VALUES = Arith(
 )
 
 
-def _np_distance(values, target):
-    dist = np.full_like(values, np.inf)
-    for lo, hi in target:
-        dist = np.minimum(dist, np.maximum(np.maximum(lo - values, values - hi), 0.0))
-    return dist
+def _norm_bounds(rect):
+    """Norm bounds (largest modulus over the last axis), widened as ``clogic._abs_iv``."""
+    lo, hi = (m.max(axis=-1) for m in _np_mod(rect))
+    lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+    return np.maximum(np.nextafter(lo, -np.inf), 0.0), np.nextafter(hi, np.inf)
 
 
-def _np_distance_range(nlo, nhi, target):
-    """Range of distance-to-target over a norm interval [nlo, nhi]."""
-    d_lo, d_hi = _np_distance(nlo, target), _np_distance(nhi, target)
-    intersects = np.zeros(nlo.shape, dtype=bool)
-    for lo, hi in target:
-        intersects |= (nlo <= hi) & (lo <= nhi)
-    dist_min = np.where(intersects, 0.0, np.minimum(d_lo, d_hi))
-    dist_max = np.maximum(d_lo, d_hi)
-    for (_, hi), (lo, _) in zip(target, target[1:]):
-        peak_at = (hi + lo) / 2.0
-        peak = (lo - hi) / 2.0
-        dist_max = np.where((nlo <= peak_at) & (peak_at <= nhi), np.maximum(dist_max, peak), dist_max)
-    return dist_min, dist_max
+def _in_disc_np(re, im):
+    """``clogic._in_disc`` elementwise: exact inside the 2^-50 band around 1."""
+    square = re * re + im * im
+    inside, band = square < 1.0, np.abs(square - 1.0) <= 2.0**-50
+    inside[band] = list(map(_in_disc, re[band].tolist(), im[band].tolist()))
+    return inside
+
+
+def _onto_disc_np(re, im):
+    """re + i im, pulled radially into the unit disc unless certainly in it."""
+    rim = re * re + im * im >= 1 - 2.0**-50
+    shrink = np.where(rim, (1 - 2.0**-50) / np.maximum(np.hypot(re, im), 1.0), 1.0)
+    points = re * shrink + 1j * (im * shrink)
+    missed = ~_in_disc_np(points.real, points.imag)
+    points[missed] = [_onto_disc(z.real, z.imag) for z in points[missed].tolist()]
+    return points
 
 
 class _RealizeProblem:
@@ -365,62 +373,73 @@ class _RealizeProblem:
         self.sorts = [sorts_by_var[name] for name in self.names]
         self.points = algebra.point_count
         self.slots = len(self.names) * self.points
+        slot_sorts = np.repeat(self.sorts, self.points)
+        self.ball = np.flatnonzero(slot_sorts == SORT_BALL)
+        self.real = np.flatnonzero(slot_sorts != SORT_BALL)
+        self.floor = np.where(slot_sorts[self.real] == SORT_SA, -1.0, 0.0)
+        width = max(len(c.target) for c in conditions)
+        ends = np.array([c.target + c.target[-1:] * (width - len(c.target)) for c in conditions])
+        self.t_lo, self.t_hi = ends[..., :1], ends[..., 1:]
+        self.rects, self.values = (arith._replace(const=functools.cache(arith.const))
+                                   for arith in (_NP_RECTS, _NP_VALUES))
 
     def initial_box(self):
         return np.array([sum((_initial_box(sort, self.points) for sort in self.sorts), ())])
 
-    def _env_rects(self, boxes):
-        return {name: tuple(boxes[:, i * self.points : (i + 1) * self.points, k] for k in range(4))
+    def _env(self, columns):
+        return {name: columns[..., i * self.points : (i + 1) * self.points]
                 for i, name in enumerate(self.names)}
 
+    def _distance(self, norms):
+        """Distances (C, N) of each condition's norms to its target, padded to (C, K, 1)."""
+        norms = norms[:, None]
+        return np.maximum(np.maximum(self.t_lo - norms, norms - self.t_hi), 0.0).min(axis=1)
+
     def candidates(self, boxes):
-        """In-domain witness candidates per box, shape (3, N, slots), plus a
-        feasibility mask.
-
-        Ball coordinates use the box point closest to the origin in every
-        candidate; a box whose closest point leaves the unit disc contains no
-        admissible value at all.  Real sorts use the interval midpoint, then
-        the all-low and the all-high corner, so a target on the sort's
-        boundary is met without refining down to it.
-        """
-        re = np.minimum(np.maximum(boxes[..., 0], 0.0), boxes[..., 1])
-        im = np.minimum(np.maximum(boxes[..., 2], 0.0), boxes[..., 3])
-        cands = np.stack([re + 1j * im] * 3)
+        """Witness candidates (candidate-major, shape (M, slots)) and the mask of boxes
+        meeting every domain (a ``ball`` box's nearest point in the disc, decided exactly).
+        ``sa``/``pos``: midpoint, all-low, all-high, then each coordinate snapped to its end
+        on the domain boundary (else the midpoint), high then low first on ties.  ``ball``:
+        the nearest point, then the farthest pulled into the disc.  No duplicate is scored."""
+        cands = np.empty((5 if self.real.size else 2, boxes.shape[0], self.slots), dtype=complex)
         feasible = np.ones(boxes.shape[0], dtype=bool)
-        for i, sort in enumerate(self.sorts):
-            cols = slice(i * self.points, (i + 1) * self.points)
-            if sort == SORT_BALL:
-                feasible &= (np.hypot(re[:, cols], im[:, cols]) <= 1.0).all(axis=1)
-            else:
-                cands[0, :, cols] = (boxes[:, cols, 0] + boxes[:, cols, 1]) / 2.0
-                cands[1, :, cols] = boxes[:, cols, 0]
-                cands[2, :, cols] = boxes[:, cols, 1]
-        return cands, feasible
+        if self.ball.size:
+            lo, hi = boxes[:, self.ball, 0::2], boxes[:, self.ball, 1::2]
+            near = np.minimum(np.maximum(lo, 0.0), hi)
+            feasible = _in_disc_np(near[..., 0], near[..., 1]).all(axis=1)
+            far = np.where(-lo > hi, lo, hi)
+            rows = np.stack([near[..., 0] + 1j * near[..., 1],
+                             _onto_disc_np(far[..., 0], far[..., 1])])
+            cands[:, :, self.ball] = rows[[0, 0, 0, 1, 1] if self.real.size else [0, 1]]
+        scored = [feasible] * len(cands)
+        if self.real.size:
+            lo, hi = boxes[:, self.real, 0], boxes[:, self.real, 1]
+            mid = (lo + hi) / 2.0
+            up, down = hi == 1.0, lo == self.floor
+            cands[:, :, self.real] = [mid, lo, hi, np.where(up, hi, np.where(down, lo, mid)),
+                                      np.where(down, lo, np.where(up, hi, mid))]
+            snapped = (up | down).any(axis=1) | bool(self.ball.size)
+            scored[3:] = feasible & snapped, feasible & (up & down).any(axis=1)
+        return cands[np.array(scored)], feasible
 
-    def deviation_bounds(self, boxes):
-        """Elementwise bounds on max-over-conditions deviation per box."""
-        env = self._env_rects(boxes)
-        g_lo = np.zeros(boxes.shape[0])
-        g_hi = np.zeros(boxes.shape[0])
-        for condition in self.conditions:
-            rect = eval_term(condition.polynomial, env, self.algebra, _NP_RECTS)
-            nlo, nhi = (m.max(axis=-1) for m in _np_mod(rect))
-            d_lo, d_hi = _np_distance_range(nlo, nhi, condition.target)
-            g_lo = np.maximum(g_lo, d_lo)
-            g_hi = np.maximum(g_hi, d_hi)
-        return g_lo, g_hi
+    def deviation_floor(self, boxes):
+        """Per box, a lower bound on the largest deviation over the box: the
+        least distance of each condition's widened norm bounds to its target."""
+        env = self._env(np.moveaxis(boxes, -1, 0))
+        rects = np.empty((4, len(self.conditions), boxes.shape[0], self.points))
+        for i, condition in enumerate(self.conditions):
+            rects[:, i] = eval_term(condition.polynomial, env, self.algebra, self.rects)
+        nlo, nhi = _norm_bounds(rects)
+        meets = ((nlo[:, None] <= self.t_hi) & (self.t_lo <= nhi[:, None])).any(axis=1)
+        return np.where(meets, 0.0, np.minimum(self._distance(nlo), self._distance(nhi))).max(axis=0)
 
     def deviation_at(self, reps):
         """Exact max-over-conditions deviation at sample points."""
-        env = {}
-        for i, name in enumerate(self.names):
-            env[name] = reps[:, i * self.points : (i + 1) * self.points]
-        g = np.zeros(reps.shape[0])
-        for condition in self.conditions:
-            values = eval_term(condition.polynomial, env, self.algebra, _NP_VALUES)
-            norms = np.abs(values).max(axis=-1)
-            g = np.maximum(g, _np_distance(norms, condition.target))
-        return g
+        env = self._env(reps)
+        values = np.empty((len(self.conditions), reps.shape[0], self.points), dtype=complex)
+        for i, condition in enumerate(self.conditions):
+            values[i] = eval_term(condition.polynomial, env, self.algebra, self.values)
+        return self._distance(np.abs(values).max(axis=-1)).max(axis=0)
 
     def split(self, boxes):
         """Halve each box along its widest axis (ties: first slot, real
@@ -468,6 +487,8 @@ def realize_type(
     ``Unsatisfiable(epsilon, delta)`` when branch-and-bound proves every
     assignment deviates by at least ``epsilon > tol`` on the listed
     conditions, and ``Inconclusive`` when the box budget runs out first.
+    The search is best first; each level bounds its boxes in one numpy pass
+    and scores witnesses that reach the sorts' boundaries (``candidates``).
     """
     conditions = tuple(conditions)
     if not conditions or len(conditions) > MAX_REALIZE_CONDITIONS:
@@ -497,8 +518,7 @@ def realize_type(
     problem = _RealizeProblem(conditions, algebra, sorts_by_var)
     counter = itertools.count()
     heap = []
-    floor = np.inf
-    best_value = np.inf
+    floor = best_value = np.inf
     best_rep = None
     boxes_used = 0
 
@@ -506,30 +526,25 @@ def realize_type(
         nonlocal floor, best_value, best_rep, boxes_used
         boxes_used += boxes.shape[0]
         cands, feasible = problem.candidates(boxes)
-        boxes, cands = boxes[feasible], cands[:, feasible].reshape(-1, problem.slots)
+        boxes = boxes[feasible]
         if boxes.shape[0] == 0:
             return
-        g_lo, _ = problem.deviation_bounds(boxes)
+        g_lo = problem.deviation_floor(boxes)
         g_cand = problem.deviation_at(cands)
         leader = int(np.argmin(g_cand))
         if g_cand[leader] < best_value:
             best_value = float(g_cand[leader])
             best_rep = cands[leader].copy()
-        for k in range(boxes.shape[0]):
-            if g_lo[k] > tol:
-                floor = min(floor, float(g_lo[k]))
-            else:
-                heapq.heappush(heap, (float(g_lo[k]), next(counter), boxes[k]))
+        pruned = g_lo > tol
+        if pruned.any():
+            floor = min(floor, float(g_lo[pruned].min()))
+        for item in zip(g_lo[~pruned].tolist(), counter, boxes[~pruned]):
+            heapq.heappush(heap, item)
 
     assess(problem.initial_box())
     while True:
         if best_value <= tol:
-            assignment = {
-                name: tuple(
-                    complex(z) for z in best_rep[i * problem.points : (i + 1) * problem.points]
-                )
-                for i, name in enumerate(problem.names)
-            }
+            assignment = {name: tuple(z.tolist()) for name, z in problem._env(best_rep).items()}
             certificates, deviation = _certify_assignment(conditions, algebra, assignment)
             if deviation <= tol:
                 return Realized(assignment, deviation, certificates)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from elemeq.clogic import (
     CSub,
     CStar,
     CVar,
+    SORT_BALL,
     SORT_POS,
     SORT_SA,
     eval_term,
@@ -27,6 +29,9 @@ from elemeq.cstar import CStarAlgebraFin, c_add, c_mul, c_norm, c_scale, c_star,
 from elemeq.errors import PreconditionError
 from elemeq.saturation import (
     _NP_RECTS,
+    _NP_VALUES,
+    _RealizeProblem,
+    _norm_bounds,
     _np_mod,
     NOT_FOUND,
     CylinderElement,
@@ -267,6 +272,26 @@ def test_realize_norm_one_on_the_real_sorts_boundary():
         assert result.max_deviation <= 0.01
 
 
+def test_realize_norm_one_on_the_ball_boundary():
+    # the box point farthest from 0, pulled into the disc, meets the target
+    for points in (2, 3, 4):
+        algebra = CStarAlgebraFin(points)
+        conditions = [TypeCondition(CVar("x"), [(1.0, 1.0)])]
+        result = realize_type(conditions, algebra, 0.01, sorts={"x": SORT_BALL}, max_boxes=1000)
+        assert isinstance(result, Realized), points
+        assert _independent_deviation(conditions, result.assignment, algebra) <= 0.01
+        assert all(_in_domain(z, SORT_BALL) for z in result.assignment["x"])
+
+
+def test_realize_orthogonal_pair_on_three_points_within_100_boxes():
+    algebra = CStarAlgebraFin(3)
+    names = ["x0", "x1"]
+    conditions = _orthogonality_conditions(names)
+    result = realize_type(conditions, algebra, 0.01, sorts={n: SORT_POS for n in names}, max_boxes=100)
+    assert isinstance(result, Realized)
+    assert _independent_deviation(conditions, result.assignment, algebra) <= 0.01
+
+
 def test_realize_constant_conditions():
     algebra = CStarAlgebraFin(2)
     ok = realize_type([TypeCondition(COne(), [(1.0, 1.0)])], algebra, 0.01)
@@ -455,6 +480,17 @@ def _within_ulp(batched, scalar):
     return all(abs(b - s) <= math.ulp(s) for b, s in zip(batched, scalar))
 
 
+def _parity_batches(rng):
+    """400 seeded terms, each with a batch of 25 boxes: 10,000 boxes."""
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        algebra = CStarAlgebraFin(n)
+        term = random_term(rng, n, rng.randint(1, 4))
+        boxes = [{v: tuple(_random_rect(rng) for _ in range(n)) for v in TERM_NAMES} for _ in range(25)]
+        batch = {v: tuple(np.array([box[v] for box in boxes])[..., k] for k in range(4)) for v in TERM_NAMES}
+        yield term, algebra, boxes, batch
+
+
 def test_batched_rectangles_equal_scalar_rectangles_per_box():
     # np.hypot (the C library's) is not always correctly rounded and
     # math.hypot is, so the batched norm bounds are compared with == to the
@@ -462,12 +498,8 @@ def test_batched_rectangles_equal_scalar_rectangles_per_box():
     _, libm_mod = _rect_kernel(min, max, lambda x, y: float(np.hypot(x, y)))
     rng = random.Random(4104)
     cases = 0
-    for _ in range(400):
-        n = rng.randint(1, 3)
-        algebra = CStarAlgebraFin(n)
-        term = random_term(rng, n, rng.randint(1, 4))
-        boxes = [{v: tuple(_random_rect(rng) for _ in range(n)) for v in TERM_NAMES} for _ in range(25)]
-        batch = {v: tuple(np.array([box[v] for box in boxes])[..., k] for k in range(4)) for v in TERM_NAMES}
+    for term, algebra, boxes, batch in _parity_batches(rng):
+        n = algebra.point_count
         rect = eval_term(term, batch, algebra, _NP_RECTS)
         rows = np.broadcast_to(np.stack(rect, axis=-1), (len(boxes), n, 4))
         norms = zip(*(np.broadcast_to(m.max(axis=-1), len(boxes)).tolist() for m in _np_mod(rect)))
@@ -488,6 +520,152 @@ def test_batched_rectangles_equal_scalar_rectangles_per_box():
     for rect, bounds in zip(edges, batched):
         assert _rect_mod(rect) == _clipped_moduli(rect), rect
         assert bounds == libm_mod(rect) and _within_ulp(bounds, _rect_mod(rect)), rect
+
+
+def _modsq(re, im):
+    return Fraction(re) ** 2 + Fraction(im) ** 2
+
+
+def test_level_norm_bounds_contain_the_exact_norm():
+    # np.hypot is not correctly rounded (60 of these boxes read a bound one
+    # ulp off); widened by two floats each way, the bounds hold for the exact
+    # norms of the float rectangles
+    cases = 0
+    for term, algebra, boxes, batch in _parity_batches(random.Random(4104)):
+        rect = eval_term(term, batch, algebra, _NP_RECTS)
+        rows = np.broadcast_to(np.stack(rect, axis=-1), (len(boxes), algebra.point_count, 4))
+        bounds = (np.broadcast_to(m, len(boxes)).tolist() for m in _norm_bounds(rect))
+        for row, lo, hi in zip(rows.tolist(), *bounds):
+            near = max(_modsq(min(max(0.0, a), b), min(max(0.0, c), d)) for a, b, c, d in row)
+            far = max(_modsq(max(-a, b), max(-c, d)) for a, b, c, d in row)
+            assert 0.0 <= lo and Fraction(lo) ** 2 <= near and Fraction(hi) ** 2 >= far, term
+            cases += 1
+    assert cases == 10_000
+
+
+def _reference_distance(values, target):
+    dist = np.full_like(values, np.inf)
+    for lo, hi in target:
+        dist = np.minimum(dist, np.maximum(np.maximum(lo - values, values - hi), 0.0))
+    return dist
+
+
+def _reference_level(problem, boxes, reps):
+    """A level's deviation floors and sample deviations computed condition
+    by condition, with one loop over each condition's target intervals."""
+    points = problem.points
+    cols = [slice(i * points, (i + 1) * points) for i in range(len(problem.names))]
+    rects = {v: tuple(boxes[:, c, k] for k in range(4)) for v, c in zip(problem.names, cols)}
+    values = {v: reps[:, c] for v, c in zip(problem.names, cols)}
+    g_lo, g = np.zeros(boxes.shape[0]), np.zeros(reps.shape[0])
+    for condition in problem.conditions:
+        target = condition.target
+        rect = eval_term(condition.polynomial, rects, problem.algebra, _NP_RECTS)
+        nlo, nhi = (m.max(axis=-1) for m in _np_mod(rect))
+        for _ in range(2):
+            nlo, nhi = np.nextafter(nlo, -np.inf), np.nextafter(nhi, np.inf)
+        nlo = np.maximum(nlo, 0.0)
+        d_lo, d_hi = _reference_distance(nlo, target), _reference_distance(nhi, target)
+        meets = np.zeros(nlo.shape, dtype=bool)
+        for lo, hi in target:
+            meets |= (nlo <= hi) & (lo <= nhi)
+        g_lo = np.maximum(g_lo, np.where(meets, 0.0, np.minimum(d_lo, d_hi)))
+        norms = np.abs(eval_term(condition.polynomial, values, problem.algebra, _NP_VALUES)).max(axis=-1)
+        g = np.maximum(g, _reference_distance(norms, target))
+    return g_lo, g
+
+
+def _random_target(rng):
+    ends = sorted(rng.choice((0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 2.0)) for _ in range(2 * rng.randint(1, 3)))
+    return list(zip(ends[0::2], ends[1::2]))
+
+
+def _random_boxes(rng, problem, count):
+    """Boxes in the sorts' domains, shape (count, slots, 4)."""
+    def rect(sort):
+        if sort == SORT_BALL:
+            return _random_rect(rng)
+        lo = -1.0 if sort == SORT_SA else 0.0
+        return (*sorted(rng.uniform(lo, 1.0) for _ in "ab"), 0.0, 0.0)
+    return np.array([[rect(sort) for sort in problem.sorts for _ in range(problem.points)]
+                     for _ in range(count)])
+
+
+def test_fused_level_equals_per_condition_reference():
+    rng = random.Random(4105)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        algebra = CStarAlgebraFin(n)
+        sorts = {v: rng.choice((SORT_BALL, SORT_SA, SORT_POS)) for v in TERM_NAMES}
+        conditions, wanted = [], rng.randint(1, 4)
+        while len(conditions) < wanted:
+            try:
+                conditions.append(TypeCondition(random_term(rng, n, rng.randint(1, 3)), _random_target(rng)))
+            except PreconditionError:
+                pass  # a variable of degree 2
+        # a variable-free condition: its arrays broadcast over the batch
+        free = TypeCondition(CConst(tuple(complex(rng.uniform(-1, 1), 0.5) for _ in range(n))),
+                             _random_target(rng))
+        conditions.insert(rng.randint(0, len(conditions)), free)
+        problem = _RealizeProblem(tuple(conditions), algebra, sorts)
+        boxes = _random_boxes(rng, problem, rng.randint(1, 30))
+        reps = np.array([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(problem.slots)]
+                         for _ in range(rng.randint(1, 30))])
+        ref_floor, ref_g = _reference_level(problem, boxes, reps)
+        assert problem.deviation_floor(boxes).tolist() == ref_floor.tolist()
+        assert problem.deviation_at(reps).tolist() == ref_g.tolist()
+
+
+def _in_domain(z, sort):
+    """Whether one coordinate lies in the sort's domain, decided exactly."""
+    if sort == SORT_BALL:
+        return _modsq(z.real, z.imag) <= 1
+    return z.imag == 0 and (-1 if sort == SORT_SA else 0) <= Fraction(z.real) <= 1
+
+
+def test_ball_feasibility_and_witnesses_are_decided_exactly():
+    # |1 + 2^-26 i|^2 = 1 + 2^-52 lies outside the disc, though np.hypot
+    # rounds that modulus to 1.0; 1 - 2^-53 + 2^-27 i lies inside it
+    problem = _RealizeProblem((TypeCondition(CVar("x"), [(1.0, 1.0)]),), CStarAlgebraFin(1),
+                              {"x": SORT_BALL})
+    tiny = 2.0**-26
+    boxes = np.array([[(1.0, 1.0, tiny, tiny)], [(1.0, 1.0, 0.0, 0.0)],
+                      [(1 - 2.0**-53, 1.0, tiny / 2, tiny)], [(0.5, 1.0, tiny, 0.5)]])
+    cands, feasible = problem.candidates(boxes)
+    assert feasible.tolist() == [False, True, True, True]
+    assert len(cands) == 2 * 3
+    assert all(_in_domain(z, SORT_BALL) for z in cands.ravel().tolist())
+
+
+def test_candidates_lie_in_their_sorts_domains():
+    rng = random.Random(4106)
+    rims = (0.0, 2.0**-27, 2.0**-26, 0.5, 1 - 2.0**-53, 1 - 2.0**-52, 1.0)
+    for _ in range(80):
+        n = rng.randint(1, 3)
+        names = TERM_NAMES[: rng.randint(1, 3)]
+        sorts = {v: rng.choice((SORT_BALL, SORT_SA, SORT_POS)) for v in names}
+        problem = _RealizeProblem((TypeCondition(CVar(names[0]), [(1.0, 1.0)]),), CStarAlgebraFin(n), sorts)
+        boxes = problem.initial_box()
+        for _ in range(rng.randint(0, 12)):  # a random frontier of dyadic boxes
+            boxes = problem.split(boxes)
+            boxes = boxes[sorted(rng.sample(range(len(boxes)), min(len(boxes), 40)))]
+        slot_sorts = np.repeat(problem.sorts, n)
+        rim = _random_boxes(rng, problem, 20)
+        for box in rim:  # ball rectangles on and around the unit circle
+            for slot, sort in enumerate(slot_sorts):
+                if sort == SORT_BALL:
+                    re, im = sorted(rng.sample(rims, 2)), sorted(rng.sample(rims, 2))
+                    sign = rng.choice((1.0, -1.0))
+                    box[slot] = (re[0], re[1], im[0], im[1]) if sign > 0 else (-re[1], -re[0], im[0], im[1])
+        boxes = np.concatenate([boxes, rim])
+        cands, feasible = problem.candidates(boxes)
+        for box, ok in zip(boxes.tolist(), feasible.tolist()):
+            nearest = [_modsq(min(max(0.0, a), b), min(max(0.0, c), d)) for a, b, c, d in box]
+            assert ok == all(m <= 1 for m, s in zip(nearest, slot_sorts) if s == SORT_BALL), box
+        fewest, most = (2, 2) if all(s == SORT_BALL for s in sorts.values()) else (3, 5)
+        assert fewest * feasible.sum() <= len(cands) <= most * feasible.sum()
+        for row in cands.tolist():
+            assert all(_in_domain(z, s) for z, s in zip(row, slot_sorts)), row
 
 
 # ---------------------------------------------------------------------------
