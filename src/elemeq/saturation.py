@@ -321,7 +321,11 @@ class Inconclusive:
 # in numpy complex values, shape (N, points).  A level is one pass: all
 # conditions' rectangles (values) are stacked, shape (4, C, N, points), and
 # their norm bounds, widened by two floats as np.hypot is not correctly
-# rounded, and their target distances are taken at once.
+# rounded, and their target distances are taken at once.  A pass costs about
+# the same at any batch up to a few hundred boxes, so a level is filled: the
+# boxes popped for it are bisected repeatedly, up to half a batch.
+# Maxima over the short points axis are taken pairwise (``_point_max``), as a
+# numpy reduction over 1-4 entries costs ~10x that many ``np.maximum`` calls.
 # ---------------------------------------------------------------------------
 
 _np_mul, _np_mod = _rect_kernel(lambda *xs: functools.reduce(np.minimum, xs),
@@ -338,9 +342,14 @@ _NP_VALUES = Arith(
 )
 
 
+def _point_max(a):
+    """``a.max(axis=-1)``, as pairwise maxima over the (short) last axis."""
+    return functools.reduce(np.maximum, np.moveaxis(a, -1, 0))
+
+
 def _norm_bounds(rect):
     """Norm bounds (largest modulus over the last axis), widened as ``clogic._abs_iv``."""
-    lo, hi = (m.max(axis=-1) for m in _np_mod(rect))
+    lo, hi = map(_point_max, _np_mod(rect))
     lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
     return np.maximum(np.nextafter(lo, -np.inf), 0.0), np.nextafter(hi, np.inf)
 
@@ -439,7 +448,7 @@ class _RealizeProblem:
         values = np.empty((len(self.conditions), reps.shape[0], self.points), dtype=complex)
         for i, condition in enumerate(self.conditions):
             values[i] = eval_term(condition.polynomial, env, self.algebra, self.values)
-        return self._distance(np.abs(values).max(axis=-1)).max(axis=0)
+        return self._distance(_point_max(np.abs(values))).max(axis=0)
 
     def split(self, boxes):
         """Halve each box along its widest axis (ties: first slot, real
@@ -487,8 +496,13 @@ def realize_type(
     ``Unsatisfiable(epsilon, delta)`` when branch-and-bound proves every
     assignment deviates by at least ``epsilon > tol`` on the listed
     conditions, and ``Inconclusive`` when the box budget runs out first.
-    The search is best first; each level bounds its boxes in one numpy pass
-    and scores witnesses that reach the sorts' boundaries (``candidates``).
+    The search is best first.  Each level pops up to ``_BATCH_SIZE`` boxes,
+    bisects them k = max(1, floor(log2(_BATCH_SIZE / (2 * popped)))) times
+    along their widest axes, so that a level is filled to half a batch even
+    when few boxes survive, bounds the pieces in one numpy pass and scores
+    witnesses that reach the sorts' boundaries (``candidates``).  A level is
+    assessed whole, so ``boxes_used`` can pass ``max_boxes`` by at most one
+    level, fewer than ``2 * _BATCH_SIZE`` boxes.
     """
     conditions = tuple(conditions)
     if not conditions or len(conditions) > MAX_REALIZE_CONDITIONS:
@@ -553,8 +567,10 @@ def realize_type(
             return Unsatisfiable(float(floor), conditions)
         if boxes_used >= max_boxes:
             return Inconclusive(float(best_value), boxes_used)
-        batch = [heapq.heappop(heap)[2] for _ in range(min(_BATCH_SIZE, len(heap)))]
-        assess(problem.split(np.stack(batch)))
+        boxes = np.stack([heapq.heappop(heap)[2] for _ in range(min(_BATCH_SIZE, len(heap)))])
+        for _ in range(max(1, (_BATCH_SIZE // (2 * boxes.shape[0])).bit_length() - 1)):
+            boxes = problem.split(boxes)
+        assess(boxes)
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,13 @@ from elemeq.clogic import (
 from elemeq.cstar import CStarAlgebraFin, c_add, c_mul, c_norm, c_scale, c_star, c_sub
 from elemeq.errors import PreconditionError
 from elemeq.saturation import (
+    _BATCH_SIZE,
     _NP_RECTS,
     _NP_VALUES,
     _RealizeProblem,
     _norm_bounds,
     _np_mod,
+    _point_max,
     NOT_FOUND,
     CylinderElement,
     Inconclusive,
@@ -313,9 +315,9 @@ def test_refute_vanishing_with_unit_norm():
     assert result.delta == tuple(conditions)
 
 
-def _chain_conditions(algebra):
-    lower_step = CConst(algebra.indicator({0}))
-    upper_bound = CConst(algebra.indicator({0, 1}))
+def _chain_conditions(algebra, step=0, top=1):
+    lower_step = CConst(algebra.indicator({step}))
+    upper_bound = CConst(algebra.indicator({step, top}))
     x = CVar("x")
     return [
         TypeCondition(x, [(1.0, 1.0)]),
@@ -333,6 +335,37 @@ def test_refute_chain_bound_conditions():
     result = realize_type(_chain_conditions(algebra), algebra, 0.1)
     assert isinstance(result, Unsatisfiable)
     assert result.epsilon > 0.1
+
+
+def test_chain_refutation_fills_its_levels(monkeypatch):
+    # each level bisects its few surviving boxes up to half a batch, so the
+    # refutation on 4 points takes 6 levels where one bisection per level
+    # took 17, and finds the same floor (sqrt(5)/2 - 1)
+    levels = []
+    floor = _RealizeProblem.deviation_floor
+
+    def counted(self, boxes):
+        levels.append(len(boxes))
+        return floor(self, boxes)
+
+    monkeypatch.setattr(_RealizeProblem, "deviation_floor", counted)
+    algebra = CStarAlgebraFin(4)
+    result = realize_type(_chain_conditions(algebra), algebra, 0.1)
+    assert isinstance(result, Unsatisfiable)
+    assert result.epsilon > 0.1 and result.epsilon == pytest.approx(0.1180339887, abs=1e-9)
+    assert len(levels) <= 8
+    assert max(levels) <= 2 * _BATCH_SIZE
+
+
+def test_chain_type_met_only_at_isolated_points_is_realized():
+    # the least deviation equals tol and is attained only at isolated dyadic
+    # points such as x = (-0.75i, 0.75, 0.75); levels of up to _BATCH_SIZE
+    # popped boxes reach one, where levels of half as many ran out of budget
+    algebra = CStarAlgebraFin(3)
+    conditions = _chain_conditions(algebra, step=1, top=2)
+    result = realize_type(conditions, algebra, 0.25, max_boxes=20_000)
+    assert isinstance(result, Realized)
+    assert _independent_deviation(conditions, result.assignment, algebra) <= 0.25
 
 
 def _orthogonality_conditions(names):
@@ -403,6 +436,18 @@ def test_budget_exhaustion_is_inconclusive():
     )
     assert isinstance(result, Inconclusive)
     assert result.boxes_used >= 8
+
+
+def test_budget_is_passed_by_at_most_one_level():
+    # a level is assessed whole, and one level assesses fewer than
+    # 2 * _BATCH_SIZE boxes
+    algebra = CStarAlgebraFin(2)
+    names = ["x0", "x1", "x2"]
+    for budget in (8, 100, 1000):
+        result = realize_type(_orthogonality_conditions(names), algebra, 0.25,
+                              sorts={n: SORT_POS for n in names}, max_boxes=budget)
+        assert isinstance(result, Inconclusive), budget
+        assert budget <= result.boxes_used < budget + 2 * _BATCH_SIZE, budget
 
 
 def test_realize_preconditions():
@@ -520,6 +565,30 @@ def test_batched_rectangles_equal_scalar_rectangles_per_box():
     for rect, bounds in zip(edges, batched):
         assert _rect_mod(rect) == _clipped_moduli(rect), rect
         assert bounds == libm_mod(rect) and _within_ulp(bounds, _rect_mod(rect)), rect
+
+
+def test_pairwise_point_max_equals_max_over_the_last_axis():
+    # exact ties, signed zeros and infinities included; on floats and on the
+    # moduli of complex values, for 1-4 points
+    rng = np.random.default_rng(4107)
+    ends = np.array([-0.0, 0.0, 0.25, 0.5, 1.0, -1.0, np.inf])
+    for points in range(1, 5):
+        shape = (rng.integers(1, 6), rng.integers(1, 300), points)
+        grid = rng.choice(ends, shape)
+        noise = np.where(rng.random(shape) < 0.5, rng.uniform(-2, 2, shape), grid)
+        moduli = []
+        for re, im in ((grid, rng.choice(ends, shape)), (noise, rng.uniform(-1, 1, shape))):
+            z = re.astype(complex)
+            z.imag = im
+            moduli.append(np.abs(z))
+        for a in (grid, noise, *moduli):
+            got = _point_max(a)
+            assert got.shape == a.shape[:-1]
+            assert (got == a.max(axis=-1)).all(), points
+    # so _norm_bounds is the widened .max(axis=-1) on the 10,000-box parity batches
+    for term, algebra, boxes, batch in _parity_batches(random.Random(4104)):
+        for m in _np_mod(eval_term(term, batch, algebra, _NP_RECTS)):
+            assert np.array_equal(_point_max(m), m.max(axis=-1)), term
 
 
 def _modsq(re, im):
