@@ -9,7 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from elemeq.boolalg import Eq, Forall, TMeet, TVar, sentence_corpus
+from elemeq.boolalg import (
+    And,
+    Eq,
+    Forall,
+    Implies,
+    Or,
+    TCompl,
+    TJoin,
+    TMeet,
+    TVar,
+    sentence_corpus,
+)
 from elemeq.clogic import (
     CAdd,
     CConst,
@@ -150,6 +161,24 @@ def test_parse_fo_connectives_and_precedence():
     # -> binds loosest: (A & A) -> A
     assert type(phi.body).__name__ == "Implies"
     assert type(phi.body.left).__name__ == "And"
+    a, b, c = (Eq(TVar(v), TVar(v)) for v in "abc")
+    x, y, z = TVar("x"), TVar("y"), TVar("z")
+
+    def body(text):
+        return parse_fo_formula("forall a. forall b. forall c. " + text).body.body.body
+
+    def term(text):
+        return parse_fo_formula(f"forall x. forall y. forall z. {text} = 0").body.body.body.left
+
+    # -> nests to the right; the other connectives and operators to the left.
+    assert body("a = a -> b = b -> c = c") == Implies(a, Implies(b, c))
+    assert body("a = a | b = b | c = c") == Or(Or(a, b), c)
+    assert body("a = a & b = b & c = c") == And(And(a, b), c)
+    assert term("x \\/ y \\/ z") == TJoin(TJoin(x, y), z)
+    # & binds tighter than |, /\ tighter than \/, and ~ tighter than /\.
+    assert body("a = a | b = b & c = c") == Or(a, And(b, c))
+    assert term("x \\/ y /\\ z") == TJoin(x, TMeet(y, z))
+    assert term("~x /\\ y") == TMeet(TCompl(x), y)
 
 
 def test_parse_fo_shadowing_and_nested_quantifiers():
