@@ -149,20 +149,24 @@ def _check_descriptor(d) -> None:
         raise PreconditionError(f"not a descriptor: {d!r}")
 
 
+#: Surface names of the descriptors without parameters; the CLI's
+#: ``parse_descriptor`` reads them from here.
+_NAMED_DESCRIPTORS = {
+    "trivial": Trivial,
+    "fincof": FinCof,
+    "P(omega)": PowersetOmega,
+    "P(omega)/fin": PowersetModFin,
+    "free": FreeAtomless,
+}
+
+
 def format_descriptor(d) -> str:
     """Render a descriptor in the surface grammar used by the CLI."""
-    if isinstance(d, Trivial):
-        return "trivial"
+    for name, kind in _NAMED_DESCRIPTORS.items():
+        if isinstance(d, kind):
+            return name
     if isinstance(d, Finite):
         return f"finite({d.atoms})"
-    if isinstance(d, FinCof):
-        return "fincof"
-    if isinstance(d, PowersetOmega):
-        return "P(omega)"
-    if isinstance(d, PowersetModFin):
-        return "P(omega)/fin"
-    if isinstance(d, FreeAtomless):
-        return "free"
     if isinstance(d, IntervalAlgebra):
         return f"intalg({cnf_string(d.alpha)})"
     if isinstance(d, Product):

@@ -17,6 +17,7 @@ precondition-violating input, 3 = a semantic negative (``NotFound`` /
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import random
 import re
@@ -25,14 +26,10 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from elemeq.batheory import (
-    FinCof,
+    _NAMED_DESCRIPTORS,
     Finite,
-    FreeAtomless,
     IntervalAlgebra,
-    PowersetModFin,
-    PowersetOmega,
     Product,
-    Trivial,
     ba_equiv,
     classification_conflict,
     derivative_chain,
@@ -251,20 +248,30 @@ def _parse_ordinal_exponent(stream: _TokenStream) -> Ordinal:
 # ---------------------------------------------------------------------------
 # Classical formula grammar (infix)
 #
-#   formula := 'forall' v '.' formula | 'exists' v '.' formula | implication
-#   implication := disjunct ('->' implication)?
-#   disjunct := conjunct ('|' conjunct)*
-#   conjunct := unit ('&' unit)*
+#   formula := 'forall' v '.' formula | 'exists' v '.' formula | chain
+#   chain := unit, joined by the connectives '->' (right-associative),
+#            then '|', then '&' (left-associative), loosest first
 #   unit := '!' unit | atom | '(' formula ')'
 #   atom := term ('=' | '<=') term
-#   term := tjoin;  tjoin := tmeet ('\/' tmeet)*
-#   tmeet := tunit ('/\' tunit)*;  tunit := '~' tunit | '(' term ')' | '0' | '1' | var
+#   term := tunit, joined by '\/', then '/\' (left-associative)
+#   tunit := '~' tunit | '(' term ')' | '0' | '1' | var
 #
-# Every variable must be bound by an enclosing quantifier.
+# Every variable must be bound by an enclosing quantifier.  The parser and
+# format_fo read the same vocabulary tables.
 # ---------------------------------------------------------------------------
 
 _FO_PATTERN = re.compile(r"->|<=|/\\|\\/|[A-Za-z_][A-Za-z0-9_]*|[=&|!~().01]")
-_FO_KEYWORDS = {"forall", "exists"}
+_FO_QUANTIFIERS = {"forall": Forall, "exists": Exists}
+_FO_RELATIONS = {"=": Eq, "<=": Le}
+#: Precedence tables, loosest first: (token, node, right-associative).
+_FO_CONNECTIVES = (("->", Implies, True), ("|", Or, False), ("&", And, False))
+_TERM_OPERATORS = (("\\/", TJoin, False), ("/\\", TMeet, False))
+#: Node type -> token, for the formatters.
+_FO_TOKEN = {
+    node: token
+    for token, node, *_ in (*_FO_QUANTIFIERS.items(), *_FO_RELATIONS.items(), *_FO_CONNECTIVES)
+}
+_TERM_TOKEN = {node: token for token, node, _ in _TERM_OPERATORS}
 
 
 def parse_fo_formula(text: str):
@@ -278,45 +285,34 @@ def parse_fo_formula(text: str):
 def _is_variable(token) -> bool:
     return (
         token is not None
-        and token not in _FO_KEYWORDS
+        and token not in _FO_QUANTIFIERS
         and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", token) is not None
     )
 
 
 def _parse_fo(stream: _TokenStream, bound: list):
-    if stream.peek() in _FO_KEYWORDS:
-        kind = stream.advance()
+    if stream.peek() in _FO_QUANTIFIERS:
+        node = _FO_QUANTIFIERS[stream.advance()]
         var = stream.peek()
         if not _is_variable(var):
             raise ParseError("expected a variable after quantifier", position=stream.position())
         stream.advance()
         stream.expect(".")
-        body = _parse_fo(stream, bound + [var])
-        return Forall(var, body) if kind == "forall" else Exists(var, body)
-    return _parse_implication(stream, bound)
+        return node(var, _parse_fo(stream, bound + [var]))
+    return _parse_chain(stream, bound, _FO_CONNECTIVES, _parse_unit)
 
 
-def _parse_implication(stream: _TokenStream, bound: list):
-    left = _parse_disjunct(stream, bound)
-    if stream.peek() == "->":
+def _parse_chain(stream: _TokenStream, bound: list, table: tuple, unit, level: int = 0):
+    """Parse operators ``table[level:]`` (loosest first) over ``unit``."""
+    if level == len(table):
+        return unit(stream, bound)
+    token, node, right_assoc = table[level]
+    left = _parse_chain(stream, bound, table, unit, level + 1)
+    while stream.peek() == token:
         stream.advance()
-        return Implies(left, _parse_implication(stream, bound))
-    return left
-
-
-def _parse_disjunct(stream: _TokenStream, bound: list):
-    left = _parse_conjunct(stream, bound)
-    while stream.peek() == "|":
-        stream.advance()
-        left = Or(left, _parse_conjunct(stream, bound))
-    return left
-
-
-def _parse_conjunct(stream: _TokenStream, bound: list):
-    left = _parse_unit(stream, bound)
-    while stream.peek() == "&":
-        stream.advance()
-        left = And(left, _parse_unit(stream, bound))
+        if right_assoc:
+            return node(left, _parse_chain(stream, bound, table, unit, level))
+        left = node(left, _parse_chain(stream, bound, table, unit, level + 1))
     return left
 
 
@@ -325,7 +321,7 @@ def _parse_unit(stream: _TokenStream, bound: list):
     if token == "!":
         stream.advance()
         return Not(_parse_unit(stream, bound))
-    if token in _FO_KEYWORDS:
+    if token in _FO_QUANTIFIERS:
         return _parse_fo(stream, bound)
     saved = stream.index
     try:
@@ -341,29 +337,13 @@ def _parse_unit(stream: _TokenStream, bound: list):
 
 
 def _parse_atom(stream: _TokenStream, bound: list):
-    left = _parse_term(stream, bound)
+    left = _parse_chain(stream, bound, _TERM_OPERATORS, _parse_term_unit)
     rel = stream.peek()
-    if rel not in ("=", "<="):
+    if rel not in _FO_RELATIONS:
         raise ParseError("expected '=' or '<=' in an atom", position=stream.position())
     stream.advance()
-    right = _parse_term(stream, bound)
-    return Eq(left, right) if rel == "=" else Le(left, right)
-
-
-def _parse_term(stream: _TokenStream, bound: list):
-    left = _parse_term_meet(stream, bound)
-    while stream.peek() == "\\/":
-        stream.advance()
-        left = TJoin(left, _parse_term_meet(stream, bound))
-    return left
-
-
-def _parse_term_meet(stream: _TokenStream, bound: list):
-    left = _parse_term_unit(stream, bound)
-    while stream.peek() == "/\\":
-        stream.advance()
-        left = TMeet(left, _parse_term_unit(stream, bound))
-    return left
+    right = _parse_chain(stream, bound, _TERM_OPERATORS, _parse_term_unit)
+    return _FO_RELATIONS[rel](left, right)
 
 
 def _parse_term_unit(stream: _TokenStream, bound: list):
@@ -373,7 +353,7 @@ def _parse_term_unit(stream: _TokenStream, bound: list):
         return TCompl(_parse_term_unit(stream, bound))
     if token == "(":
         stream.advance()
-        inner = _parse_term(stream, bound)
+        inner = _parse_chain(stream, bound, _TERM_OPERATORS, _parse_term_unit)
         stream.expect(")")
         return inner
     if token == "0":
@@ -392,23 +372,16 @@ def _parse_term_unit(stream: _TokenStream, bound: list):
 
 def format_fo(phi) -> str:
     """Canonical infix rendering; ``parse_fo_formula`` inverts it exactly."""
-    if isinstance(phi, Forall):
-        return f"forall {phi.var}. {format_fo(phi.body)}"
-    if isinstance(phi, Exists):
-        return f"exists {phi.var}. {format_fo(phi.body)}"
+    token = _FO_TOKEN.get(type(phi))
+    if isinstance(phi, (Forall, Exists)):
+        return f"{token} {phi.var}. {format_fo(phi.body)}"
     if isinstance(phi, Not):
         return f"!({format_fo(phi.arg)})"
-    if isinstance(phi, And):
-        return f"({format_fo(phi.left)} & {format_fo(phi.right)})"
-    if isinstance(phi, Or):
-        return f"({format_fo(phi.left)} | {format_fo(phi.right)})"
-    if isinstance(phi, Implies):
-        return f"({format_fo(phi.left)} -> {format_fo(phi.right)})"
-    if isinstance(phi, Eq):
-        return f"{_format_bterm(phi.left)} = {_format_bterm(phi.right)}"
-    if isinstance(phi, Le):
-        return f"{_format_bterm(phi.left)} <= {_format_bterm(phi.right)}"
-    raise PreconditionError(f"cannot format {type(phi).__name__}")
+    if isinstance(phi, (Eq, Le)):
+        return f"{_format_bterm(phi.left)} {token} {_format_bterm(phi.right)}"
+    if token is None:
+        raise PreconditionError(f"cannot format {type(phi).__name__}")
+    return f"({format_fo(phi.left)} {token} {format_fo(phi.right)})"
 
 
 def _format_bterm(t) -> str:
@@ -418,13 +391,12 @@ def _format_bterm(t) -> str:
         return "0"
     if isinstance(t, TOne):
         return "1"
-    if isinstance(t, TMeet):
-        return f"({_format_bterm(t.left)} /\\ {_format_bterm(t.right)})"
-    if isinstance(t, TJoin):
-        return f"({_format_bterm(t.left)} \\/ {_format_bterm(t.right)})"
     if isinstance(t, TCompl):
         return f"~{_format_bterm(t.arg)}"
-    raise PreconditionError(f"cannot format {type(t).__name__}")
+    token = _TERM_TOKEN.get(type(t))
+    if token is None:
+        raise PreconditionError(f"cannot format {type(t).__name__}")
+    return f"({_format_bterm(t.left)} {token} {_format_bterm(t.right)})"
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +411,32 @@ _SORT_KEYWORDS = {
     ":proj": SORT_PROJ,
 }
 _CVAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+#: Head vocabularies: the parsers dispatch on the node a head names, and the
+#: formatters look the head up by node type.
+_CFORM_BINARY = {"plus": FPlus, "tsub": FTruncSub, "max": FMax, "min": FMin, "absdiff": FAbsDiff}
+_CFORM_HEADS = {
+    "norm": FNorm, "fconst": FConst, "fscale": FScale, "sup": FSup, "inf": FInf, **_CFORM_BINARY
+}
+_CTERM_BINARY = {"+": CAdd, "-": CSub, "*": CMul}
+_CTERM_HEADS = {"star": CStar, "scale": CScale, "const": CConst, **_CTERM_BINARY}
+_CFORM_HEAD = {node: head for head, node in _CFORM_HEADS.items()}
+_CTERM_HEAD = {node: head for head, node in _CTERM_HEADS.items()}
+
+
+def _finite_complex(text: str):
+    """``complex(text)``, or None when the text is malformed or not finite."""
+    try:
+        value = complex(text)
+    except ValueError:
+        return None
+    return value if cmath.isfinite(value) else None
 
 
 def _parse_complex(token: str, position: int) -> complex:
-    try:
-        return complex(token)
-    except ValueError:
-        raise ParseError(f"expected a complex literal, got {token!r}", position=position) from None
+    value = _finite_complex(token)
+    if value is None:
+        raise ParseError(f"expected a complex literal, got {token!r}", position=position)
+    return value
 
 
 def _parse_real(token: str, position: int) -> float:
@@ -479,25 +470,25 @@ def _parse_cform(stream: _TokenStream):
     stream.advance()
     head_pos = stream.position()
     head = stream.advance() if stream.peek() is not None else None
-    binary = {"plus": FPlus, "tsub": FTruncSub, "max": FMax, "min": FMin, "absdiff": FAbsDiff}
-    if head in binary:
+    node = _CFORM_HEADS.get(head)
+    if head in _CFORM_BINARY:
         left, right = _parse_cform(stream), _parse_cform(stream)
         stream.expect(")")
-        return binary[head](left, right)
-    if head == "norm":
+        return node(left, right)
+    if node is FNorm:
         term = _parse_cterm(stream)
         stream.expect(")")
         return FNorm(term)
-    if head == "fconst":
+    if node is FConst:
         value = _parse_real(stream.advance() if stream.peek() else "", stream.position())
         stream.expect(")")
         return FConst(value)
-    if head == "fscale":
+    if node is FScale:
         scalar = _parse_real(stream.advance() if stream.peek() else "", stream.position())
         body = _parse_cform(stream)
         stream.expect(")")
         return FScale(scalar, body)
-    if head in ("sup", "inf"):
+    if node in (FSup, FInf):
         var = stream.advance() if stream.peek() else None
         if var is None or not _CVAR_RE.fullmatch(var):
             raise ParseError("expected a variable after quantifier", position=stream.position())
@@ -508,7 +499,6 @@ def _parse_cform(stream: _TokenStream):
             )
         body = _parse_cform(stream)
         stream.expect(")")
-        node = FSup if head == "sup" else FInf
         return node(var, _SORT_KEYWORDS[sort_token], body)
     raise ParseError(f"unknown formula head {head!r}", position=head_pos)
 
@@ -529,21 +519,21 @@ def _parse_cterm(stream: _TokenStream):
     stream.advance()
     head_pos = stream.position()
     head = stream.advance() if stream.peek() is not None else None
-    binary = {"+": CAdd, "-": CSub, "*": CMul}
-    if head in binary:
+    node = _CTERM_HEADS.get(head)
+    if head in _CTERM_BINARY:
         left, right = _parse_cterm(stream), _parse_cterm(stream)
         stream.expect(")")
-        return binary[head](left, right)
-    if head == "star":
+        return node(left, right)
+    if node is CStar:
         arg = _parse_cterm(stream)
         stream.expect(")")
         return CStar(arg)
-    if head == "scale":
+    if node is CScale:
         scalar = _parse_complex(stream.advance() if stream.peek() else "", stream.position())
         arg = _parse_cterm(stream)
         stream.expect(")")
         return CScale(scalar, arg)
-    if head == "const":
+    if node is CConst:
         values = []
         while stream.peek() is not None and stream.peek() != ")":
             values.append(_parse_complex(stream.advance(), stream.position()))
@@ -565,31 +555,28 @@ def format_cterm(term) -> str:
         return "0"
     if isinstance(term, COne):
         return "1"
+    head = _CTERM_HEAD[type(term)]
     if isinstance(term, CConst):
-        return "(const " + " ".join(_complex_str(v) for v in term.values) + ")"
+        return f"({head} " + " ".join(_complex_str(v) for v in term.values) + ")"
     if isinstance(term, CStar):
-        return f"(star {format_cterm(term.arg)})"
+        return f"({head} {format_cterm(term.arg)})"
     if isinstance(term, CScale):
-        return f"(scale {_complex_str(term.scalar)} {format_cterm(term.arg)})"
-    symbol = {CAdd: "+", CSub: "-", CMul: "*"}[type(term)]
-    return f"({symbol} {format_cterm(term.left)} {format_cterm(term.right)})"
+        return f"({head} {_complex_str(term.scalar)} {format_cterm(term.arg)})"
+    return f"({head} {format_cterm(term.left)} {format_cterm(term.right)})"
 
 
 def format_cformula(phi) -> str:
     """Canonical s-expression rendering; ``parse_cformula`` inverts it."""
+    head = _CFORM_HEAD[type(phi)]
     if isinstance(phi, FNorm):
-        return f"(norm {format_cterm(phi.term)})"
+        return f"({head} {format_cterm(phi.term)})"
     if isinstance(phi, FConst):
-        return f"(fconst {phi.value!r})"
+        return f"({head} {phi.value!r})"
     if isinstance(phi, FScale):
-        return f"(fscale {phi.scalar!r} {format_cformula(phi.arg)})"
+        return f"({head} {phi.scalar!r} {format_cformula(phi.arg)})"
     if isinstance(phi, (FSup, FInf)):
-        head = "sup" if isinstance(phi, FSup) else "inf"
         return f"({head} {phi.var} :{phi.sort} {format_cformula(phi.body)})"
-    symbol = {FPlus: "plus", FTruncSub: "tsub", FMax: "max", FMin: "min", FAbsDiff: "absdiff"}[
-        type(phi)
-    ]
-    return f"({symbol} {format_cformula(phi.left)} {format_cformula(phi.right)})"
+    return f"({head} {format_cformula(phi.left)} {format_cformula(phi.right)})"
 
 
 # ---------------------------------------------------------------------------
@@ -600,15 +587,8 @@ def format_cformula(phi) -> str:
 def parse_descriptor(text: str):
     """Parse a Boolean-algebra descriptor in ``format_descriptor`` syntax."""
     text = text.strip()
-    fixed = {
-        "trivial": Trivial(),
-        "fincof": FinCof(),
-        "P(omega)": PowersetOmega(),
-        "P(omega)/fin": PowersetModFin(),
-        "free": FreeAtomless(),
-    }
-    if text in fixed:
-        return fixed[text]
+    if text in _NAMED_DESCRIPTORS:
+        return _NAMED_DESCRIPTORS[text]()
     match = re.fullmatch(r"finite\((\d+)\)", text)
     if match:
         return Finite(int(match.group(1)))
@@ -642,11 +622,10 @@ def parse_element(text: str) -> tuple:
     parts = text.split(",")
     values = []
     for part in parts:
-        cleaned = part.strip().replace(" ", "")
-        try:
-            values.append(complex(cleaned))
-        except ValueError:
-            raise ParseError(f"bad complex value {part.strip()!r}") from None
+        value = _finite_complex(part.strip().replace(" ", ""))
+        if value is None:
+            raise ParseError(f"bad complex value {part.strip()!r}")
+        values.append(value)
     if not values:
         raise ParseError("an element needs at least one value")
     return tuple(values)

@@ -210,8 +210,8 @@ class FScale:
     arg: object
 
     def __post_init__(self) -> None:
-        if self.scalar < 0:
-            raise PreconditionError("formula scaling must be nonnegative")
+        if not 0 <= self.scalar < math.inf:
+            raise PreconditionError("formula scaling must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -581,11 +581,16 @@ def _initial_box(sort: str, n: int) -> tuple:
     raise PreconditionError(f"sort {sort!r} has no box domain")
 
 
+#: Half-width of the band around 1 inside which a float sum of squares
+#: cannot decide disc membership; ``_onto_disc`` pulls points just inside it.
+_DISC_BAND = 2.0**-50
+
+
 def _in_disc(re: float, im: float) -> bool:
     """Whether re + i im lies in the closed unit disc, decided exactly: the
     float sum of squares is within 3 ulps of the exact one."""
     square = re * re + im * im
-    if abs(square - 1) > 2.0**-50:
+    if abs(square - 1) > _DISC_BAND:
         return square < 1
     from fractions import Fraction  # rarely needed; spares every process its import
 
@@ -596,7 +601,7 @@ def _onto_disc(re: float, im: float) -> complex:
     """re + i im if it lies in the unit disc, else a point of the disc on the
     segment from it to the origin, within a few ulps of the unit circle."""
     if not _in_disc(re, im):
-        shrink = (1 - 2.0**-50) / math.hypot(re, im)
+        shrink = (1 - _DISC_BAND) / math.hypot(re, im)
         re, im = re * shrink, im * shrink
         while not _in_disc(re, im):
             re, im = math.nextafter(re, 0.0), math.nextafter(im, 0.0)
@@ -727,8 +732,14 @@ def _branch_and_bound(phi, env, algebra, tol, state):
     """
     is_sup = isinstance(phi, FSup)
     sign = -1.0 if is_sup else 1.0  # heap pops the blocking box first
-    lip = formula_modulus(phi.body, phi.var, algebra,
-                          dict.fromkeys(cformula_free_vars(phi) | {phi.var}, 1.0))
+    # sort values lie in the unit ball; a point (a parameter, a projection, an
+    # outer witness) is bounded by its own norm, which may exceed 1
+    bounds = {phi.var: 1.0}
+    for name in cformula_free_vars(phi):
+        rects = env[name]
+        point = all(r[0] == r[1] and r[2] == r[3] for r in rects)
+        bounds[name] = max(_abs_iv(r)[1] for r in rects) if point else 1.0
+    lip = formula_modulus(phi.body, phi.var, algebra, bounds)
     nested = any(r[1] - r[0] > 0 or r[3] - r[2] > 0 for box in env.values() for r in box)
 
     def assess(box, depth):
@@ -894,7 +905,7 @@ def ceval(
     every search returns its current enclosure, and a result still wider
     than ``tol`` raises a resource error carrying it as ``best_known``.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise PreconditionError("the tolerance must be positive")
     if algebra.point_count > MAX_CEVAL_POINTS:
         raise PreconditionError(

@@ -13,6 +13,7 @@ finite dimensions.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -80,6 +81,8 @@ class CStarAlgebraFin:
             raise PreconditionError(
                 f"element needs {self.point_count} coordinates, got {len(vals)}"
             )
+        if not all(map(cmath.isfinite, vals)):
+            raise PreconditionError("element coordinates must be finite")
         return vals
 
 

@@ -8,8 +8,8 @@ with exponents e1 > e2 > ... > ek (themselves ordinals) and integer
 coefficients ci >= 1.  Zero is the empty sum.  The representation is
 canonical, so structural equality is ordinal equality.
 
-The module is pure data plus algorithms: text parsing and printing live
-in :mod:`elemeq.cli`.
+The module is pure data plus algorithms, and :func:`cnf_string` prints
+the normal form; parsing the text back lives in :mod:`elemeq.cli`.
 
 Two linear orders with only < in the signature satisfy the same
 sentences exactly when their ordinals agree modulo w^w in the refined

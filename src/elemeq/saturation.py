@@ -38,6 +38,7 @@ from elemeq.clogic import (
     SORT_POS,
     SORT_SA,
     Arith,
+    _DISC_BAND,
     _in_disc,
     _initial_box,
     _onto_disc,
@@ -355,17 +356,17 @@ def _norm_bounds(rect):
 
 
 def _in_disc_np(re, im):
-    """``clogic._in_disc`` elementwise: exact inside the 2^-50 band around 1."""
+    """``clogic._in_disc`` elementwise: exact inside the ``_DISC_BAND`` around 1."""
     square = re * re + im * im
-    inside, band = square < 1.0, np.abs(square - 1.0) <= 2.0**-50
+    inside, band = square < 1.0, np.abs(square - 1.0) <= _DISC_BAND
     inside[band] = list(map(_in_disc, re[band].tolist(), im[band].tolist()))
     return inside
 
 
 def _onto_disc_np(re, im):
     """re + i im, pulled radially into the unit disc unless certainly in it."""
-    rim = re * re + im * im >= 1 - 2.0**-50
-    shrink = np.where(rim, (1 - 2.0**-50) / np.maximum(np.hypot(re, im), 1.0), 1.0)
+    rim = re * re + im * im >= 1 - _DISC_BAND
+    shrink = np.where(rim, (1 - _DISC_BAND) / np.maximum(np.hypot(re, im), 1.0), 1.0)
     points = re * shrink + 1j * (im * shrink)
     missed = ~_in_disc_np(points.real, points.imag)
     points[missed] = [_onto_disc(z.real, z.imag) for z in points[missed].tolist()]
@@ -385,7 +386,8 @@ class _RealizeProblem:
         slot_sorts = np.repeat(self.sorts, self.points)
         self.ball = np.flatnonzero(slot_sorts == SORT_BALL)
         self.real = np.flatnonzero(slot_sorts != SORT_BALL)
-        self.floor = np.where(slot_sorts[self.real] == SORT_SA, -1.0, 0.0)
+        # the real sorts' domain ends, per real slot
+        self.floor, self.ceiling = self.initial_box()[0, self.real, :2].T
         width = max(len(c.target) for c in conditions)
         ends = np.array([c.target + c.target[-1:] * (width - len(c.target)) for c in conditions])
         self.t_lo, self.t_hi = ends[..., :1], ends[..., 1:]
@@ -424,7 +426,7 @@ class _RealizeProblem:
         if self.real.size:
             lo, hi = boxes[:, self.real, 0], boxes[:, self.real, 1]
             mid = (lo + hi) / 2.0
-            up, down = hi == 1.0, lo == self.floor
+            up, down = hi == self.ceiling, lo == self.floor
             cands[:, :, self.real] = [mid, lo, hi, np.where(up, hi, np.where(down, lo, mid)),
                                       np.where(down, lo, np.where(up, hi, mid))]
             snapped = (up | down).any(axis=1) | bool(self.ball.size)

@@ -319,6 +319,9 @@ def test_parse_descriptor_rejects_malformed(text):
 
 def test_parse_element_and_target():
     assert parse_element("1+2j, 0.5, -1j") == (1 + 2j, 0.5 + 0j, -1j)
+    for text in ("nan", "1, inf", "-infj", "1e400"):
+        with pytest.raises(ParseError, match="bad complex value"):
+            parse_element(text)
     assert parse_target("[0,1]|{2}") == ((0.0, 1.0), (2.0, 2.0))
     assert parse_target("{1/2}") == ((0.5, 0.5),)
     with pytest.raises(ParseError):
@@ -478,6 +481,35 @@ def test_cli_ceval_with_parameter(capsys):
     payload = json.loads(out)
     assert code == EXIT_OK
     assert abs(payload["certificate"]["lower"] - 2.0) <= 1e-6
+
+
+def test_cli_ceval_encloses_the_value_under_a_large_parameter(capsys):
+    # min over x of max(|10x - 1|, |10x - 3|) is 1, at x = 0.2 only
+    phi = "(inf x :sa (max (norm (- (* c x) (const 1))) (norm (- (* c x) (const 3)))))"
+    code, out, _ = run_cli(
+        capsys, ["ceval", phi, "--points", "1", "--tol", "0.001", "--param", "c=10", "--json"]
+    )
+    certificate = json.loads(out)["certificate"]
+    assert code == EXIT_OK
+    assert certificate["lower"] <= 1 <= certificate["upper"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["(sup x :sa (norm x))", "--tol", "nan"],
+        ["(norm c)", "--param", "c=nan"],
+        ["(sup x :sa (norm (- x c)))", "--param", "c=inf"],
+        ["(sup x :sa (norm (- x c)))", "--param", "c=1e400"],
+        ["(norm (scale nan 1))"],
+        ["(norm (const infj))"],
+        ["(fscale nan (norm 1))"],
+    ],
+)
+def test_cli_ceval_rejects_non_finite_input(capsys, argv):
+    code, out, err = run_cli(capsys, ["ceval", *argv[:1], "--points", "1", *argv[1:]])
+    assert code == EXIT_PARSE
+    assert out == "" and err and "Traceback" not in err
 
 
 def test_cli_jspec(capsys):

@@ -85,8 +85,9 @@ def test_free_variables():
 def test_node_validation():
     with pytest.raises(PreconditionError):
         FConst(1.5)
-    with pytest.raises(PreconditionError):
-        FScale(-1.0, FConst(0.0))
+    for scalar in (-1.0, math.nan, math.inf):
+        with pytest.raises(PreconditionError):
+            FScale(scalar, FConst(0.0))
     with pytest.raises(PreconditionError):
         FSup("x", "unitary", FConst(0.0))
 
@@ -190,6 +191,27 @@ def test_ceval_preconditions():
         ceval(FConst(0.0), A, {}, 0.0)
     with pytest.raises(PreconditionError):
         ceval(FConst(0.0), CStarAlgebraFin(7), {}, 1e-6)
+    with pytest.raises(PreconditionError):
+        ceval(FSup("x", SORT_SA, FNorm(CVar("x"))), A, {}, math.nan)
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf), complex(math.nan, 1.0)):
+        with pytest.raises(PreconditionError):
+            A.element((0j, bad))
+        with pytest.raises(PreconditionError):
+            ceval(FSup("x", SORT_SA, FNorm(CSub(CVar("x"), CVar("c")))), A, {"c": (bad, 0j)})
+
+
+def test_ceval_cone_bounds_a_parameter_by_its_norm():
+    # min over x of max(|cx - 1|, |cx - 3|) with c = 10 is 1, at x = 0.2
+    # only; bounding c by 1 in the Lipschitz cone cut that value off.
+    A = CStarAlgebraFin(1)
+    cx = CMul(CVar("c"), CVar("x"))
+    phi = FInf("x", SORT_SA, FMax(FNorm(CSub(cx, CConst((1,)))), FNorm(CSub(cx, CConst((3,))))))
+    cert = ceval(phi, A, {"c": (10,)}, 1e-3)
+    assert cert.lower <= 1 <= cert.upper and cert.width() <= 1e-3
+    scaled = FInf("x", SORT_SA, FMax(*(FNorm(CSub(CScale(10, CVar("x")), CConst((k,))))
+                                       for k in (1, 3))))
+    cert = ceval(scaled, A, {}, 1e-3)
+    assert cert.lower <= 1 <= cert.upper
 
 
 def test_ceval_deterministic():
@@ -419,7 +441,9 @@ def test_nested_enclosures_are_sound_and_agree_across_tolerances():
         term = random_term(rng, n, rng.randint(1, 2))
         while not {"x", "y"} <= term_free_vars(term):
             term = random_term(rng, n, rng.randint(1, 2))
-        params, phi = {"z": random_element(rng, n)}, q1("x", s1, q2("y", s2, FNorm(term)))
+        # parameter norms up to ~10: the Lipschitz cone must bound z by its norm
+        z = tuple(rng.choice((1, 3, 7)) * v for v in random_element(rng, n))
+        params, phi = {"z": z}, q1("x", s1, q2("y", s2, FNorm(term)))
         certs = []
         for tol in (0.05, 1e-3):
             try:

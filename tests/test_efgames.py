@@ -15,13 +15,7 @@ from hypothesis import strategies as st
 
 from elemeq import efgames
 from elemeq.boolalg import FiniteBoolAlg, fo_eval, quantifier_rank, sentence_corpus
-from elemeq.efgames import (
-    GamePosition,
-    duplicator_wins,
-    ef_finite_bas,
-    ef_finite_orders,
-    ef_ordinals,
-)
+from elemeq.efgames import ef_finite_bas, ef_finite_orders, ef_ordinals
 from elemeq.errors import PreconditionError, ResourceBudgetError
 from elemeq.ordinals import (
     OMEGA,
@@ -34,6 +28,7 @@ from elemeq.ordinals import (
     ord_add,
     ord_mul,
 )
+from oracle_games import GamePosition, duplicator_wins
 from util import below_omega_cubed, mk, nat, osum, w
 
 
