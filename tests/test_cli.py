@@ -294,6 +294,35 @@ def test_cformula_print_parse_identity_on_translated_corpus():
         assert parse_cformula(format_cformula(translated)) == translated
 
 
+def test_format_cformula_pinned_strings():
+    text = (
+        "(max (sup x :ball (norm (star x))) "
+        "(min (inf y :sa (norm (+ y 1))) "
+        "(plus (tsub (fconst 1) (fscale 2.5 (norm 0))) "
+        "(absdiff (sup z :pos (norm (scale 2j z))) "
+        "(inf q :proj (norm (* q (const 1 0))))))))"
+    )
+    assert format_cformula(parse_cformula(text)) == (
+        "(max (sup x :ball (norm (star x))) "
+        "(min (inf y :sa (norm (+ y 1))) "
+        "(plus (tsub (fconst 1.0) (fscale 2.5 (norm 0))) "
+        "(absdiff (sup z :pos (norm (scale 2j z))) "
+        "(inf q :proj (norm (* q (const 1+0j 0j))))))))"
+    )
+
+
+def test_format_term_pinned_string(capsys):
+    term = CSub(CScale(complex(-0.5, 1e-9), CVar("x")), CConst((1 + 0j, 2.5j)))
+    text = "(- (scale -0.5+1e-09j x) (const 1+0j 2.5j))"
+    assert format_cformula(FNorm(term)) == f"(norm {text})"
+    assert parse_condition(f"{text} in [0,4]").polynomial == term
+    code, out, _ = run_cli(
+        capsys, ["realize", "--cond", f"{text} in [0,4]", "--points", "2", "--tol", "0.5", "--json"]
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["inputs"]["conditions"] == [f"{text} in [0.0,4.0]"]
+
+
 # ---------------------------------------------------------------------------
 # Descriptor, element, target, condition grammars
 # ---------------------------------------------------------------------------
@@ -641,6 +670,35 @@ def test_cli_orth(capsys):
     payload = json.loads(out)
     assert code == EXIT_OK and payload["value"] == 3
     assert len(payload["witness_family"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ord-arith", "add", "w", "1"],
+        ["ord-eq", "w", "w"],
+        ["calkin-eq", "w", "w"],
+        ["ef", "--kind", "orders", "--rank", "2", "2", "3"],
+        ["ba-invariants", "finite(2)"],
+        ["ba-eq", "finite(2)", "finite(2)"],
+        ["ba-enumerate", "3"],
+        ["stone", "2"],
+        ["translate", "forall x. x = x"],
+        ["ceval", "(norm 1)", "--points", "1"],
+        ["jspec", "1,2"],
+        ["fmember", "1,2", "--at", "1"],
+        ["code", "0.5", "--scale", "4"],
+        ["interpolate", "--algebra", "finite:2", "--lower", "1", "--upper", "3"],
+        ["realize", "--cond", "x in {1}", "--points", "1", "--tol", "0.5"],
+        ["orth", "--points", "2"],
+    ],
+)
+def test_cli_payload_starts_with_the_verb(capsys, argv):
+    _, out, _ = run_cli(capsys, [*argv, "--json"])
+    payload = json.loads(out)
+    assert next(iter(payload)) == "verb" and payload["verb"] == argv[0]
+    _, out, _ = run_cli(capsys, argv)
+    assert out.splitlines()[0] == f"verb: {argv[0]}"
 
 
 def test_cli_out_writes_file(tmp_path, capsys):
