@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import json
 import random
 import re
@@ -404,23 +405,31 @@ def _format_bterm(t) -> str:
 # ---------------------------------------------------------------------------
 
 _SEXPR_PATTERN = re.compile(r"[()]|[^\s()]+")
-_SORT_KEYWORDS = {
-    ":ball": SORT_BALL,
-    ":sa": SORT_SA,
-    ":pos": SORT_POS,
-    ":proj": SORT_PROJ,
-}
+_SORT_KEYWORDS = {f":{sort}": sort for sort in (SORT_BALL, SORT_SA, SORT_POS, SORT_PROJ)}
 _CVAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-#: Head vocabularies: the parsers dispatch on the node a head names, and the
-#: formatters look the head up by node type.
-_CFORM_BINARY = {"plus": FPlus, "tsub": FTruncSub, "max": FMax, "min": FMin, "absdiff": FAbsDiff}
+#: Head tables: head -> (node, the kinds of the node's fields in order).  A
+#: kind is ``formula``, ``term``, ``real``, ``complex``, ``var``, ``sort`` or
+#: ``complexes`` (one or more complex values); the parser reads each field
+#: by its kind, and the formatter writes it by the same kind.
+_F2, _T2 = ("formula", "formula"), ("term", "term")  # the binary connectives' fields
 _CFORM_HEADS = {
-    "norm": FNorm, "fconst": FConst, "fscale": FScale, "sup": FSup, "inf": FInf, **_CFORM_BINARY
+    "norm": (FNorm, ("term",)), "fconst": (FConst, ("real",)),
+    "fscale": (FScale, ("real", "formula")),
+    "sup": (FSup, ("var", "sort", "formula")), "inf": (FInf, ("var", "sort", "formula")),
+    "plus": (FPlus, _F2), "tsub": (FTruncSub, _F2), "max": (FMax, _F2), "min": (FMin, _F2),
+    "absdiff": (FAbsDiff, _F2),
 }
-_CTERM_BINARY = {"+": CAdd, "-": CSub, "*": CMul}
-_CTERM_HEADS = {"star": CStar, "scale": CScale, "const": CConst, **_CTERM_BINARY}
-_CFORM_HEAD = {node: head for head, node in _CFORM_HEADS.items()}
-_CTERM_HEAD = {node: head for head, node in _CTERM_HEADS.items()}
+_CTERM_HEADS = {
+    "+": (CAdd, _T2), "-": (CSub, _T2), "*": (CMul, _T2), "star": (CStar, ("term",)),
+    "scale": (CScale, ("complex", "term")), "const": (CConst, ("complexes",)),
+}
+_SEXPR_HEADS = {"formula": _CFORM_HEADS, "term": _CTERM_HEADS}
+_SEXPR_NODES = {
+    node: (head, kinds) for heads in _SEXPR_HEADS.values() for head, (node, kinds) in heads.items()
+}
+#: Bare term symbols other than variables.
+_CTERM_SYMBOLS = {"0": CZero, "1": COne}
+_CTERM_SYMBOL = {node: symbol for symbol, node in _CTERM_SYMBOLS.items()}
 
 
 def _finite_complex(text: str):
@@ -455,128 +464,89 @@ def parse_cformula(text: str):
     Quantifiers carry a sort keyword: ``(sup p :proj <formula>)``.
     """
     stream = _TokenStream(text, _SEXPR_PATTERN)
-    phi = _parse_cform(stream)
+    phi = _parse_sexpr(stream, "formula")
     stream.expect_end()
     return phi
 
 
-def _parse_cform(stream: _TokenStream):
-    token = stream.peek()
-    if token is None:
-        raise ParseError("expected a formula", position=stream.position())
-    if token != "(":
-        stream.advance()
-        return FConst(_parse_real(token, stream.position()))
-    stream.advance()
-    head_pos = stream.position()
-    head = stream.advance() if stream.peek() is not None else None
-    node = _CFORM_HEADS.get(head)
-    if head in _CFORM_BINARY:
-        left, right = _parse_cform(stream), _parse_cform(stream)
-        stream.expect(")")
-        return node(left, right)
-    if node is FNorm:
-        term = _parse_cterm(stream)
-        stream.expect(")")
-        return FNorm(term)
-    if node is FConst:
-        value = _parse_real(stream.advance() if stream.peek() else "", stream.position())
-        stream.expect(")")
-        return FConst(value)
-    if node is FScale:
-        scalar = _parse_real(stream.advance() if stream.peek() else "", stream.position())
-        body = _parse_cform(stream)
-        stream.expect(")")
-        return FScale(scalar, body)
-    if node in (FSup, FInf):
-        var = stream.advance() if stream.peek() else None
-        if var is None or not _CVAR_RE.fullmatch(var):
-            raise ParseError("expected a variable after quantifier", position=stream.position())
-        sort_token = stream.advance() if stream.peek() else None
-        if sort_token not in _SORT_KEYWORDS:
-            raise ParseError(
-                "expected a sort keyword (:ball :sa :pos :proj)", position=stream.position()
-            )
-        body = _parse_cform(stream)
-        stream.expect(")")
-        return node(var, _SORT_KEYWORDS[sort_token], body)
-    raise ParseError(f"unknown formula head {head!r}", position=head_pos)
-
-
-def _parse_cterm(stream: _TokenStream):
-    token = stream.peek()
-    if token is None:
-        raise ParseError("expected a term", position=stream.position())
-    if token != "(":
-        stream.advance()
-        if token == "0":
-            return CZero()
-        if token == "1":
-            return COne()
-        if _CVAR_RE.fullmatch(token):
-            return CVar(token)
-        raise ParseError(f"expected a term symbol, got {token!r}", position=stream.position())
-    stream.advance()
-    head_pos = stream.position()
-    head = stream.advance() if stream.peek() is not None else None
-    node = _CTERM_HEADS.get(head)
-    if head in _CTERM_BINARY:
-        left, right = _parse_cterm(stream), _parse_cterm(stream)
-        stream.expect(")")
-        return node(left, right)
-    if node is CStar:
-        arg = _parse_cterm(stream)
-        stream.expect(")")
-        return CStar(arg)
-    if node is CScale:
-        scalar = _parse_complex(stream.advance() if stream.peek() else "", stream.position())
-        arg = _parse_cterm(stream)
-        stream.expect(")")
-        return CScale(scalar, arg)
-    if node is CConst:
+def _parse_sexpr(stream: _TokenStream, kind: str):
+    """Read one value of ``kind``; a node reads its fields by its head's kinds."""
+    position, token = stream.position(), stream.peek()
+    if kind == "complexes":
         values = []
-        while stream.peek() is not None and stream.peek() != ")":
-            values.append(_parse_complex(stream.advance(), stream.position()))
+        while stream.peek() not in (None, ")"):
+            values.append(_parse_sexpr(stream, "complex"))
         if not values:
-            raise ParseError("const needs at least one value", position=stream.position())
+            raise ParseError("const needs at least one value", position=position)
+        return tuple(values)
+    if token is None and kind in _SEXPR_HEADS:
+        raise ParseError(f"expected a {kind}", position=position)
+    if token is not None:
+        stream.advance()
+    if token == "(" and kind in _SEXPR_HEADS:
+        head_position = stream.position()
+        head = stream.advance() if stream.peek() is not None else None
+        if head not in _SEXPR_HEADS[kind]:
+            raise ParseError(f"unknown {kind} head {head!r}", position=head_position)
+        node, kinds = _SEXPR_HEADS[kind][head]
+        values = [_parse_sexpr(stream, field_kind) for field_kind in kinds]
         stream.expect(")")
-        return CConst(tuple(values))
-    raise ParseError(f"unknown term head {head!r}", position=head_pos)
+        return node(*values)
+    if kind == "formula":
+        return FConst(_parse_real(token, position))
+    if kind == "real":
+        return _parse_real(token or "", position)
+    if kind == "complex":
+        return _parse_complex(token or "", position)
+    if kind == "term":
+        if token in _CTERM_SYMBOLS:
+            return _CTERM_SYMBOLS[token]()
+        if not _CVAR_RE.fullmatch(token):
+            raise ParseError(f"expected a term symbol, got {token!r}", position=position)
+        return CVar(token)
+    if kind == "var":
+        if token is None or not _CVAR_RE.fullmatch(token):
+            raise ParseError("expected a variable after quantifier", position=position)
+        return token
+    if token not in _SORT_KEYWORDS:
+        keywords = " ".join(_SORT_KEYWORDS)
+        raise ParseError(f"expected a sort keyword ({keywords})", position=position)
+    return _SORT_KEYWORDS[token]
 
 
 def _complex_str(z: complex) -> str:
     return repr(complex(z)).strip("()")
 
 
-def format_cterm(term) -> str:
-    if isinstance(term, CVar):
-        return term.name
-    if isinstance(term, CZero):
-        return "0"
-    if isinstance(term, COne):
-        return "1"
-    head = _CTERM_HEAD[type(term)]
-    if isinstance(term, CConst):
-        return f"({head} " + " ".join(_complex_str(v) for v in term.values) + ")"
-    if isinstance(term, CStar):
-        return f"({head} {format_cterm(term.arg)})"
-    if isinstance(term, CScale):
-        return f"({head} {_complex_str(term.scalar)} {format_cterm(term.arg)})"
-    return f"({head} {format_cterm(term.left)} {format_cterm(term.right)})"
-
-
 def format_cformula(phi) -> str:
-    """Canonical s-expression rendering; ``parse_cformula`` inverts it."""
-    head = _CFORM_HEAD[type(phi)]
-    if isinstance(phi, FNorm):
-        return f"({head} {format_cterm(phi.term)})"
-    if isinstance(phi, FConst):
-        return f"({head} {phi.value!r})"
-    if isinstance(phi, FScale):
-        return f"({head} {phi.scalar!r} {format_cformula(phi.arg)})"
-    if isinstance(phi, (FSup, FInf)):
-        return f"({head} {phi.var} :{phi.sort} {format_cformula(phi.body)})"
-    return f"({head} {format_cformula(phi.left)} {format_cformula(phi.right)})"
+    """Canonical s-expression rendering of a formula or a term.
+
+    ``parse_cformula`` inverts it on formulas, and ``parse_condition`` on the
+    term before `` in ``.
+    """
+    if isinstance(phi, CVar):
+        return phi.name
+    if type(phi) in _CTERM_SYMBOL:
+        return _CTERM_SYMBOL[type(phi)]
+    if type(phi) not in _SEXPR_NODES:
+        raise PreconditionError(f"cannot format {type(phi).__name__}")
+    head, kinds = _SEXPR_NODES[type(phi)]
+    fields = (
+        _FORMAT_KIND[kind](getattr(phi, field.name))
+        for field, kind in zip(dataclasses.fields(phi), kinds)
+    )
+    return f"({head} {' '.join(fields)})"
+
+
+_FORMAT_KIND = {
+    "formula": format_cformula,
+    "term": format_cformula,
+    "real": repr,
+    "complex": _complex_str,
+    "var": str,
+    "sort": ":{}".format,
+    "complexes": lambda values: " ".join(map(_complex_str, values)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -681,13 +651,18 @@ def parse_condition(text: str) -> TypeCondition:
         raise ParseError("a condition looks like '<term> in <target>'")
     term_text, target_text = text[:split_at], text[split_at + len(marker) :]
     stream = _TokenStream(term_text, _SEXPR_PATTERN)
-    term = _parse_cterm(stream)
+    term = _parse_sexpr(stream, "term")
     stream.expect_end()
     return TypeCondition(term, parse_target(target_text))
 
 
 def format_target(target) -> str:
     return "|".join(f"{{{lo}}}" if lo == hi else f"[{lo},{hi}]" for lo, hi in target)
+
+
+def _format_condition(condition) -> str:
+    """``parse_condition``'s syntax."""
+    return f"{format_cformula(condition.polynomial)} in {format_target(condition.target)}"
 
 
 # ---------------------------------------------------------------------------
@@ -742,18 +717,16 @@ def _emit(payload: dict, args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Verb handlers (each returns payload, exit code)
+# Verb handlers (each returns payload, exit code; ``main`` adds the verb)
 # ---------------------------------------------------------------------------
 
 
 def _cmd_ord_arith(args):
     a, b = parse_ordinal(args.left), parse_ordinal(args.right)
     operation = {"add": ord_add, "mul": ord_mul, "pow": ord_pow}[args.op]
-    result = operation(a, b)
     payload = {
-        "verb": "ord-arith",
         "inputs": {"op": args.op, "left": cnf_string(a), "right": cnf_string(b)},
-        "value": cnf_string(result),
+        "value": cnf_string(operation(a, b)),
     }
     return payload, EXIT_OK
 
@@ -775,7 +748,6 @@ def _cmd_ord_eq(args):
     a, b = parse_ordinal(args.left), parse_ordinal(args.right)
     verdict = ord_equiv(a, b)
     payload = {
-        "verb": "ord-eq",
         "inputs": {"left": cnf_string(a), "right": cnf_string(b)},
         "verdict": verdict,
     }
@@ -787,12 +759,8 @@ def _cmd_ord_eq(args):
 
 def _cmd_calkin_eq(args):
     a, b = parse_ordinal(args.left), parse_ordinal(args.right)
-    payload = {
-        "verb": "calkin-eq",
-        "inputs": {"left": cnf_string(a), "right": cnf_string(b)},
-        "verdict": calkin_equiv(a, b),
-    }
-    return payload, EXIT_OK
+    inputs = {"left": cnf_string(a), "right": cnf_string(b)}
+    return {"inputs": inputs, "verdict": calkin_equiv(a, b)}, EXIT_OK
 
 
 def _cmd_ef(args):
@@ -808,13 +776,12 @@ def _cmd_ef(args):
         m, n = int(args.left), int(args.right)
         verdict = ef_finite_bas(FiniteBoolAlg(m), FiniteBoolAlg(n), args.rank)
         inputs = {"kind": "ba", "left": m, "right": n, "rank": args.rank}
-    return {"verb": "ef", "inputs": inputs, "verdict": verdict}, EXIT_OK
+    return {"inputs": inputs, "verdict": verdict}, EXIT_OK
 
 
 def _cmd_ba_invariants(args):
     descriptor = parse_descriptor(args.descriptor)
     payload = {
-        "verb": "ba-invariants",
         "inputs": {"descriptor": format_descriptor(descriptor)},
         "value": _invariant_dict(ershov_invariants(descriptor)),
         "derivative_chain": [format_descriptor(d) for d in derivative_chain(descriptor)],
@@ -827,7 +794,6 @@ def _cmd_ba_eq(args):
     right = parse_descriptor(args.right)
     verdict = ba_equiv(left, right)
     payload = {
-        "verb": "ba-eq",
         "inputs": {"left": format_descriptor(left), "right": format_descriptor(right)},
         "verdict": verdict,
         "invariants": {
@@ -846,13 +812,8 @@ def _cmd_ba_eq(args):
 
 
 def _cmd_ba_enumerate(args):
-    invariants = enumerate_theories(args.count)
-    payload = {
-        "verb": "ba-enumerate",
-        "inputs": {"count": args.count},
-        "value": [_invariant_dict(inv) for inv in invariants],
-    }
-    return payload, EXIT_OK
+    value = [_invariant_dict(inv) for inv in enumerate_theories(args.count)]
+    return {"inputs": {"count": args.count}, "value": value}, EXIT_OK
 
 
 def _cmd_stone(args):
@@ -873,7 +834,6 @@ def _cmd_stone(args):
             if lhs.apply(element) != rhs_f.apply(rhs_g.apply(element)):
                 agree = False
     payload = {
-        "verb": "stone",
         "inputs": {"atoms": args.atoms, "seed": args.seed},
         "value": {"space_points": space.point_count, "roundtrip": roundtrip},
         "cross_checks": {"functoriality_samples": samples, "functoriality_agrees": agree},
@@ -885,7 +845,6 @@ def _cmd_translate(args):
     phi = parse_fo_formula(args.sentence)
     translated = translate_fo(phi)
     payload = {
-        "verb": "translate",
         "inputs": {"sentence": format_fo(phi), "quantifier_rank": quantifier_rank(phi)},
         "value": format_cformula(translated),
     }
@@ -910,12 +869,11 @@ def _cmd_ceval(args):
     try:
         cert = ceval(phi, algebra, params, tol=args.tol, max_boxes=args.max_boxes)
     except ResourceBudgetError as error:
-        payload = {"verb": "ceval", "inputs": inputs, "error": "resource budget exceeded"}
+        payload = {"inputs": inputs, "error": "resource budget exceeded"}
         if error.best_known is not None:
             payload["certificate"] = _certificate_dict(error.best_known)
         return payload, EXIT_BUDGET
-    payload = {"verb": "ceval", "inputs": inputs, "certificate": _certificate_dict(cert)}
-    return payload, EXIT_OK
+    return {"inputs": inputs, "certificate": _certificate_dict(cert)}, EXIT_OK
 
 
 def _cmd_jspec(args):
@@ -925,7 +883,6 @@ def _cmd_jspec(args):
         key=lambda lam: tuple((v.real, v.imag) for v in map(complex, lam)),
     )
     payload = {
-        "verb": "jspec",
         "inputs": {"elements": [[_complex_str(v) for v in e] for e in elements]},
         "value": [[_complex_str(v) for v in lam] for lam in spectrum],
     }
@@ -938,7 +895,6 @@ def _cmd_fmember(args):
     checks = singular_cross_checks(elements, lam)
     indicator = spectrum_indicator(elements, lam)
     payload = {
-        "verb": "fmember",
         "inputs": {
             "elements": [[_complex_str(v) for v in e] for e in elements],
             "at": [_complex_str(v) for v in lam],
@@ -963,7 +919,6 @@ def _cmd_code(args):
         if code.points
     ]
     payload = {
-        "verb": "code",
         "inputs": {"element": [_complex_str(v) for v in element], "scale": args.scale},
         "value": rendered,
     }
@@ -1002,10 +957,8 @@ def _cmd_interpolate(args):
         result = interpolate_chain(lower, upper, algebra)
         rendered = result if result != NOT_FOUND else None
     if rendered is None:
-        payload = {"verb": "interpolate", "inputs": inputs, "verdict": "not-found"}
-        return payload, EXIT_NEGATIVE
-    payload = {"verb": "interpolate", "inputs": inputs, "value": rendered}
-    return payload, EXIT_OK
+        return {"inputs": inputs, "verdict": "not-found"}, EXIT_NEGATIVE
+    return {"inputs": inputs, "value": rendered}, EXIT_OK
 
 
 def _cylinder_str(element: CylinderElement) -> str:
@@ -1040,13 +993,13 @@ def _cmd_realize(args):
             raise ParseError(f"bad --sort {pair!r} (use variable=ball|sa|pos)")
         sorts[name] = sort
     inputs = {
-        "conditions": [f"{format_cterm(c.polynomial)} in {format_target(c.target)}" for c in conditions],
+        "conditions": list(map(_format_condition, conditions)),
         "points": args.points,
         "tol": args.tol,
         "sorts": sorts,
     }
     result = realize_type(conditions, algebra, args.tol, sorts=sorts, max_boxes=args.max_boxes)
-    payload = {"verb": "realize", "inputs": inputs}
+    payload = {"inputs": inputs}
     if isinstance(result, Realized):
         payload["result"] = "realized"
         payload["assignment"] = {
@@ -1058,9 +1011,7 @@ def _cmd_realize(args):
     if isinstance(result, Unsatisfiable):
         payload["result"] = "unsatisfiable"
         payload["epsilon"] = result.epsilon
-        payload["delta"] = [
-            f"{format_cterm(c.polynomial)} in {format_target(c.target)}" for c in result.delta
-        ]
+        payload["delta"] = list(map(_format_condition, result.delta))
         return payload, EXIT_NEGATIVE
     payload["result"] = "inconclusive"
     payload["best_deviation"] = result.best_deviation
@@ -1075,7 +1026,6 @@ def _cmd_orth(args):
     size = max_orthogonal_family(algebra)
     family = orthogonal_witness_family(algebra)
     payload = {
-        "verb": "orth",
         "inputs": {"points": args.points},
         "value": size,
         "witness_family": [[_complex_str(v) for v in f] for f in family],
@@ -1088,114 +1038,82 @@ def _cmd_orth(args):
 # ---------------------------------------------------------------------------
 
 
+#: An argument is a name, or a name and its ``add_argument`` keywords.
+_LEFT_RIGHT = ("left", "right")
+_POINTS = ("--points", {"type": int, "required": True})
+#: The verbs in help order: (name, handler, help, arguments).
+_VERBS = (
+    ("ord-arith", _cmd_ord_arith, "ordinal normal-form arithmetic",
+     (("op", {"choices": ["add", "mul", "pow"]}), *_LEFT_RIGHT)),
+    ("ord-eq", _cmd_ord_eq, "ordinal equality in normal form", _LEFT_RIGHT),
+    ("calkin-eq", _cmd_calkin_eq, "equivalence of ordinal tails modulo w^w", _LEFT_RIGHT),
+    ("ef", _cmd_ef, "finite-rank back-and-forth games", (
+        ("--kind", {"choices": ["orders", "ordinals", "ba"], "default": "ordinals"}),
+        ("--rank", {"type": int, "default": 3}),
+        *_LEFT_RIGHT,
+    )),
+    ("ba-invariants", _cmd_ba_invariants, "classification invariants of a described algebra",
+     ("descriptor",)),
+    ("ba-eq", _cmd_ba_eq, "elementary equivalence of described Boolean algebras", _LEFT_RIGHT),
+    ("ba-enumerate", _cmd_ba_enumerate, "enumerate completions in band order",
+     (("count", {"type": int}),)),
+    ("stone", _cmd_stone, "finite Stone duality round trip", (
+        ("--seed",
+         {"type": int, "default": DEFAULT_SEED, "help": "seed for any sampled cross-checks"}),
+        ("atoms", {"type": int}),
+    )),
+    ("translate", _cmd_translate, "translate a classical sentence to a continuous formula",
+     ("sentence",)),
+    ("ceval", _cmd_ceval, "certified continuous-formula evaluation", (
+        "formula",
+        ("--points", {"type": int, "required": True, "help": "number of points of the space"}),
+        ("--tol", {"type": float, "default": 1e-6}),
+        ("--max-boxes", {"type": int, "default": 200_000}),
+        ("--param", {"action": "append", "metavar": "NAME=ELEMENT"}),
+    )),
+    ("jspec", _cmd_jspec, "joint spectrum of a tuple of elements", (("element", {"nargs": "+"}),)),
+    ("fmember", _cmd_fmember, "joint-spectrum membership with all cross-checks", (
+        ("element", {"nargs": "+"}),
+        ("--at", {"required": True, "help": "spectral parameter tuple"}),
+    )),
+    ("code", _cmd_code, "clopen coding of a contraction", (
+        "element",
+        ("--scale", {"type": int, "required": True}),
+        ("--reconstruct", {"action": "store_true"}),
+    )),
+    ("interpolate", _cmd_interpolate, "strict chain interpolation", (
+        ("--algebra", {"default": "cyl", "help": "'cyl' or 'finite:<atoms>'"}),
+        ("--lower", {"action": "append", "default": [], "help": "ascending chain element"}),
+        ("--upper", {"action": "append", "default": [], "help": "descending chain element"}),
+    )),
+    ("realize", _cmd_realize, "realize or refute a degree-1 type", (
+        ("--cond", {"action": "append", "required": True, "metavar": "'<term> in <target>'"}),
+        _POINTS,
+        ("--tol", {"type": float, "required": True}),
+        ("--sort", {"action": "append", "metavar": "VAR=SORT"}),
+        ("--max-boxes", {"type": int, "default": 2_000_000}),
+    )),
+    ("orth", _cmd_orth, "largest orthogonal positive norm-1 family", (_POINTS,)),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="elemeq",
         description="Decision procedures for elementary equivalence at finite scale.",
     )
+    # options common to every verb; copying them from one parent costs less
+    # than adding them to each verb, as ``add_argument`` builds a formatter
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a machine-readable payload")
     common.add_argument("--out", metavar="FILE", help="write output to a file instead of stdout")
-    common.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help="seed for any sampled cross-checks"
-    )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("ord-arith", parents=[common], help="ordinal normal-form arithmetic")
-    p.add_argument("op", choices=["add", "mul", "pow"])
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=_cmd_ord_arith)
-
-    p = sub.add_parser("ord-eq", parents=[common], help="ordinal equality in normal form")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=_cmd_ord_eq)
-
-    p = sub.add_parser(
-        "calkin-eq", parents=[common], help="equivalence of ordinal tails modulo w^w"
-    )
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=_cmd_calkin_eq)
-
-    p = sub.add_parser("ef", parents=[common], help="finite-rank back-and-forth games")
-    p.add_argument("--kind", choices=["orders", "ordinals", "ba"], default="ordinals")
-    p.add_argument("--rank", type=int, default=3)
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=_cmd_ef)
-
-    p = sub.add_parser(
-        "ba-invariants", parents=[common], help="classification invariants of a described algebra"
-    )
-    p.add_argument("descriptor")
-    p.set_defaults(handler=_cmd_ba_invariants)
-
-    p = sub.add_parser(
-        "ba-eq", parents=[common], help="elementary equivalence of described Boolean algebras"
-    )
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=_cmd_ba_eq)
-
-    p = sub.add_parser("ba-enumerate", parents=[common], help="enumerate completions in band order")
-    p.add_argument("count", type=int)
-    p.set_defaults(handler=_cmd_ba_enumerate)
-
-    p = sub.add_parser("stone", parents=[common], help="finite Stone duality round trip")
-    p.add_argument("atoms", type=int)
-    p.set_defaults(handler=_cmd_stone)
-
-    p = sub.add_parser(
-        "translate", parents=[common], help="translate a classical sentence to a continuous formula"
-    )
-    p.add_argument("sentence")
-    p.set_defaults(handler=_cmd_translate)
-
-    p = sub.add_parser("ceval", parents=[common], help="certified continuous-formula evaluation")
-    p.add_argument("formula")
-    p.add_argument("--points", type=int, required=True, help="number of points of the space")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-boxes", type=int, default=200_000)
-    p.add_argument("--param", action="append", metavar="NAME=ELEMENT")
-    p.set_defaults(handler=_cmd_ceval)
-
-    p = sub.add_parser("jspec", parents=[common], help="joint spectrum of a tuple of elements")
-    p.add_argument("element", nargs="+")
-    p.set_defaults(handler=_cmd_jspec)
-
-    p = sub.add_parser(
-        "fmember", parents=[common], help="joint-spectrum membership with all cross-checks"
-    )
-    p.add_argument("element", nargs="+")
-    p.add_argument("--at", required=True, help="spectral parameter tuple")
-    p.set_defaults(handler=_cmd_fmember)
-
-    p = sub.add_parser("code", parents=[common], help="clopen coding of a contraction")
-    p.add_argument("element")
-    p.add_argument("--scale", type=int, required=True)
-    p.add_argument("--reconstruct", action="store_true")
-    p.set_defaults(handler=_cmd_code)
-
-    p = sub.add_parser("interpolate", parents=[common], help="strict chain interpolation")
-    p.add_argument("--algebra", default="cyl", help="'cyl' or 'finite:<atoms>'")
-    p.add_argument("--lower", action="append", default=[], help="ascending chain element")
-    p.add_argument("--upper", action="append", default=[], help="descending chain element")
-    p.set_defaults(handler=_cmd_interpolate)
-
-    p = sub.add_parser("realize", parents=[common], help="realize or refute a degree-1 type")
-    p.add_argument("--cond", action="append", required=True, metavar="'<term> in <target>'")
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--tol", type=float, required=True)
-    p.add_argument("--sort", action="append", metavar="VAR=SORT")
-    p.add_argument("--max-boxes", type=int, default=2_000_000)
-    p.set_defaults(handler=_cmd_realize)
-
-    p = sub.add_parser("orth", parents=[common], help="largest orthogonal positive norm-1 family")
-    p.add_argument("--points", type=int, required=True)
-    p.set_defaults(handler=_cmd_orth)
-
+    for name, handler, help_text, arguments in _VERBS:
+        verb = sub.add_parser(name, parents=[common], help=help_text)
+        verb.set_defaults(handler=handler)
+        for argument in arguments:
+            flag, options = (argument, {}) if isinstance(argument, str) else argument
+            verb.add_argument(flag, **options)
     return parser
 
 
@@ -1219,7 +1137,7 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError) as error:
         print(f"invalid input: {error}", file=sys.stderr)
         return EXIT_PARSE
-    _emit(payload, args)
+    _emit({"verb": args.verb, **payload}, args)
     return code
 
 

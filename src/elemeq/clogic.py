@@ -776,7 +776,7 @@ def _branch_and_bound(phi, env, algebra, tol, state):
         blocking = sign * heap[0][0] if heap else witness
         lo, hi = (witness, max(blocking, witness)) if is_sup else (min(blocking, witness), witness)
         width = hi - lo
-        if width <= tol:
+        if not width > tol:  # an overflowed (nan) width stops too; ``ceval`` rejects it
             return lo, hi
         if width < best_width - tol * 1e-3:
             best_width, stall = width, 0
@@ -903,7 +903,9 @@ def ceval(
     Projection-sorted quantifiers are evaluated exactly; continuous sorts go
     through deterministic branch-and-bound.  Once the box budget is spent,
     every search returns its current enclosure, and a result still wider
-    than ``tol`` raises a resource error carrying it as ``best_known``.
+    than ``tol`` raises a resource error carrying it as ``best_known``.  An
+    enclosure with an end that is not finite (the term arithmetic overflowed)
+    raises a precondition error before that.
     """
     if not tol > 0:
         raise PreconditionError("the tolerance must be positive")
@@ -915,12 +917,14 @@ def ceval(
     if missing:
         raise PreconditionError(f"unassigned free variables: {sorted(missing)}")
     env_exact = {name: algebra.element(value) for name, value in params.items()}
-    if _all_proj_quantified(phi):
-        value = _compile_exact(phi, env_exact, algebra)()
-        return EvalCertificate(value, value, 0)
-    env = {name: _box_point(value) for name, value in env_exact.items()}
     state = {"boxes": 0, "max": max_boxes, "depth": 0}
-    lo, hi = _interval_eval(phi, env, algebra, tol, state)
+    if _all_proj_quantified(phi):
+        lo = hi = _compile_exact(phi, env_exact, algebra)()
+    else:
+        env = {name: _box_point(value) for name, value in env_exact.items()}
+        lo, hi = _interval_eval(phi, env, algebra, tol, state)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise PreconditionError(f"the value overflows the floats: enclosure [{lo}, {hi}]")
     cert = EvalCertificate(lo, hi, state["depth"])
     if hi - lo > tol and state["boxes"] >= max_boxes:
         raise ResourceBudgetError(f"branch-and-bound exceeded {max_boxes} boxes", cert)

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from .boolalg import FiniteBoolAlg
 from .errors import PreconditionError, ResourceBudgetError
-from .ordinals import OMEGA, Ordinal, compare, finite
+from .ordinals import OMEGA, Ordinal, finite
 
 __all__ = [
     "ef_finite_orders",
@@ -214,11 +214,6 @@ def ef_ordinals(a: Ordinal, b: Ordinal, rank: int) -> bool:
         raise PreconditionError("rank must be a natural number")
     if rank > MAX_RANK_ORDINALS:
         raise ResourceBudgetError(f"rank {rank} exceeds the cap {MAX_RANK_ORDINALS}")
-    for x in (a, b):
-        if x.terms and compare(x.terms[0][0], OMEGA) > 0:
-            raise ResourceBudgetError(
-                "ordinal outside the supported domain (term exponent above omega)"
-            )
     return _ordinal_type(a, rank) == _ordinal_type(b, rank)
 
 

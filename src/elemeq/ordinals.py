@@ -80,11 +80,6 @@ class Ordinal:
             raise PreconditionError("ordinal is infinite")
         return self.terms[0][1] if self.terms else 0
 
-    def leading_exponent(self) -> "Ordinal":
-        if not self.terms:
-            raise PreconditionError("zero has no leading term")
-        return self.terms[0][0]
-
     def finite_part(self) -> int:
         """The coefficient of w^0, i.e. the trailing natural part."""
         if self.terms and self.terms[-1][0].is_zero():

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,7 +72,7 @@ from elemeq.batheory import (
     Product,
     format_descriptor,
 )
-from elemeq.errors import ParseError
+from elemeq.errors import ParseError, PreconditionError
 from elemeq.ordinals import OMEGA, cnf_string, finite, omega_power, ord_add, ord_mul
 
 
@@ -222,6 +223,13 @@ def test_parse_cformula_all_sorts_and_heads():
     )
     phi = parse_cformula(text)
     assert parse_cformula(format_cformula(phi)) == phi
+    assert format_cformula(phi) == (
+        "(max (sup x :ball (norm (star x))) "
+        "(min (inf y :sa (norm (+ y 1))) "
+        "(plus (tsub (fconst 1.0) (fscale 2.5 (norm 0))) "
+        "(absdiff (sup z :pos (norm (scale 2j z))) "
+        "(inf q :proj (norm (* q (const 1+0j 0j))))))))"
+    )
 
 
 @pytest.mark.parametrize(
@@ -239,6 +247,36 @@ def test_parse_cformula_all_sorts_and_heads():
 def test_parse_cformula_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_cformula(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, position",
+    [
+        (parse_cformula, "", "expected a formula", 0),
+        (parse_condition, "(+ x in [0,1]", "expected a term", 4),
+        (parse_cformula, "(frob 1 2)", "unknown formula head 'frob'", 1),
+        (parse_cformula, "(norm (^ a b))", "unknown term head '^'", 7),
+        (parse_cformula, "(norm (const))", "const needs at least one value", 12),
+        (parse_cformula, "(fconst abc)", "expected a real literal, got 'abc'", 8),
+        (parse_cformula, "abc", "expected a real literal, got 'abc'", 0),
+        (parse_cformula, "(norm (scale q x))", "expected a complex literal, got 'q'", 13),
+        (parse_cformula, "(norm (+ x ?))", "expected a term symbol, got '?'", 11),
+        (parse_condition, "(* x ?) in [0,1]", "expected a term symbol, got '?'", 5),
+        (parse_cformula, "(sup 9 :sa (norm x))", "expected a variable after quantifier", 5),
+        (parse_cformula, "(sup x :unit (norm x))", "expected a sort keyword", 7),
+        (parse_cformula, "(norm x", "expected ')'", 7),
+    ],
+)
+def test_sexpr_errors_point_at_their_token(parse, text, message, position):
+    with pytest.raises(ParseError, match=re.escape(message)) as excinfo:
+        parse(text)
+    assert excinfo.value.position == position
+
+
+def test_format_cformula_rejects_a_non_node():
+    for bad in (None, 3, FNorm(None), FMax(FConst(0.0), "x")):
+        with pytest.raises(PreconditionError, match="cannot format"):
+            format_cformula(bad)
 
 
 def _random_cterm(rng, depth):
@@ -292,23 +330,6 @@ def test_cformula_print_parse_identity_on_translated_corpus():
     for phi in sentence_corpus(200):
         translated = translate_fo(phi)
         assert parse_cformula(format_cformula(translated)) == translated
-
-
-def test_format_cformula_pinned_strings():
-    text = (
-        "(max (sup x :ball (norm (star x))) "
-        "(min (inf y :sa (norm (+ y 1))) "
-        "(plus (tsub (fconst 1) (fscale 2.5 (norm 0))) "
-        "(absdiff (sup z :pos (norm (scale 2j z))) "
-        "(inf q :proj (norm (* q (const 1 0))))))))"
-    )
-    assert format_cformula(parse_cformula(text)) == (
-        "(max (sup x :ball (norm (star x))) "
-        "(min (inf y :sa (norm (+ y 1))) "
-        "(plus (tsub (fconst 1.0) (fscale 2.5 (norm 0))) "
-        "(absdiff (sup z :pos (norm (scale 2j z))) "
-        "(inf q :proj (norm (* q (const 1+0j 0j))))))))"
-    )
 
 
 def test_format_term_pinned_string(capsys):
@@ -541,6 +562,16 @@ def test_cli_ceval_rejects_non_finite_input(capsys, argv):
     assert out == "" and err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "formula", ["(norm (* c c))", "(norm (- (* c c) (* c c)))", "(sup x :sa (norm (- (* c c) x)))"]
+)
+def test_cli_ceval_rejects_an_overflowed_value(capsys, formula):
+    argv = ["ceval", formula, "--points", "1", "--param", "c=1e300", "--tol", "0.01"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_PARSE
+    assert out == "" and "overflows" in err and "Traceback" not in err
+
+
 def test_cli_jspec(capsys):
     code, out, _ = run_cli(capsys, ["jspec", "1,2", "0,1j", "--json"])
     payload = json.loads(out)
@@ -699,6 +730,14 @@ def test_cli_payload_starts_with_the_verb(capsys, argv):
     assert next(iter(payload)) == "verb" and payload["verb"] == argv[0]
     _, out, _ = run_cli(capsys, argv)
     assert out.splitlines()[0] == f"verb: {argv[0]}"
+
+
+def test_cli_seed_belongs_to_stone(capsys):
+    code, out, _ = run_cli(capsys, ["stone", "3", "--seed", "5", "--json"])
+    assert code == EXIT_OK and json.loads(out)["inputs"]["seed"] == 5
+    code, out, err = run_cli(capsys, ["ord-eq", "w", "w", "--seed", "5"])
+    assert code == EXIT_PARSE
+    assert out == "" and "unrecognized arguments: --seed 5" in err
 
 
 def test_cli_out_writes_file(tmp_path, capsys):

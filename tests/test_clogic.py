@@ -200,6 +200,17 @@ def test_ceval_preconditions():
             ceval(FSup("x", SORT_SA, FNorm(CSub(CVar("x"), CVar("c")))), A, {"c": (bad, 0j)})
 
 
+def test_ceval_rejects_an_overflowed_value():
+    # |c c| with c = 1e300 is 1e600, beyond the floats: an enclosure with an
+    # infinite or nan end would not contain it, and a nan width never closed
+    # the branch-and-bound loop
+    A = CStarAlgebraFin(1)
+    cc = CMul(CVar("c"), CVar("c"))
+    for phi in (FNorm(cc), FNorm(CSub(cc, cc)), FSup("x", SORT_SA, FNorm(CSub(cc, CVar("x"))))):
+        with pytest.raises(PreconditionError, match="overflows"):
+            ceval(phi, A, {"c": (1e300,)}, 0.01)
+
+
 def test_ceval_cone_bounds_a_parameter_by_its_norm():
     # min over x of max(|cx - 1|, |cx - 3|) with c = 10 is 1, at x = 0.2
     # only; bounding c by 1 in the Lipschitz cone cut that value off.
