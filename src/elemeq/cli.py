@@ -453,6 +453,8 @@ def _parse_real(token: str, position: int) -> float:
         return float(Fraction(token))
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"expected a real literal, got {token!r}", position=position) from None
+    except OverflowError:
+        raise ParseError(f"real literal {token!r} is beyond the floats", position=position) from None
 
 
 def parse_cformula(text: str):
@@ -620,24 +622,18 @@ def parse_cylinder_element(text: str) -> CylinderElement:
     return element
 
 
-def parse_target(text: str) -> tuple:
-    """Parse ``[0,1]|{2}`` into a union of closed intervals."""
-    pieces = text.split("|")
+def parse_target(text: str, offset: int = 0) -> tuple:
+    """Parse ``[0,1]|{2}`` into a union of closed intervals; a bad literal's
+    position counts from ``offset``, where the target starts in its text."""
     intervals = []
-    for piece in pieces:
-        piece = piece.strip()
-        match = re.fullmatch(r"\{([^,{}]+)\}", piece)
-        if match:
-            value = _parse_real(match.group(1).strip(), 0)
-            intervals.append((value, value))
-            continue
-        match = re.fullmatch(r"\[([^,\[\]]+),([^,\[\]]+)\]", piece)
-        if match:
-            intervals.append(
-                (_parse_real(match.group(1).strip(), 0), _parse_real(match.group(2).strip(), 0))
-            )
-            continue
-        raise ParseError(f"bad target piece {piece!r} (use [a,b] or {{a}})")
+    for piece in text.split("|"):
+        match = re.fullmatch(r"\s*(?:\{([^,{}]+)\}|\[([^,\[\]]+),([^,\[\]]+)\])\s*", piece)
+        if match is None:
+            raise ParseError(f"bad target piece {piece.strip()!r} (use [a,b] or {{a}})")
+        groups = [g for g in (1, 2, 3) if match.group(g) is not None]
+        values = [_parse_real(match.group(g).strip(), offset + match.start(g)) for g in groups]
+        intervals.append((values[0], values[-1]))
+        offset += len(piece) + 1
     return tuple(intervals)
 
 
@@ -653,7 +649,7 @@ def parse_condition(text: str) -> TypeCondition:
     stream = _TokenStream(term_text, _SEXPR_PATTERN)
     term = _parse_sexpr(stream, "term")
     stream.expect_end()
-    return TypeCondition(term, parse_target(target_text))
+    return TypeCondition(term, parse_target(target_text, split_at + len(marker)))
 
 
 def format_target(target) -> str:

@@ -388,6 +388,36 @@ def test_parse_condition():
         parse_condition("(* x y) [0,1]")
 
 
+@pytest.mark.parametrize(
+    "parse, text, position",
+    [
+        (parse_cformula, "1e400", 0),
+        (parse_cformula, "(fconst 1e400)", 8),
+        (parse_target, "{1e400}", 1),
+        (parse_target, "[0,1]| [-1e400,0]", 8),
+        (parse_condition, "(* x y) in [0,1]|{1e400}", 18),
+    ],
+)
+def test_real_literals_beyond_the_floats_are_parse_errors(parse, text, position):
+    with pytest.raises(ParseError, match="is beyond the floats") as excinfo:
+        parse(text)
+    assert excinfo.value.position == position
+    assert text[position:].lstrip("-").startswith("1e400")
+
+
+def test_target_errors_point_at_their_literal():
+    for text, position in (("{abc}", 1), ("[0,1]|[2,x]", 9)):
+        with pytest.raises(ParseError, match="expected a real literal") as excinfo:
+            parse_target(text)
+        assert excinfo.value.position == position
+
+
+def test_cli_realize_target_beyond_the_floats_is_a_parse_error(capsys):
+    code, _, err = run_cli(capsys, ["realize", "--cond", "x in {1e400}", "--points", "1", "--tol", "0.1"])
+    assert code == EXIT_PARSE
+    assert "parse error: real literal '1e400' is beyond the floats (at position 6)" in err
+
+
 # ---------------------------------------------------------------------------
 # Verbs end to end (exit codes, JSON schema)
 # ---------------------------------------------------------------------------

@@ -38,12 +38,6 @@ from elemeq.clogic import (
     SORT_PROJ,
     SORT_SA,
     EXACT,
-    _RECTS,
-    _atom_enclosure,
-    _box_point,
-    _initial_box,
-    _split_box,
-    _witness_candidates,
     ceval,
     cformula_free_vars,
     eval_term,
@@ -62,6 +56,14 @@ from elemeq.cstar import (
     c_star,
     c_sub,
     projections,
+)
+from elemeq.enclosures import (
+    _RECTS,
+    _atom_enclosure,
+    _box_point,
+    _initial_box,
+    _split_box,
+    _witness_candidates,
 )
 from elemeq.errors import PreconditionError, ResourceBudgetError
 from util import TERM_NAMES, random_element, random_term
@@ -621,8 +623,8 @@ def test_exact_path_vacuous_and_hoisted_quantifiers():
 
 
 def test_exact_path_hoists_on_several_binders():
-    # the w quantifier reads x and z but not y, so it is memoised on two masks;
-    # its atom tells the three bound variables apart
+    # the w quantifier reads x and z but not y: it runs once per (x, y) and
+    # loops over z; its atom tells the three bound variables apart
     x, y, z, w = (CVar(v) for v in "xyzw")
     atom = FNorm(CSub(CMul(x, CSub(COne(), w)), CScale(0.5j, CMul(z, w))))
     phi = FSup("x", SORT_PROJ, FInf("y", SORT_PROJ, FSup("z", SORT_PROJ, FTruncSub(
@@ -631,6 +633,86 @@ def test_exact_path_hoists_on_several_binders():
     ))))
     for n in range(1, 4):
         _assert_exact(phi, CStarAlgebraFin(n), {})
+
+
+def test_exact_path_on_three_binders_with_partial_reads():
+    # the first z quantifier's body ignores y, its enclosing binder, and reads
+    # only x; its atom |x + d| ignores z, its innermost binder.  The second
+    # reads y, so its values over y are added to the atom's point by point.
+    x, y, z, w = CVar("x"), CVar("y"), CVar("z"), CVar("w")
+
+    def shape(c, d):
+        return FSup("x", SORT_PROJ, FInf("y", SORT_PROJ, FPlus(
+            FPlus(FNorm(CSub(CMul(x, c), y)), FInf("z", SORT_PROJ, FNorm(CSub(CMul(y, z), d)))),
+            FSup("z", SORT_PROJ, FMax(
+                FNorm(CSub(CMul(x, z), CScale(0.5j, z))), FScale(0.5, FNorm(CAdd(x, d))),
+            )),
+        )))
+
+    c, d = (0.5 + 0j, -1j, 0.25 + 0j, 2 + 0j), (-1 + 0j, 0.5j, 0j, -0.75 + 0j)
+    _assert_exact(shape(CConst(c), CConst(d)), CStarAlgebraFin(4), {})
+    # the same shapes one binder deeper, under w
+    c, d = CConst(c[:3]), CConst(d[:3])
+    _assert_exact(FInf("w", SORT_PROJ, FAbsDiff(FNorm(CMul(w, c)), shape(c, d))),
+                  CStarAlgebraFin(3), {})
+
+
+def test_exact_path_pairs_atom_and_quantifier_values_by_mask():
+    # the atom is 0 only at y = (1, 0), where the sup over z is 1; paired with
+    # the sup at the mirror image (0, 1), where it is 0.5, it would give 0.5
+    y, z = CVar("y"), CVar("z")
+    phi = FInf("y", SORT_PROJ, FPlus(
+        FNorm(CSub(y, CConst((1 + 0j, 0j)))),
+        FSup("z", SORT_PROJ, FNorm(CSub(CMul(y, z), CConst((0j, 0.5 + 0j))))),
+    ))
+    _assert_exact(phi, CStarAlgebraFin(2), {})
+    assert ceval(phi, CStarAlgebraFin(2)).lower == 1.0
+
+
+def test_exact_path_leaves_the_free_variable_memos_alone():
+    sentence = boolalg.Forall("x", boolalg.Exists("y", boolalg.Forall("z", boolalg.Eq(
+        boolalg.TMeet(boolalg.TVar("x"), boolalg.TCompl(boolalg.TVar("y"))), boolalg.TVar("z")))))
+    x, y, z = CVar("x"), CVar("y"), CVar("z")
+    with_params = FMax(
+        FNorm(CSub(CMul(x, y), CStar(x))),
+        FInf("z", SORT_PROJ, FAbsDiff(FNorm(CAdd(x, z)), FScale(0.5, FNorm(y)))),
+    )
+    A = CStarAlgebraFin(4)
+    for phi, params in ((translate_fo(sentence), {}), (with_params, {"x": A.one(), "y": A.zero()})):
+        before = [(m.cache_info().currsize, m.cache_info().hits)
+                  for m in (term_free_vars, cformula_free_vars)]
+        ceval(phi, A, params)
+        after = [(m.cache_info().currsize, m.cache_info().hits)
+                 for m in (term_free_vars, cformula_free_vars)]
+        assert after == before, phi
+
+
+def test_unassigned_free_variables_are_named_on_both_paths():
+    x, q, a = CVar("x"), CVar("q"), CVar("a")
+    A = CStarAlgebraFin(2)
+    projection_only = FPlus(FNorm(a), FSup("x", SORT_PROJ, FNorm(CSub(x, q))))
+    continuous = FPlus(FNorm(a), FSup("x", SORT_BALL, FNorm(CSub(x, q))))
+    for phi in (projection_only, continuous):
+        with pytest.raises(PreconditionError) as excinfo:
+            ceval(phi, A, {"x": A.one()})
+        assert str(excinfo.value) == "unassigned free variables: ['a', 'q']"
+
+
+def test_exact_evaluation_does_not_load_the_branch_and_bound():
+    # the exact path's processes never compile ``elemeq.enclosures``
+    script = (
+        "import sys\n"
+        "from elemeq.clogic import CVar, FNorm, FSup, ceval\n"
+        "from elemeq.cstar import CStarAlgebraFin\n"
+        "ceval(FSup('x', 'proj', FNorm(CVar('x'))), CStarAlgebraFin(2))\n"
+        "print('elemeq.enclosures' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_exact_path_preconditions():
