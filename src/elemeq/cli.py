@@ -627,7 +627,8 @@ def parse_target(text: str, offset: int = 0) -> tuple:
     position counts from ``offset``, where the target starts in its text."""
     intervals = []
     for piece in text.split("|"):
-        match = re.fullmatch(r"\s*(?:\{([^,{}]+)\}|\[([^,\[\]]+),([^,\[\]]+)\])\s*", piece)
+        match = re.fullmatch(
+            r"\s*(?:\{\s*([^,{}]+?)\s*\}|\[\s*([^,\[\]]+?)\s*,\s*([^,\[\]]+?)\s*\])\s*", piece)
         if match is None:
             raise ParseError(f"bad target piece {piece.strip()!r} (use [a,b] or {{a}})")
         groups = [g for g in (1, 2, 3) if match.group(g) is not None]

@@ -38,15 +38,20 @@ from elemeq.clogic import (
     SORT_POS,
     SORT_SA,
     Arith,
+    _DISC_BAND,
+    _in_disc,
+    _initial_box,
+    _onto_disc,
+    _rect_add,
+    _rect_conj,
+    _rect_kernel,
+    _rect_point,
+    _rect_sub,
     ceval,
     eval_term,
     term_free_vars,
 )
 from elemeq.cstar import CStarAlgebraFin, c_mul, c_norm
-from elemeq.enclosures import (
-    _DISC_BAND, _in_disc, _initial_box, _onto_disc, _rect_add, _rect_conj, _rect_kernel, _rect_point,
-    _rect_sub,
-)
 from elemeq.errors import PreconditionError
 
 MAX_REALIZE_VARIABLES = 3
@@ -344,14 +349,14 @@ def _point_max(a):
 
 
 def _norm_bounds(rect):
-    """Norm bounds (largest modulus over the last axis), widened as ``enclosures._abs_iv``."""
+    """Norm bounds (largest modulus over the last axis), widened as ``clogic._abs_iv``."""
     lo, hi = map(_point_max, _np_mod(rect))
     lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
     return np.maximum(np.nextafter(lo, -np.inf), 0.0), np.nextafter(hi, np.inf)
 
 
 def _in_disc_np(re, im):
-    """``enclosures._in_disc`` elementwise: exact inside the ``_DISC_BAND`` around 1."""
+    """``clogic._in_disc`` elementwise: exact inside the ``_DISC_BAND`` around 1."""
     square = re * re + im * im
     inside, band = square < 1.0, np.abs(square - 1.0) <= _DISC_BAND
     inside[band] = list(map(_in_disc, re[band].tolist(), im[band].tolist()))

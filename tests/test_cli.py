@@ -394,6 +394,7 @@ def test_parse_condition():
         (parse_cformula, "1e400", 0),
         (parse_cformula, "(fconst 1e400)", 8),
         (parse_target, "{1e400}", 1),
+        (parse_target, "{ 1e400 }", 2),
         (parse_target, "[0,1]| [-1e400,0]", 8),
         (parse_condition, "(* x y) in [0,1]|{1e400}", 18),
     ],
@@ -406,7 +407,8 @@ def test_real_literals_beyond_the_floats_are_parse_errors(parse, text, position)
 
 
 def test_target_errors_point_at_their_literal():
-    for text, position in (("{abc}", 1), ("[0,1]|[2,x]", 9)):
+    for text, position in (("{abc}", 1), ("[0,1]|[2,x]", 9), ("[0, x]", 4), ("{ abc }", 2),
+                           ("[ y ,1]", 2)):
         with pytest.raises(ParseError, match="expected a real literal") as excinfo:
             parse_target(text)
         assert excinfo.value.position == position

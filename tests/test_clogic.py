@@ -38,6 +38,13 @@ from elemeq.clogic import (
     SORT_PROJ,
     SORT_SA,
     EXACT,
+    _EXACT_OPS,
+    _RECTS,
+    _atom_enclosure,
+    _box_point,
+    _initial_box,
+    _split_box,
+    _witness_candidates,
     ceval,
     cformula_free_vars,
     eval_term,
@@ -56,14 +63,6 @@ from elemeq.cstar import (
     c_star,
     c_sub,
     projections,
-)
-from elemeq.enclosures import (
-    _RECTS,
-    _atom_enclosure,
-    _box_point,
-    _initial_box,
-    _split_box,
-    _witness_candidates,
 )
 from elemeq.errors import PreconditionError, ResourceBudgetError
 from util import TERM_NAMES, random_element, random_term
@@ -622,17 +621,21 @@ def test_exact_path_vacuous_and_hoisted_quantifiers():
     assert ceval(vacuous, CStarAlgebraFin(3), {}).lower == 1
 
 
-def test_exact_path_hoists_on_several_binders():
-    # the w quantifier reads x and z but not y: it runs once per (x, y) and
-    # loops over z; its atom tells the three bound variables apart
+def test_exact_path_hoists_on_several_binders(monkeypatch):
+    # the w quantifier reads x and z but not y, so it is memoised on x and
+    # loops over z once per x; its atom tells the three bound variables apart
     x, y, z, w = (CVar(v) for v in "xyzw")
     atom = FNorm(CSub(CMul(x, CSub(COne(), w)), CScale(0.5j, CMul(z, w))))
     phi = FSup("x", SORT_PROJ, FInf("y", SORT_PROJ, FSup("z", SORT_PROJ, FTruncSub(
         FInf("w", SORT_PROJ, FMax(atom, FScale(0.75, FNorm(CSub(w, z))))),
         FScale(0.5, FNorm(CMul(y, CSub(COne(), x)))),
     ))))
-    for n in range(1, 4):
+    calls, fmax = [], _EXACT_OPS[FMax]
+    monkeypatch.setitem(_EXACT_OPS, FMax, lambda l, r: calls.append(1) or fmax(l, r))
+    for n in range(1, 5):
+        calls.clear()
         _assert_exact(phi, CStarAlgebraFin(n), {})
+        assert len(calls) == 4**n  # the w body once per (x, z), not per (x, y, z)
 
 
 def test_exact_path_on_three_binders_with_partial_reads():
@@ -696,23 +699,6 @@ def test_unassigned_free_variables_are_named_on_both_paths():
         with pytest.raises(PreconditionError) as excinfo:
             ceval(phi, A, {"x": A.one()})
         assert str(excinfo.value) == "unassigned free variables: ['a', 'q']"
-
-
-def test_exact_evaluation_does_not_load_the_branch_and_bound():
-    # the exact path's processes never compile ``elemeq.enclosures``
-    script = (
-        "import sys\n"
-        "from elemeq.clogic import CVar, FNorm, FSup, ceval\n"
-        "from elemeq.cstar import CStarAlgebraFin\n"
-        "ceval(FSup('x', 'proj', FNorm(CVar('x'))), CStarAlgebraFin(2))\n"
-        "print('elemeq.enclosures' in sys.modules)\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
 
 
 def test_exact_path_preconditions():

@@ -10,6 +10,9 @@ import pytest
 
 from elemeq.boolalg import FiniteBoolAlg
 from elemeq.clogic import (
+    _RECTS,
+    _rect_kernel,
+    _rect_mod,
     CAdd,
     CConst,
     CMul,
@@ -23,7 +26,6 @@ from elemeq.clogic import (
     eval_term,
 )
 from elemeq.cstar import CStarAlgebraFin, c_add, c_mul, c_norm, c_scale, c_star, c_sub
-from elemeq.enclosures import _RECTS, _rect_kernel, _rect_mod
 from elemeq.errors import PreconditionError
 from elemeq.saturation import (
     _BATCH_SIZE,
