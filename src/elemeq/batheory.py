@@ -66,7 +66,11 @@ MAX_CHAIN_LENGTH = 64
 
 
 @dataclass(frozen=True)
-class Trivial:
+class _Named:
+    """A descriptor without parameters, written by its name alone."""
+
+
+class Trivial(_Named):
     """The one-element algebra (0 = 1)."""
 
 
@@ -81,23 +85,19 @@ class Finite:
             raise PreconditionError("a finite algebra needs at least one atom")
 
 
-@dataclass(frozen=True)
-class FinCof:
+class FinCof(_Named):
     """Finite and cofinite subsets of a countable set."""
 
 
-@dataclass(frozen=True)
-class PowersetOmega:
+class PowersetOmega(_Named):
     """All subsets of a countable set."""
 
 
-@dataclass(frozen=True)
-class PowersetModFin:
+class PowersetModFin(_Named):
     """Subsets of a countable set modulo finite sets."""
 
 
-@dataclass(frozen=True)
-class FreeAtomless:
+class FreeAtomless(_Named):
     """The countable atomless algebra."""
 
 
@@ -133,15 +133,7 @@ class Product:
             _check_descriptor(f)
 
 
-_LEAF_TYPES = (
-    Trivial,
-    Finite,
-    FinCof,
-    PowersetOmega,
-    PowersetModFin,
-    FreeAtomless,
-    IntervalAlgebra,
-)
+_LEAF_TYPES = (_Named, Finite, IntervalAlgebra)
 
 
 def _check_descriptor(d) -> None:
@@ -220,12 +212,7 @@ def is_atomic(d) -> bool:
 
     Equivalently: the isolated points are dense in the dual space.
     """
-    if isinstance(d, (PowersetModFin, FreeAtomless)):
-        return False
-    if isinstance(d, Product):
-        return all(is_atomic(f) for f in d.factors)
-    _check_descriptor(d)
-    return True
+    return not has_atomless_element(d)
 
 
 # ---------------------------------------------------------------------------

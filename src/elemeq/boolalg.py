@@ -286,68 +286,66 @@ class TOne:
     pass
 
 
+# One dataclass per node shape; its generated == still tells the subclasses apart.
 @dataclass(frozen=True)
-class TMeet:
+class _Pair:
     left: object
     right: object
 
 
 @dataclass(frozen=True)
-class TJoin:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class TCompl:
+class _Unary:
     arg: object
 
 
 @dataclass(frozen=True)
-class Eq:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Le:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Not:
-    arg: object
-
-
-@dataclass(frozen=True)
-class And:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Or:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Implies:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Forall:
+class _Quantifier:
     var: str
     body: object
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: object
+class TMeet(_Pair):
+    pass
+
+
+class TJoin(_Pair):
+    pass
+
+
+class TCompl(_Unary):
+    pass
+
+
+class Eq(_Pair):
+    pass
+
+
+class Le(_Pair):
+    pass
+
+
+class Not(_Unary):
+    pass
+
+
+class And(_Pair):
+    pass
+
+
+class Or(_Pair):
+    pass
+
+
+class Implies(_Pair):
+    pass
+
+
+class Forall(_Quantifier):
+    pass
+
+
+class Exists(_Quantifier):
+    pass
 
 
 def quantifier_rank(phi) -> int:

@@ -63,6 +63,7 @@ from elemeq.boolalg import (
     stone_space,
 )
 from elemeq.clogic import (
+    DEFAULT_MAX_BOXES,
     CAdd,
     CConst,
     CMul,
@@ -848,15 +849,21 @@ def _cmd_translate(args):
     return payload, EXIT_OK
 
 
+def _assignments(pairs, option: str, usage: str, parse) -> dict:
+    """The ``NAME=VALUE`` pairs of a repeated option as a dict, each value parsed."""
+    out = {}
+    for pair in pairs or []:
+        name, _, value = pair.partition("=")
+        if not name or not value:
+            raise ParseError(f"bad {option} {pair!r} (use {usage})")
+        out[name] = parse(value)
+    return out
+
+
 def _cmd_ceval(args):
     phi = parse_cformula(args.formula)
     algebra = CStarAlgebraFin(args.points)
-    params = {}
-    for pair in args.param or []:
-        name, _, value = pair.partition("=")
-        if not name or not value:
-            raise ParseError(f"bad --param {pair!r} (use name=v1,v2,...)")
-        params[name] = parse_element(value)
+    params = _assignments(args.param, "--param", "name=v1,v2,...", parse_element)
     inputs = {
         "formula": format_cformula(phi),
         "points": args.points,
@@ -983,12 +990,7 @@ def _cmd_realize(args):
 
     conditions = [parse_condition(text) for text in args.cond]
     algebra = CStarAlgebraFin(args.points)
-    sorts = {}
-    for pair in args.sort or []:
-        name, _, sort = pair.partition("=")
-        if not name or not sort:
-            raise ParseError(f"bad --sort {pair!r} (use variable=ball|sa|pos)")
-        sorts[name] = sort
+    sorts = _assignments(args.sort, "--sort", "variable=ball|sa|pos", str)
     inputs = {
         "conditions": list(map(_format_condition, conditions)),
         "points": args.points,
@@ -1065,7 +1067,7 @@ _VERBS = (
         "formula",
         ("--points", {"type": int, "required": True, "help": "number of points of the space"}),
         ("--tol", {"type": float, "default": 1e-6}),
-        ("--max-boxes", {"type": int, "default": 200_000}),
+        ("--max-boxes", {"type": int, "default": DEFAULT_MAX_BOXES}),
         ("--param", {"action": "append", "metavar": "NAME=ELEMENT"}),
     )),
     ("jspec", _cmd_jspec, "joint spectrum of a tuple of elements", (("element", {"nargs": "+"}),)),

@@ -109,6 +109,12 @@ FREE_VARS_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
+class _Pair:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
 class CVar:
     name: str
 
@@ -130,22 +136,16 @@ class CConst:
     values: tuple
 
 
-@dataclass(frozen=True)
-class CAdd:
-    left: object
-    right: object
+class CAdd(_Pair):
+    pass
 
 
-@dataclass(frozen=True)
-class CSub:
-    left: object
-    right: object
+class CSub(_Pair):
+    pass
 
 
-@dataclass(frozen=True)
-class CMul:
-    left: object
-    right: object
+class CMul(_Pair):
+    pass
 
 
 @dataclass(frozen=True)
@@ -178,30 +178,20 @@ class FConst:
             raise PreconditionError("formula constants must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class FPlus:
-    left: object
-    right: object
+class FPlus(_Pair):
+    pass
 
 
-@dataclass(frozen=True)
-class FTruncSub:
+class FTruncSub(_Pair):
     """Truncated subtraction: max(left - right, 0)."""
 
-    left: object
-    right: object
+
+class FMax(_Pair):
+    pass
 
 
-@dataclass(frozen=True)
-class FMax:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class FMin:
-    left: object
-    right: object
+class FMin(_Pair):
+    pass
 
 
 @dataclass(frozen=True)
@@ -214,14 +204,12 @@ class FScale:
             raise PreconditionError("formula scaling must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
-class FAbsDiff:
-    left: object
-    right: object
+class FAbsDiff(_Pair):
+    pass
 
 
 @dataclass(frozen=True)
-class FSup:
+class _Quantifier:
     var: str
     sort: str
     body: object
@@ -231,15 +219,12 @@ class FSup:
             raise PreconditionError(f"unknown quantifier sort: {self.sort!r}")
 
 
-@dataclass(frozen=True)
-class FInf:
-    var: str
-    sort: str
-    body: object
+class FSup(_Quantifier):
+    pass
 
-    def __post_init__(self) -> None:
-        if self.sort not in SORTS:
-            raise PreconditionError(f"unknown quantifier sort: {self.sort!r}")
+
+class FInf(_Quantifier):
+    pass
 
 
 _BINARY_TYPES = (FPlus, FTruncSub, FMax, FMin, FAbsDiff)

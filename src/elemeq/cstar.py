@@ -141,13 +141,15 @@ def projections(algebra: CStarAlgebraFin):
 # ---------------------------------------------------------------------------
 
 
-def _check_tuple(a: tuple) -> int:
+def _check_tuple(a: tuple, lam: tuple | None = None) -> int:
     if not a:
         raise PreconditionError("the element tuple must be nonempty")
     n = len(a[0])
     for f in a:
         if len(f) != n:
             raise PreconditionError("elements live on spaces of different sizes")
+    if lam is not None and len(lam) != len(a):
+        raise PreconditionError("one spectral parameter per element is required")
     return n
 
 
@@ -159,9 +161,7 @@ def joint_spectrum(a: tuple) -> frozenset:
 
 def is_singular(a: tuple, lam: tuple) -> bool:
     """Whether the translated tuple ``(lam_i - a_i)`` has a common zero."""
-    n = _check_tuple(a)
-    if len(lam) != len(a):
-        raise PreconditionError("one spectral parameter per element is required")
+    n = _check_tuple(a, lam)
     return any(all(f[x] == lam[i] for i, f in enumerate(a)) for x in range(n))
 
 
@@ -176,9 +176,7 @@ def singular_cross_checks(a: tuple, lam: tuple) -> dict:
     residual of that candidate is reported.  Singularity is equivalent to
     unsolvability.
     """
-    n = _check_tuple(a)
-    if len(lam) != len(a):
-        raise PreconditionError("one spectral parameter per element is required")
+    n = _check_tuple(a, lam)
     diffs = [tuple(lam[i] - f[x] for x in range(n)) for i, f in enumerate(a)]
     pointwise = any(all(d[x] == 0 for d in diffs) for x in range(n))
     abs_sum = tuple(sum(abs(d[x]) for d in diffs) for x in range(n))
@@ -210,9 +208,7 @@ def spectrum_indicator(a: tuple, lam: tuple) -> float:
     distance-like defect ``min(1, pointwise distance to the spectrum in the
     sum metric)``.
     """
-    n = _check_tuple(a)
-    if len(lam) != len(a):
-        raise PreconditionError("one spectral parameter per element is required")
+    n = _check_tuple(a, lam)
     s = [sum(abs(lam[i] - f[x]) for i, f in enumerate(a)) for x in range(n)]
     truncated = [max(1 - v, 0.0) for v in s]
     return abs(1 - max(truncated))

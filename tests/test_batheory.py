@@ -31,7 +31,7 @@ from elemeq.efgames import ef_finite_bas
 from elemeq.errors import PreconditionError
 from elemeq.ordinals import Ordinal, finite
 
-from util import mk, w
+from util import check_node_shape, mk, w
 
 
 def intalg(*term_pairs):
@@ -54,6 +54,11 @@ def test_descriptor_validation():
         Product(())
     with pytest.raises(PreconditionError):
         Product(("not a descriptor",))
+
+
+def test_named_descriptor_shape():
+    named = (Trivial, FinCof, PowersetOmega, PowersetModFin, FreeAtomless)
+    check_node_shape(named, (), (), "Trivial()")
 
 
 def test_format_descriptor_frozen_strings():

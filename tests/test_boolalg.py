@@ -37,6 +37,7 @@ from elemeq.boolalg import (
     stone_space,
 )
 from elemeq.errors import PreconditionError, ResourceBudgetError
+from util import check_node_shape
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +176,26 @@ def test_dual_functoriality(data):
     dg, df = dual_morphism(g), dual_morphism(f)
     for c in clopen_algebra(z).elements():
         assert left.apply(c) == df.apply(dg.apply(c))
+
+
+# ---------------------------------------------------------------------------
+# Formula nodes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "classes, args, fields, text",
+    [
+        ((TMeet, TJoin, Eq, Le, And, Or, Implies), (TVar("x"), TOne()), ("left", "right"),
+         "TMeet(left=TVar(name='x'), right=TOne())"),
+        ((TCompl, Not), (TVar("x"),), ("arg",), "TCompl(arg=TVar(name='x'))"),
+        ((Forall, Exists), ("x", Eq(TVar("x"), TZero())), ("var", "body"),
+         "Forall(var='x', body=Eq(left=TVar(name='x'), right=TZero()))"),
+        ((TZero, TOne), (), (), "TZero()"),
+    ],
+)
+def test_node_shapes(classes, args, fields, text):
+    check_node_shape(classes, args, fields, text)
 
 
 # ---------------------------------------------------------------------------

@@ -604,6 +604,21 @@ def test_cli_ceval_rejects_an_overflowed_value(capsys, formula):
     assert out == "" and "overflows" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ceval", "(norm c)", "--points", "1", "--param", "c"],
+         "bad --param 'c' (use name=v1,v2,...)"),
+        (["realize", "--cond", "x in [0,1]", "--points", "1", "--tol", "0.1", "--sort", "=sa"],
+         "bad --sort '=sa' (use variable=ball|sa|pos)"),
+    ],
+)
+def test_cli_malformed_name_value_option_is_exit_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_PARSE
+    assert out == "" and err == f"parse error: {message}\n"
+
+
 def test_cli_jspec(capsys):
     code, out, _ = run_cli(capsys, ["jspec", "1,2", "0,1j", "--json"])
     payload = json.loads(out)

@@ -65,12 +65,32 @@ from elemeq.cstar import (
     projections,
 )
 from elemeq.errors import PreconditionError, ResourceBudgetError
-from util import TERM_NAMES, random_element, random_term
+from util import TERM_NAMES, check_node_shape, random_element, random_term
 
 
 # ---------------------------------------------------------------------------
 # Structure
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "classes, args, fields, text",
+    [
+        ((CAdd, CSub, CMul, FPlus, FTruncSub, FMax, FMin, FAbsDiff), (CVar("x"), COne()),
+         ("left", "right"), "CAdd(left=CVar(name='x'), right=COne())"),
+        ((FSup, FInf), ("x", SORT_SA, FNorm(CVar("x"))), ("var", "sort", "body"),
+         "FSup(var='x', sort='sa', body=FNorm(term=CVar(name='x')))"),
+        ((CZero, COne), (), (), "CZero()"),
+    ],
+)
+def test_node_shapes(classes, args, fields, text):
+    check_node_shape(classes, args, fields, text)
+
+
+@pytest.mark.parametrize("quantifier", [FSup, FInf])
+def test_quantifiers_reject_an_unknown_sort(quantifier):
+    with pytest.raises(PreconditionError, match="unknown quantifier sort: 'unit'"):
+        quantifier("x", "unit", FNorm(CVar("x")))
 
 
 def test_free_variables():
@@ -376,7 +396,7 @@ def _domain_samples(sort, n, rng, count):
 
 
 def test_ceval_bounds_dominate_sampled_body_values():
-    # Rounding is to nearest (ROADMAP item 2), so a sampled float value may
+    # Rounding is to nearest (ROADMAP item 1), so a sampled float value may
     # pass an attained bound by a few ulps; 1e-12 absorbs that and no more.
     rng = random.Random(6063)
     for _ in range(60):

@@ -151,6 +151,18 @@ def test_tuple_preconditions():
         joint_spectrum((a, CStarAlgebraFin(3).one()))
 
 
+@pytest.mark.parametrize("check", [is_singular, singular_cross_checks, spectrum_indicator])
+def test_spectral_parameter_checks_come_after_the_tuple_checks(check):
+    a = CStarAlgebraFin(2).element([0, 1])
+    for elements, lam, message in (
+        ((), (0j,), "nonempty"),
+        ((a, CStarAlgebraFin(3).one()), (0j,), "different sizes"),
+        ((a,), (0j, 0j), "one spectral parameter"),
+    ):
+        with pytest.raises(PreconditionError, match=message):
+            check(elements, lam)
+
+
 # ---------------------------------------------------------------------------
 # Clopen coding
 # ---------------------------------------------------------------------------

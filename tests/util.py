@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 from itertools import combinations, product
+
+import pytest
 
 from elemeq.clogic import CAdd, CConst, CMul, COne, CScale, CStar, CSub, CVar, CZero
 from elemeq.ordinals import Ordinal, ZERO, finite, omega_power, ord_add, ord_mul
@@ -68,3 +72,24 @@ def random_term(rng, n, depth):
         return CScale(scalar, random_term(rng, n, depth - 1))
     op = (CAdd, CSub, CMul)[kind - 2]
     return op(random_term(rng, n, depth - 1), random_term(rng, n, depth - 1))
+
+
+def check_node_shape(classes, args, fields, text):
+    """Pin one node shape shared by ``classes``, built from ``args``.
+
+    Each class keeps the field names ``fields``, a dataclass repr (``text`` for
+    the first class), frozen fields, pickling, and an ``==`` and ``hash`` that
+    tell the classes apart on equal fields, as the memos keyed on nodes need.
+    """
+    nodes = [cls(*args) for cls in classes]
+    assert len(set(nodes)) == len(nodes)
+    for a, b in combinations(nodes, 2):
+        assert a != b
+    for cls, node in zip(classes, nodes):
+        assert repr(node) == cls.__name__ + text[len(classes[0].__name__):]
+        assert tuple(f.name for f in dataclasses.fields(node)) == fields
+        assert node == cls(*args) and hash(node) == hash(cls(*args))
+        assert pickle.loads(pickle.dumps(node)) == node
+        for name in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, None)
