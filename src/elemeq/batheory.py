@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import PreconditionError, frozen_shape
 from .ordinals import ONE, Ordinal, cnf_string, finite, left_difference
 
 __all__ = [
@@ -65,7 +65,7 @@ MAX_CHAIN_LENGTH = 64
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen_shape
 class _Named:
     """A descriptor without parameters, written by its name alone."""
 

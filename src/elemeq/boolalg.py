@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import PreconditionError, ResourceBudgetError
+from .errors import PreconditionError, ResourceBudgetError, frozen_shape
 
 __all__ = [
     "FiniteBoolAlg",
@@ -287,18 +287,18 @@ class TOne:
 
 
 # One dataclass per node shape; its generated == still tells the subclasses apart.
-@dataclass(frozen=True)
+@frozen_shape
 class _Pair:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@frozen_shape
 class _Unary:
     arg: object
 
 
-@dataclass(frozen=True)
+@frozen_shape
 class _Quantifier:
     var: str
     body: object

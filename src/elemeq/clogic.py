@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 
 from . import boolalg
 from .cstar import CStarAlgebraFin, c_add, c_mul, c_norm, c_scale, c_star, c_sub, projections
-from .errors import PreconditionError, ResourceBudgetError
+from .errors import PreconditionError, ResourceBudgetError, frozen_shape
 
 __all__ = [
     "SORT_BALL",
@@ -108,7 +108,7 @@ FREE_VARS_MEMO_SIZE = 4096
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen_shape
 class _Pair:
     left: object
     right: object
@@ -208,7 +208,7 @@ class FAbsDiff(_Pair):
     pass
 
 
-@dataclass(frozen=True)
+@frozen_shape
 class _Quantifier:
     var: str
     sort: str
@@ -932,6 +932,8 @@ def ceval(
     """
     if not tol > 0:
         raise PreconditionError("the tolerance must be positive")
+    if not max_boxes >= 1:
+        raise PreconditionError("the box budget must be at least 1")
     if algebra.point_count > MAX_CEVAL_POINTS:
         raise PreconditionError(
             f"certified evaluation accepts at most {MAX_CEVAL_POINTS} points")

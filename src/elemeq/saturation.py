@@ -345,7 +345,7 @@ _NP_VALUES = Arith(
 
 def _point_max(a):
     """``a.max(axis=-1)``, as pairwise maxima over the (short) last axis."""
-    return functools.reduce(np.maximum, np.moveaxis(a, -1, 0))
+    return functools.reduce(np.maximum, (a[..., i] for i in range(a.shape[-1])))
 
 
 def _norm_bounds(rect):
@@ -359,7 +359,8 @@ def _in_disc_np(re, im):
     """``clogic._in_disc`` elementwise: exact inside the ``_DISC_BAND`` around 1."""
     square = re * re + im * im
     inside, band = square < 1.0, np.abs(square - 1.0) <= _DISC_BAND
-    inside[band] = list(map(_in_disc, re[band].tolist(), im[band].tolist()))
+    if band.any():
+        inside[band] = list(map(_in_disc, re[band].tolist(), im[band].tolist()))
     return inside
 
 
@@ -369,7 +370,8 @@ def _onto_disc_np(re, im):
     shrink = np.where(rim, (1 - _DISC_BAND) / np.maximum(np.hypot(re, im), 1.0), 1.0)
     points = re * shrink + 1j * (im * shrink)
     missed = ~_in_disc_np(points.real, points.imag)
-    points[missed] = [_onto_disc(z.real, z.imag) for z in points[missed].tolist()]
+    if missed.any():
+        points[missed] = [_onto_disc(z.real, z.imag) for z in points[missed].tolist()]
     return points
 
 
@@ -406,23 +408,32 @@ class _RealizeProblem:
         norms = norms[:, None]
         return np.maximum(np.maximum(self.t_lo - norms, norms - self.t_hi), 0.0).min(axis=1)
 
+    def feasible(self, boxes):
+        """Whether each box meets every domain (a ``ball`` box's nearest point in the disc, exactly)."""
+        if not self.ball.size:
+            return np.ones(boxes.shape[0], dtype=bool)
+        near = np.minimum(np.maximum(boxes[:, self.ball, 0::2], 0.0), boxes[:, self.ball, 1::2])
+        return _in_disc_np(near[..., 0], near[..., 1]).all(axis=1)
+
     def candidates(self, boxes):
-        """Witness candidates (candidate-major, shape (M, slots)) and the mask of boxes
-        meeting every domain (a ``ball`` box's nearest point in the disc, decided exactly).
-        ``sa``/``pos``: midpoint, all-low, all-high, then each coordinate snapped to its end
-        on the domain boundary (else the midpoint), high then low first on ties.  ``ball``:
-        the nearest point, then the farthest pulled into the disc.  No duplicate is scored."""
+        """The ``witnesses`` of the boxes that are ``feasible``, and that mask."""
+        feasible = self.feasible(boxes)
+        return self.witnesses(boxes[feasible]), feasible
+
+    def witnesses(self, boxes):
+        """Witness candidates of feasible boxes, candidate-major, shape (M, slots).  ``sa``/``pos``:
+        midpoint, all-low, all-high, then each coordinate snapped to its end on the domain boundary
+        (else the midpoint), high then low first on ties.  ``ball``: the nearest point, then the
+        farthest pulled into the disc.  No duplicate is scored."""
         cands = np.empty((5 if self.real.size else 2, boxes.shape[0], self.slots), dtype=complex)
-        feasible = np.ones(boxes.shape[0], dtype=bool)
         if self.ball.size:
             lo, hi = boxes[:, self.ball, 0::2], boxes[:, self.ball, 1::2]
             near = np.minimum(np.maximum(lo, 0.0), hi)
-            feasible = _in_disc_np(near[..., 0], near[..., 1]).all(axis=1)
             far = np.where(-lo > hi, lo, hi)
             rows = np.stack([near[..., 0] + 1j * near[..., 1],
                              _onto_disc_np(far[..., 0], far[..., 1])])
             cands[:, :, self.ball] = rows[[0, 0, 0, 1, 1] if self.real.size else [0, 1]]
-        scored = [feasible] * len(cands)
+        scored = np.ones(cands.shape[:2], dtype=bool)
         if self.real.size:
             lo, hi = boxes[:, self.real, 0], boxes[:, self.real, 1]
             mid = (lo + hi) / 2.0
@@ -430,13 +441,13 @@ class _RealizeProblem:
             cands[:, :, self.real] = [mid, lo, hi, np.where(up, hi, np.where(down, lo, mid)),
                                       np.where(down, lo, np.where(up, hi, mid))]
             snapped = (up | down).any(axis=1) | bool(self.ball.size)
-            scored[3:] = feasible & snapped, feasible & (up & down).any(axis=1)
-        return cands[np.array(scored)], feasible
+            scored[3:] = snapped, (up & down).any(axis=1)
+        return cands[scored]
 
     def deviation_floor(self, boxes):
         """Per box, a lower bound on the largest deviation over the box: the
         least distance of each condition's widened norm bounds to its target."""
-        env = self._env(np.moveaxis(boxes, -1, 0))
+        env = self._env(boxes.transpose(2, 0, 1))
         rects = np.empty((4, len(self.conditions), boxes.shape[0], self.points))
         for i, condition in enumerate(self.conditions):
             rects[:, i] = eval_term(condition.polynomial, env, self.algebra, self.rects)
@@ -454,30 +465,24 @@ class _RealizeProblem:
 
     def split(self, boxes):
         """Halve each box along its widest axis (ties: first slot, real
-        axis before imaginary)."""
-        widths = np.stack([boxes[..., 1] - boxes[..., 0], boxes[..., 3] - boxes[..., 2]], axis=-1)
-        flat = widths.reshape(boxes.shape[0], -1).argmax(axis=1)
-        slots, axes = flat // 2, flat % 2
-        low, high = boxes.copy(), boxes.copy()
-        rows = np.arange(boxes.shape[0])
-        lo_col, hi_col = np.where(axes == 0, 0, 2), np.where(axes == 0, 1, 3)
-        mid = (boxes[rows, slots, lo_col] + boxes[rows, slots, hi_col]) / 2.0
-        low[rows, slots, hi_col] = mid
-        high[rows, slots, lo_col] = mid
-        return np.concatenate([low, high])
+        axis before imaginary): the low halves, then the high halves."""
+        ends = boxes.reshape(len(boxes), -1, 2)  # (lo, hi) per slot and axis
+        widest, rows = (ends[..., 1] - ends[..., 0]).argmax(axis=1), np.arange(len(boxes))
+        pair = ends[rows, widest]
+        mid = (pair[:, 0] + pair[:, 1]) / 2.0
+        halves = np.concatenate([boxes, boxes])
+        ends = halves.reshape(2, len(boxes), -1, 2)
+        ends[0, rows, widest, 1] = mid
+        ends[1, rows, widest, 0] = mid
+        return halves
 
 
 def _certify_assignment(conditions, algebra, assignment):
     """Certify every condition at the assignment via formula evaluation:
     the certificates and the largest certified distance to a target."""
-    certificates = tuple(
-        ceval(FNorm(c.polynomial), algebra, assignment, tol=1e-9) for c in conditions
-    )
-    deviation = max(
-        distance_to_target(bound, c.target)
-        for c, cert in zip(conditions, certificates)
-        for bound in (cert.lower, cert.upper)
-    )
+    certificates = tuple(ceval(FNorm(c.polynomial), algebra, assignment, tol=1e-9) for c in conditions)
+    deviation = max(distance_to_target(bound, c.target) for c, cert in zip(conditions, certificates)
+                    for bound in (cert.lower, cert.upper))
     return certificates, deviation
 
 
@@ -501,10 +506,12 @@ def realize_type(
     The search is best first.  Each level pops up to ``_BATCH_SIZE`` boxes,
     bisects them k = max(1, floor(log2(_BATCH_SIZE / (2 * popped)))) times
     along their widest axes, so that a level is filled to half a batch even
-    when few boxes survive, bounds the pieces in one numpy pass and scores
-    witnesses that reach the sorts' boundaries (``candidates``).  A level is
-    assessed whole, so ``boxes_used`` can pass ``max_boxes`` by at most one
-    level, fewer than ``2 * _BATCH_SIZE`` boxes.
+    when few boxes survive, and bounds the pieces in one numpy pass.  Only
+    the boxes it keeps (deviation floor at most ``tol``) score witnesses that
+    reach the sorts' boundaries (``witnesses``), as a pruned box holds no
+    point within ``tol``.  A level is assessed whole, so ``boxes_used`` can
+    pass ``max_boxes`` (at least 1) by at most one level, fewer than
+    ``2 * _BATCH_SIZE`` boxes.
     """
     conditions = tuple(conditions)
     if not conditions or len(conditions) > MAX_REALIZE_CONDITIONS:
@@ -513,6 +520,8 @@ def realize_type(
         raise PreconditionError(f"algebra must have at most {MAX_REALIZE_POINTS} points")
     if not tol > 0:
         raise PreconditionError("tolerance must be positive")
+    if not max_boxes >= 1:
+        raise PreconditionError("box budget must be at least 1")
     for condition in conditions:
         if not isinstance(condition, TypeCondition):
             raise PreconditionError("conditions must be TypeCondition instances")
@@ -532,29 +541,29 @@ def realize_type(
         return Unsatisfiable(deviation, conditions)
 
     problem = _RealizeProblem(conditions, algebra, sorts_by_var)
-    counter = itertools.count()
-    heap = []
+    counter, heap, best_rep, boxes_used = itertools.count(), [], None, 0
     floor = best_value = np.inf
-    best_rep = None
-    boxes_used = 0
 
     def assess(boxes):
         nonlocal floor, best_value, best_rep, boxes_used
         boxes_used += boxes.shape[0]
-        cands, feasible = problem.candidates(boxes)
-        boxes = boxes[feasible]
-        if boxes.shape[0] == 0:
-            return
+        feasible = problem.feasible(boxes)
+        if not feasible.all():
+            boxes = boxes[feasible]
         g_lo = problem.deviation_floor(boxes)
-        g_cand = problem.deviation_at(cands)
-        leader = int(np.argmin(g_cand))
-        if g_cand[leader] < best_value:
-            best_value = float(g_cand[leader])
-            best_rep = cands[leader].copy()
         pruned = g_lo > tol
         if pruned.any():
             floor = min(floor, float(g_lo[pruned].min()))
-        for item in zip(g_lo[~pruned].tolist(), counter, boxes[~pruned]):
+            boxes, g_lo = boxes[~pruned], g_lo[~pruned]
+        if boxes.shape[0] == 0:
+            return
+        cands = problem.witnesses(boxes)
+        g_cand = problem.deviation_at(cands)
+        leader = int(np.argmin(g_cand))
+        if g_cand[leader] < best_value:
+            best_value, best_rep = float(g_cand[leader]), cands[leader].copy()
+        # one heap key per box: its row in this level's survivors (the chunk)
+        for item in zip(g_lo.tolist(), counter, itertools.repeat(boxes), range(boxes.shape[0])):
             heapq.heappush(heap, item)
 
     assess(problem.initial_box())
@@ -569,7 +578,12 @@ def realize_type(
             return Unsatisfiable(float(floor), conditions)
         if boxes_used >= max_boxes:
             return Inconclusive(float(best_value), boxes_used)
-        boxes = np.stack([heapq.heappop(heap)[2] for _ in range(min(_BATCH_SIZE, len(heap)))])
+        _, _, chunks, rows = zip(*(heapq.heappop(heap) for _ in range(min(_BATCH_SIZE, len(heap)))))
+        ids, rows = np.array(list(map(id, chunks))), np.array(rows)
+        boxes = np.empty((len(rows), problem.slots, 4))
+        for chunk in dict(zip(map(id, chunks), chunks)).values():  # in pop order, one index per chunk
+            at = ids == id(chunk)
+            boxes[at] = chunk[rows[at]]
         for _ in range(max(1, (_BATCH_SIZE // (2 * boxes.shape[0])).bit_length() - 1)):
             boxes = problem.split(boxes)
         assess(boxes)

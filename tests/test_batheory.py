@@ -2,6 +2,7 @@
 
 import pytest
 
+from elemeq import batheory
 from elemeq.batheory import (
     OMEGA_ATOMS,
     ErshovInvariant,
@@ -31,7 +32,7 @@ from elemeq.efgames import ef_finite_bas
 from elemeq.errors import PreconditionError
 from elemeq.ordinals import Ordinal, finite
 
-from util import check_node_shape, mk, w
+from util import check_frozen_nodes, check_node_shape, mk, w
 
 
 def intalg(*term_pairs):
@@ -59,6 +60,12 @@ def test_descriptor_validation():
 def test_named_descriptor_shape():
     named = (Trivial, FinCof, PowersetOmega, PowersetModFin, FreeAtomless)
     check_node_shape(named, (), (), "Trivial()")
+
+
+def test_every_descriptor_refuses_new_attributes():
+    named = [cls() for cls in (Trivial, FinCof, PowersetOmega, PowersetModFin, FreeAtomless)]
+    nodes = named + [Finite(2), intalg((1, 1)), Product((Finite(2), FreeAtomless()))]
+    check_frozen_nodes(nodes, (batheory._Named,))
 
 
 def test_format_descriptor_frozen_strings():

@@ -37,7 +37,7 @@ from elemeq.boolalg import (
     stone_space,
 )
 from elemeq.errors import PreconditionError, ResourceBudgetError
-from util import check_node_shape
+from util import check_frozen_nodes, check_node_shape
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +196,14 @@ def test_dual_functoriality(data):
 )
 def test_node_shapes(classes, args, fields, text):
     check_node_shape(classes, args, fields, text)
+
+
+def test_every_node_refuses_new_attributes():
+    x, zero = TVar("x"), TZero()
+    nodes = [x, zero, TOne(), TCompl(x), Not(Eq(x, zero)), Forall("x", Eq(x, zero)),
+             Exists("x", Le(x, zero))]
+    nodes += [cls(x, zero) for cls in (TMeet, TJoin, Eq, Le, And, Or, Implies)]
+    check_frozen_nodes(nodes, (boolalg._Pair, boolalg._Unary, boolalg._Quantifier))
 
 
 # ---------------------------------------------------------------------------

@@ -619,6 +619,21 @@ def test_cli_malformed_name_value_option_is_exit_two(capsys, argv, message):
     assert out == "" and err == f"parse error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ceval", "(sup x :sa (norm x))", "--points", "1"],
+        ["ceval", "(norm 1)", "--points", "1"],
+        ["realize", "--cond", "x in {1}", "--points", "1", "--tol", "0.1"],
+    ],
+)
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_cli_non_positive_box_budget_is_exit_two(capsys, argv, budget):
+    code, out, err = run_cli(capsys, [*argv, "--max-boxes", budget])
+    assert code == EXIT_PARSE
+    assert out == "" and "box budget must be at least 1" in err and "Traceback" not in err
+
+
 def test_cli_jspec(capsys):
     code, out, _ = run_cli(capsys, ["jspec", "1,2", "0,1j", "--json"])
     payload = json.loads(out)

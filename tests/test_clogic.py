@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from elemeq import boolalg
+from elemeq import boolalg, clogic
 from elemeq.boolalg import FiniteBoolAlg, fo_eval, sentence_corpus
 from elemeq.clogic import (
     CAdd,
@@ -65,7 +65,7 @@ from elemeq.cstar import (
     projections,
 )
 from elemeq.errors import PreconditionError, ResourceBudgetError
-from util import TERM_NAMES, check_node_shape, random_element, random_term
+from util import TERM_NAMES, check_frozen_nodes, check_node_shape, random_element, random_term
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +85,15 @@ from util import TERM_NAMES, check_node_shape, random_element, random_term
 )
 def test_node_shapes(classes, args, fields, text):
     check_node_shape(classes, args, fields, text)
+
+
+def test_every_node_refuses_new_attributes():
+    x, norm = CVar("x"), FNorm(CVar("x"))
+    nodes = [x, CZero(), COne(), CConst((1j,)), CStar(x), CScale(2j, x), norm, FConst(0.5),
+             FScale(0.5, norm), FSup("x", SORT_SA, norm), FInf("x", SORT_BALL, norm)]
+    nodes += [cls(x, COne()) for cls in (CAdd, CSub, CMul)]
+    nodes += [cls(norm, FConst(0.5)) for cls in (FPlus, FTruncSub, FMax, FMin, FAbsDiff)]
+    check_frozen_nodes(nodes, (clogic._Pair, clogic._Quantifier))
 
 
 @pytest.mark.parametrize("quantifier", [FSup, FInf])
@@ -219,6 +228,16 @@ def test_ceval_preconditions():
             A.element((0j, bad))
         with pytest.raises(PreconditionError):
             ceval(FSup("x", SORT_SA, FNorm(CSub(CVar("x"), CVar("c")))), A, {"c": (bad, 0j)})
+
+
+@pytest.mark.parametrize("budget", [0, -5, 0.5, math.nan])
+def test_ceval_rejects_a_box_budget_below_one(budget):
+    # the exact path and a constant search no box, and are rejected all the same
+    A = CStarAlgebraFin(1)
+    for phi in (FSup("x", SORT_SA, FNorm(CVar("x"))), FSup("p", SORT_PROJ, FNorm(CVar("p"))), FConst(0.5)):
+        with pytest.raises(PreconditionError, match="box budget must be at least 1"):
+            ceval(phi, A, {}, 1e-3, max_boxes=budget)
+    assert ceval(FConst(0.5), A, {}, 1e-3, max_boxes=1).lower == 0.5
 
 
 def test_ceval_rejects_an_overflowed_value():

@@ -1,5 +1,6 @@
 """Tests for chain interpolation and degree-1 type realization."""
 
+import heapq
 import itertools
 import math
 import random
@@ -32,6 +33,7 @@ from elemeq.saturation import (
     _NP_RECTS,
     _NP_VALUES,
     _RealizeProblem,
+    _certify_assignment,
     _norm_bounds,
     _np_mod,
     _point_max,
@@ -357,6 +359,162 @@ def test_chain_refutation_fills_its_levels(monkeypatch):
     assert max(levels) <= 2 * _BATCH_SIZE
 
 
+def test_chain_refutation_scores_witnesses_only_in_surviving_boxes(monkeypatch):
+    # a box whose floor exceeds tol holds no point within tol, so only the
+    # boxes a level keeps score witnesses (two per ball box), and a level that
+    # prunes every box scores none; the refutation is the one pinned above
+    events = []
+    floor, at = _RealizeProblem.deviation_floor, _RealizeProblem.deviation_at
+
+    def floors(self, boxes):
+        events.append(floor(self, boxes))
+        return events[-1]
+
+    def scored(self, reps):
+        events.append(len(reps))
+        return at(self, reps)
+
+    monkeypatch.setattr(_RealizeProblem, "deviation_floor", floors)
+    monkeypatch.setattr(_RealizeProblem, "deviation_at", scored)
+    algebra = CStarAlgebraFin(4)
+    result = realize_type(_chain_conditions(algebra), algebra, 0.1)
+    assert isinstance(result, Unsatisfiable)
+    assert result.epsilon == pytest.approx(0.1180339887, abs=1e-9)
+    levels = [e for e in events if not isinstance(e, int)]
+    assert 1 < len(levels) <= 8
+    kept = [int((g <= 0.1).sum()) for g in levels]
+    assert [n for n in events if isinstance(n, int)] == [2 * k for k in kept if k]
+    assert kept[-1] == 0 and sum(kept) < sum(map(len, levels))
+
+
+def _reference_realize(conditions, algebra, tol, sorts, max_boxes):
+    """The level loop as it was before witnesses were limited to surviving
+    boxes: every feasible box scores its candidates, and each frontier entry
+    holds one box row.  Returns (verdict, epsilon or boxes_used)."""
+    names = sorted(frozenset().union(*(c.variables() for c in conditions)))
+    problem = _RealizeProblem(tuple(conditions), algebra, {v: sorts.get(v, SORT_BALL) for v in names})
+    counter, heap = itertools.count(), []
+    floor = best_value = np.inf
+    best_rep, boxes_used = None, 0
+
+    def assess(boxes):
+        nonlocal floor, best_value, best_rep, boxes_used
+        boxes_used += boxes.shape[0]
+        cands, feasible = problem.candidates(boxes)
+        boxes = boxes[feasible]
+        if boxes.shape[0] == 0:
+            return
+        g_lo = problem.deviation_floor(boxes)
+        g_cand = problem.deviation_at(cands)
+        leader = int(np.argmin(g_cand))
+        if g_cand[leader] < best_value:
+            best_value, best_rep = float(g_cand[leader]), cands[leader].copy()
+        pruned = g_lo > tol
+        if pruned.any():
+            floor = min(floor, float(g_lo[pruned].min()))
+        for item in zip(g_lo[~pruned].tolist(), counter, boxes[~pruned]):
+            heapq.heappush(heap, item)
+
+    assess(problem.initial_box())
+    while True:
+        if best_value <= tol:
+            assignment = {name: tuple(z.tolist()) for name, z in problem._env(best_rep).items()}
+            if _certify_assignment(conditions, algebra, assignment)[1] <= tol:
+                return "realized", None
+            best_value = np.inf
+        if not heap:
+            return "unsatisfiable", float(floor)
+        if boxes_used >= max_boxes:
+            return "inconclusive", boxes_used
+        boxes = np.stack([heapq.heappop(heap)[2] for _ in range(min(_BATCH_SIZE, len(heap)))])
+        for _ in range(max(1, (_BATCH_SIZE // (2 * boxes.shape[0])).bit_length() - 1)):
+            boxes = problem.split(boxes)
+        assess(boxes)
+
+
+def _random_norm_type(rng):
+    """A seeded type of 2-5 norm conditions on x - c, x c - d, x - c - 1,
+    x y and x - y, with point or short targets."""
+    n = rng.randint(2, 4)
+    names = TERM_NAMES[: rng.randint(1, 2)]
+
+    def const():
+        return CConst(tuple(complex(rng.choice((-1, -0.5, 0, 0.5, 1)), rng.choice((0, 0, 0.5)))
+                            for _ in range(n)))
+
+    conditions = []
+    for _ in range(rng.randint(2, 5)):
+        x = CVar(rng.choice(names))
+        term = rng.choice((x, CSub(x, const()), CSub(CMul(x, const()), const()), CSub(CSub(x, const()), COne())))
+        if len(names) > 1 and rng.random() < 0.3:
+            term = rng.choice((CMul, CSub))(CVar(names[0]), CVar(names[1]))
+        lo = rng.choice((0.0, 0.25, 0.5, 0.75, 1.0, 1.5))
+        conditions.append(TypeCondition(term, [(lo, lo + rng.choice((0.0, 0.0, 0.25, 0.5)))]))
+    sorts = {v: rng.choice((SORT_BALL, SORT_BALL, SORT_SA, SORT_POS)) for v in names}
+    return conditions, CStarAlgebraFin(n), rng.choice((0.05, 0.1, 0.25)), sorts
+
+
+def test_levels_match_the_loop_that_scored_every_feasible_box(monkeypatch):
+    # witnesses do not decide which boxes a level assesses, their floors, the
+    # pruning or the pop order, so refutations and budgets come out the same
+    levels = []
+    floor = _RealizeProblem.deviation_floor
+
+    def recorded(self, boxes):
+        g_lo = floor(self, boxes)
+        levels.append(g_lo.tolist())
+        return g_lo
+
+    monkeypatch.setattr(_RealizeProblem, "deviation_floor", recorded)
+    rng = random.Random(4108)
+    verdicts, depth = [], []
+    for _ in range(48):
+        conditions, algebra, tol, sorts = _random_norm_type(rng)
+        levels.clear()
+        kind, value = _reference_realize(conditions, algebra, tol, sorts, 3000)
+        reference_levels = list(levels)
+        levels.clear()
+        result = realize_type(conditions, algebra, tol, sorts=sorts, max_boxes=3000)
+        assert levels == reference_levels
+        depth.append(len(levels))
+        verdicts.append(kind)
+        if kind == "realized":
+            assert isinstance(result, Realized)
+        elif kind == "unsatisfiable":
+            assert isinstance(result, Unsatisfiable) and result.epsilon == value
+        else:
+            assert isinstance(result, Inconclusive) and result.boxes_used == value
+    assert min(map(verdicts.count, ("realized", "unsatisfiable", "inconclusive"))) >= 3, verdicts
+    assert sum(d > 1 for d in depth) >= 20, depth
+
+
+def test_frontier_pops_by_floor_then_insertion_across_levels(monkeypatch):
+    # floors spread over [0, 1.25 tol] grow the frontier past a batch, so a
+    # level pops the boxes of several earlier levels interleaved; the boxes it
+    # assesses come in the order of the loop whose entries held one box row
+    levels = []
+
+    def spread(self, boxes):
+        levels.append(boxes.tolist())
+        return np.modf(np.abs(boxes).sum(axis=(1, 2)) * 7.31)[0] * 0.125
+
+    monkeypatch.setattr(_RealizeProblem, "deviation_floor", spread)
+    monkeypatch.setattr(_RealizeProblem, "deviation_at", lambda self, reps: np.ones(len(reps)))
+    rng = random.Random(4109)
+    deep = 0
+    for _ in range(6):
+        conditions, algebra, _, sorts = _random_norm_type(rng)
+        levels.clear()
+        kind, value = _reference_realize(conditions, algebra, 0.1, sorts, 6000)
+        reference_levels = list(levels)
+        levels.clear()
+        result = realize_type(conditions, algebra, 0.1, sorts=sorts, max_boxes=6000)
+        assert levels == reference_levels
+        assert (result.epsilon if kind == "unsatisfiable" else result.boxes_used) == value
+        deep += len(levels) > 6
+    assert deep >= 4
+
+
 def test_chain_type_met_only_at_isolated_points_is_realized():
     # the least deviation equals tol and is attained only at isolated dyadic
     # points such as x = (-0.75i, 0.75, 0.75); levels of up to _BATCH_SIZE
@@ -476,6 +634,16 @@ def test_realize_preconditions():
         realize_type([TypeCondition(CMul(CVar("x"), CConst((1 + 0j,))), [(1.0, 1.0)])], algebra, 0.1)
     with pytest.raises(PreconditionError):
         realize_type(["not a condition"], algebra, 0.1)
+
+
+@pytest.mark.parametrize("budget", [0, -5, 0.5, math.nan])
+def test_realize_rejects_a_box_budget_below_one(budget):
+    # variable-free conditions search no box, and are rejected all the same
+    for cond in (TypeCondition(CVar("x"), [(1.0, 1.0)]), TypeCondition(COne(), [(1.0, 1.0)])):
+        with pytest.raises(PreconditionError, match="box budget must be at least 1"):
+            realize_type([cond], CStarAlgebraFin(2), 0.1, max_boxes=budget)
+    assert isinstance(realize_type([TypeCondition(CVar("x"), [(0.0, 0.0)])], CStarAlgebraFin(2), 0.1,
+                                   max_boxes=1), Realized)
 
 
 def test_realize_is_deterministic():

@@ -93,3 +93,20 @@ def check_node_shape(classes, args, fields, text):
         for name in fields:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(node, name, None)
+
+
+def check_frozen_nodes(nodes, shapes):
+    """Every node refuses to set or delete any attribute, fields and new
+    names alike, and ``nodes`` covers every subclass of each of ``shapes``."""
+    covered = {type(node) for node in nodes}
+    for shape in shapes:
+        assert set(shape.__subclasses__()) <= covered, shape
+    for node in nodes:
+        state = dict(node.__dict__)
+        names = [f.name for f in dataclasses.fields(node)] + ["extra"]
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, name)
+        assert node.__dict__ == state, node
