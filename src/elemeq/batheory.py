@@ -386,7 +386,7 @@ def enumerate_theories(k: int) -> list:
             members.append(ErshovInvariant(level, band - level, True))
         if band >= 2:
             members.append(ErshovInvariant(band - 2, 0, True))
-        members.sort(key=lambda inv: (inv.level, inv.atom_count, inv.atomless_flag))
+        members.sort()
         out.extend(members)
         band += 1
     return out[:k]

@@ -930,8 +930,8 @@ def ceval(
     enclosure with an end that is not finite (the term arithmetic overflowed)
     raises a precondition error before that.
     """
-    if not tol > 0:
-        raise PreconditionError("the tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise PreconditionError("the tolerance must be positive and finite")
     if not max_boxes >= 1:
         raise PreconditionError("the box budget must be at least 1")
     if algebra.point_count > MAX_CEVAL_POINTS:

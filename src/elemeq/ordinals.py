@@ -45,12 +45,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Ordinal:
     """An ordinal below epsilon_0 in Cantor normal form.
 
     ``terms`` is a tuple of (exponent, coefficient) pairs with strictly
     decreasing exponents and coefficients >= 1.  The empty tuple is 0.
+    Ordinals compare as their ``terms`` do, lexicographically, which is the
+    order of normal forms.
     """
 
     terms: tuple[tuple["Ordinal", int], ...] = ()
@@ -62,7 +64,7 @@ class Ordinal:
                 raise PreconditionError("exponents must be Ordinal values")
             if not isinstance(coeff, int) or coeff < 1:
                 raise PreconditionError("coefficients must be integers >= 1")
-            if prev is not None and compare(prev, exponent) <= 0:
+            if prev is not None and prev <= exponent:
                 raise PreconditionError("exponents must be strictly decreasing")
             prev = exponent
 
@@ -92,35 +94,6 @@ class Ordinal:
             return Ordinal(self.terms[:-1])
         return self
 
-    # -- operators ----------------------------------------------------
-
-    def __lt__(self, other):
-        return compare(self, other) < 0
-
-    def __le__(self, other):
-        return compare(self, other) <= 0
-
-    def __gt__(self, other):
-        return compare(self, other) > 0
-
-    def __ge__(self, other):
-        return compare(self, other) >= 0
-
-    def __add__(self, other):
-        return ord_add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return ord_add(_coerce(other), self)
-
-    def __mul__(self, other):
-        return ord_mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return ord_mul(_coerce(other), self)
-
-    def __pow__(self, other):
-        return ord_pow(self, _coerce(other))
-
     def __repr__(self):
         if self.is_finite():
             return f"Ordinal({self.to_int()})"
@@ -128,14 +101,6 @@ class Ordinal:
             f"w^{exponent!r}*{coeff}" for exponent, coeff in self.terms
         )
         return f"Ordinal<{inner}>"
-
-
-def _coerce(value) -> Ordinal:
-    if isinstance(value, Ordinal):
-        return value
-    if isinstance(value, int):
-        return finite(value)
-    raise TypeError(f"cannot interpret {value!r} as an ordinal")
 
 
 def cnf_string(alpha: Ordinal) -> str:
@@ -171,8 +136,7 @@ def finite(n: int) -> Ordinal:
     return Ordinal(((ZERO, n),))
 
 
-def omega_power(exponent: Ordinal | int, coeff: int = 1) -> Ordinal:
-    exponent = _coerce(exponent)
+def omega_power(exponent: Ordinal, coeff: int = 1) -> Ordinal:
     if coeff == 0:
         return ZERO
     return Ordinal(((exponent, coeff),))
@@ -189,15 +153,7 @@ OMEGA_OMEGA = Ordinal(((OMEGA, 1),))
 
 def compare(a: Ordinal, b: Ordinal) -> int:
     """Three-way comparison: -1, 0, or 1."""
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = compare(ea, eb)
-        if c != 0:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) == len(b.terms):
-        return 0
-    return -1 if len(a.terms) < len(b.terms) else 1
+    return (a.terms > b.terms) - (a.terms < b.terms)
 
 
 # -- arithmetic -------------------------------------------------------

@@ -415,11 +415,6 @@ class _RealizeProblem:
         near = np.minimum(np.maximum(boxes[:, self.ball, 0::2], 0.0), boxes[:, self.ball, 1::2])
         return _in_disc_np(near[..., 0], near[..., 1]).all(axis=1)
 
-    def candidates(self, boxes):
-        """The ``witnesses`` of the boxes that are ``feasible``, and that mask."""
-        feasible = self.feasible(boxes)
-        return self.witnesses(boxes[feasible]), feasible
-
     def witnesses(self, boxes):
         """Witness candidates of feasible boxes, candidate-major, shape (M, slots).  ``sa``/``pos``:
         midpoint, all-low, all-high, then each coordinate snapped to its end on the domain boundary
@@ -518,8 +513,8 @@ def realize_type(
         raise PreconditionError(f"need between 1 and {MAX_REALIZE_CONDITIONS} conditions")
     if algebra.point_count > MAX_REALIZE_POINTS:
         raise PreconditionError(f"algebra must have at most {MAX_REALIZE_POINTS} points")
-    if not tol > 0:
-        raise PreconditionError("tolerance must be positive")
+    if not 0 < tol < np.inf:
+        raise PreconditionError("tolerance must be positive and finite")
     if not max_boxes >= 1:
         raise PreconditionError("box budget must be at least 1")
     for condition in conditions:

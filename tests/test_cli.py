@@ -414,6 +414,13 @@ def test_target_errors_point_at_their_literal():
         assert excinfo.value.position == position
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+def test_cli_realize_rejects_a_tolerance_that_is_not_positive_and_finite(capsys, tol):
+    code, out, err = run_cli(capsys, ["realize", "--cond", "x in {1}", "--points", "1", "--tol", tol, "--json"])
+    assert code == EXIT_PARSE
+    assert out == "" and "tolerance must be positive and finite" in err and "Traceback" not in err
+
+
 def test_cli_realize_target_beyond_the_floats_is_a_parse_error(capsys):
     code, _, err = run_cli(capsys, ["realize", "--cond", "x in {1e400}", "--points", "1", "--tol", "0.1"])
     assert code == EXIT_PARSE
@@ -586,6 +593,7 @@ def test_cli_ceval_encloses_the_value_under_a_large_parameter(capsys):
         ["(norm (scale nan 1))"],
         ["(norm (const infj))"],
         ["(fscale nan (norm 1))"],
+        ["(sup x :sa (norm x))", "--tol", "inf"],
     ],
 )
 def test_cli_ceval_rejects_non_finite_input(capsys, argv):

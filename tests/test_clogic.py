@@ -221,8 +221,9 @@ def test_ceval_preconditions():
         ceval(FConst(0.0), A, {}, 0.0)
     with pytest.raises(PreconditionError):
         ceval(FConst(0.0), CStarAlgebraFin(7), {}, 1e-6)
-    with pytest.raises(PreconditionError):
-        ceval(FSup("x", SORT_SA, FNorm(CVar("x"))), A, {}, math.nan)
+    for tol in (math.nan, math.inf):
+        with pytest.raises(PreconditionError, match="tolerance must be positive and finite"):
+            ceval(FSup("x", SORT_SA, FNorm(CVar("x"))), A, {}, tol)
     for bad in (math.nan, math.inf, complex(0.0, -math.inf), complex(math.nan, 1.0)):
         with pytest.raises(PreconditionError):
             A.element((0j, bad))
@@ -415,8 +416,9 @@ def _domain_samples(sort, n, rng, count):
 
 
 def test_ceval_bounds_dominate_sampled_body_values():
-    # Rounding is to nearest (ROADMAP item 1), so a sampled float value may
-    # pass an attained bound by a few ulps; 1e-12 absorbs that and no more.
+    # Rounding is to nearest (see the ROADMAP item on outward rounding), so a
+    # sampled float value may pass an attained bound by a few ulps; 1e-12
+    # absorbs that and no more.
     rng = random.Random(6063)
     for _ in range(60):
         n, sort = rng.randint(1, 2), rng.choice((SORT_BALL, SORT_SA, SORT_POS))

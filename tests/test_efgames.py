@@ -26,6 +26,7 @@ from elemeq.ordinals import (
     left_difference,
     omega_power,
     ord_add,
+    ord_equiv,
     ord_mul,
 )
 from oracle_games import GamePosition, duplicator_wins
@@ -213,6 +214,44 @@ def test_ordinals_large_domain_is_fast():
     # "there is a greatest element" is a rank-2 sentence: big1 ends in a
     # finite tail, the pure limit does not.
     assert ef_ordinals(big1, ord_mul(omega_power(OMEGA), nat(3)), 2) is False
+
+
+def _sum_closure_omega_omega_type(rank):
+    """The type of ``omega**omega`` from its splits: every left part is a
+    finite sum of ``omega**f`` blocks, so the left types are the sum-closure
+    of the rank - 1 orbit, and every right part is the whole order."""
+    if rank == 0:
+        return efgames._T0
+    sub = _sum_closure_omega_omega_type(rank - 1)
+    q = rank - 1
+    realized = set(efgames._orbit(efgames._type_mul_omega, efgames._type_singleton(q)))
+    realized.add(efgames._type_empty(q))
+    while True:
+        fresh = {efgames._type_sum(a, b) for a in realized for b in realized} - realized
+        if not fresh:
+            break
+        realized |= fresh
+    return (rank, sub, frozenset((left, sub) for left in realized))
+
+
+@pytest.mark.parametrize("rank", range(6))
+def test_omega_omega_type_is_the_sum_closure_of_its_splits(rank):
+    assert efgames._type_omega_power(None, rank) == _sum_closure_omega_omega_type(rank)
+
+
+def test_ordinals_past_omega_omega_agree_with_ord_equiv():
+    # ord_equiv is the Doner-Mostowski-Tarski rule, stated apart from the
+    # games: ordinals it calls equivalent must be equivalent at every rank.
+    family = [
+        ord_add(omega_power(OMEGA, c), beta)
+        for c in range(3)
+        for beta in below_omega_cubed(max_terms=2, max_coeff=2)
+    ]
+    pairs = [(a, b) for a, b in itertools.product(family, repeat=2) if ord_equiv(a, b)]
+    assert len(family) == 57 and len(pairs) == 95
+    for a, b in pairs:
+        for r in range(efgames.MAX_RANK_ORDINALS + 1):
+            assert ef_ordinals(a, b, r), (a, b, r)
 
 
 def test_ordinal_split_pairs_match_sum_rule_on_samples():

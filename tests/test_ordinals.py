@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import cmp_to_key
 from itertools import product
 
 import pytest
@@ -209,6 +210,38 @@ def test_comparison_total_order_on_family():
         a, b, c = rng.choice(fam), rng.choice(fam), rng.choice(fam)
         if a <= b and b <= c:
             assert a <= c
+
+
+def _loop_compare(a: Ordinal, b: Ordinal) -> int:
+    """The normal-form order as a loop over paired terms, then length."""
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        c = _loop_compare(ea, eb)
+        if c != 0:
+            return c
+        if ca != cb:
+            return -1 if ca < cb else 1
+    if len(a.terms) == len(b.terms):
+        return 0
+    return -1 if len(a.terms) < len(b.terms) else 1
+
+
+def _random_ordinal(rng: random.Random, depth: int) -> Ordinal:
+    """An ordinal whose exponents nest ``depth`` deep, ending in naturals."""
+    if depth == 0:
+        return nat(rng.randint(0, 3))
+    exponents = {_random_ordinal(rng, depth - 1) for _ in range(rng.randint(0, 3))}
+    ordered = sorted(exponents, key=cmp_to_key(_loop_compare), reverse=True)
+    return Ordinal(tuple((e, rng.randint(1, 3)) for e in ordered))
+
+
+def test_compare_is_the_normal_form_loop_on_infinite_exponents():
+    rng = random.Random(16)
+    sample = [_random_ordinal(rng, rng.randint(0, 3)) for _ in range(300)]
+    for _ in range(5000):
+        a, b = rng.choice(sample), rng.choice(sample)
+        want = _loop_compare(a, b)
+        assert compare(a, b) == want, (a, b)
+        assert (a < b, a <= b, a > b, a >= b) == (want < 0, want <= 0, want > 0, want >= 0)
 
 
 def test_ord_equiv_is_equivalence_relation():

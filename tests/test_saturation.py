@@ -387,6 +387,12 @@ def test_chain_refutation_scores_witnesses_only_in_surviving_boxes(monkeypatch):
     assert kept[-1] == 0 and sum(kept) < sum(map(len, levels))
 
 
+def _candidates(problem, boxes):
+    """The ``witnesses`` of the boxes that are ``feasible``, and that mask."""
+    feasible = problem.feasible(boxes)
+    return problem.witnesses(boxes[feasible]), feasible
+
+
 def _reference_realize(conditions, algebra, tol, sorts, max_boxes):
     """The level loop as it was before witnesses were limited to surviving
     boxes: every feasible box scores its candidates, and each frontier entry
@@ -400,7 +406,7 @@ def _reference_realize(conditions, algebra, tol, sorts, max_boxes):
     def assess(boxes):
         nonlocal floor, best_value, best_rep, boxes_used
         boxes_used += boxes.shape[0]
-        cands, feasible = problem.candidates(boxes)
+        cands, feasible = _candidates(problem, boxes)
         boxes = boxes[feasible]
         if boxes.shape[0] == 0:
             return
@@ -615,8 +621,9 @@ def test_realize_preconditions():
         realize_type([], algebra, 0.1)
     with pytest.raises(PreconditionError):
         realize_type([cond] * 17, algebra, 0.1)
-    with pytest.raises(PreconditionError):
-        realize_type([cond], algebra, 0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(PreconditionError, match="tolerance must be positive and finite"):
+            realize_type([cond], algebra, tol)
     with pytest.raises(PreconditionError):
         realize_type([cond], CStarAlgebraFin(5), 0.1)
     with pytest.raises(PreconditionError):
@@ -868,7 +875,7 @@ def test_ball_feasibility_and_witnesses_are_decided_exactly():
     tiny = 2.0**-26
     boxes = np.array([[(1.0, 1.0, tiny, tiny)], [(1.0, 1.0, 0.0, 0.0)],
                       [(1 - 2.0**-53, 1.0, tiny / 2, tiny)], [(0.5, 1.0, tiny, 0.5)]])
-    cands, feasible = problem.candidates(boxes)
+    cands, feasible = _candidates(problem, boxes)
     assert feasible.tolist() == [False, True, True, True]
     assert len(cands) == 2 * 3
     assert all(_in_domain(z, SORT_BALL) for z in cands.ravel().tolist())
@@ -895,7 +902,7 @@ def test_candidates_lie_in_their_sorts_domains():
                     sign = rng.choice((1.0, -1.0))
                     box[slot] = (re[0], re[1], im[0], im[1]) if sign > 0 else (-re[1], -re[0], im[0], im[1])
         boxes = np.concatenate([boxes, rim])
-        cands, feasible = problem.candidates(boxes)
+        cands, feasible = _candidates(problem, boxes)
         for box, ok in zip(boxes.tolist(), feasible.tolist()):
             nearest = [_modsq(min(max(0.0, a), b), min(max(0.0, c), d)) for a, b, c, d in box]
             assert ok == all(m <= 1 for m, s in zip(nearest, slot_sorts) if s == SORT_BALL), box
