@@ -28,10 +28,19 @@ continuous sorts are handled by deterministic branch-and-bound over per-point
 complex boxes, pruned by both rectangle arithmetic and the Lipschitz moduli,
 with a few witness candidates scored per box (``_branch_and_bound``) and
 norm atoms bounded by the naive, centred and outward-rounded unit-disc
-forms (``_atom_enclosure``).  The truth-value bridge ``translate_fo`` maps a
-classical sentence about Boolean algebras to a projection-sorted formula
-whose value is 0 on algebras satisfying the sentence and 1 on algebras
-refuting it.
+forms (``_atom_enclosure``).  A formula built from norms, constants, max,
+nonnegative scaling and quantifiers only is searched one point at a time on
+a space of n > 1 points: C^n is a product, each sort's domain is the
+product of its one-point domains, and by induction on the formula its
+value is the max over the points i of its value on one point with every
+constant and parameter cut to point i (||t|| = max_i |t_i|, max and scaling
+by s >= 0 commute with a max over i, and a sup or an inf over a product of
+a max of functions of disjoint coordinates is the max of the sups or infs).
+Sums, truncated differences, min and absolute differences couple the
+points, so formulas with them are searched over all the points at once.
+The truth-value bridge ``translate_fo`` maps a classical sentence about
+Boolean algebras to a projection-sorted formula whose value is 0 on
+algebras satisfying the sentence and 1 on algebras refuting it.
 """
 
 from __future__ import annotations
@@ -685,10 +694,10 @@ def _interval_eval(phi, env, algebra, tol, state):
         lo = 0.0 if (l[0] <= r[1] and r[0] <= l[1]) else max(l[0] - r[1], r[0] - l[1])
         return lo, max(l[1] - r[0], r[1] - l[0])
     if isinstance(phi, FScale):
-        if phi.scalar == 0:
-            return 0.0, 0.0
-        inner = _interval_eval(phi.arg, env, algebra, tol / phi.scalar, state)
-        return phi.scalar * inner[0], phi.scalar * inner[1]
+        # a zero scale still bounds its argument, once and coarsely, so that a
+        # constant of the wrong size under it is rejected as anywhere else
+        inner = _interval_eval(phi.arg, env, algebra, tol / phi.scalar if phi.scalar else math.inf, state)
+        return (phi.scalar * inner[0], phi.scalar * inner[1]) if phi.scalar else (0.0, 0.0)
     if isinstance(phi, _QUANT_TYPES):
         if phi.sort == SORT_PROJ:
             combine = max if isinstance(phi, FSup) else min
@@ -797,6 +806,36 @@ def _all_proj_quantified(phi) -> bool:
     if isinstance(phi, _BINARY_TYPES):
         return _all_proj_quantified(phi.left) and _all_proj_quantified(phi.right)
     return not isinstance(phi, FScale) or _all_proj_quantified(phi.arg)
+
+
+def _max_closed(phi) -> bool:
+    """Whether the formula is built from norms, constants, max, scaling and
+    quantifiers only, so that on C^n its value is the max over the points of
+    its value at each point."""
+    if isinstance(phi, FMax):
+        return _max_closed(phi.left) and _max_closed(phi.right)
+    if isinstance(phi, FScale):
+        return _max_closed(phi.arg)
+    if isinstance(phi, _QUANT_TYPES):
+        return _max_closed(phi.body)
+    return isinstance(phi, (FNorm, FConst))
+
+
+def _at_point(node, i: int, n: int):
+    """The node with every constant cut to its value at point ``i`` of ``n``;
+    the node itself when nothing under it changes."""
+    if isinstance(node, CConst):
+        if len(node.values) != n:
+            raise PreconditionError("constant element has the wrong size")
+        return CConst(node.values[i:i + 1])
+    if isinstance(node, _Pair):
+        left, right = _at_point(node.left, i, n), _at_point(node.right, i, n)
+        return node if left is node.left and right is node.right else type(node)(left, right)
+    if isinstance(node, (FNorm, CStar, CScale, FScale, *_QUANT_TYPES)):  # the child is the last field
+        *head, kid = vars(node).values()
+        cut = _at_point(kid, i, n)
+        return node if cut is kid else type(node)(*head, cut)
+    return node
 
 
 #: The exact values of each binary connective from its children's lists of
@@ -924,11 +963,18 @@ def ceval(
 
     Free variables must be assigned concrete elements through ``params``.
     Projection-sorted quantifiers are evaluated exactly; continuous sorts go
-    through deterministic branch-and-bound.  Once the box budget is spent,
-    every search returns its current enclosure, and a result still wider
-    than ``tol`` raises a resource error carrying it as ``best_known``.  An
-    enclosure with an end that is not finite (the term arithmetic overflowed)
-    raises a precondition error before that.
+    through deterministic branch-and-bound.  On more than one point, a
+    formula built from norms, constants, max, scaling and quantifiers only
+    is searched one point at a time: its value is the max over the points
+    of its value on one point, with constants and parameters cut to that
+    point (see the module docstring), so the enclosure is the max of the
+    point enclosures at each end, no wider than the widest of them.  Every
+    search draws on the one box budget, and ``grid_depth`` is the deepest
+    search's.  Once the budget is spent, every search returns its current
+    enclosure, and a result still wider than ``tol`` raises a resource
+    error carrying it as ``best_known``.  An enclosure with an end that is
+    not finite at some point (the term arithmetic overflowed) raises a
+    precondition error before that.
     """
     if not 0 < tol < math.inf:
         raise PreconditionError("the tolerance must be positive and finite")
@@ -944,9 +990,16 @@ def ceval(
         exact, missing = None, cformula_free_vars(phi) - params.keys()
     if missing:
         raise PreconditionError(f"unassigned free variables: {sorted(missing)}")
-    state = {"boxes": 0, "max": max_boxes, "depth": 0}
+    state, n = {"boxes": 0, "max": max_boxes, "depth": 0}, algebra.point_count
     if exact:
         lo = hi = exact()[0]
+    elif n > 1 and _max_closed(phi):  # one search per point, all on one budget
+        one, ends = CStarAlgebraFin(1), []
+        for i in range(n):
+            env = {name: _box_point(value[i:i + 1]) for name, value in params.items()}
+            ends.append(_interval_eval(_at_point(phi, i, n), env, one, tol, state))
+        # max() may pass over a nan; an end that is not finite at some point is kept
+        lo, hi = (next((v for v in end if not math.isfinite(v)), max(end)) for end in zip(*ends))
     else:
         env = {name: _box_point(value) for name, value in params.items()}
         lo, hi = _interval_eval(phi, env, algebra, tol, state)

@@ -250,6 +250,11 @@ def test_ceval_rejects_an_overflowed_value():
     for phi in (FNorm(cc), FNorm(CSub(cc, cc)), FSup("x", SORT_SA, FNorm(CSub(cc, CVar("x"))))):
         with pytest.raises(PreconditionError, match="overflows"):
             ceval(phi, A, {"c": (1e300,)}, 0.01)
+    # one search per point: max() passed over the nan of the second point
+    phi = FSup("x", SORT_SA, FNorm(CAdd(CSub(cc, cc), CVar("x"))))
+    for c in ((0.5, 1e300), (1e300, 0.5)):
+        with pytest.raises(PreconditionError, match="overflows"):
+            ceval(phi, CStarAlgebraFin(2), {"c": c}, 0.01)
 
 
 def test_ceval_cone_bounds_a_parameter_by_its_norm():
@@ -515,6 +520,132 @@ def test_nested_enclosures_are_sound_and_agree_across_tolerances():
                         assert value <= cert.upper + 1e-12, (phi, params, xs, ys)
                     else:
                         assert value >= cert.lower - 1e-12, (phi, params, xs, ys)
+
+
+# ---------------------------------------------------------------------------
+# One search per point for formulas of norms, constants, max, scaling and
+# quantifiers
+# ---------------------------------------------------------------------------
+
+
+def _random_max_closed(rng, n, quantifiers, kinds, top=False):
+    """A formula of the point-split fragment with at most ``quantifiers``
+    quantifiers, each one of ``kinds``; a ``top`` one over a continuous sort."""
+    if top or (quantifiers and rng.random() < 0.6):
+        sort = rng.choice((SORT_BALL, SORT_SA, SORT_POS) + (() if top else (SORT_PROJ,)))
+        body = _random_max_closed(rng, n, quantifiers - 1, kinds)
+        return rng.choice(kinds)(rng.choice(TERM_NAMES), sort, body)
+    pick = rng.randrange(5)
+    if pick == 0:
+        return FConst(rng.choice((0.0, 0.25, 1.0)))
+    if pick == 1:
+        return FScale(rng.choice((0.0, 0.5, 2.0)), _random_max_closed(rng, n, quantifiers, kinds))
+    if pick == 2:
+        left = _random_max_closed(rng, n, quantifiers // 2, kinds)
+        return FMax(left, _random_max_closed(rng, n, quantifiers - quantifiers // 2, kinds))
+    return FNorm(random_term(rng, n, rng.randint(1, 3)))
+
+
+def _sampled_value(phi, env, A, rng):
+    """The formula with each quantifier's sup or inf taken over a few sampled
+    points of its sort: below the value when every quantifier is a sup, above
+    it when every one is an inf."""
+    if isinstance(phi, FNorm):
+        return c_norm(eval_term(phi.term, env, A, EXACT))
+    if isinstance(phi, FConst):
+        return phi.value
+    if isinstance(phi, FMax):
+        return max(_sampled_value(phi.left, env, A, rng), _sampled_value(phi.right, env, A, rng))
+    if isinstance(phi, FScale):
+        return phi.scalar * _sampled_value(phi.arg, env, A, rng)
+    points = (projections(A) if phi.sort == SORT_PROJ
+              else _domain_samples(phi.sort, A.point_count, rng, 8))
+    values = [_sampled_value(phi.body, {**env, phi.var: p}, A, rng) for p in points]
+    return max(values) if isinstance(phi, FSup) else min(values)
+
+
+def _quantifier_kinds(phi):
+    if isinstance(phi, (FSup, FInf)):
+        return {type(phi)} | _quantifier_kinds(phi.body)
+    if isinstance(phi, FMax):
+        return _quantifier_kinds(phi.left) | _quantifier_kinds(phi.right)
+    return _quantifier_kinds(phi.arg) if isinstance(phi, FScale) else set()
+
+
+def test_point_split_agrees_with_the_coupled_search_on_random_formulas():
+    # The split runs one search per point; ``_interval_eval`` on the n-point
+    # algebra searches all of them at once.  A budget error's best enclosure
+    # counts, so truncated searches are compared too.
+    rng, tol, budget = random.Random(8081), 0.05, 60
+    for case in range(240):
+        n = rng.randint(2, 4)
+        A = CStarAlgebraFin(n)
+        kinds = ((FSup,), (FInf,), (FSup, FInf))[case % 3]
+        phi = _random_max_closed(rng, n, 2, kinds, top=True)
+        assert clogic._max_closed(phi) and not clogic._all_proj_quantified(phi)
+        params = {v: random_element(rng, n) for v in TERM_NAMES}
+        try:
+            split = ceval(phi, A, params, tol, max_boxes=budget)
+        except ResourceBudgetError as err:
+            split = err.best_known
+        env = {name: _box_point(value) for name, value in params.items()}
+        state = {"boxes": 0, "max": budget, "depth": 0}
+        coupled = clogic._interval_eval(phi, env, A, tol, state)
+        assert split.lower <= coupled[1] and coupled[0] <= split.upper, (phi, params)
+        used = _quantifier_kinds(phi)
+        if len(used) > 1:
+            continue
+        sampled = _sampled_value(phi, params, A, rng)
+        for lo, hi in ((split.lower, split.upper), coupled):  # 1e-12: rounded to nearest
+            if used == {FSup}:
+                assert sampled <= hi + 1e-12, (phi, params)
+            else:
+                assert sampled >= lo - 1e-12, (phi, params)
+
+
+def test_point_split_certifies_a_sup_inf_within_a_small_budget():
+    # The value 0 is attained at every outer point, so no outer box is pruned:
+    # searched over both points at once, this took 135,847 boxes and 10 s.
+    x, y = CVar("x"), CVar("y")
+    phi = FSup("x", SORT_SA, FInf("y", SORT_SA, FNorm(CAdd(x, y))))
+    cert = ceval(phi, CStarAlgebraFin(2), {}, 0.05, max_boxes=20_000)
+    assert cert.lower <= 0 <= cert.upper and cert.width() <= 0.05
+
+
+def test_wrong_size_constant_under_a_zero_scale_is_rejected_on_every_path():
+    # The coupled search returned [1, 1] for the sum: scaling by 0 skipped
+    # its argument, constant and all.
+    x, A = CVar("x"), CStarAlgebraFin(2)
+    search = FSup("x", SORT_SA, FNorm(x))
+    for const in (CConst((1j,)), CConst((1j, 1j, 1j))):
+        hidden = FScale(0.0, FNorm(CMul(x, const)))
+        cases = [
+            FScale(0.0, FNorm(const)),  # exact
+            FPlus(search, FScale(0.0, FNorm(const))),  # coupled search
+            FMax(search, FScale(0.0, FNorm(const))),  # one search per point
+            FSup("x", SORT_PROJ, FPlus(FConst(0.5), hidden)),  # exact
+            FSup("x", SORT_SA, FPlus(FConst(0.5), hidden)),  # coupled search
+            FSup("x", SORT_SA, FMax(FConst(0.5), hidden)),  # one search per point
+        ]
+        for phi in cases:
+            with pytest.raises(PreconditionError, match="constant element has the wrong size"):
+                ceval(phi, A, {}, 1e-2)
+
+
+def test_point_split_budget_and_preconditions():
+    # sup over x in [0, 1] of |x(c - x)| is about 0.2 at c = 0.8 (at x = 1)
+    # and 1/4 at c = 1 (at x = 1/2), so 1/4 on the two points.  The first
+    # search spends the budget, and the second still encloses its value.
+    x, A = CVar("x"), CStarAlgebraFin(2)
+    phi = FSup("x", SORT_POS, FNorm(CMul(x, CSub(CConst((0.8 + 0j, 1 + 0j)), x))))
+    with pytest.raises(ResourceBudgetError) as info:
+        ceval(phi, A, {}, 1e-12, max_boxes=5)
+    best = info.value.best_known
+    assert best.lower <= 0.25 <= best.upper and best.width() > 1e-12
+    split = FMax(FNorm(CVar("a")), FSup("x", SORT_BALL, FNorm(CSub(x, CVar("q")))))
+    with pytest.raises(PreconditionError) as excinfo:
+        ceval(split, A, {"x": A.one()})
+    assert str(excinfo.value) == "unassigned free variables: ['a', 'q']"
 
 
 def test_importing_clogic_loads_no_numpy_fractions_or_decimal():
