@@ -8,16 +8,19 @@ Three capabilities live here:
 * degree-1 type conditions over a finite-dimensional commutative
   C*-algebra, with a certified branch-and-bound engine that either
   realizes a type up to a tolerance or refutes it with a concrete
-  deviation floor;
+  deviation floor; it searches each point's coordinates apart, as a
+  norm is within tol of a target exactly when every point stays below
+  its top and some point covers its bottom (``realize_type``);
 * the pairwise-orthogonal-positive-elements count, whose finite value
   is the obstruction that keeps finite-dimensional algebras far from
-  saturation.
+  saturation: each point covers at most one norm-1 element of such a
+  family, which is how the engine refutes one too large.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
-import heapq
 import itertools
 import operator
 from dataclasses import dataclass
@@ -61,6 +64,7 @@ MAX_ORTHOGONAL_POINTS = 8
 DEFAULT_REALIZE_BOXES = 2_000_000
 _REALIZE_SORTS = (SORT_BALL, SORT_SA, SORT_POS)
 _BATCH_SIZE = 512
+_FILL_SIDE = 0.25  # of 1, 1/2, 1/4 and 1/8, 1/4 gave the realize bench its least CPU
 
 
 # ---------------------------------------------------------------------------
@@ -314,19 +318,14 @@ class Inconclusive:
 # ---------------------------------------------------------------------------
 # Batched arithmetics for ``clogic.eval_term``
 #
-# A box assigns to each (variable, point) slot a rectangle
-# (re_lo, re_hi, im_lo, im_hi); stored boxes have shape (N, slots, 4).  Terms
-# are evaluated over a batch of N boxes in the rectangles of ``clogic``, whose
-# components here are arrays of shape (N, points), with product and modulus
-# bounds from its kernel on numpy's min, max and hypot; and at sample points
-# in numpy complex values, shape (N, points).  A level is one pass: all
-# conditions' rectangles (values) are stacked, shape (4, C, N, points), and
-# their norm bounds, widened by two floats as np.hypot is not correctly
-# rounded, and their target distances are taken at once.  A pass costs about
-# the same at any batch up to a few hundred boxes, so a level is filled: the
-# boxes popped for it are bisected repeatedly, up to half a batch.
-# Maxima over the short points axis are taken pairwise (``_point_max``), as a
-# numpy reduction over 1-4 entries costs ~10x that many ``np.maximum`` calls.
+# A one-point box gives each variable a rectangle (re_lo, re_hi, im_lo, im_hi),
+# shape (V, 4).  A level packs point i's boxes into point i's column, so one
+# ``eval_term`` pass per condition bounds the moduli at every point against
+# that point's constants, in the rectangles of ``clogic`` (its kernel on
+# numpy's min, max and hypot), or at sample points in numpy complex values.
+# Modulus bounds are widened by two floats each way, as np.hypot is not
+# correctly rounded.  No max over the points is taken: the search is split
+# over them, and they meet only in cover states (``_RealizeProblem``).
 # ---------------------------------------------------------------------------
 
 _np_mul, _np_mod = _rect_kernel(lambda *xs: functools.reduce(np.minimum, xs),
@@ -343,16 +342,55 @@ _NP_VALUES = Arith(
 )
 
 
-def _point_max(a):
-    """``a.max(axis=-1)``, as pairwise maxima over the (short) last axis."""
-    return functools.reduce(np.maximum, (a[..., i] for i in range(a.shape[-1])))
+def _pack(rows, points, n, pad):
+    """Each row (a box or sample point) in its point's column, below that point's
+    earlier rows, the rest ``pad``: shape (N, n, *pad.shape), and the rows' places."""
+    index = np.empty_like(points)
+    for point in range(n):
+        index[points == point] = np.arange(np.count_nonzero(points == point))
+    packed = np.empty((index.max(initial=-1) + 1, n) + pad.shape, dtype=pad.dtype)
+    packed[...] = pad
+    packed[index, points] = rows
+    return packed, (index, points)
 
 
-def _norm_bounds(rect):
-    """Norm bounds (largest modulus over the last axis), widened as ``clogic._abs_iv``."""
-    lo, hi = map(_point_max, _np_mod(rect))
-    lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
-    return np.maximum(np.nextafter(lo, -np.inf), 0.0), np.nextafter(hi, np.inf)
+def _member(keys, sorted_keys):
+    """Whether each key is one of ``sorted_keys`` (nonempty, ascending)."""
+    return sorted_keys[np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)] == keys
+
+
+def _split(boxes):
+    """Halve each box along its widest axis (ties: first slot, real
+    axis before imaginary): the low halves, then the high halves."""
+    ends = boxes.reshape(len(boxes), -1, 2)  # (lo, hi) per slot and axis
+    widest, rows = (ends[..., 1] - ends[..., 0]).argmax(axis=1), np.arange(len(boxes))
+    pair = ends[rows, widest]
+    mid = (pair[:, 0] + pair[:, 1]) / 2.0
+    halves = np.concatenate([boxes, boxes])
+    ends = halves.reshape(2, len(boxes), -1, 2)
+    ends[0, rows, widest, 1] = mid
+    ends[1, rows, widest, 0] = mid
+    return halves
+
+
+@functools.lru_cache(maxsize=64)
+def _fill(sorts, room):
+    """The one-point domain of the sorts split into sides of at most
+    ``_FILL_SIDE``, while the boxes number at most ``room``."""
+    boxes = np.array([sum((_initial_box(sort, 1) for sort in sorts), ())])
+    while 2 * len(boxes) <= room and (boxes[0, :, 1::2] - boxes[0, :, 0::2]).max() > _FILL_SIDE:
+        boxes = _split(boxes)
+    boxes.flags.writeable = False
+    return boxes
+
+
+def _maximal(keys):
+    """The cover states that no other one contains bitwise."""
+    kept, keys = [], set(keys)
+    for key in sorted(keys, key=int.bit_count, reverse=True) if len(keys) > 1 else keys:
+        if all(key & other != key for other in kept):
+            kept.append(key)
+    return kept
 
 
 def _in_disc_np(re, im):
@@ -376,37 +414,108 @@ def _onto_disc_np(re, im):
 
 
 class _RealizeProblem:
-    """Shared geometry and bound computations for one realize_type call."""
+    """One-point geometry, packed bounds and cover states for one realize_type call.
+
+    Targets [l_1, h_1] < ... < [l_K, h_K] are padded to the longest by repeating
+    the last.  At a threshold t, the state of a box or sample point at one point
+    has, per condition c, bit c (K + 1) + k set when it can serve interval k
+    (l_k - |p_c| <= t somewhere: a prefix of the k), and the bit ``bits``
+    higher when it leaves k open (|p_c| - h_k <= t somewhere: a suffix).
+    States join by union of the low half and intersection of the high half,
+    and a join covers when each condition's least open interval is served.
+    """
 
     def __init__(self, conditions, algebra, sorts_by_var):
-        self.conditions = conditions
-        self.algebra = algebra
+        self.conditions, self.algebra, self.points = conditions, algebra, algebra.point_count
         self.names = sorted(sorts_by_var)
-        self.sorts = [sorts_by_var[name] for name in self.names]
-        self.points = algebra.point_count
-        self.slots = len(self.names) * self.points
-        slot_sorts = np.repeat(self.sorts, self.points)
-        self.ball = np.flatnonzero(slot_sorts == SORT_BALL)
-        self.real = np.flatnonzero(slot_sorts != SORT_BALL)
-        # the real sorts' domain ends, per real slot
-        self.floor, self.ceiling = self.initial_box()[0, self.real, :2].T
-        width = max(len(c.target) for c in conditions)
+        self.sorts = np.array([sorts_by_var[name] for name in self.names])
+        self.ball, self.real = np.flatnonzero(self.sorts == SORT_BALL), np.flatnonzero(self.sorts != SORT_BALL)
+        self.floor, self.ceiling = self.initial_box()[0, self.real, :2].T  # the real sorts' domain ends
+        self.width = width = max(len(c.target) for c in conditions)
         ends = np.array([c.target + c.target[-1:] * (width - len(c.target)) for c in conditions])
         self.t_lo, self.t_hi = ends[..., :1], ends[..., 1:]
+        self.bits = bits = (width + 1) * len(conditions)  # a guard bit after each condition's K
+        step = range(0, bits, width + 1)
+        self.ones, self.open = sum(1 << at for at in step), sum(((1 << width) - 1) << at for at in step)
+        self.low, self.neutral = (1 << bits) - 1, self.open << bits
+        # a state times the point count, plus the point, fits an int64 or is a Python int
+        self.weights = np.array([1 << (at + k) for at in step for k in range(width)],
+                                dtype=object if 2 * bits > 60 else np.int64)
         self.rects, self.values = (arith._replace(const=functools.cache(arith.const))
                                    for arith in (_NP_RECTS, _NP_VALUES))
 
     def initial_box(self):
-        return np.array([sum((_initial_box(sort, self.points) for sort in self.sorts), ())])
+        return _fill(tuple(self.sorts), 1)
 
-    def _env(self, columns):
-        return {name: columns[..., i * self.points : (i + 1) * self.points]
-                for i, name in enumerate(self.names)}
+    def bounds(self, boxes, points):
+        """Modulus bounds (lo, hi) of each condition over each box at its point, shape
+        (C, m), widened as ``clogic._abs_iv``: one pass over the packed boxes."""
+        packed, place = _pack(boxes, points, self.points, self.initial_box()[0])
+        env = {name: tuple(packed[:, :, v, k] for k in range(4)) for v, name in enumerate(self.names)}
+        rects = np.empty((4, len(self.conditions)) + packed.shape[:2])
+        for i, condition in enumerate(self.conditions):
+            rects[:, i] = eval_term(condition.polynomial, env, self.algebra, self.rects)
+        lo, hi = _np_mod(rects[(slice(None), slice(None)) + place])
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        return np.maximum(np.nextafter(lo, -np.inf), 0.0), np.nextafter(hi, np.inf)
 
-    def _distance(self, norms):
-        """Distances (C, N) of each condition's norms to its target, padded to (C, K, 1)."""
-        norms = norms[:, None]
-        return np.maximum(np.maximum(self.t_lo - norms, norms - self.t_hi), 0.0).min(axis=1)
+    def moduli(self, cands, points):
+        """Exact moduli of each condition at each sample point at its point, shape (C, m)."""
+        packed, place = _pack(cands, points, self.points, np.zeros(len(self.names), dtype=complex))
+        env = {name: packed[:, :, v] for v, name in enumerate(self.names)}
+        values = np.empty((len(self.conditions),) + packed.shape[:2], dtype=complex)
+        for i, condition in enumerate(self.conditions):
+            values[i] = eval_term(condition.polynomial, env, self.algebra, self.values)
+        return np.abs(values[(slice(None),) + place])
+
+    def gaps(self, lo, hi):
+        """|p_c| - h_k and l_k - |p_c| at their least over modulus bounds (C, m): (C, K, m) each."""
+        return lo[:, None] - self.t_hi, self.t_lo - hi[:, None]
+
+    def states(self, lo, hi, t):
+        """The state at threshold ``t`` of boxes (or sample points) of modulus bounds (C, m)."""
+        above, below = ((g <= t).reshape(len(self.weights), -1) for g in self.gaps(lo, hi))
+        return np.dot(self.weights, below) + np.dot(self.weights << self.bits, above)
+
+    def join(self, a, b):
+        return (a | b) & self.low | a & b & ~self.low
+
+    def covers(self, key):  # a condition with no interval open carries into its guard bit
+        need = (~(key >> self.bits) & self.open) + self.ones
+        return key & need == need
+
+    def useful(self, tables):
+        """Per point, the states of its table that take part in a covering choice."""
+        tops, result = [_maximal(table) for table in tables], []
+        for i, table in enumerate(tables):
+            rest = [self.neutral]
+            for top in tops[:i] + tops[i + 1:]:
+                rest = _maximal({self.join(r, k) for r in rest for k in top})
+            result.append([k for k in table if any(self.covers(self.join(r, k)) for r in rest)])
+        return result
+
+    def cover(self, tables):
+        """States, one from each point's table, whose join covers, or None."""
+        reach = {self.neutral: ()}
+        for top in map(_maximal, tables):
+            step = {self.join(joined, key): choice + (key,) for joined, choice in reach.items() for key in top}
+            reach = {joined: step[joined] for joined in _maximal(step)}
+        return next((choice for joined, choice in reach.items() if self.covers(joined)), None)
+
+    def least_cover(self, bounds, above, below):
+        """The least threshold in (above, below) at which a choice of one box or sample
+        point per point (``bounds`` (lo, hi) of each point's) covers, else ``below``.
+        Covers change only at gap values (0 for negative ones), so this bisects
+        those between one without a cover and one with, the highest first."""
+        values = np.maximum(np.concatenate([g.ravel() for b in bounds for g in self.gaps(*b)] + [[0.0]]), 0.0)
+        values, t = values[(values > above) & (values < below)], None
+        while len(values):
+            t = values.max() if t is None else values[np.argmin(np.abs(values - (values.min() + values.max()) / 2))]
+            if self.cover([self.states(*b, t).tolist() for b in bounds]) is None:
+                values = values[values > t]
+            else:
+                below, values = t, values[values < t]
+        return float(below)
 
     def feasible(self, boxes):
         """Whether each box meets every domain (a ``ball`` box's nearest point in the disc, exactly)."""
@@ -416,11 +525,11 @@ class _RealizeProblem:
         return _in_disc_np(near[..., 0], near[..., 1]).all(axis=1)
 
     def witnesses(self, boxes):
-        """Witness candidates of feasible boxes, candidate-major, shape (M, slots).  ``sa``/``pos``:
-        midpoint, all-low, all-high, then each coordinate snapped to its end on the domain boundary
-        (else the midpoint), high then low first on ties.  ``ball``: the nearest point, then the
-        farthest pulled into the disc.  No duplicate is scored."""
-        cands = np.empty((5 if self.real.size else 2, boxes.shape[0], self.slots), dtype=complex)
+        """Witness candidates of feasible boxes, candidate-major, shape (M, V), and each one's
+        box.  ``sa``/``pos``: midpoint, all-low, all-high, then each coordinate snapped to its
+        end on the domain boundary (else the midpoint), high then low first on ties.  ``ball``:
+        the nearest point, then the farthest pulled into the disc.  No duplicate is scored."""
+        cands = np.empty((5 if self.real.size else 2, boxes.shape[0], len(self.names)), dtype=complex)
         if self.ball.size:
             lo, hi = boxes[:, self.ball, 0::2], boxes[:, self.ball, 1::2]
             near = np.minimum(np.maximum(lo, 0.0), hi)
@@ -437,39 +546,7 @@ class _RealizeProblem:
                                       np.where(down, lo, np.where(up, hi, mid))]
             snapped = (up | down).any(axis=1) | bool(self.ball.size)
             scored[3:] = snapped, (up & down).any(axis=1)
-        return cands[scored]
-
-    def deviation_floor(self, boxes):
-        """Per box, a lower bound on the largest deviation over the box: the
-        least distance of each condition's widened norm bounds to its target."""
-        env = self._env(boxes.transpose(2, 0, 1))
-        rects = np.empty((4, len(self.conditions), boxes.shape[0], self.points))
-        for i, condition in enumerate(self.conditions):
-            rects[:, i] = eval_term(condition.polynomial, env, self.algebra, self.rects)
-        nlo, nhi = _norm_bounds(rects)
-        meets = ((nlo[:, None] <= self.t_hi) & (self.t_lo <= nhi[:, None])).any(axis=1)
-        return np.where(meets, 0.0, np.minimum(self._distance(nlo), self._distance(nhi))).max(axis=0)
-
-    def deviation_at(self, reps):
-        """Exact max-over-conditions deviation at sample points."""
-        env = self._env(reps)
-        values = np.empty((len(self.conditions), reps.shape[0], self.points), dtype=complex)
-        for i, condition in enumerate(self.conditions):
-            values[i] = eval_term(condition.polynomial, env, self.algebra, self.values)
-        return self._distance(_point_max(np.abs(values))).max(axis=0)
-
-    def split(self, boxes):
-        """Halve each box along its widest axis (ties: first slot, real
-        axis before imaginary): the low halves, then the high halves."""
-        ends = boxes.reshape(len(boxes), -1, 2)  # (lo, hi) per slot and axis
-        widest, rows = (ends[..., 1] - ends[..., 0]).argmax(axis=1), np.arange(len(boxes))
-        pair = ends[rows, widest]
-        mid = (pair[:, 0] + pair[:, 1]) / 2.0
-        halves = np.concatenate([boxes, boxes])
-        ends = halves.reshape(2, len(boxes), -1, 2)
-        ends[0, rows, widest, 1] = mid
-        ends[1, rows, widest, 0] = mid
-        return halves
+        return cands[scored], np.nonzero(scored)[1]
 
 
 def _certify_assignment(conditions, algebra, assignment):
@@ -498,15 +575,23 @@ def realize_type(
     ``Unsatisfiable(epsilon, delta)`` when branch-and-bound proves every
     assignment deviates by at least ``epsilon > tol`` on the listed
     conditions, and ``Inconclusive`` when the box budget runs out first.
-    The search is best first.  Each level pops up to ``_BATCH_SIZE`` boxes,
-    bisects them k = max(1, floor(log2(_BATCH_SIZE / (2 * popped)))) times
-    along their widest axes, so that a level is filled to half a batch even
-    when few boxes survive, and bounds the pieces in one numpy pass.  Only
-    the boxes it keeps (deviation floor at most ``tol``) score witnesses that
-    reach the sorts' boundaries (``witnesses``), as a pruned box holds no
-    point within ``tol``.  A level is assessed whole, so ``boxes_used`` can
-    pass ``max_boxes`` (at least 1) by at most one level, fewer than
-    ``2 * _BATCH_SIZE`` boxes.
+
+    The search is split over the points: max_i a_i, a_i = |p_c(x)_i|, is
+    within t of [l, h] exactly when every a_i <= h + t and some a_i >= l - t
+    (for a union of intervals, the first holds from some interval on and the
+    second up to some), so each point refines its own boxes, which meet only
+    in cover states (``_RealizeProblem``).  A box failing the first part at
+    ``tol`` is dropped, its least excess joining a floor.  The type is
+    refuted when no choice of one box per point covers at ``tol``, with
+    ``epsilon`` the least threshold at which a choice of the other boxes
+    covers, capped by the floor.  Only boxes whose state takes part in a
+    covering choice are split (oldest first, up to ``_BATCH_SIZE // 2``
+    times the point count per level) or score witnesses; a covering choice
+    of one witness per point is certified by ``ceval``, and their least
+    covering threshold is an ``Inconclusive``'s ``best_deviation``.  The
+    first level splits the domain up front for every point (``_fill``).  A
+    level is assessed whole, so ``boxes_used`` (one-point boxes over all
+    points) can pass ``max_boxes`` (at least 1) by at most one level.
     """
     conditions = tuple(conditions)
     if not conditions or len(conditions) > MAX_REALIZE_CONDITIONS:
@@ -536,52 +621,82 @@ def realize_type(
         return Unsatisfiable(deviation, conditions)
 
     problem = _RealizeProblem(conditions, algebra, sorts_by_var)
-    counter, heap, best_rep, boxes_used = itertools.count(), [], None, 0
-    floor = best_value = np.inf
+    n = problem.points
+    # Levels [boxes, points, lo, hi, keys, alive] in order, from the first with an
+    # alive box (not dropped nor split), keyed state * n + point; the alive boxes per
+    # key; one scored witness per key, with its moduli and its deviation alone.
+    levels, cursor, counts, pools = [], 0, collections.Counter(), {}
+    boxes_used, dropped = 0, np.inf
 
-    def assess(boxes):
-        nonlocal floor, best_value, best_rep, boxes_used
-        boxes_used += boxes.shape[0]
+    def tables(keys):  # per point, the states among the keys
+        return [[key // n for key in keys if key % n == i] for i in range(n)]
+
+    def assess(boxes, points):
+        nonlocal boxes_used, dropped
+        boxes_used += len(boxes)
         feasible = problem.feasible(boxes)
-        if not feasible.all():
-            boxes = boxes[feasible]
-        g_lo = problem.deviation_floor(boxes)
-        pruned = g_lo > tol
-        if pruned.any():
-            floor = min(floor, float(g_lo[pruned].min()))
-            boxes, g_lo = boxes[~pruned], g_lo[~pruned]
-        if boxes.shape[0] == 0:
-            return
-        cands = problem.witnesses(boxes)
-        g_cand = problem.deviation_at(cands)
-        leader = int(np.argmin(g_cand))
-        if g_cand[leader] < best_value:
-            best_value, best_rep = float(g_cand[leader]), cands[leader].copy()
-        # one heap key per box: its row in this level's survivors (the chunk)
-        for item in zip(g_lo.tolist(), counter, itertools.repeat(boxes), range(boxes.shape[0])):
-            heapq.heappush(heap, item)
+        boxes, points = boxes[feasible], points[feasible]
+        lo, hi = problem.bounds(boxes, points)
+        excess = (lo - problem.t_hi[:, -1]).max(axis=0)  # over the upper part
+        alive = excess <= tol
+        dropped = min(dropped, excess[~alive].min(initial=np.inf))
+        keys = problem.states(lo, hi, tol) * n + points
+        levels.append([boxes, points, lo, hi, keys, alive])
+        counts.update(keys[alive].tolist())
 
-    assess(problem.initial_box())
+    def pop(useful):
+        nonlocal cursor
+        taken, room = [], n * _BATCH_SIZE // 2
+        while cursor < len(levels) and room:
+            boxes, points, _, _, keys, alive = levels[cursor]
+            rows = np.flatnonzero(alive & _member(keys, useful))[:room]
+            alive[rows] = False
+            counts.subtract(keys[rows].tolist())
+            taken.append((boxes[rows], points[rows]))
+            room -= len(rows)
+            cursor += room > 0  # no useful box is left on this level
+        return [np.concatenate(part) for part in zip(*taken)]
+
+    def per_point(lo, hi, points):
+        return [(lo[:, points == i], hi[:, points == i]) for i in range(n)]
+
+    boxes = _fill(tuple(problem.sorts), min(_BATCH_SIZE // 2, max_boxes // n))
+    assess(np.tile(boxes, (n, 1, 1)), np.repeat(np.arange(n), len(boxes)))
     while True:
-        if best_value <= tol:
-            assignment = {name: tuple(z.tolist()) for name, z in problem._env(best_rep).items()}
+        useful = problem.useful(tables([key for key, count in counts.items() if count]))
+        if not useful[0]:
+            remaining = [(lo[:, alive], hi[:, alive], points[alive]) for _, points, lo, hi, _, alive in levels]
+            lo, hi, points = (np.concatenate(part, axis=-1) for part in zip(*remaining))
+            return Unsatisfiable(problem.least_cover(per_point(lo, hi, points), tol, dropped), conditions)
+        useful = np.array(sorted(key * n + i for i, keys in enumerate(useful) for key in keys),
+                          dtype=problem.weights.dtype)
+        boxes, points, _, _, keys, alive = levels[-1]  # its useful boxes score their witnesses
+        rows = alive & _member(keys, useful)
+        cands, owner = problem.witnesses(boxes[rows])
+        points = points[rows][owner]
+        found = problem.moduli(cands, points)
+        alone = np.maximum(np.maximum(*problem.gaps(found, found)), 0.0).min(axis=1).max(axis=0)
+        keys = problem.states(found, found, tol) * n + points
+        for key in set(keys.tolist()):  # per state, the witness that deviates least alone
+            row = int(np.where(keys == key, alone, np.inf).argmin())
+            if key not in pools or alone[row] < pools[key][2]:
+                pools[key] = cands[row], found[:, row], alone[row]
+        choice = problem.cover(tables(pools))
+        if choice is not None:
+            rows = np.array([pools[key * n + i][0] for i, key in enumerate(choice)])
+            assignment = {name: tuple(rows[:, v].tolist()) for v, name in enumerate(problem.names)}
             certificates, deviation = _certify_assignment(conditions, algebra, assignment)
             if deviation <= tol:
                 return Realized(assignment, deviation, certificates)
-            best_value = np.inf  # keep searching from surviving boxes
-        if not heap:
-            return Unsatisfiable(float(floor), conditions)
+            pools.clear()  # keep searching with fresh witnesses
         if boxes_used >= max_boxes:
-            return Inconclusive(float(best_value), boxes_used)
-        _, _, chunks, rows = zip(*(heapq.heappop(heap) for _ in range(min(_BATCH_SIZE, len(heap)))))
-        ids, rows = np.array(list(map(id, chunks))), np.array(rows)
-        boxes = np.empty((len(rows), problem.slots, 4))
-        for chunk in dict(zip(map(id, chunks), chunks)).values():  # in pop order, one index per chunk
-            at = ids == id(chunk)
-            boxes[at] = chunk[rows[at]]
-        for _ in range(max(1, (_BATCH_SIZE // (2 * boxes.shape[0])).bit_length() - 1)):
-            boxes = problem.split(boxes)
-        assess(boxes)
+            found = np.array([m for _, m, _ in pools.values()]).reshape(-1, len(conditions)).T
+            points = np.array([key % n for key in pools], dtype=int)
+            return Inconclusive(problem.least_cover(per_point(found, found, points), -1.0, np.inf), boxes_used)
+        if not (taken := pop(useful)):  # every useful box lies behind the cursor
+            cursor = 0
+            taken = pop(useful)
+        assess(_split(taken[0]), np.tile(taken[1], 2))
 
 
 # ---------------------------------------------------------------------------

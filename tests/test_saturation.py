@@ -1,9 +1,11 @@
 """Tests for chain interpolation and degree-1 type realization."""
 
+import collections
 import heapq
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -12,15 +14,18 @@ import pytest
 from elemeq.boolalg import FiniteBoolAlg
 from elemeq.clogic import (
     _RECTS,
+    _at_point,
     _rect_kernel,
     _rect_mod,
     CAdd,
     CConst,
     CMul,
     COne,
+    CScale,
     CSub,
     CStar,
     CVar,
+    CZero,
     SORT_BALL,
     SORT_POS,
     SORT_SA,
@@ -31,12 +36,10 @@ from elemeq.errors import PreconditionError
 from elemeq.saturation import (
     _BATCH_SIZE,
     _NP_RECTS,
-    _NP_VALUES,
     _RealizeProblem,
     _certify_assignment,
-    _norm_bounds,
     _np_mod,
-    _point_max,
+    _split,
     NOT_FOUND,
     CylinderElement,
     Inconclusive,
@@ -339,108 +342,120 @@ def test_refute_chain_bound_conditions():
     assert result.epsilon > 0.1
 
 
-def test_chain_refutation_fills_its_levels(monkeypatch):
-    # each level bisects its few surviving boxes up to half a batch, so the
-    # refutation on 4 points takes 6 levels where one bisection per level
-    # took 17, and finds the same floor (sqrt(5)/2 - 1)
-    levels = []
-    floor = _RealizeProblem.deviation_floor
-
-    def counted(self, boxes):
-        levels.append(len(boxes))
-        return floor(self, boxes)
-
-    monkeypatch.setattr(_RealizeProblem, "deviation_floor", counted)
+def test_chain_refutation_keeps_its_floor():
+    # on 4 points the chain refutation floor is sqrt(5)/2 - 1, as the coupled
+    # search found it
     algebra = CStarAlgebraFin(4)
     result = realize_type(_chain_conditions(algebra), algebra, 0.1)
     assert isinstance(result, Unsatisfiable)
     assert result.epsilon > 0.1 and result.epsilon == pytest.approx(0.1180339887, abs=1e-9)
-    assert len(levels) <= 8
-    assert max(levels) <= 2 * _BATCH_SIZE
 
 
-def test_chain_refutation_scores_witnesses_only_in_surviving_boxes(monkeypatch):
-    # a box whose floor exceeds tol holds no point within tol, so only the
-    # boxes a level keeps score witnesses (two per ball box), and a level that
-    # prunes every box scores none; the refutation is the one pinned above
-    events = []
-    floor, at = _RealizeProblem.deviation_floor, _RealizeProblem.deviation_at
+def test_refutations_score_no_witness(monkeypatch):
+    # witnesses are scored only in boxes whose state takes part in a covering
+    # choice, and a type refuted at its first level has none
+    scored = []
+    witnesses = _RealizeProblem.witnesses
 
-    def floors(self, boxes):
-        events.append(floor(self, boxes))
-        return events[-1]
+    def counted(self, boxes):
+        scored.append(len(boxes))
+        return witnesses(self, boxes)
 
-    def scored(self, reps):
-        events.append(len(reps))
-        return at(self, reps)
-
-    monkeypatch.setattr(_RealizeProblem, "deviation_floor", floors)
-    monkeypatch.setattr(_RealizeProblem, "deviation_at", scored)
-    algebra = CStarAlgebraFin(4)
-    result = realize_type(_chain_conditions(algebra), algebra, 0.1)
-    assert isinstance(result, Unsatisfiable)
-    assert result.epsilon == pytest.approx(0.1180339887, abs=1e-9)
-    levels = [e for e in events if not isinstance(e, int)]
-    assert 1 < len(levels) <= 8
-    kept = [int((g <= 0.1).sum()) for g in levels]
-    assert [n for n in events if isinstance(n, int)] == [2 * k for k in kept if k]
-    assert kept[-1] == 0 and sum(kept) < sum(map(len, levels))
+    monkeypatch.setattr(_RealizeProblem, "witnesses", counted)
+    for points in (2, 3, 4):
+        for tol in (0.05, 0.1):
+            algebra = CStarAlgebraFin(points)
+            assert isinstance(realize_type(_chain_conditions(algebra), algebra, tol), Unsatisfiable)
+    assert scored == []
 
 
 def _candidates(problem, boxes):
     """The ``witnesses`` of the boxes that are ``feasible``, and that mask."""
     feasible = problem.feasible(boxes)
-    return problem.witnesses(boxes[feasible]), feasible
+    return problem.witnesses(boxes[feasible])[0], feasible
+
+
+def _one_point_boxes(problem, boxes):
+    """Boxes over all the points, shape (N, V, points, 4), as one-point boxes
+    (point-minor) and their points."""
+    return (boxes.transpose(0, 2, 1, 3).reshape(-1, len(problem.names), 4),
+            np.tile(np.arange(problem.points), len(boxes)))
+
+
+def _coupled_candidates(problem, boxes):
+    """Witness candidates of boxes over all the points: the k-th takes each
+    point's k-th ``witnesses`` candidate (its last when it has fewer), shape
+    (M, V, points)."""
+    n = problem.points
+    cands, owner = problem.witnesses(_one_point_boxes(problem, boxes)[0])
+    order = np.argsort(owner, kind="stable")
+    counts = np.bincount(owner, minlength=len(boxes) * n)
+    starts = np.cumsum(counts) - counts
+    return np.concatenate([cands[order[starts + np.minimum(k, counts - 1)]].reshape(len(boxes), n, -1)
+                           for k in range(counts.max())]).transpose(0, 2, 1)
+
+
+def _coupled_norms(problem, bounds):
+    """Per condition, the max over the points of per-point values (C, N * points)."""
+    return bounds.reshape(len(problem.conditions), -1, problem.points).max(axis=2)
+
+
+def _target_distance(problem, norms):
+    """Distances (C, N) of each condition's norms to its (padded) target."""
+    return np.maximum(np.maximum(problem.t_lo - norms[:, None], norms[:, None] - problem.t_hi), 0.0).min(axis=1)
 
 
 def _reference_realize(conditions, algebra, tol, sorts, max_boxes):
-    """The level loop as it was before witnesses were limited to surviving
-    boxes: every feasible box scores its candidates, and each frontier entry
-    holds one box row.  Returns (verdict, epsilon or boxes_used)."""
+    """The coupled search the point split replaced: best first over boxes of all
+    the points at once, each condition's norm bounded by its own max over the
+    points of the per-point bounds, a box pruned when some condition's norm
+    bounds miss its target by more than tol.  Returns (verdict, epsilon, the
+    least deviation of a scored witness)."""
     names = sorted(frozenset().union(*(c.variables() for c in conditions)))
     problem = _RealizeProblem(tuple(conditions), algebra, {v: sorts.get(v, SORT_BALL) for v in names})
-    counter, heap = itertools.count(), []
-    floor = best_value = np.inf
-    best_rep, boxes_used = None, 0
+    counter, heap, used = itertools.count(), [], 0
+    floor = best = np.inf
 
     def assess(boxes):
-        nonlocal floor, best_value, best_rep, boxes_used
-        boxes_used += boxes.shape[0]
-        cands, feasible = _candidates(problem, boxes)
-        boxes = boxes[feasible]
-        if boxes.shape[0] == 0:
-            return
-        g_lo = problem.deviation_floor(boxes)
-        g_cand = problem.deviation_at(cands)
-        leader = int(np.argmin(g_cand))
-        if g_cand[leader] < best_value:
-            best_value, best_rep = float(g_cand[leader]), cands[leader].copy()
+        nonlocal floor, best, used
+        used += len(boxes)
+        boxes = boxes[problem.feasible(_one_point_boxes(problem, boxes)[0]).reshape(len(boxes), -1).all(axis=1)]
+        lo, hi = (_coupled_norms(problem, b) for b in problem.bounds(*_one_point_boxes(problem, boxes)))
+        meets = ((lo[:, None] <= problem.t_hi) & (problem.t_lo <= hi[:, None])).any(axis=1)
+        g_lo = np.where(meets, 0.0, np.minimum(_target_distance(problem, lo),
+                                                _target_distance(problem, hi))).max(axis=0)
         pruned = g_lo > tol
         if pruned.any():
             floor = min(floor, float(g_lo[pruned].min()))
-        for item in zip(g_lo[~pruned].tolist(), counter, boxes[~pruned]):
+        boxes, g_lo = boxes[~pruned], g_lo[~pruned]
+        if len(boxes):
+            cands = _coupled_candidates(problem, boxes)
+            points = np.tile(np.arange(problem.points), len(cands))
+            moduli = problem.moduli(cands.transpose(0, 2, 1).reshape(-1, len(names)), points)
+            devs = _target_distance(problem, _coupled_norms(problem, moduli)).max(axis=0)
+            if devs.min() < best:
+                best, leader = float(devs.min()), cands[int(np.argmin(devs))]
+                assignment = {name: tuple(leader[v].tolist()) for v, name in enumerate(names)}
+                if best <= tol and _certify_assignment(conditions, algebra, assignment)[1] <= tol:
+                    return "realized"
+        for item in zip(g_lo.tolist(), counter, boxes):
             heapq.heappush(heap, item)
 
-    assess(problem.initial_box())
-    while True:
-        if best_value <= tol:
-            assignment = {name: tuple(z.tolist()) for name, z in problem._env(best_rep).items()}
-            if _certify_assignment(conditions, algebra, assignment)[1] <= tol:
-                return "realized", None
-            best_value = np.inf
-        if not heap:
-            return "unsatisfiable", float(floor)
-        if boxes_used >= max_boxes:
-            return "inconclusive", boxes_used
-        boxes = np.stack([heapq.heappop(heap)[2] for _ in range(min(_BATCH_SIZE, len(heap)))])
-        for _ in range(max(1, (_BATCH_SIZE // (2 * boxes.shape[0])).bit_length() - 1)):
-            boxes = problem.split(boxes)
-        assess(boxes)
+    box = np.repeat(problem.initial_box()[:, :, None], problem.points, axis=2)
+    verdict = assess(box)
+    while verdict is None and heap and used < max_boxes:
+        popped = np.stack([heapq.heappop(heap)[2] for _ in range(min(256, len(heap)))])
+        shape = popped.shape
+        verdict = assess(_split(popped.reshape(len(popped), -1, 4)).reshape((-1,) + shape[1:]))
+    if verdict is None:
+        verdict = "inconclusive" if heap else "unsatisfiable"
+    return verdict, floor, best
 
 
 def _random_norm_type(rng):
     """A seeded type of 2-5 norm conditions on x - c, x c - d, x - c - 1,
-    x y and x - y, with point or short targets."""
+    x y and x - y, with point, short or two-interval targets, over 1-2
+    variables of the three sorts."""
     n = rng.randint(2, 4)
     names = TERM_NAMES[: rng.randint(1, 2)]
 
@@ -455,78 +470,68 @@ def _random_norm_type(rng):
         if len(names) > 1 and rng.random() < 0.3:
             term = rng.choice((CMul, CSub))(CVar(names[0]), CVar(names[1]))
         lo = rng.choice((0.0, 0.25, 0.5, 0.75, 1.0, 1.5))
-        conditions.append(TypeCondition(term, [(lo, lo + rng.choice((0.0, 0.0, 0.25, 0.5)))]))
+        target = [(lo, lo + rng.choice((0.0, 0.0, 0.25, 0.5)))]
+        if rng.random() < 0.3:
+            far = lo + rng.choice((0.5, 0.75, 1.0))
+            target.append((far, far + rng.choice((0.0, 0.25))))
+        conditions.append(TypeCondition(term, target))
     sorts = {v: rng.choice((SORT_BALL, SORT_BALL, SORT_SA, SORT_POS)) for v in names}
     return conditions, CStarAlgebraFin(n), rng.choice((0.05, 0.1, 0.25)), sorts
 
 
-def test_levels_match_the_loop_that_scored_every_feasible_box(monkeypatch):
-    # witnesses do not decide which boxes a level assesses, their floors, the
-    # pruning or the pop order, so refutations and budgets come out the same
-    levels = []
-    floor = _RealizeProblem.deviation_floor
-
-    def recorded(self, boxes):
-        g_lo = floor(self, boxes)
-        levels.append(g_lo.tolist())
-        return g_lo
-
-    monkeypatch.setattr(_RealizeProblem, "deviation_floor", recorded)
+def test_point_split_agrees_with_the_coupled_search():
+    # the two routes decide alike wherever both decide; every refutation floor
+    # is above tol and no witness of either route deviates less than it
     rng = random.Random(4108)
-    verdicts, depth = [], []
-    for _ in range(48):
+    verdicts = collections.Counter()
+    for _ in range(600):
         conditions, algebra, tol, sorts = _random_norm_type(rng)
-        levels.clear()
-        kind, value = _reference_realize(conditions, algebra, tol, sorts, 3000)
-        reference_levels = list(levels)
-        levels.clear()
-        result = realize_type(conditions, algebra, tol, sorts=sorts, max_boxes=3000)
-        assert levels == reference_levels
-        depth.append(len(levels))
-        verdicts.append(kind)
-        if kind == "realized":
-            assert isinstance(result, Realized)
-        elif kind == "unsatisfiable":
-            assert isinstance(result, Unsatisfiable) and result.epsilon == value
-        else:
-            assert isinstance(result, Inconclusive) and result.boxes_used == value
-    assert min(map(verdicts.count, ("realized", "unsatisfiable", "inconclusive"))) >= 3, verdicts
-    assert sum(d > 1 for d in depth) >= 20, depth
+        kind, floor, best = _reference_realize(conditions, algebra, tol, sorts, 400)
+        result = realize_type(conditions, algebra, tol, sorts=sorts, max_boxes=2000)
+        verdicts[kind, type(result).__name__] += 1
+        if isinstance(result, Unsatisfiable):
+            assert kind != "realized" and result.epsilon > tol
+            assert best >= result.epsilon
+        elif isinstance(result, Realized):
+            assert kind != "unsatisfiable"
+            assert _independent_deviation(conditions, result.assignment, algebra) <= tol
+        if kind == "unsatisfiable":
+            assert floor > tol
+            if isinstance(result, Inconclusive):
+                assert result.best_deviation >= floor
+    assert verdicts["realized", "Realized"] >= 120 and verdicts["unsatisfiable", "Unsatisfiable"] >= 120, verdicts
+    # and on these types the point split decides all the coupled search decides
+    assert verdicts["realized", "Inconclusive"] + verdicts["unsatisfiable", "Inconclusive"] == 0, verdicts
 
 
-def test_frontier_pops_by_floor_then_insertion_across_levels(monkeypatch):
-    # floors spread over [0, 1.25 tol] grow the frontier past a batch, so a
-    # level pops the boxes of several earlier levels interleaved; the boxes it
-    # assesses come in the order of the loop whose entries held one box row
-    levels = []
-
-    def spread(self, boxes):
-        levels.append(boxes.tolist())
-        return np.modf(np.abs(boxes).sum(axis=(1, 2)) * 7.31)[0] * 0.125
-
-    monkeypatch.setattr(_RealizeProblem, "deviation_floor", spread)
-    monkeypatch.setattr(_RealizeProblem, "deviation_at", lambda self, reps: np.ones(len(reps)))
-    rng = random.Random(4109)
-    deep = 0
-    for _ in range(6):
-        conditions, algebra, _, sorts = _random_norm_type(rng)
-        levels.clear()
-        kind, value = _reference_realize(conditions, algebra, 0.1, sorts, 6000)
-        reference_levels = list(levels)
-        levels.clear()
-        result = realize_type(conditions, algebra, 0.1, sorts=sorts, max_boxes=6000)
-        assert levels == reference_levels
-        assert (result.epsilon if kind == "unsatisfiable" else result.boxes_used) == value
-        deep += len(levels) > 6
-    assert deep >= 4
+def test_orthogonal_obstruction_is_refuted_within_1024_boxes():
+    # each point can serve at most one ||x_a|| = 1 condition while every product
+    # stays near 0, so three such elements on two points fail the covering part:
+    # the obstruction max_orthogonal_family counts
+    algebra = CStarAlgebraFin(2)
+    names = ["x0", "x1", "x2"]
+    result = realize_type(_orthogonality_conditions(names), algebra, 0.25,
+                          sorts={n: SORT_POS for n in names}, max_boxes=1_024)
+    assert isinstance(result, Unsatisfiable) and result.epsilon > 0.25
+    assert max_orthogonal_family(algebra) == 2
 
 
 def test_chain_type_met_only_at_isolated_points_is_realized():
     # the least deviation equals tol and is attained only at isolated dyadic
-    # points such as x = (-0.75i, 0.75, 0.75); levels of up to _BATCH_SIZE
-    # popped boxes reach one, where levels of half as many ran out of budget
+    # points such as x = (-0.75i, 0.75, 0.75)
     algebra = CStarAlgebraFin(3)
     conditions = _chain_conditions(algebra, step=1, top=2)
+    result = realize_type(conditions, algebra, 0.25, max_boxes=20_000)
+    assert isinstance(result, Realized)
+    assert _independent_deviation(conditions, result.assignment, algebra) <= 0.25
+
+
+def test_chain_type_met_only_at_isolated_points_is_realized_on_four_points():
+    # x = (-0.75i, 0, 0.75, 0.75) deviates by exactly tol; each point searches
+    # its own plane, where a box corner reaches such a point (the coupled
+    # search ended Inconclusive after 20,481 boxes)
+    algebra = CStarAlgebraFin(4)
+    conditions = _chain_conditions(algebra, step=2, top=3)
     result = realize_type(conditions, algebra, 0.25, max_boxes=20_000)
     assert isinstance(result, Realized)
     assert _independent_deviation(conditions, result.assignment, algebra) <= 0.25
@@ -602,16 +607,38 @@ def test_budget_exhaustion_is_inconclusive():
     assert result.boxes_used >= 8
 
 
-def test_budget_is_passed_by_at_most_one_level():
-    # a level is assessed whole, and one level assesses fewer than
-    # 2 * _BATCH_SIZE boxes
-    algebra = CStarAlgebraFin(2)
-    names = ["x0", "x1", "x2"]
-    for budget in (8, 100, 1000):
-        result = realize_type(_orthogonality_conditions(names), algebra, 0.25,
-                              sorts={n: SORT_POS for n in names}, max_boxes=budget)
-        assert isinstance(result, Inconclusive), budget
-        assert budget <= result.boxes_used < budget + 2 * _BATCH_SIZE, budget
+def test_budget_is_passed_by_at_most_one_level(monkeypatch):
+    # ||x|| = 0.6 is the only norm within 0.1 of both targets: no box refutes
+    # the type and no witness of a coarse box reaches it.  A level is assessed
+    # whole, and it assesses at most _BATCH_SIZE boxes per point
+    levels = []
+    bounds = _RealizeProblem.bounds
+
+    def counted(self, boxes, points):
+        levels.append(len(boxes) * (self.points if points is None else 1))
+        return bounds(self, boxes, points)
+
+    monkeypatch.setattr(_RealizeProblem, "bounds", counted)
+    conditions = [TypeCondition(CVar("x"), [(0.5, 0.5)]), TypeCondition(CVar("x"), [(0.7, 0.7)])]
+    for points in (2, 3):
+        for budget in (1, 8, 100, 1000):
+            levels.clear()
+            result = realize_type(conditions, CStarAlgebraFin(points), 0.1, max_boxes=budget)
+            assert isinstance(result, Inconclusive), budget
+            assert budget <= result.boxes_used < budget + points * _BATCH_SIZE, budget
+            assert sum(levels[:-1]) < budget and max(levels) <= points * _BATCH_SIZE, levels
+
+
+def test_sixteen_conditions_keep_their_states_in_python_ints():
+    # 16 one-interval conditions need 64 state bits, past an int64
+    algebra, x = CStarAlgebraFin(3), CVar("x")
+    conditions = [TypeCondition(CSub(x, CConst((0.5 * (j % 3),) * 3)), [(abs(0.5 - 0.5 * (j % 3)),) * 2])
+                  for j in range(16)]
+    assert _RealizeProblem(tuple(conditions), algebra, {"x": SORT_BALL}).weights.dtype == object
+    result = realize_type(conditions, algebra, 0.05)
+    assert isinstance(result, Realized) and _independent_deviation(conditions, result.assignment, algebra) <= 0.05
+    result = realize_type(conditions[:15] + [TypeCondition(x, [(0.9, 0.9)])], algebra, 0.05)
+    assert isinstance(result, Unsatisfiable) and 0.05 < result.epsilon <= 0.2
 
 
 def test_realize_preconditions():
@@ -742,81 +769,80 @@ def test_batched_rectangles_equal_scalar_rectangles_per_box():
         assert bounds == libm_mod(rect) and _within_ulp(bounds, _rect_mod(rect)), rect
 
 
-def test_pairwise_point_max_equals_max_over_the_last_axis():
-    # exact ties, signed zeros and infinities included; on floats and on the
-    # moduli of complex values, for 1-4 points
-    rng = np.random.default_rng(4107)
-    ends = np.array([-0.0, 0.0, 0.25, 0.5, 1.0, -1.0, np.inf])
-    for points in range(1, 5):
-        shape = (rng.integers(1, 6), rng.integers(1, 300), points)
-        grid = rng.choice(ends, shape)
-        noise = np.where(rng.random(shape) < 0.5, rng.uniform(-2, 2, shape), grid)
-        moduli = []
-        for re, im in ((grid, rng.choice(ends, shape)), (noise, rng.uniform(-1, 1, shape))):
-            z = re.astype(complex)
-            z.imag = im
-            moduli.append(np.abs(z))
-        for a in (grid, noise, *moduli):
-            got = _point_max(a)
-            assert got.shape == a.shape[:-1]
-            assert (got == a.max(axis=-1)).all(), points
-    # so _norm_bounds is the widened .max(axis=-1) on the 10,000-box parity batches
-    for term, algebra, boxes, batch in _parity_batches(random.Random(4104)):
-        for m in _np_mod(eval_term(term, batch, algebra, _NP_RECTS)):
-            assert np.array_equal(_point_max(m), m.max(axis=-1)), term
-
-
 def _modsq(re, im):
     return Fraction(re) ** 2 + Fraction(im) ** 2
 
 
+def _term_problem(term, algebra):
+    """A problem with the one condition ||term|| in [0, 1], degree unchecked."""
+    condition = types.SimpleNamespace(polynomial=term, target=((0.0, 1.0),))
+    return _RealizeProblem((condition,), algebra, {v: SORT_BALL for v in TERM_NAMES})
+
+
 def test_level_norm_bounds_contain_the_exact_norm():
-    # np.hypot is not correctly rounded (60 of these boxes read a bound one
-    # ulp off); widened by two floats each way, the bounds hold for the exact
-    # norms of the float rectangles
-    cases = 0
-    for term, algebra, boxes, batch in _parity_batches(random.Random(4104)):
-        rect = eval_term(term, batch, algebra, _NP_RECTS)
-        rows = np.broadcast_to(np.stack(rect, axis=-1), (len(boxes), algebra.point_count, 4))
-        bounds = (np.broadcast_to(m, len(boxes)).tolist() for m in _norm_bounds(rect))
-        for row, lo, hi in zip(rows.tolist(), *bounds):
-            near = max(_modsq(min(max(0.0, a), b), min(max(0.0, c), d)) for a, b, c, d in row)
-            far = max(_modsq(max(-a, b), max(-c, d)) for a, b, c, d in row)
-            assert 0.0 <= lo and Fraction(lo) ** 2 <= near and Fraction(hi) ** 2 >= far, term
+    # np.hypot is not correctly rounded (60 of these 10,000 boxes read a bound
+    # one ulp off at some point); widened by two floats each way, each point's
+    # bounds hold for the exact moduli of its float rectangle
+    cases = expected = 0
+    for term, algebra, boxes, _ in _parity_batches(random.Random(4104)):
+        n = algebra.point_count
+        expected += n * len(boxes)
+        problem = _term_problem(term, algebra)
+        one_point = np.array([[box[v][i] for v in problem.names] for box in boxes for i in range(n)])
+        lo, hi = problem.bounds(one_point, np.tile(np.arange(n), len(boxes)))
+        rows = [rect for box in boxes for rect in eval_term(term, box, algebra, _RECTS)]
+        for (a, b, c, d), low, high in zip(rows, lo[0].tolist(), hi[0].tolist()):
+            near = _modsq(min(max(0.0, a), b), min(max(0.0, c), d))
+            far = _modsq(max(-a, b), max(-c, d))
+            assert 0.0 <= low and Fraction(low) ** 2 <= near and Fraction(high) ** 2 >= far, term
             cases += 1
-    assert cases == 10_000
+    assert cases == expected > 20_000
 
 
-def _reference_distance(values, target):
-    dist = np.full_like(values, np.inf)
-    for lo, hi in target:
-        dist = np.minimum(dist, np.maximum(np.maximum(lo - values, values - hi), 0.0))
-    return dist
+def _exact_value(term, env, point):
+    """The term at one point, as an exact (re, im) pair of Fractions."""
+    if isinstance(term, CVar):
+        return env[term.name]
+    if isinstance(term, CConst):
+        z = term.values[point]
+        return Fraction(z.real), Fraction(z.imag)
+    if isinstance(term, (COne, CZero)):
+        return Fraction(isinstance(term, COne)), Fraction(0)
+    if isinstance(term, CStar):
+        re, im = _exact_value(term.arg, env, point)
+        return re, -im
+    if isinstance(term, CScale):
+        a, b = Fraction(term.scalar.real), Fraction(term.scalar.imag)
+        c, d = _exact_value(term.arg, env, point)
+        return a * c - b * d, a * d + b * c
+    (a, b), (c, d) = _exact_value(term.left, env, point), _exact_value(term.right, env, point)
+    if isinstance(term, CAdd):
+        return a + c, b + d
+    if isinstance(term, CSub):
+        return a - c, b - d
+    return a * c - b * d, a * d + b * c
 
 
-def _reference_level(problem, boxes, reps):
-    """A level's deviation floors and sample deviations computed condition
-    by condition, with one loop over each condition's target intervals."""
-    points = problem.points
-    cols = [slice(i * points, (i + 1) * points) for i in range(len(problem.names))]
-    rects = {v: tuple(boxes[:, c, k] for k in range(4)) for v, c in zip(problem.names, cols)}
-    values = {v: reps[:, c] for v, c in zip(problem.names, cols)}
-    g_lo, g = np.zeros(boxes.shape[0]), np.zeros(reps.shape[0])
-    for condition in problem.conditions:
-        target = condition.target
-        rect = eval_term(condition.polynomial, rects, problem.algebra, _NP_RECTS)
-        nlo, nhi = (m.max(axis=-1) for m in _np_mod(rect))
-        for _ in range(2):
-            nlo, nhi = np.nextafter(nlo, -np.inf), np.nextafter(nhi, np.inf)
-        nlo = np.maximum(nlo, 0.0)
-        d_lo, d_hi = _reference_distance(nlo, target), _reference_distance(nhi, target)
-        meets = np.zeros(nlo.shape, dtype=bool)
-        for lo, hi in target:
-            meets |= (nlo <= hi) & (lo <= nhi)
-        g_lo = np.maximum(g_lo, np.where(meets, 0.0, np.minimum(d_lo, d_hi)))
-        norms = np.abs(eval_term(condition.polynomial, values, problem.algebra, _NP_VALUES)).max(axis=-1)
-        g = np.maximum(g, _reference_distance(norms, target))
-    return g_lo, g
+def test_point_bounds_contain_the_exact_moduli_inside_their_boxes():
+    # at dyadic sample points of dyadic boxes, each point's bounds hold for
+    # the exact modulus of every condition there (its own constants' values)
+    rng = random.Random(4110)
+    cases = 0
+    for _ in range(120):
+        problem = _random_problem(rng)
+        n = problem.points
+        boxes = np.array([[_dyadic_rect(rng, sort) for sort in problem.sorts] for _ in range(rng.randint(1, 8))])
+        points = np.array([rng.randrange(n) for _ in boxes])
+        lo, hi = problem.bounds(boxes, points)
+        for box, point, lows, highs in zip(boxes.tolist(), points.tolist(), lo.T.tolist(), hi.T.tolist()):
+            for _ in range(4):
+                env = {v: tuple(Fraction(rng.randint(int(a * 64), int(b * 64)), 64) for a, b in (r[:2], r[2:]))
+                       for v, r in zip(problem.names, box)}
+                for condition, low, high in zip(problem.conditions, lows, highs):
+                    square = sum(x * x for x in _exact_value(condition.polynomial, env, point))
+                    assert Fraction(low) ** 2 <= square <= Fraction(high) ** 2, condition
+                    cases += 1
+    assert cases > 2_000
 
 
 def _random_target(rng):
@@ -824,40 +850,140 @@ def _random_target(rng):
     return list(zip(ends[0::2], ends[1::2]))
 
 
+def _random_problem(rng):
+    """1-4 conditions from ``random_term`` with targets of 1-3 intervals, and a
+    variable-free one (its arrays broadcast), over x, y, z of random sorts on
+    1-4 points."""
+    n = rng.randint(1, 4)
+    sorts = {v: rng.choice((SORT_BALL, SORT_SA, SORT_POS)) for v in TERM_NAMES}
+    conditions, wanted = [], rng.randint(1, 4)
+    while len(conditions) < wanted:
+        try:
+            conditions.append(TypeCondition(random_term(rng, n, rng.randint(1, 3)), _random_target(rng)))
+        except PreconditionError:
+            pass  # a variable of degree 2
+    free = TypeCondition(CConst(tuple(complex(rng.uniform(-1, 1), 0.5) for _ in range(n))), _random_target(rng))
+    conditions.insert(rng.randint(0, len(conditions)), free)
+    return _RealizeProblem(tuple(conditions), CStarAlgebraFin(n), sorts)
+
+
+def _dyadic_rect(rng, sort):
+    """A rectangle with ends on the 1/8 grid of the sort's domain box."""
+    def ends(lo):
+        return sorted(rng.randint(lo, 8) / 8 for _ in "ab")
+    if sort == SORT_BALL:
+        return (*ends(-8), *ends(-8))
+    return (*ends(-8 if sort == SORT_SA else 0), 0.0, 0.0)
+
+
 def _random_boxes(rng, problem, count):
-    """Boxes in the sorts' domains, shape (count, slots, 4)."""
+    """One-point boxes in the sorts' domains, shape (count, V, 4)."""
     def rect(sort):
         if sort == SORT_BALL:
             return _random_rect(rng)
         lo = -1.0 if sort == SORT_SA else 0.0
         return (*sorted(rng.uniform(lo, 1.0) for _ in "ab"), 0.0, 0.0)
-    return np.array([[rect(sort) for sort in problem.sorts for _ in range(problem.points)]
-                     for _ in range(count)])
+    return np.array([[rect(sort) for sort in problem.sorts] for _ in range(count)])
+
+
+def test_packed_evaluation_equals_one_point_evaluation():
+    # point i's boxes and sample points, packed into point i's column among
+    # the other points', read the bounds and moduli that a one-point problem
+    # with every constant cut to point i reads, box for box
+    rng = random.Random(4105)
+    for _ in range(150):
+        problem = _random_problem(rng)
+        n = problem.points
+        boxes = _random_boxes(rng, problem, rng.randint(1, 30))
+        points = np.array([rng.randrange(n) for _ in boxes])
+        cands = np.array([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in problem.names]
+                          for _ in range(rng.randint(1, 30))])
+        spots = np.array([rng.randrange(n) for _ in cands])
+        packed, moduli = problem.bounds(boxes, points), problem.moduli(cands, spots)
+        for i in range(n):
+            cut = tuple(TypeCondition(_at_point(c.polynomial, i, n), c.target) for c in problem.conditions)
+            one = _RealizeProblem(cut, CStarAlgebraFin(1), dict(zip(problem.names, problem.sorts.tolist())))
+            at, where = points == i, spots == i
+            for got, want in zip(packed, one.bounds(boxes[at], np.zeros(at.sum(), dtype=int))):
+                assert got[:, at].tolist() == want.tolist()
+            assert moduli[:, where].tolist() == one.moduli(cands[where], np.zeros(where.sum(), dtype=int)).tolist()
 
 
 def test_fused_level_equals_per_condition_reference():
-    rng = random.Random(4105)
+    # all conditions are bounded in one pass; each condition alone reads the
+    # same bounds and moduli, and its states at a threshold are its own
+    # prefix of served intervals and suffix of open ones, tested one by one
+    rng = random.Random(4112)
     for _ in range(150):
-        n = rng.randint(1, 4)
-        algebra = CStarAlgebraFin(n)
-        sorts = {v: rng.choice((SORT_BALL, SORT_SA, SORT_POS)) for v in TERM_NAMES}
-        conditions, wanted = [], rng.randint(1, 4)
-        while len(conditions) < wanted:
-            try:
-                conditions.append(TypeCondition(random_term(rng, n, rng.randint(1, 3)), _random_target(rng)))
-            except PreconditionError:
-                pass  # a variable of degree 2
-        # a variable-free condition: its arrays broadcast over the batch
-        free = TypeCondition(CConst(tuple(complex(rng.uniform(-1, 1), 0.5) for _ in range(n))),
-                             _random_target(rng))
-        conditions.insert(rng.randint(0, len(conditions)), free)
-        problem = _RealizeProblem(tuple(conditions), algebra, sorts)
+        problem = _random_problem(rng)
+        n = problem.points
         boxes = _random_boxes(rng, problem, rng.randint(1, 30))
-        reps = np.array([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(problem.slots)]
-                         for _ in range(rng.randint(1, 30))])
-        ref_floor, ref_g = _reference_level(problem, boxes, reps)
-        assert problem.deviation_floor(boxes).tolist() == ref_floor.tolist()
-        assert problem.deviation_at(reps).tolist() == ref_g.tolist()
+        points = np.array([rng.randrange(n) for _ in boxes])
+        cands = np.array([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in problem.names]
+                          for _ in range(rng.randint(1, 30))])
+        spots = np.array([rng.randrange(n) for _ in cands])
+        lo, hi = problem.bounds(boxes, points)
+        moduli = problem.moduli(cands, spots)
+        t = rng.choice((0.0, 0.125, 0.25))
+        keys = problem.states(lo, hi, t)
+        width = problem.width
+        for c, condition in enumerate(problem.conditions):
+            alone = _RealizeProblem((condition,), problem.algebra, dict(zip(problem.names, problem.sorts.tolist())))
+            one_lo, one_hi = alone.bounds(boxes, points)
+            assert one_lo[0].tolist() == lo[c].tolist() and one_hi[0].tolist() == hi[c].tolist()
+            assert alone.moduli(cands, spots)[0].tolist() == moduli[c].tolist()
+            target = condition.target + condition.target[-1:] * (width - len(condition.target))
+            for key, a, b in zip(keys.tolist(), lo[c].tolist(), hi[c].tolist()):
+                field = [key >> (c * (width + 1) + k) & 1 for k in range(width)]
+                opened = [key >> (problem.bits + c * (width + 1) + k) & 1 for k in range(width)]
+                assert field == [int(low - b <= t) for low, _ in target]
+                assert opened == [int(a - high <= t) for _, high in target]
+                assert field == sorted(field, reverse=True) and opened == sorted(opened)
+
+
+def _choice_threshold(problem, choice):
+    """The least threshold at which a choice of (lo, hi) modulus bounds per
+    point covers, from its definition: per condition the least over its
+    intervals of max(the largest excess over h, the least shortfall below l, 0)."""
+    worst = 0.0
+    for c, condition in enumerate(problem.conditions):
+        worst = max(worst, min(max(max(lo[c] - h for lo, _ in choice), min(l - hi[c] for _, hi in choice), 0.0)
+                               for l, h in condition.target))
+    return worst
+
+
+def test_cover_routines_equal_enumeration_of_choices():
+    # cover, useful and least_cover against every choice of one item per
+    # point, on union targets, at tol and at the least covering threshold
+    rng = random.Random(4111)
+    checked = collections.Counter()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        conditions = tuple(TypeCondition(CVar("x"), _random_target(rng)) for _ in range(rng.randint(1, 4)))
+        problem = _RealizeProblem(conditions, CStarAlgebraFin(n), {"x": SORT_BALL})
+        tol = rng.choice((0.0, 0.125, 0.25))
+        items = []
+        for _ in range(n):  # per point 1-4 items: (lo, hi) modulus bounds of each condition
+            point = []
+            for _ in range(rng.randint(1, 4)):
+                ends = [sorted(rng.choice((0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)) for _ in "ab") for _ in conditions]
+                point.append(([lo for lo, _ in ends], [hi for _, hi in ends]))
+            items.append(point)
+        bounds = [(np.array([lo for lo, _ in point]).T, np.array([hi for _, hi in point]).T) for point in items]
+        keys = [problem.states(lo, hi, tol).tolist() for lo, hi in bounds]
+        thresholds = {choice: _choice_threshold(problem, [items[i][k] for i, k in enumerate(choice)])
+                      for choice in itertools.product(*(range(len(point)) for point in items))}
+        covering = [choice for choice, t in thresholds.items() if t <= tol]
+        choice, useful = problem.cover(keys), problem.useful(keys)
+        assert (choice is not None) == bool(useful[0]) == bool(covering)
+        if choice is not None:  # the states of a covering choice of items
+            assert any(all(keys[i][k] == key for i, (k, key) in enumerate(zip(c, choice))) for c in covering)
+        for i, point in enumerate(keys):
+            for k, key in enumerate(point):
+                assert (key in useful[i]) == any(choice[i] == k for choice in covering)
+        assert problem.least_cover(bounds, -1.0, np.inf) == min(thresholds.values())
+        checked[bool(covering)] += 1
+    assert min(checked.values()) >= 40, checked
 
 
 def _in_domain(z, sort):
@@ -885,18 +1011,16 @@ def test_candidates_lie_in_their_sorts_domains():
     rng = random.Random(4106)
     rims = (0.0, 2.0**-27, 2.0**-26, 0.5, 1 - 2.0**-53, 1 - 2.0**-52, 1.0)
     for _ in range(80):
-        n = rng.randint(1, 3)
         names = TERM_NAMES[: rng.randint(1, 3)]
         sorts = {v: rng.choice((SORT_BALL, SORT_SA, SORT_POS)) for v in names}
-        problem = _RealizeProblem((TypeCondition(CVar(names[0]), [(1.0, 1.0)]),), CStarAlgebraFin(n), sorts)
+        problem = _RealizeProblem((TypeCondition(CVar(names[0]), [(1.0, 1.0)]),), CStarAlgebraFin(1), sorts)
         boxes = problem.initial_box()
         for _ in range(rng.randint(0, 12)):  # a random frontier of dyadic boxes
-            boxes = problem.split(boxes)
+            boxes = _split(boxes)
             boxes = boxes[sorted(rng.sample(range(len(boxes)), min(len(boxes), 40)))]
-        slot_sorts = np.repeat(problem.sorts, n)
         rim = _random_boxes(rng, problem, 20)
         for box in rim:  # ball rectangles on and around the unit circle
-            for slot, sort in enumerate(slot_sorts):
+            for slot, sort in enumerate(problem.sorts):
                 if sort == SORT_BALL:
                     re, im = sorted(rng.sample(rims, 2)), sorted(rng.sample(rims, 2))
                     sign = rng.choice((1.0, -1.0))
@@ -905,11 +1029,11 @@ def test_candidates_lie_in_their_sorts_domains():
         cands, feasible = _candidates(problem, boxes)
         for box, ok in zip(boxes.tolist(), feasible.tolist()):
             nearest = [_modsq(min(max(0.0, a), b), min(max(0.0, c), d)) for a, b, c, d in box]
-            assert ok == all(m <= 1 for m, s in zip(nearest, slot_sorts) if s == SORT_BALL), box
+            assert ok == all(m <= 1 for m, s in zip(nearest, problem.sorts) if s == SORT_BALL), box
         fewest, most = (2, 2) if all(s == SORT_BALL for s in sorts.values()) else (3, 5)
         assert fewest * feasible.sum() <= len(cands) <= most * feasible.sum()
         for row in cands.tolist():
-            assert all(_in_domain(z, s) for z, s in zip(row, slot_sorts)), row
+            assert all(_in_domain(z, s) for z, s in zip(row, problem.sorts)), row
 
 
 # ---------------------------------------------------------------------------
