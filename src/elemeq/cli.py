@@ -64,6 +64,7 @@ from elemeq.boolalg import (
 )
 from elemeq.clogic import (
     DEFAULT_MAX_BOXES,
+    DEFAULT_TOL,
     CAdd,
     CConst,
     CMul,
@@ -195,11 +196,7 @@ def parse_ordinal(text: str) -> Ordinal:
 
 
 def _parse_ordinal_sum(stream: _TokenStream) -> Ordinal:
-    total = _parse_ordinal_term(stream)
-    while stream.peek() == "+":
-        stream.advance()
-        total = ord_add(total, _parse_ordinal_term(stream))
-    return total
+    return _parse_chain(stream, None, (("+", ord_add, False),), lambda s, _: _parse_ordinal_term(s))
 
 
 def _parse_ordinal_term(stream: _TokenStream) -> Ordinal:
@@ -986,7 +983,7 @@ def _parse_mask(text: str, algebra: FiniteBoolAlg) -> int:
 
 
 def _cmd_realize(args):
-    from elemeq.saturation import Realized, Unsatisfiable, realize_type
+    from elemeq.saturation import DEFAULT_REALIZE_BOXES, Realized, Unsatisfiable, realize_type
 
     conditions = [parse_condition(text) for text in args.cond]
     algebra = CStarAlgebraFin(args.points)
@@ -997,7 +994,8 @@ def _cmd_realize(args):
         "tol": args.tol,
         "sorts": sorts,
     }
-    result = realize_type(conditions, algebra, args.tol, sorts=sorts, max_boxes=args.max_boxes)
+    boxes = DEFAULT_REALIZE_BOXES if args.max_boxes is None else args.max_boxes
+    result = realize_type(conditions, algebra, args.tol, sorts=sorts, max_boxes=boxes)
     payload = {"inputs": inputs}
     if isinstance(result, Realized):
         payload["result"] = "realized"
@@ -1066,7 +1064,7 @@ _VERBS = (
     ("ceval", _cmd_ceval, "certified continuous-formula evaluation", (
         "formula",
         ("--points", {"type": int, "required": True, "help": "number of points of the space"}),
-        ("--tol", {"type": float, "default": 1e-6}),
+        ("--tol", {"type": float, "default": DEFAULT_TOL}),
         ("--max-boxes", {"type": int, "default": DEFAULT_MAX_BOXES}),
         ("--param", {"action": "append", "metavar": "NAME=ELEMENT"}),
     )),
@@ -1090,7 +1088,7 @@ _VERBS = (
         _POINTS,
         ("--tol", {"type": float, "required": True}),
         ("--sort", {"action": "append", "metavar": "VAR=SORT"}),
-        ("--max-boxes", {"type": int, "default": 2_000_000}),
+        ("--max-boxes", {"type": int}),
     )),
     ("orth", _cmd_orth, "largest orthogonal positive norm-1 family", (_POINTS,)),
 )

@@ -106,6 +106,9 @@ MAX_CEVAL_POINTS = 6
 #: Default cap on branch-and-bound boxes processed per evaluation.
 DEFAULT_MAX_BOXES = 200_000
 
+#: Default width of a certified enclosure.
+DEFAULT_TOL = 1e-6
+
 #: Entries kept by each free-variable memo, which the branch-and-bound path and
 #: ``saturation`` read and the exact path does not; a long-lived process
 #: evaluating fresh formulas would otherwise keep every node it has seen.
@@ -242,15 +245,7 @@ _QUANT_TYPES = (FSup, FInf)
 
 @lru_cache(maxsize=FREE_VARS_MEMO_SIZE)
 def term_free_vars(term) -> frozenset:
-    if isinstance(term, CVar):
-        return frozenset({term.name})
-    if isinstance(term, (CZero, COne, CConst)):
-        return frozenset()
-    if isinstance(term, (CAdd, CSub, CMul)):
-        return term_free_vars(term.left) | term_free_vars(term.right)
-    if isinstance(term, (CStar, CScale)):
-        return term_free_vars(term.arg)
-    raise PreconditionError(f"not a term: {term!r}")
+    return frozenset(_term_names(term))
 
 
 @lru_cache(maxsize=FREE_VARS_MEMO_SIZE)
@@ -276,9 +271,11 @@ def _term_names(term) -> list:
         if isinstance(node, CVar):
             names.append(node.name)
         elif isinstance(node, (CAdd, CSub, CMul)):
-            stack += (node.left, node.right)
+            stack += (node.right, node.left)  # left first: the first bad node read is named
         elif isinstance(node, (CStar, CScale)):
             stack.append(node.arg)
+        elif not isinstance(node, (CZero, COne, CConst)):
+            raise PreconditionError(f"not a term: {node!r}")
     return names
 
 
@@ -718,23 +715,26 @@ _STALL_LIMIT = 64
 def _branch_and_bound(phi, env, algebra, tol, state):
     """Enclose a sup/inf over a continuous sort by best-first box refinement.
 
-    Each box yields (a) the witness's own enclosure, which bounds attainable
-    values, and (b) an interval-arithmetic enclosure of the body over the
-    whole box, intersected with the Lipschitz cone around the witness.  The
-    witness is the best of the box's ``_witness_candidates`` (highest lower
-    bound for a supremum, lowest upper bound for an infimum; the
+    An infimum is searched as the supremum of the negated body, each body
+    enclosure (lo, hi) read as (-hi, -lo), which is exact in floats, and
+    its result negated back.  Each box yields (a) the witness's own
+    enclosure, which bounds attainable values, and (b) an interval-
+    arithmetic enclosure of the body over the whole box, intersected with
+    the Lipschitz cone around the witness.  The witness is the box's
+    ``_witness_candidates`` with the highest lower bound (the
     representative on ties); every candidate lies in the sort's domain, so
     the others never move the enclosure.  The cone is built first, and (b)
     aims only for its width, since the intersection discards anything
-    finer: a search nested in a box stops there.  For a supremum the
-    certified interval is [best witness lower bound, largest surviving box
-    upper bound] at every step, so stopping early is sound; infima are
-    handled by the mirrored rule.  The queue is a heap on the box bound
-    that currently blocks the certificate, and boxes that can no longer
-    move it are pruned.
+    finer: a search nested in a box stops there.  The certified interval
+    is [best witness lower bound, largest surviving box upper bound] at
+    every step, so stopping early is sound.  The queue is a heap on the box
+    upper bound, and boxes that can no longer move it are pruned.
     """
-    is_sup = isinstance(phi, FSup)
-    sign = -1.0 if is_sup else 1.0  # heap pops the blocking box first
+    negate = isinstance(phi, FInf)
+
+    def flip(lo, hi):  # between enclosures of the body and of the searched body, both ways
+        return (-hi, -lo) if negate else (lo, hi)
+
     # sort values lie in the unit ball; a point (a parameter, a projection, an
     # outer witness) is bounded by its own norm, which may exceed 1
     bounds = {phi.var: 1.0}
@@ -745,7 +745,7 @@ def _branch_and_bound(phi, env, algebra, tol, state):
     lip = formula_modulus(phi.body, phi.var, algebra, bounds)
     nested = any(r[1] - r[0] > 0 or r[3] - r[2] > 0 for box in env.values() for r in box)
 
-    def assess(box, depth):
+    def assess(box, depth):  # -> (the box's upper bound, its witness's lower bound, tie order)
         state["boxes"] += 1
         state["depth"] = max(state["depth"], depth)
         candidates = _witness_candidates(box, phi.sort)
@@ -754,71 +754,52 @@ def _branch_and_bound(phi, env, algebra, tol, state):
         sub, scored = dict(env), []
         for point in candidates:
             sub[phi.var] = _box_point(point)
-            scored.append((_interval_eval(phi.body, sub, algebra, tol / 2, state), point))
-        # the first best candidate: a higher attained lower bound for sup
-        (rep_lo, rep_hi), rep = max(scored, key=lambda c: c[0][0]) if is_sup else min(
-            scored, key=lambda c: c[0][1])
+            scored.append((flip(*_interval_eval(phi.body, sub, algebra, tol / 2, state)), point))
+        (rep_lo, rep_hi), rep = max(scored, key=lambda c: c[0][0])  # the first best
         radius = _box_radius(box, rep)
         cone_lo, cone_hi = rep_lo - lip * radius, rep_hi + lip * radius
         sub[phi.var] = box
-        box_lo, box_hi = _interval_eval(phi.body, sub, algebra,
-                                        max(tol / 2, cone_hi - cone_lo), state)
-        return max(box_lo, cone_lo), min(box_hi, cone_hi), rep_lo, rep_hi
+        box_lo, box_hi = flip(*_interval_eval(phi.body, sub, algebra,
+                                              max(tol / 2, cone_hi - cone_lo), state))
+        lo, hi = max(box_lo, cone_lo), min(box_hi, cone_hi)
+        # boxes of equal bound and depth pop in the order of their unnegated enclosures
+        return hi, rep_lo, (*flip(lo, hi), *flip(rep_lo, rep_hi))
 
     box = _initial_box(phi.sort, algebra.point_count)
     first = assess(box, 0)
     if first is None:
         raise PreconditionError("empty quantifier domain")
-    # witness: certified attained bound (max rep_lo for sup, min rep_hi
-    # for inf); heap key: the box bound that blocks certification.
-    witness = first[2] if is_sup else first[3]
-    heap = [(sign * (first[1] if is_sup else first[0]), 0, first, box)]
+    witness, heap = first[1], [(-first[0], 0, first[2], box)]
     stall, best_width = 0, math.inf
-
     while True:
-        blocking = sign * heap[0][0] if heap else witness
-        lo, hi = (witness, max(blocking, witness)) if is_sup else (min(blocking, witness), witness)
+        lo, hi = witness, max(-heap[0][0], witness) if heap else witness
         width = hi - lo
-        if not width > tol:  # an overflowed (nan) width stops too; ``ceval`` rejects it
-            return lo, hi
         if width < best_width - tol * 1e-3:
             best_width, stall = width, 0
         else:
             stall += 1
-            if nested and stall >= _STALL_LIMIT:
-                return lo, hi
-        if state["boxes"] >= state["max"]:  # ``ceval`` reports the exhausted budget
-            return lo, hi
+        # an overflowed (nan) width stops too, and ``ceval`` rejects it; it
+        # also reports an exhausted budget
+        if not width > tol or nested and stall >= _STALL_LIMIT or state["boxes"] >= state["max"]:
+            return flip(lo, hi)
         _, depth, _, box = heapq.heappop(heap)
         for child in _split_box(box):
             e = assess(child, depth + 1)
-            if e is None:
-                continue
-            witness = max(witness, e[2]) if is_sup else min(witness, e[3])
-            if e[1] > witness if is_sup else e[0] < witness:  # can still move the bound
-                heapq.heappush(heap, (sign * (e[1] if is_sup else e[0]), depth + 1, e, child))
+            if e is not None:
+                witness = max(witness, e[1])
+                if e[0] > witness:  # can still move the bound
+                    heapq.heappush(heap, (-e[0], depth + 1, e[2], child))
 
 
-def _all_proj_quantified(phi) -> bool:
-    """Whether every quantifier of a well-formed formula ranges over projections."""
+def _within(phi, connectives, sorts) -> bool:
+    """Whether every binary connective of a well-formed formula is one of
+    ``connectives`` and every quantifier ranges over one of ``sorts``."""
     if isinstance(phi, _QUANT_TYPES):
-        return phi.sort == SORT_PROJ and _all_proj_quantified(phi.body)
+        return phi.sort in sorts and _within(phi.body, connectives, sorts)
     if isinstance(phi, _BINARY_TYPES):
-        return _all_proj_quantified(phi.left) and _all_proj_quantified(phi.right)
-    return not isinstance(phi, FScale) or _all_proj_quantified(phi.arg)
-
-
-def _max_closed(phi) -> bool:
-    """Whether the formula is built from norms, constants, max, scaling and
-    quantifiers only, so that on C^n its value is the max over the points of
-    its value at each point."""
-    if isinstance(phi, FMax):
-        return _max_closed(phi.left) and _max_closed(phi.right)
-    if isinstance(phi, FScale):
-        return _max_closed(phi.arg)
-    if isinstance(phi, _QUANT_TYPES):
-        return _max_closed(phi.body)
-    return isinstance(phi, (FNorm, FConst))
+        return (isinstance(phi, connectives) and _within(phi.left, connectives, sorts)
+                and _within(phi.right, connectives, sorts))
+    return not isinstance(phi, FScale) or _within(phi.arg, connectives, sorts)
 
 
 def _at_point(node, i: int, n: int):
@@ -956,7 +937,7 @@ def ceval(
     phi,
     algebra: CStarAlgebraFin,
     params: dict | None = None,
-    tol: float = 1e-6,
+    tol: float = DEFAULT_TOL,
     max_boxes: int = DEFAULT_MAX_BOXES,
 ) -> EvalCertificate:
     """Certified enclosure of the formula value, width at most ``tol``.
@@ -984,7 +965,7 @@ def ceval(
         raise PreconditionError(
             f"certified evaluation accepts at most {MAX_CEVAL_POINTS} points")
     params = {name: algebra.element(value) for name, value in (params or {}).items()}
-    if _all_proj_quantified(phi):
+    if _within(phi, _BINARY_TYPES, {SORT_PROJ}):
         exact, missing = _compile_exact(phi, params, algebra)
     else:
         exact, missing = None, cformula_free_vars(phi) - params.keys()
@@ -993,7 +974,7 @@ def ceval(
     state, n = {"boxes": 0, "max": max_boxes, "depth": 0}, algebra.point_count
     if exact:
         lo = hi = exact()[0]
-    elif n > 1 and _max_closed(phi):  # one search per point, all on one budget
+    elif n > 1 and _within(phi, FMax, SORTS):  # one search per point, all on one budget
         one, ends = CStarAlgebraFin(1), []
         for i in range(n):
             env = {name: _box_point(value[i:i + 1]) for name, value in params.items()}

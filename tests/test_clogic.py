@@ -454,6 +454,25 @@ def test_nested_search_stops_at_the_outer_cone_width():
         assert cert.width() <= tol
 
 
+def test_stall_limit_ends_inner_searches_that_cannot_narrow(monkeypatch):
+    # The inner body ignores y, yet each inner search over an x-box refines
+    # y-boxes that never narrow its enclosure: the stall limit ends them.
+    x, z = CVar("x"), CVar("z")
+    term = CAdd(CStar(CSub(CConst((-1 - 1j,)), COne())), CMul(CSub(COne(), x), CStar(z)))
+    phi = FInf("x", SORT_BALL, FSup("y", SORT_SA, FNorm(term)))
+    A, params = CStarAlgebraFin(1), {"z": (0.5 - 1j,)}
+    cert = ceval(phi, A, params, 0.05, max_boxes=2000)
+    assert (cert.lower, cert.upper) == (1.3348176958858464, 1.3819660112501062)
+    rng = random.Random(6067)
+    for _ in range(200):  # the value is the least of |t(x)| over the ball
+        r, t = rng.random() ** 0.5, rng.uniform(0, 2 * math.pi)
+        point = (complex(r * math.cos(t), r * math.sin(t)),)
+        assert cert.lower <= c_norm(eval_term(term, {"x": point, **params}, A, EXACT))
+    monkeypatch.setattr(clogic, "_STALL_LIMIT", 10**9)
+    with pytest.raises(ResourceBudgetError):
+        ceval(phi, A, params, 0.05, max_boxes=2000)
+
+
 def _modsq(z):
     return Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
 
@@ -582,7 +601,8 @@ def test_point_split_agrees_with_the_coupled_search_on_random_formulas():
         A = CStarAlgebraFin(n)
         kinds = ((FSup,), (FInf,), (FSup, FInf))[case % 3]
         phi = _random_max_closed(rng, n, 2, kinds, top=True)
-        assert clogic._max_closed(phi) and not clogic._all_proj_quantified(phi)
+        assert clogic._within(phi, FMax, clogic.SORTS)
+        assert not clogic._within(phi, clogic._BINARY_TYPES, {SORT_PROJ})
         params = {v: random_element(rng, n) for v in TERM_NAMES}
         try:
             split = ceval(phi, A, params, tol, max_boxes=budget)
