@@ -7,7 +7,8 @@ scaling, absolute difference, and constants in [0, 1], and quantifiers are
 suprema and infima over four sorts of the unit ball — the full ball, its
 self-adjoint and positive parts, and the (finite) set of projections.  Every
 node has a computable Lipschitz modulus in each free variable, obtained by
-composing the children's moduli.
+composing the children's moduli.  Each binary connective's exact rule,
+enclosure rule and lattice flag are stated once, in ``_CONNECTIVES``.
 
 Terms are evaluated by one walker, ``eval_term``, in an arithmetic passed to
 it: exact elements (the ``cstar`` operations), per-point complex rectangles,
@@ -239,7 +240,33 @@ class FInf(_Quantifier):
     pass
 
 
-_BINARY_TYPES = (FPlus, FTruncSub, FMax, FMin, FAbsDiff)
+def _no_nan(values):  # values in [0, inf] pass; a nan, which max and min would pass over, raises
+    if math.isnan(sum(values)):
+        raise PreconditionError("the value overflows the floats: an overflowed operation gave nan")
+    return values
+
+
+#: Each binary connective's rules, stated here only: ``exact`` maps the children's
+#: lists of values to the node's, ``enclose`` their enclosures (lo, hi), and a
+#: ``lattice`` connective (max, min) is as wide and as Lipschitz as its wider
+#: child, where the others add widths and moduli.  inf - inf (nan) raises.
+_Connective = NamedTuple("_Connective", [("exact", Callable), ("enclose", Callable), ("lattice", bool)])
+_CONNECTIVES = {
+    FPlus: _Connective(lambda l, r: list(map(operator.add, l, r)),
+                       lambda l, r: (l[0] + r[0], l[1] + r[1]), False),
+    FTruncSub: _Connective(
+        lambda l, r: _no_nan([0.0 if 0.0 > d else d for d in map(operator.sub, l, r)]),
+        lambda l, r: _no_nan((max(l[0] - r[1], 0.0), max(l[1] - r[0], 0.0))), False),
+    FMax: _Connective(lambda l, r: list(map(max, l, r)),
+                      lambda l, r: (max(l[0], r[0]), max(l[1], r[1])), True),
+    FMin: _Connective(lambda l, r: list(map(min, l, r)),
+                      lambda l, r: (min(l[0], r[0]), min(l[1], r[1])), True),
+    FAbsDiff: _Connective(
+        lambda l, r: _no_nan(list(map(abs, map(operator.sub, l, r)))),
+        lambda l, r: _no_nan((0.0 if l[0] <= r[1] and r[0] <= l[1] else max(l[0] - r[1], r[0] - l[1]),
+                              max(l[1] - r[0], r[1] - l[0]))), False),
+}
+_BINARY_TYPES = tuple(_CONNECTIVES)
 _QUANT_TYPES = (FSup, FInf)
 
 
@@ -371,24 +398,18 @@ def formula_modulus(phi, var: str, algebra: CStarAlgebraFin, bounds: dict) -> fl
     """A Lipschitz constant of the formula value in ``var``.
 
     Composes children's moduli: the norm atom is 1-Lipschitz in its term,
-    binary connectives add (max/min take the larger), scaling multiplies,
-    and a quantifier preserves the modulus of its body in the remaining
-    variables (a pointwise sup or inf of an L-Lipschitz family is
-    L-Lipschitz).
+    binary connectives add (the lattice ones, max and min, take the larger),
+    scaling multiplies, and a quantifier preserves the modulus of its body
+    in the remaining variables (a pointwise sup or inf of an L-Lipschitz
+    family is L-Lipschitz).
     """
     if isinstance(phi, FNorm):
         return term_modulus(phi.term, var, algebra, bounds)
     if isinstance(phi, FConst):
         return 0.0
-    if isinstance(phi, (FMax, FMin)):
-        return max(
-            formula_modulus(phi.left, var, algebra, bounds),
-            formula_modulus(phi.right, var, algebra, bounds),
-        )
-    if isinstance(phi, (FPlus, FTruncSub, FAbsDiff)):
-        return formula_modulus(phi.left, var, algebra, bounds) + formula_modulus(
-            phi.right, var, algebra, bounds
-        )
+    if isinstance(phi, _BINARY_TYPES):
+        l, r = (formula_modulus(kid, var, algebra, bounds) for kid in (phi.left, phi.right))
+        return max(l, r) if _CONNECTIVES[type(phi)].lattice else l + r
     if isinstance(phi, FScale):
         return phi.scalar * formula_modulus(phi.arg, var, algebra, bounds)
     if isinstance(phi, _QUANT_TYPES):
@@ -556,8 +577,8 @@ def _atom_enclosure(term, env, algebra):
         rects = eval_term(term, env, algebra, _RECTS)
     else:
         rects = _centred_rects(term, env, algebra, boxed)
-    mods = list(map(_rect_mod, rects))
-    lo, hi = max(m[0] for m in mods), [m[1] for m in mods]
+    mods = _no_nan(sum(map(_rect_mod, rects), ()))  # each point's least and greatest modulus
+    lo, hi = max(mods[::2]), mods[1::2]
     if any(_rect_mod(r)[1] > 1 for name in boxed for r in env[name]):
         moduli = {name: tuple((m[0], min(1.0, m[1])) if name in boxed else m
                               for m in map(_abs_iv, env[name])) for name in names if name in env}
@@ -669,27 +690,17 @@ def _interval_eval(phi, env, algebra, tol, state):
     node should aim for.  Boxes in the environment widen the result soundly,
     and may keep it from reaching ``tol``: a quantifier evaluated over a box
     gets its caller's Lipschitz cone width as ``tol``, the finest width the
-    caller can use.
+    caller can use.  A binary connective's rules are its ``_CONNECTIVES`` row.
     """
     if isinstance(phi, FNorm):
         return _atom_enclosure(phi.term, env, algebra)
     if isinstance(phi, FConst):
         return phi.value, phi.value
     if isinstance(phi, _BINARY_TYPES):
-        # max and min are as wide as their wider child; the others add widths
-        sub_tol = tol if isinstance(phi, (FMax, FMin)) else tol / 2
+        rule = _CONNECTIVES[type(phi)]
+        sub_tol = tol if rule.lattice else tol / 2
         l = _interval_eval(phi.left, env, algebra, sub_tol, state)
-        r = _interval_eval(phi.right, env, algebra, sub_tol, state)
-        if isinstance(phi, FPlus):
-            return l[0] + r[0], l[1] + r[1]
-        if isinstance(phi, FTruncSub):
-            return max(l[0] - r[1], 0.0), max(l[1] - r[0], 0.0)
-        if isinstance(phi, FMax):
-            return max(l[0], r[0]), max(l[1], r[1])
-        if isinstance(phi, FMin):
-            return min(l[0], r[0]), min(l[1], r[1])
-        lo = 0.0 if (l[0] <= r[1] and r[0] <= l[1]) else max(l[0] - r[1], r[0] - l[1])
-        return lo, max(l[1] - r[0], r[1] - l[0])
+        return rule.enclose(l, _interval_eval(phi.right, env, algebra, sub_tol, state))
     if isinstance(phi, FScale):
         # a zero scale still bounds its argument, once and coarsely, so that a
         # constant of the wrong size under it is rejected as anywhere else
@@ -819,17 +830,6 @@ def _at_point(node, i: int, n: int):
     return node
 
 
-#: The exact values of each binary connective from its children's lists of
-#: values; truncated subtraction keeps max(l - r, 0.0)'s result, nan included.
-_EXACT_OPS = {
-    FPlus: lambda l, r: list(map(operator.add, l, r)),
-    FMax: lambda l, r: list(map(max, l, r)),
-    FMin: lambda l, r: list(map(min, l, r)),
-    FTruncSub: lambda l, r: [0.0 if 0.0 > d else d for d in map(operator.sub, l, r)],
-    FAbsDiff: lambda l, r: list(map(abs, map(operator.sub, l, r))),
-}
-
-
 def _compile_exact(phi, env, algebra):
     """Compile a projection-only formula into a function returning its value,
     with the free variables it found unassigned.
@@ -866,7 +866,7 @@ def _compile_exact(phi, env, algebra):
                 sub[v] = tuple(1 + 0j if b >> j & 1 else 0j for b in range(1 << k) for _ in range(n))
             stacked = EXACT._replace(const=lambda values: tuple(values) * (1 << k))
             values = eval_term(phi.term, sub, algebra, stacked)
-            rows = [list(map(abs, values[p::n])) for p in range(n)]
+            rows = [_no_nan(list(map(abs, values[p::n]))) for p in range(n)]
             if not k:
                 value = [max(row[0] for row in rows)] * size
                 return (lambda: value), frozenset()
@@ -895,11 +895,11 @@ def _compile_exact(phi, env, algebra):
         if isinstance(phi, _BINARY_TYPES):
             left, ls = build(phi.left, scope, depth)
             right, rs = build(phi.right, scope, depth)
-            op = _EXACT_OPS[type(phi)]
+            op = _CONNECTIVES[type(phi)].exact
             return (lambda: op(left(), right())), ls | rs
-        if isinstance(phi, FScale):
+        if isinstance(phi, FScale):  # an exact zero scaling gives 0, as on the interval path
             (arg, slots), scalar = build(phi.arg, scope, depth), phi.scalar
-            return (lambda: [scalar * v for v in arg()]), slots
+            return (lambda: [scalar * v for v in arg()] if scalar else [0.0] * size), slots
         if not isinstance(phi, _QUANT_TYPES):
             raise PreconditionError(f"not a formula: {phi!r}")
         body, slots = build(phi.body, {**scope, phi.var: depth}, depth + 1)
@@ -953,9 +953,9 @@ def ceval(
     search draws on the one box budget, and ``grid_depth`` is the deepest
     search's.  Once the budget is spent, every search returns its current
     enclosure, and a result still wider than ``tol`` raises a resource
-    error carrying it as ``best_known``.  An enclosure with an end that is
-    not finite at some point (the term arithmetic overflowed) raises a
-    precondition error before that.
+    error carrying it as ``best_known``.  An infinite end (the arithmetic
+    overflowed) raises a precondition error before that, and so does a nan
+    where a norm or a difference first gives one, before max or min drop it.
     """
     if not 0 < tol < math.inf:
         raise PreconditionError("the tolerance must be positive and finite")
@@ -979,8 +979,7 @@ def ceval(
         for i in range(n):
             env = {name: _box_point(value[i:i + 1]) for name, value in params.items()}
             ends.append(_interval_eval(_at_point(phi, i, n), env, one, tol, state))
-        # max() may pass over a nan; an end that is not finite at some point is kept
-        lo, hi = (next((v for v in end if not math.isfinite(v)), max(end)) for end in zip(*ends))
+        lo, hi = map(max, zip(*ends))
     else:
         env = {name: _box_point(value) for name, value in params.items()}
         lo, hi = _interval_eval(phi, env, algebra, tol, state)

@@ -693,9 +693,7 @@ def realize_type(
             found = np.array([m for _, m, _ in pools.values()]).reshape(-1, len(conditions)).T
             points = np.array([key % n for key in pools], dtype=int)
             return Inconclusive(problem.least_cover(per_point(found, found, points), -1.0, np.inf), boxes_used)
-        if not (taken := pop(useful)):  # every useful box lies behind the cursor
-            cursor = 0
-            taken = pop(useful)
+        taken = pop(useful)  # never empty: states only shrink, so no useful box lies behind the cursor
         assess(_split(taken[0]), np.tile(taken[1], 2))
 
 

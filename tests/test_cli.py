@@ -454,6 +454,42 @@ def test_cli_ord_eq_cross_checks_agree(capsys):
     assert key.startswith("ef_rank_") and value is False
 
 
+@pytest.mark.parametrize(
+    "argv, inputs, verdict",
+    [
+        (["ef", "--kind", "ordinals", "--rank", "2", "w", "w*2"],
+         {"kind": "ordinals", "left": "w", "right": "w*2", "rank": 2}, True),
+        (["ef", "--kind", "ba", "--rank", "2", "3", "4"],
+         {"kind": "ba", "left": 3, "right": 4, "rank": 2}, False),
+    ],
+)
+def test_cli_ef_ordinals_and_bas(capsys, argv, inputs, verdict):
+    code, out, _ = run_cli(capsys, argv + ["--json"])
+    payload = json.loads(out)
+    assert code == EXIT_OK
+    assert payload["inputs"] == inputs and payload["verdict"] is verdict
+
+
+def test_cli_budget_and_value_errors_exit_four_and_two(capsys):
+    code, _, err = run_cli(capsys, ["ef", "--kind", "orders", "--rank", "7", "1", "2"])
+    assert code == EXIT_BUDGET and "budget exceeded" in err
+    code, _, err = run_cli(capsys, ["ef", "--kind", "orders", "x", "2"])
+    assert code == EXIT_PARSE and "invalid input" in err
+
+
+@pytest.mark.parametrize(
+    "op, left, right, value",
+    [
+        ("mul", "0", "w", "0"),
+        # k^(w^g) = w^(w^g) for infinite g, as 1 + g = g
+        ("pow", "2", "w^w", "w^(w^(w))"),
+    ],
+)
+def test_cli_ord_arith_zero_product_and_power_of_a_limit(capsys, op, left, right, value):
+    code, out, _ = run_cli(capsys, ["ord-arith", op, left, right, "--json"])
+    assert code == EXIT_OK and json.loads(out)["value"] == value
+
+
 def test_cli_calkin_eq(capsys):
     code, out, _ = run_cli(
         capsys, ["calkin-eq", "w^(w)*3 + w*2 + 1", "w^(w)*5 + w*2 + 1", "--json"]
@@ -697,6 +733,27 @@ def test_cli_interpolate_finite_found(capsys):
     payload = json.loads(out)
     assert code == EXIT_OK
     assert payload["value"] == 3
+
+
+@pytest.mark.parametrize(
+    "lower, upper, value", [("bottom", "top", "0"), ("0", "top", "00,01,10")]
+)
+def test_cli_interpolate_cylinder_bottom_and_top(capsys, lower, upper, value):
+    code, out, _ = run_cli(capsys, ["interpolate", "--lower", lower, "--upper", upper, "--json"])
+    assert code == EXIT_OK and json.loads(out)["value"] == value
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--lower", "02"],
+        ["--algebra", "finite:2", "--lower", "x"],
+        ["--algebra", "finite:2", "--lower", "4"],
+        ["--algebra", "fin:2"],
+    ],
+)
+def test_cli_interpolate_malformed_input_is_exit_two(capsys, argv):
+    assert run_cli(capsys, ["interpolate", *argv])[0] == EXIT_PARSE
 
 
 def test_cli_realize_positive(capsys):

@@ -38,7 +38,7 @@ from elemeq.clogic import (
     SORT_PROJ,
     SORT_SA,
     EXACT,
-    _EXACT_OPS,
+    _CONNECTIVES,
     _RECTS,
     _atom_enclosure,
     _box_point,
@@ -250,11 +250,39 @@ def test_ceval_rejects_an_overflowed_value():
     for phi in (FNorm(cc), FNorm(CSub(cc, cc)), FSup("x", SORT_SA, FNorm(CSub(cc, CVar("x"))))):
         with pytest.raises(PreconditionError, match="overflows"):
             ceval(phi, A, {"c": (1e300,)}, 0.01)
-    # one search per point: max() passed over the nan of the second point
+    # one search per point: the second point's nan raises where it is born,
+    # before max() could pass over it
     phi = FSup("x", SORT_SA, FNorm(CAdd(CSub(cc, cc), CVar("x"))))
     for c in ((0.5, 1e300), (1e300, 0.5)):
         with pytest.raises(PreconditionError, match="overflows"):
             ceval(phi, CStarAlgebraFin(2), {"c": c}, 0.01)
+
+
+def test_ceval_never_certifies_a_nan_that_max_or_min_dropped():
+    # inf - inf and 0 * inf are nan, and max(0.5, nan) is 0.5: each of these
+    # was certified [0.5, 0.5], though its value is at least 1e309
+    half, one = FConst(0.5), COne()
+    big, bigger = (FNorm(CScale(s, CScale(1e200, one))) for s in (1e200, 2e200))
+    scaled, rescaled = (FScale(1e308, FNorm(CScale(s, one))) for s in (10, 20))
+    cases = [
+        (FMax(half, FAbsDiff(big, bigger)), 1),
+        (FMax(half, FTruncSub(bigger, big)), 1),
+        (FSup("p", SORT_PROJ, FMax(half, FAbsDiff(big, bigger))), 1),
+        (FSup("x", SORT_SA, FMax(half, FAbsDiff(big, bigger))), 1),
+        (FSup("x", SORT_SA, FMax(half, FAbsDiff(big, bigger))), 2),  # the coupled search
+        (FMax(half, FAbsDiff(scaled, rescaled)), 1),
+        (FSup("x", SORT_POS, FMax(half, FAbsDiff(scaled, rescaled))), 1),
+    ]
+    for phi, n in cases:
+        with pytest.raises(PreconditionError, match="overflows"):
+            ceval(phi, CStarAlgebraFin(n), {}, 0.01)
+    # an exact zero scaling gives 0, of an infinity too
+    cert = ceval(FMin(half, FScale(0.0, big)), CStarAlgebraFin(1), {}, 0.01)
+    assert (cert.lower, cert.upper) == (0.0, 0.0)
+    # an infinity alone is no nan: min(0.5, 1e400) is 0.5 on both paths
+    for phi in (FMin(half, big), FSup("x", SORT_SA, FMin(half, big))):
+        cert = ceval(phi, CStarAlgebraFin(1), {}, 0.01)
+        assert (cert.lower, cert.upper) == (0.5, 0.5)
 
 
 def test_ceval_cone_bounds_a_parameter_by_its_norm():
@@ -442,6 +470,63 @@ def test_ceval_bounds_dominate_sampled_body_values():
                 assert value <= cert.upper + 1e-12, (phi, params, point)
             else:
                 assert value >= cert.lower - 1e-12, (phi, params, point)
+
+
+#: Each binary connective's value, stated apart from the module's table.
+_CONNECTIVE_VALUES = {
+    FPlus: lambda a, b: a + b,
+    FTruncSub: lambda a, b: max(a - b, 0.0),
+    FMax: max,
+    FMin: min,
+    FAbsDiff: lambda a, b: abs(a - b),
+}
+
+
+def test_ceval_bounds_dominate_sampled_values_of_every_connective():
+    # each connective of two parametrised norms on the interval path, which
+    # runs every row's enclosure rule
+    rng = random.Random(6064)
+    for connective, value_of in _CONNECTIVE_VALUES.items():
+        for sort, n, quantifier in itertools.product(
+                (SORT_BALL, SORT_SA, SORT_POS), (1, 2), (FSup, FInf)):
+            A = CStarAlgebraFin(n)
+            terms = (CSub(CVar("x"), random_term(rng, n, 1)), CMul(CVar("x"), random_term(rng, n, 1)))
+            phi = quantifier("x", sort, connective(*map(FNorm, terms)))
+            params = {"y": random_element(rng, n), "z": random_element(rng, n)}
+            try:
+                cert = ceval(phi, A, params, 0.05, max_boxes=1000)
+            except ResourceBudgetError as err:
+                cert = err.best_known
+            for point in _domain_samples(sort, n, rng, 100):
+                env = {**params, "x": point}
+                value = value_of(*(c_norm(eval_term(t, env, A, EXACT)) for t in terms))
+                if quantifier is FSup:
+                    assert value <= cert.upper + 1e-12, (phi, params, point)
+                else:
+                    assert value >= cert.lower - 1e-12, (phi, params, point)
+
+
+def test_connective_enclosure_rules_agree_with_the_exact_rules():
+    # on point intervals a row's two rules agree; at points inside intervals
+    # the exact value lies in the enclosure (both rules are monotone in each
+    # end, and so is rounding to nearest)
+    rng = random.Random(6065)
+
+    def draw():
+        return rng.choice((0.0, rng.random(), rng.uniform(0, 1e3), 10 ** rng.uniform(-300, 300)))
+
+    assert set(_CONNECTIVES) == set(_CONNECTIVE_VALUES)
+    for connective, rule in _CONNECTIVES.items():
+        for _ in range(500):
+            a, b = draw(), draw()
+            (value,) = rule.exact([a], [b])
+            assert value == _CONNECTIVE_VALUES[connective](a, b)
+            assert rule.enclose((a, a), (b, b)) == (value, value), (connective, a, b)
+            l, r = sorted((a, draw())), sorted((b, draw()))
+            lo, hi = rule.enclose(tuple(l), tuple(r))
+            for _ in range(5):
+                x, y = rng.uniform(*l), rng.uniform(*r)
+                assert lo <= rule.exact([x], [y])[0] <= hi, (connective, l, r, x, y)
 
 
 def test_nested_search_stops_at_the_outer_cone_width():
@@ -822,8 +907,9 @@ def test_exact_path_hoists_on_several_binders(monkeypatch):
         FInf("w", SORT_PROJ, FMax(atom, FScale(0.75, FNorm(CSub(w, z))))),
         FScale(0.5, FNorm(CMul(y, CSub(COne(), x)))),
     ))))
-    calls, fmax = [], _EXACT_OPS[FMax]
-    monkeypatch.setitem(_EXACT_OPS, FMax, lambda l, r: calls.append(1) or fmax(l, r))
+    calls, fmax = [], _CONNECTIVES[FMax]
+    counted = fmax._replace(exact=lambda l, r: calls.append(1) or fmax.exact(l, r))
+    monkeypatch.setitem(_CONNECTIVES, FMax, counted)
     for n in range(1, 5):
         calls.clear()
         _assert_exact(phi, CStarAlgebraFin(n), {})
