@@ -22,9 +22,7 @@ verdict is reached by terminating symbolic computation rather than search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import PreconditionError, frozen_shape
+from .errors import Frozen, PreconditionError
 from .ordinals import ONE, Ordinal, cnf_string, finite, left_difference
 
 __all__ = [
@@ -65,8 +63,7 @@ MAX_CHAIN_LENGTH = 64
 # ---------------------------------------------------------------------------
 
 
-@frozen_shape
-class _Named:
+class _Named(Frozen):
     """A descriptor without parameters, written by its name alone."""
 
 
@@ -74,8 +71,7 @@ class Trivial(_Named):
     """The one-element algebra (0 = 1)."""
 
 
-@dataclass(frozen=True)
-class Finite:
+class Finite(Frozen):
     """The powerset algebra on ``atoms`` points, ``atoms >= 1``."""
 
     atoms: int
@@ -101,8 +97,7 @@ class FreeAtomless(_Named):
     """The countable atomless algebra."""
 
 
-@dataclass(frozen=True)
-class IntervalAlgebra:
+class IntervalAlgebra(Frozen):
     """The algebra generated by half-open intervals of the ordinal ``alpha``.
 
     Only ordinals with finite Cantor-normal-form exponents are accepted, so
@@ -120,8 +115,7 @@ class IntervalAlgebra:
             )
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Frozen):
     """A finite direct product of descriptors."""
 
     factors: tuple
@@ -264,8 +258,7 @@ def derivative_chain(d) -> list:
     return chain
 
 
-@dataclass(frozen=True, order=True)
-class ErshovInvariant:
+class ErshovInvariant(Frozen):
     """The elementary invariant triple of a descriptor.
 
     ``level`` is the index of the last nontrivial derivative stage,

@@ -17,17 +17,14 @@ classification and game modules.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .errors import PreconditionError, ResourceBudgetError, frozen_shape
+from .errors import Frozen, PreconditionError, ResourceBudgetError
 
 __all__ = [
     "FiniteBoolAlg",
     "FiniteSpace",
     "SpaceMap",
     "BAHomomorphism",
-    "Subalgebra",
-    "generate_subalgebra",
     "stone_space",
     "clopen_algebra",
     "compose_maps",
@@ -62,8 +59,7 @@ FO_EVAL_BUDGET_EXPONENT = 24
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteBoolAlg:
+class FiniteBoolAlg(Frozen):
     """The powerset algebra on ``atom_count`` atoms, elements as bitmasks."""
 
     atom_count: int
@@ -104,8 +100,7 @@ class FiniteBoolAlg:
         return 0 <= a <= self.full
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
+class FiniteSpace(Frozen):
     """A finite discrete space with points ``0 .. point_count-1``."""
 
     point_count: int
@@ -118,8 +113,7 @@ class FiniteSpace:
         return range(self.point_count)
 
 
-@dataclass(frozen=True)
-class SpaceMap:
+class SpaceMap(Frozen):
     """A total map between finite spaces; ``values[i]`` is the image of ``i``."""
 
     source: FiniteSpace
@@ -146,8 +140,7 @@ def compose_maps(g: SpaceMap, f: SpaceMap) -> SpaceMap:
     return SpaceMap(f.source, g.target, tuple(g.values[v] for v in f.values))
 
 
-@dataclass(frozen=True)
-class BAHomomorphism:
+class BAHomomorphism(Frozen):
     """A homomorphism of finite Boolean algebras given by a dual point map.
 
     The homomorphism sends an element ``c`` of ``source`` to its preimage
@@ -226,80 +219,34 @@ def dual_morphism(f: SpaceMap) -> BAHomomorphism:
     return hom
 
 
-@dataclass(frozen=True)
-class Subalgebra:
-    """A subalgebra together with its embedding into the parent.
-
-    ``atom_images[i]`` is the parent element realizing atom ``i`` of the
-    subalgebra; the embedding of an arbitrary subalgebra element is the join
-    of its atoms' images.
-    """
-
-    algebra: FiniteBoolAlg
-    parent: FiniteBoolAlg
-    atom_images: tuple[int, ...]
-
-    def embed(self, a: int) -> int:
-        out = 0
-        for i, img in enumerate(self.atom_images):
-            if a >> i & 1:
-                out |= img
-        return out
-
-
-def generate_subalgebra(parent: FiniteBoolAlg, gens) -> Subalgebra:
-    """The smallest subalgebra of ``parent`` containing ``gens``.
-
-    The subalgebra's atoms are the nonempty cells of the partition induced
-    by the generators: two parent atoms fall in the same cell when every
-    generator contains either both or neither.
-    """
-    gens = list(gens)
-    for g in gens:
-        if not parent.is_element(g):
-            raise PreconditionError("generator is not an element of the parent")
-    cells: dict[tuple[bool, ...], int] = {}
-    for i in range(parent.atom_count):
-        pattern = tuple(bool(g >> i & 1) for g in gens)
-        cells[pattern] = cells.get(pattern, 0) | 1 << i
-    atom_images = tuple(sorted(cells.values()))
-    return Subalgebra(FiniteBoolAlg(len(atom_images)), parent, atom_images)
-
-
 # ---------------------------------------------------------------------------
 # First-order formulas over the Boolean-algebra signature
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TVar:
+class TVar(Frozen):
     name: str
 
 
-@dataclass(frozen=True)
-class TZero:
+class TZero(Frozen):
     pass
 
 
-@dataclass(frozen=True)
-class TOne:
+class TOne(Frozen):
     pass
 
 
-# One dataclass per node shape; its generated == still tells the subclasses apart.
-@frozen_shape
-class _Pair:
+# One base per node shape; its == still tells the subclasses apart.
+class _Pair(Frozen):
     left: object
     right: object
 
 
-@frozen_shape
-class _Unary:
+class _Unary(Frozen):
     arg: object
 
 
-@frozen_shape
-class _Quantifier:
+class _Quantifier(Frozen):
     var: str
     body: object
 

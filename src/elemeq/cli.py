@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import dataclasses
+import functools
 import json
 import random
 import re
@@ -532,8 +532,8 @@ def format_cformula(phi) -> str:
         raise PreconditionError(f"cannot format {type(phi).__name__}")
     head, kinds = _SEXPR_NODES[type(phi)]
     fields = (
-        _FORMAT_KIND[kind](getattr(phi, field.name))
-        for field, kind in zip(dataclasses.fields(phi), kinds)
+        _FORMAT_KIND[kind](getattr(phi, field))
+        for field, kind in zip(phi._fields, kinds)
     )
     return f"({head} {' '.join(fields)})"
 
@@ -1094,6 +1094,9 @@ _VERBS = (
 )
 
 
+# built once per process: parse_args returns a fresh namespace on each call,
+# and an ``append`` option copies its default before adding to it
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="elemeq",

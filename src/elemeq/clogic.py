@@ -49,13 +49,12 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import boolalg
 from .cstar import CStarAlgebraFin, c_add, c_mul, c_norm, c_scale, c_star, c_sub, projections
-from .errors import PreconditionError, ResourceBudgetError, frozen_shape
+from .errors import Frozen, PreconditionError, ResourceBudgetError
 
 __all__ = [
     "SORT_BALL",
@@ -121,29 +120,24 @@ FREE_VARS_MEMO_SIZE = 4096
 # ---------------------------------------------------------------------------
 
 
-@frozen_shape
-class _Pair:
+class _Pair(Frozen):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class CVar:
+class CVar(Frozen):
     name: str
 
 
-@dataclass(frozen=True)
-class CZero:
+class CZero(Frozen):
     """The zero element, size-agnostic."""
 
 
-@dataclass(frozen=True)
-class COne:
+class COne(Frozen):
     """The unit element, size-agnostic."""
 
 
-@dataclass(frozen=True)
-class CConst:
+class CConst(Frozen):
     """A concrete element constant, fixed to one algebra size."""
 
     values: tuple
@@ -161,13 +155,11 @@ class CMul(_Pair):
     pass
 
 
-@dataclass(frozen=True)
-class CStar:
+class CStar(Frozen):
     arg: object
 
 
-@dataclass(frozen=True)
-class CScale:
+class CScale(Frozen):
     scalar: complex
     arg: object
 
@@ -177,13 +169,11 @@ class CScale:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FNorm:
+class FNorm(Frozen):
     term: object
 
 
-@dataclass(frozen=True)
-class FConst:
+class FConst(Frozen):
     value: float
 
     def __post_init__(self) -> None:
@@ -207,8 +197,7 @@ class FMin(_Pair):
     pass
 
 
-@dataclass(frozen=True)
-class FScale:
+class FScale(Frozen):
     scalar: float
     arg: object
 
@@ -221,8 +210,7 @@ class FAbsDiff(_Pair):
     pass
 
 
-@frozen_shape
-class _Quantifier:
+class _Quantifier(Frozen):
     var: str
     sort: str
     body: object
@@ -670,8 +658,7 @@ def _split_box(box: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvalCertificate:
+class EvalCertificate(Frozen):
     """An enclosure of a formula value: lower ≤ value ≤ upper."""
 
     lower: float
@@ -712,6 +699,8 @@ def _interval_eval(phi, env, algebra, tol, state):
             subs = ({**env, phi.var: _box_point(p)} for p in projections(algebra))
             found = [_interval_eval(phi.body, sub, algebra, tol, state) for sub in subs]
             return combine(lo for lo, _ in found), combine(hi for _, hi in found)
+        if phi.var not in cformula_free_vars(phi.body):  # every sort's domain is nonempty
+            return _interval_eval(phi.body, env, algebra, tol, state)
         return _branch_and_bound(phi, env, algebra, tol, state)
     raise PreconditionError(f"not a formula: {phi!r}")
 
@@ -824,7 +813,7 @@ def _at_point(node, i: int, n: int):
         left, right = _at_point(node.left, i, n), _at_point(node.right, i, n)
         return node if left is node.left and right is node.right else type(node)(left, right)
     if isinstance(node, (FNorm, CStar, CScale, FScale, *_QUANT_TYPES)):  # the child is the last field
-        *head, kid = vars(node).values()
+        *head, kid = node[1:]
         cut = _at_point(kid, i, n)
         return node if cut is kid else type(node)(*head, cut)
     return node

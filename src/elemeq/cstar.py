@@ -16,9 +16,8 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import Frozen, PreconditionError
 
 __all__ = [
     "CStarAlgebraFin",
@@ -49,8 +48,7 @@ MAX_PSI_POINTS = 4
 SOLVABILITY_RESIDUAL = 1e-12
 
 
-@dataclass(frozen=True)
-class CStarAlgebraFin:
+class CStarAlgebraFin(Frozen):
     """The algebra of complex-valued functions on ``point_count`` points."""
 
     point_count: int
@@ -219,8 +217,7 @@ def spectrum_indicator(a: tuple, lam: tuple) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClopenCode:
+class ClopenCode(Frozen):
     """One labelled code set: the preimage of the open 1/m-ball at ``y``."""
 
     y: complex

@@ -21,9 +21,7 @@ same criterion, exposed as :func:`calkin_equiv`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import PreconditionError
+from .errors import Frozen, PreconditionError
 
 __all__ = [
     "Ordinal",
@@ -45,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Ordinal:
+class Ordinal(Frozen):
     """An ordinal below epsilon_0 in Cantor normal form.
 
     ``terms`` is a tuple of (exponent, coefficient) pairs with strictly
@@ -259,8 +256,7 @@ def left_difference(a: Ordinal, b: Ordinal) -> Ordinal:
 # -- split and equivalence --------------------------------------------
 
 
-@dataclass(frozen=True)
-class OmegaOmegaSplit:
+class OmegaOmegaSplit(Frozen):
     """The unique pair with w^w * quotient + residue = alpha, residue < w^w."""
 
     quotient: Ordinal

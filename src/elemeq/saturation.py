@@ -23,7 +23,6 @@ import collections
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +54,7 @@ from elemeq.clogic import (
     term_free_vars,
 )
 from elemeq.cstar import CStarAlgebraFin, c_mul, c_norm
-from elemeq.errors import PreconditionError
+from elemeq.errors import Frozen, PreconditionError
 
 MAX_REALIZE_VARIABLES = 3
 MAX_REALIZE_POINTS = 4
@@ -82,8 +81,7 @@ def _reduce_words(depth: int, words: frozenset) -> tuple:
     return depth, words
 
 
-@dataclass(frozen=True)
-class CylinderElement:
+class CylinderElement(Frozen):
     """A finite union of cylinder sets, canonical at minimal depth.
 
     ``words`` is a set of binary strings of length ``depth``; the element
@@ -95,15 +93,13 @@ class CylinderElement:
     depth: int
     words: frozenset
 
-    def __post_init__(self):
-        if self.depth < 0:
+    def __new__(cls, depth, words):
+        if depth < 0:
             raise PreconditionError("cylinder depth must be nonnegative")
-        for w in self.words:
-            if len(w) != self.depth or any(ch not in "01" for ch in w):
-                raise PreconditionError(f"word {w!r} is not binary of length {self.depth}")
-        depth, words = _reduce_words(self.depth, frozenset(self.words))
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "words", words)
+        for w in words:
+            if len(w) != depth or any(ch not in "01" for ch in w):
+                raise PreconditionError(f"word {w!r} is not binary of length {depth}")
+        return Frozen.__new__(cls, *_reduce_words(depth, frozenset(words)))
 
     def is_zero(self) -> bool:
         return not self.words
@@ -165,8 +161,7 @@ class PresentedAtomlessBA:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NotFound:
+class NotFound(Frozen):
     """Verdict: the open interval between the chains is empty."""
 
 
@@ -261,20 +256,18 @@ def _normalize_target(target) -> tuple:
     return tuple(merged)
 
 
-@dataclass(frozen=True)
-class TypeCondition:
+class TypeCondition(Frozen):
     """One condition: the norm of a degree-1 *-polynomial must land in a
     finite union of closed real intervals."""
 
     polynomial: object
     target: tuple
 
-    def __post_init__(self):
-        degrees = _term_degrees(self.polynomial)
-        for name, degree in sorted(degrees.items()):
+    def __new__(cls, polynomial, target):
+        for name, degree in sorted(_term_degrees(polynomial).items()):
             if degree > 1:
                 raise PreconditionError(f"variable {name} has degree {degree} > 1")
-        object.__setattr__(self, "target", _normalize_target(self.target))
+        return Frozen.__new__(cls, polynomial, _normalize_target(target))
 
     def variables(self) -> frozenset:
         return term_free_vars(self.polynomial)
@@ -290,8 +283,7 @@ def distance_to_target(value: float, target) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Realized:
+class Realized(Frozen):
     """A concrete assignment meeting every condition within tolerance."""
 
     assignment: dict
@@ -299,16 +291,14 @@ class Realized:
     certificates: tuple
 
 
-@dataclass(frozen=True)
-class Unsatisfiable:
+class Unsatisfiable(Frozen):
     """No assignment meets all listed conditions within ``epsilon``."""
 
     epsilon: float
     delta: tuple
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(Frozen):
     """The search budget ran out before either verdict was certified."""
 
     best_deviation: float

@@ -31,7 +31,6 @@ from elemeq.boolalg import (
     dual_morphism,
     fo_eval,
     free_variables,
-    generate_subalgebra,
     quantifier_rank,
     sentence_corpus,
     stone_space,
@@ -70,45 +69,6 @@ def test_lattice_laws(n, data):
 
 
 # ---------------------------------------------------------------------------
-# Subalgebras
-# ---------------------------------------------------------------------------
-
-
-def test_generate_subalgebra_empty_generators():
-    sub = generate_subalgebra(FiniteBoolAlg(3), [])
-    assert sub.algebra.atom_count == 1
-    assert sub.atom_images == (7,)
-
-
-def test_generate_subalgebra_single_generator():
-    sub = generate_subalgebra(FiniteBoolAlg(3), [0b001])
-    assert sub.algebra.atom_count == 2
-    assert set(sub.atom_images) == {0b001, 0b110}
-
-
-def test_generate_subalgebra_all_singletons():
-    parent = FiniteBoolAlg(3)
-    sub = generate_subalgebra(parent, parent.atoms())
-    assert sub.algebra.atom_count == 3
-
-
-def test_subalgebra_embedding_is_homomorphism():
-    parent = FiniteBoolAlg(4)
-    sub = generate_subalgebra(parent, [0b0011, 0b0101])
-    b = sub.algebra
-    for x in b.elements():
-        assert sub.embed(b.complement(x)) == parent.complement(sub.embed(x))
-        for y in b.elements():
-            assert sub.embed(b.meet(x, y)) == sub.embed(x) & sub.embed(y)
-            assert sub.embed(b.join(x, y)) == sub.embed(x) | sub.embed(y)
-
-
-def test_generate_subalgebra_rejects_foreign_elements():
-    with pytest.raises(PreconditionError):
-        generate_subalgebra(FiniteBoolAlg(2), [0b100])
-
-
-# ---------------------------------------------------------------------------
 # Stone duality
 # ---------------------------------------------------------------------------
 
@@ -116,8 +76,6 @@ def test_generate_subalgebra_rejects_foreign_elements():
 def test_stone_space_examples():
     assert stone_space(FiniteBoolAlg(3)).point_count == 3
     assert stone_space(FiniteBoolAlg(1)).point_count == 1
-    sub = generate_subalgebra(FiniteBoolAlg(4), [0b0011])
-    assert stone_space(sub.algebra).point_count == 2
 
 
 def test_clopen_algebra_examples():

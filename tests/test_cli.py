@@ -875,6 +875,34 @@ def test_cli_out_writes_file(tmp_path, capsys):
     assert payload["verdict"] is True
 
 
+def test_cli_calls_in_one_process_leave_no_state_for_the_next(tmp_path, capsys):
+    # main builds its parser once per process: a rerun of each call, after all
+    # of them have run once, prints, exits and writes byte for byte as before
+    target = tmp_path / "result.json"
+    calls = [
+        ["realize", "--cond", "x in {1}", "--cond", "(* x y) in {0}", "--points", "2", "--tol", "0.1",
+         "--sort", "x=pos", "--sort", "y=pos", "--json"],
+        ["realize", "--cond", "x in [0,1]", "--points", "1", "--tol", "0.5"],
+        ["interpolate", "--algebra", "finite:3", "--lower", "1", "--upper", "7", "--upper", "3"],
+        ["interpolate", "--algebra", "finite:3", "--json"],
+        ["ord-eq", "w", "--json"],
+        ["ord-eq", "w", "w", "--json", "--out", str(target)],
+        ["ef", "--kind", "orders", "--rank", "2", "2", "3"],
+        ["ef", "w", "w+1"],
+    ]
+
+    def run(argv):
+        code, out, err = run_cli(capsys, argv)
+        written = target.read_bytes() if target.exists() else None
+        target.unlink(missing_ok=True)
+        return code, out, err, written
+
+    first = [run(argv) for argv in calls]
+    assert [code for code, *_ in first] == [0, 0, EXIT_NEGATIVE, 0, EXIT_PARSE, 0, 0, 0]
+    assert first[5][1] == "" and json.loads(first[5][3])["verdict"] is True
+    assert [run(argv) for argv in calls] == first
+
+
 def test_cli_human_output_has_key_value_lines(capsys):
     code, out, _ = run_cli(capsys, ["ord-arith", "mul", "w", "w"])
     assert code == EXIT_OK

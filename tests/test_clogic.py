@@ -539,23 +539,38 @@ def test_nested_search_stops_at_the_outer_cone_width():
         assert cert.width() <= tol
 
 
-def test_stall_limit_ends_inner_searches_that_cannot_narrow(monkeypatch):
-    # The inner body ignores y, yet each inner search over an x-box refines
-    # y-boxes that never narrow its enclosure: the stall limit ends them.
+def test_a_quantifier_whose_body_ignores_its_variable_is_its_body(monkeypatch):
+    # Every sort's domain is nonempty, so the inner sup is its body: no inner
+    # search refines y-boxes that could never narrow the enclosure.
     x, z = CVar("x"), CVar("z")
     term = CAdd(CStar(CSub(CConst((-1 - 1j,)), COne())), CMul(CSub(COne(), x), CStar(z)))
     phi = FInf("x", SORT_BALL, FSup("y", SORT_SA, FNorm(term)))
     A, params = CStarAlgebraFin(1), {"z": (0.5 - 1j,)}
+    monkeypatch.setattr(clogic, "_STALL_LIMIT", 10**9)
     cert = ceval(phi, A, params, 0.05, max_boxes=2000)
+    assert cert == ceval(FInf("x", SORT_BALL, FNorm(term)), A, params, 0.05, max_boxes=2000)
     assert (cert.lower, cert.upper) == (1.3348176958858464, 1.3819660112501062)
     rng = random.Random(6067)
     for _ in range(200):  # the value is the least of |t(x)| over the ball
         r, t = rng.random() ** 0.5, rng.uniform(0, 2 * math.pi)
         point = (complex(r * math.cos(t), r * math.sin(t)),)
         assert cert.lower <= c_norm(eval_term(term, {"x": point, **params}, A, EXACT))
+
+
+def test_stall_limit_ends_inner_searches_that_cannot_narrow(monkeypatch):
+    # The value is max_i |c_i| + 1 = 1 + sqrt(5), at x = conj(c_0) / |c_0| and
+    # y = 1.  Each inner search over an x-box refines y-boxes that cannot narrow
+    # its enclosure past the x-box's width: the stall limit ends them.
+    x = CVar("x")
+    c = CAdd(CSub(CScale(1 + 0.75j, CZero()), COne()), CConst((-1 - 1j, 0.5 + 0j)))
+    phi = FSup("x", SORT_BALL, FSup("y", SORT_POS, FNorm(CAdd(CMul(x, c), CVar("y")))))
+    A = CStarAlgebraFin(2)
+    cert = ceval(phi, A, {}, 0.02, max_boxes=3000)
+    assert (cert.lower, cert.upper) == (3.2360679774997876, 3.256041560027298)
+    assert cert.lower <= 1 + math.sqrt(5) <= cert.upper
     monkeypatch.setattr(clogic, "_STALL_LIMIT", 10**9)
     with pytest.raises(ResourceBudgetError):
-        ceval(phi, A, params, 0.05, max_boxes=2000)
+        ceval(phi, A, {}, 0.02, max_boxes=3000)
 
 
 def _modsq(z):
@@ -753,19 +768,27 @@ def test_point_split_budget_and_preconditions():
     assert str(excinfo.value) == "unassigned free variables: ['a', 'q']"
 
 
-def test_importing_clogic_loads_no_numpy_fractions_or_decimal():
-    # Each would add to the set-up of every process that only evaluates.
-    script = (
-        "import sys\n"
-        "import elemeq.clogic\n"
-        "print(sorted(m for m in ('numpy', 'fractions', 'decimal') if m in sys.modules))\n"
-    )
+def _loaded_on_import(module, names):
+    """Those of ``names`` that a fresh interpreter has loaded once it imports ``module``."""
+    script = f"import sys\nimport {module}\nprint(sorted(m for m in {names!r} if m in sys.modules))\n"
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_importing_clogic_loads_no_numpy_fractions_or_decimal():
+    # Each would add to the set-up of every process that only evaluates.
+    assert _loaded_on_import("elemeq.clogic", ("numpy", "fractions", "decimal")) == "[]"
+
+
+@pytest.mark.parametrize("module", ["elemeq.clogic", "elemeq.cli"])
+def test_importing_loads_no_dataclasses_inspect_ast_or_dis(module):
+    # dataclasses loads the other three, which cost every process about 1 MB of
+    # peak RSS and over a third of the import time of elemeq.cli
+    assert _loaded_on_import(module, ("dataclasses", "inspect", "ast", "dis")) == "[]"
 
 
 # ---------------------------------------------------------------------------
