@@ -7,6 +7,9 @@ element contains atom ``i``.  All ``2**n`` masks are elements, meet is ``&``,
 join is ``|``, and complement flips the low ``n`` bits.  This extensional
 representation keeps exhaustive quantification cheap enough for the model
 checker, whose entire purpose is brute-force truth evaluation at small scale.
+It compiles a formula into closures once per call, in the same walk that
+drops vacuous quantifiers and finds the free variables, and runs those
+closures at every assignment.
 
 The module also provides the finite fragment of Stone duality (atoms as
 points, preimage homomorphisms of point maps) and a deterministic generator
@@ -17,6 +20,7 @@ classification and game modules.
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 
 from .errors import Frozen, PreconditionError, ResourceBudgetError
 
@@ -308,115 +312,101 @@ def quantifier_rank(phi) -> int:
     raise PreconditionError(f"not a formula node: {phi!r}")
 
 
-def _term_variables(t) -> set[str]:
-    if isinstance(t, TVar):
-        return {t.name}
-    if isinstance(t, (TZero, TOne)):
-        return set()
-    if isinstance(t, (TMeet, TJoin)):
-        return _term_variables(t.left) | _term_variables(t.right)
-    if isinstance(t, TCompl):
-        return _term_variables(t.arg)
-    raise PreconditionError(f"not a term node: {t!r}")
-
-
 def free_variables(phi) -> set[str]:
     """The free variables of a formula."""
-    return _without_vacuous(phi)[1]
+    return _compile(phi, 0)[1]
 
 
-def _without_vacuous(phi) -> tuple:
-    """``phi`` without the quantifiers whose body ignores their variable (the
-    domain is never empty, so no truth value changes), and its free variables."""
-    if isinstance(phi, (Eq, Le)):
-        return phi, _term_variables(phi.left) | _term_variables(phi.right)
-    if isinstance(phi, Not):
-        arg, free = _without_vacuous(phi.arg)
-        return (phi if arg is phi.arg else Not(arg)), free
-    if isinstance(phi, (And, Or, Implies)):
-        left, free_left = _without_vacuous(phi.left)
-        right, free_right = _without_vacuous(phi.right)
-        if left is not phi.left or right is not phi.right:
-            phi = type(phi)(left, right)
-        return phi, free_left | free_right
-    if isinstance(phi, (Forall, Exists)):
-        body, free = _without_vacuous(phi.body)
-        if phi.var not in free:
-            return body, free
-        return (phi if body is phi.body else type(phi)(phi.var, body)), free - {phi.var}
-    raise PreconditionError(f"not a formula node: {phi!r}")
-
-
-def _eval_term(t, b: FiniteBoolAlg, env: dict[str, int]) -> int:
+def _compile_term(t, full: int) -> tuple:
+    """A closure computing term ``t`` from an environment, and its variables."""
     if isinstance(t, TVar):
-        try:
-            return env[t.name]
-        except KeyError:
-            raise PreconditionError(f"unbound variable: {t.name}") from None
+        return itemgetter(t.name), {t.name}
     if isinstance(t, TZero):
-        return 0
+        return (lambda env: 0), set()
     if isinstance(t, TOne):
-        return b.full
-    if isinstance(t, TMeet):
-        return _eval_term(t.left, b, env) & _eval_term(t.right, b, env)
-    if isinstance(t, TJoin):
-        return _eval_term(t.left, b, env) | _eval_term(t.right, b, env)
+        return (lambda env: full), set()
+    if isinstance(t, (TMeet, TJoin)):
+        left, free_left = _compile_term(t.left, full)
+        right, free_right = _compile_term(t.right, full)
+        if isinstance(t, TMeet):
+            return (lambda env: left(env) & right(env)), free_left | free_right
+        return (lambda env: left(env) | right(env)), free_left | free_right
     if isinstance(t, TCompl):
-        return b.full & ~_eval_term(t.arg, b, env)
+        arg, free = _compile_term(t.arg, full)
+        return (lambda env: full & ~arg(env)), free
     raise PreconditionError(f"not a term node: {t!r}")
 
 
-def _eval(phi, b: FiniteBoolAlg, env: dict[str, int]) -> bool:
-    if isinstance(phi, Eq):
-        return _eval_term(phi.left, b, env) == _eval_term(phi.right, b, env)
-    if isinstance(phi, Le):
-        s = _eval_term(phi.left, b, env)
-        t = _eval_term(phi.right, b, env)
-        return s & ~t == 0
+def _compile(phi, full: int) -> tuple:
+    """A closure deciding ``phi`` on an environment, and its free variables.
+
+    A quantifier whose body ignores its variable compiles to its body (the
+    domain is never empty, so no truth value changes)."""
+    if isinstance(phi, (Eq, Le)):
+        left, free_left = _compile_term(phi.left, full)
+        right, free_right = _compile_term(phi.right, full)
+        if isinstance(phi, Eq):
+            return (lambda env: left(env) == right(env)), free_left | free_right
+        return (lambda env: left(env) & ~right(env) == 0), free_left | free_right
     if isinstance(phi, Not):
-        return not _eval(phi.arg, b, env)
-    if isinstance(phi, And):
-        return _eval(phi.left, b, env) and _eval(phi.right, b, env)
-    if isinstance(phi, Or):
-        return _eval(phi.left, b, env) or _eval(phi.right, b, env)
-    if isinstance(phi, Implies):
-        return not _eval(phi.left, b, env) or _eval(phi.right, b, env)
+        arg, free = _compile(phi.arg, full)
+        return (lambda env: not arg(env)), free
+    if isinstance(phi, (And, Or, Implies)):
+        left, free_left = _compile(phi.left, full)
+        right, free_right = _compile(phi.right, full)
+        if isinstance(phi, And):
+            return (lambda env: left(env) and right(env)), free_left | free_right
+        if isinstance(phi, Or):
+            return (lambda env: left(env) or right(env)), free_left | free_right
+        return (lambda env: not left(env) or right(env)), free_left | free_right
     if isinstance(phi, (Forall, Exists)):
-        # an inner binder shadows an outer one of the same name only while it runs
-        wanted, outer = isinstance(phi, Exists), env.get(phi.var)
-        result = not wanted
-        for a in b.elements():
-            env[phi.var] = a
-            if _eval(phi.body, b, env) == wanted:
-                result = wanted
-                break
-        if outer is None:
-            env.pop(phi.var, None)
-        else:
-            env[phi.var] = outer
-        return result
+        body, free = _compile(phi.body, full)
+        var = phi.var
+        if var not in free:
+            return body, free
+        wanted, elements = isinstance(phi, Exists), range(full + 1)
+
+        def quantify(env):
+            # an inner binder shadows an outer one of the same name only while it runs
+            outer, result = env.get(var), not wanted
+            for a in elements:
+                env[var] = a
+                if body(env) == wanted:
+                    result = wanted
+                    break
+            if outer is None:
+                del env[var]
+            else:
+                env[var] = outer
+            return result
+
+        return quantify, free - {var}
     raise PreconditionError(f"not a formula node: {phi!r}")
 
 
 def fo_eval(phi, b: FiniteBoolAlg, assignment: dict[str, int] | None = None) -> bool:
     """Tarskian truth of ``phi`` in ``b`` by exhaustive quantification.
 
-    ``assignment`` must cover the free variables of ``phi``.  The search
-    tree has ``2**(atom_count * quantifier_rank)`` leaves; evaluation is
-    refused with :class:`ResourceBudgetError` when that exponent exceeds
-    ``FO_EVAL_BUDGET_EXPONENT``.
+    ``assignment`` must cover the free variables of ``phi`` with elements
+    of ``b``.  The search tree has ``2**(atom_count * quantifier_rank)``
+    leaves; evaluation is refused with :class:`ResourceBudgetError` when
+    that exponent exceeds ``FO_EVAL_BUDGET_EXPONENT``.
     """
     env = dict(assignment) if assignment else {}
-    body, free = _without_vacuous(phi)
-    missing = free - set(env)
+    decide, free = _compile(phi, b.full)
+    missing = free - env.keys()
     if missing:
         raise PreconditionError(f"assignment misses free variables: {sorted(missing)}")
+    outside = sorted(name for name, a in env.items()
+                     if not (isinstance(a, int) and b.is_element(a)))
+    if outside:
+        raise PreconditionError(f"assigned values outside the algebra: {outside}")
     cost = b.atom_count * quantifier_rank(phi)
     if cost > FO_EVAL_BUDGET_EXPONENT:
         raise ResourceBudgetError(
             f"exhaustive evaluation budget exceeded: 2**{cost} leaves"
         )
-    return _eval(body, b, env)
+    return decide(env)
 
 
 # ---------------------------------------------------------------------------

@@ -985,20 +985,22 @@ def ceval(
 # ---------------------------------------------------------------------------
 
 
-def _translate_term(term):
+def _translate_term(term, bound):
     if isinstance(term, boolalg.TVar):
+        if term.name not in bound:
+            raise PreconditionError("only sentences can be translated")
         return CVar(term.name)
     if isinstance(term, boolalg.TZero):
         return CZero()
     if isinstance(term, boolalg.TOne):
         return COne()
     if isinstance(term, boolalg.TMeet):
-        return CMul(_translate_term(term.left), _translate_term(term.right))
+        return CMul(_translate_term(term.left, bound), _translate_term(term.right, bound))
     if isinstance(term, boolalg.TJoin):
-        l, r = _translate_term(term.left), _translate_term(term.right)
+        l, r = _translate_term(term.left, bound), _translate_term(term.right, bound)
         return CSub(CAdd(l, r), CMul(l, r))
     if isinstance(term, boolalg.TCompl):
-        return CSub(COne(), _translate_term(term.arg))
+        return CSub(COne(), _translate_term(term.arg, bound))
     raise PreconditionError(f"not a Boolean term: {term!r}")
 
 
@@ -1011,31 +1013,30 @@ def translate_fo(phi) -> object:
     the order atom s ≤ t the norm of s·t − s.  On indicator projections all
     atoms take values in {0, 1}, so the sentence holds in a finite algebra
     exactly when the translated value is 0, and fails exactly when it is 1.
+    The walk that translates also checks that every variable is bound.
     """
-    if boolalg.free_variables(phi):
-        raise PreconditionError("only sentences can be translated")
-    return _translate_fo(phi)
+    return _translate_fo(phi, frozenset())
 
 
-def _translate_fo(phi):
+def _translate_fo(phi, bound):
     if isinstance(phi, boolalg.Eq):
-        return FNorm(CSub(_translate_term(phi.left), _translate_term(phi.right)))
+        return FNorm(CSub(_translate_term(phi.left, bound), _translate_term(phi.right, bound)))
     if isinstance(phi, boolalg.Le):
-        s, t = _translate_term(phi.left), _translate_term(phi.right)
+        s, t = _translate_term(phi.left, bound), _translate_term(phi.right, bound)
         return FNorm(CSub(CMul(s, t), s))
     if isinstance(phi, boolalg.Not):
-        return FTruncSub(FConst(1.0), _translate_fo(phi.arg))
+        return FTruncSub(FConst(1.0), _translate_fo(phi.arg, bound))
     if isinstance(phi, boolalg.And):
-        return FMax(_translate_fo(phi.left), _translate_fo(phi.right))
+        return FMax(_translate_fo(phi.left, bound), _translate_fo(phi.right, bound))
     if isinstance(phi, boolalg.Or):
-        return FMin(_translate_fo(phi.left), _translate_fo(phi.right))
+        return FMin(_translate_fo(phi.left, bound), _translate_fo(phi.right, bound))
     if isinstance(phi, boolalg.Implies):
         return FMin(
-            FTruncSub(FConst(1.0), _translate_fo(phi.left)),
-            _translate_fo(phi.right),
+            FTruncSub(FConst(1.0), _translate_fo(phi.left, bound)),
+            _translate_fo(phi.right, bound),
         )
     if isinstance(phi, boolalg.Forall):
-        return FSup(phi.var, SORT_PROJ, _translate_fo(phi.body))
+        return FSup(phi.var, SORT_PROJ, _translate_fo(phi.body, bound | {phi.var}))
     if isinstance(phi, boolalg.Exists):
-        return FInf(phi.var, SORT_PROJ, _translate_fo(phi.body))
+        return FInf(phi.var, SORT_PROJ, _translate_fo(phi.body, bound | {phi.var}))
     raise PreconditionError(f"not a formula: {phi!r}")

@@ -1,6 +1,7 @@
 """Tests for finite Boolean algebras, Stone duality, and the FO model checker."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,7 @@ from elemeq.boolalg import (
     stone_space,
 )
 from elemeq.errors import PreconditionError, ResourceBudgetError
-from util import check_frozen_nodes, check_node_shape
+from util import check_frozen_nodes, check_node_shape, reference_fo_eval, shadowed_sentences
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +222,17 @@ def test_fo_eval_budget():
     assert fo_eval(deep, FiniteBoolAlg(8))
 
 
+def test_fo_eval_rejects_assigned_values_outside_the_algebra():
+    b = FiniteBoolAlg(2)
+    for phi in (Le(_x(), TOne()), Eq(TJoin(_x(), TCompl(_x())), TOne())):
+        assert fo_eval(phi, b, {"x": 0b11})
+        for bad in (0b111, 0b100, -1, 1.0, None):
+            with pytest.raises(PreconditionError):
+                fo_eval(phi, b, {"x": bad})
+    with pytest.raises(PreconditionError):
+        fo_eval(Forall("y", Eq(TVar("y"), TVar("y"))), b, {"x": 0b111})
+
+
 def test_fo_eval_vacuous_quantifier_parity():
     # Wrapping a sentence in a quantifier it ignores changes no truth value;
     # the direct exhaustive walk over the wrapped sentence is the reference.
@@ -231,13 +243,45 @@ def test_fo_eval_vacuous_quantifier_parity():
             want = fo_eval(phi, b)
             for quantifier in (Forall, Exists):
                 wrapped = quantifier("v", phi)
-                assert fo_eval(wrapped, b) == want == boolalg._eval(wrapped, b, {}), phi
+                assert fo_eval(wrapped, b) == want == reference_fo_eval(wrapped, b, {}), phi
+
+
+def test_fo_eval_matches_the_direct_walk_on_shadowed_and_open_formulas():
+    # Peeling a sentence's leading quantifiers leaves a formula open in their
+    # variables; every assignment of them is checked.  The shadowed sentences
+    # rebind x inside, so peeling their outer x also makes an inner binder
+    # shadow, and then restore, a variable of the assignment.
+    sentences = sentence_corpus(200, 3, seed=2026)
+    sentences += shadowed_sentences(random.Random(6064), sentence_corpus(60), 60)
+    for atoms in (1, 2, 3):
+        b = FiniteBoolAlg(atoms)
+        for phi in sentences:
+            assert fo_eval(phi, b) == reference_fo_eval(phi, b, {}), phi
+            names = []
+            while isinstance(phi, (Forall, Exists)):
+                names.append(phi.var)
+                phi = phi.body
+                for values in itertools.product(b.elements(), repeat=len(names)):
+                    assignment = dict(zip(names, values))
+                    want = reference_fo_eval(phi, b, assignment)
+                    assert fo_eval(phi, b, assignment) == want, (phi, assignment)
+                    assert assignment == dict(zip(names, values))
 
 
 def test_quantifier_rank_and_free_variables():
     phi = Forall("x", Exists("y", Eq(TMeet(_x(), TVar("y")), TVar("z"))))
     assert quantifier_rank(phi) == 2
     assert free_variables(phi) == {"z"}
+    x_is_zero = Eq(_x(), TZero())
+    # bound in one conjunct, free in the other
+    assert free_variables(And(Forall("x", Eq(_x(), _x())), x_is_zero)) == {"x"}
+    # free under binders of other names, vacuous or not
+    assert free_variables(Forall("y", Eq(_x(), TVar("y")))) == {"x"}
+    assert free_variables(Exists("y", x_is_zero)) == {"x"}
+    # shadowed but bound
+    shadowed = Forall("x", And(Exists("x", x_is_zero), Le(_x(), TOne())))
+    assert quantifier_rank(shadowed) == 2
+    assert free_variables(shadowed) == set()
 
 
 # ---------------------------------------------------------------------------

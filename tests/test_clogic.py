@@ -65,7 +65,14 @@ from elemeq.cstar import (
     projections,
 )
 from elemeq.errors import PreconditionError, ResourceBudgetError
-from util import TERM_NAMES, check_frozen_nodes, check_node_shape, random_element, random_term
+from util import (
+    TERM_NAMES,
+    check_frozen_nodes,
+    check_node_shape,
+    random_element,
+    random_term,
+    shadowed_sentences,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -1143,9 +1150,18 @@ def test_translation_frozen_nontrivial_element():
 
 
 def test_translation_requires_sentence():
-    open_formula = boolalg.Eq(boolalg.TVar("x"), boolalg.TZero())
-    with pytest.raises(PreconditionError):
-        translate_fo(open_formula)
+    x, y = boolalg.TVar("x"), boolalg.TVar("y")
+    open_formula = boolalg.Eq(x, boolalg.TZero())
+    bound_then_free = boolalg.And(boolalg.Forall("x", boolalg.Eq(x, x)), open_formula)
+    for phi in (open_formula, bound_then_free, boolalg.Forall("y", boolalg.Eq(x, y)),
+                boolalg.Exists("y", boolalg.Le(boolalg.TCompl(x), boolalg.TOne()))):
+        with pytest.raises(PreconditionError, match="only sentences"):
+            translate_fo(phi)
+    shadowed = boolalg.Forall("x", boolalg.And(boolalg.Exists("x", open_formula),
+                                               boolalg.Le(x, boolalg.TOne())))
+    assert translate_fo(shadowed) == FSup("x", SORT_PROJ, FMax(
+        FInf("x", SORT_PROJ, FNorm(CSub(CVar("x"), CZero()))),
+        FNorm(CSub(CMul(CVar("x"), COne()), CVar("x")))))
 
 
 def test_translation_values_are_two_valued():
@@ -1157,29 +1173,13 @@ def test_translation_values_are_two_valued():
         assert cert.lower in (0.0, 1.0)
 
 
-def _shadowed_sentences(rng, corpus, count):
-    """Sentences ``Q x. (s op a)`` with ``s`` a corpus sentence binding x
-    itself and ``a`` an atom read after ``s``, so under the outer x."""
-    x, zero = boolalg.TVar("x"), boolalg.TZero()
-    atoms = [boolalg.Eq(x, zero), boolalg.Eq(x, boolalg.TOne()), boolalg.Le(boolalg.TCompl(x), x),
-             boolalg.Not(boolalg.Eq(boolalg.TMeet(x, x), zero))]
-    inner = [phi for phi in corpus
-             if isinstance(phi, (boolalg.Forall, boolalg.Exists)) and phi.var == "x"]
-    out = []
-    for _ in range(count):
-        op = rng.choice((boolalg.And, boolalg.Or, boolalg.Implies))
-        body = op(rng.choice(inner), rng.choice(atoms))
-        out.append(rng.choice((boolalg.Forall, boolalg.Exists))("x", body))
-    return out
-
-
 def test_translation_bridge_on_shadowed_sentences():
     x = boolalg.TVar("x")
     sent = boolalg.Exists("x", boolalg.And(
         boolalg.Forall("x", boolalg.Le(x, boolalg.TOne())), boolalg.Eq(x, boolalg.TZero())))
     assert fo_eval(sent, FiniteBoolAlg(2))
     rng = random.Random(6064)
-    for phi in [sent] + _shadowed_sentences(rng, sentence_corpus(60), 60):
+    for phi in [sent] + shadowed_sentences(rng, sentence_corpus(60), 60):
         for n in (1, 2, 3):
             truth = fo_eval(phi, FiniteBoolAlg(n))
             value = ceval(translate_fo(phi), CStarAlgebraFin(n), {}, 1e-6).lower

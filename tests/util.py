@@ -7,6 +7,7 @@ from itertools import combinations, product
 
 import pytest
 
+from elemeq import boolalg
 from elemeq.clogic import CAdd, CConst, CMul, COne, CScale, CStar, CSub, CVar, CZero
 from elemeq.ordinals import Ordinal, ZERO, finite, omega_power, ord_add, ord_mul
 
@@ -112,3 +113,58 @@ def check_frozen_nodes(nodes, shapes):
             with pytest.raises(AttributeError):
                 delattr(node, name)
         assert tuple(node) == state and not hasattr(node, "extra"), node
+
+
+def reference_term(t, full, env):
+    """The value of a Boolean-algebra term under ``env``, by a direct walk."""
+    if isinstance(t, boolalg.TVar):
+        return env[t.name]
+    if isinstance(t, boolalg.TZero):
+        return 0
+    if isinstance(t, boolalg.TOne):
+        return full
+    if isinstance(t, boolalg.TMeet):
+        return reference_term(t.left, full, env) & reference_term(t.right, full, env)
+    if isinstance(t, boolalg.TJoin):
+        return reference_term(t.left, full, env) | reference_term(t.right, full, env)
+    assert isinstance(t, boolalg.TCompl), t
+    return full & ~reference_term(t.arg, full, env)
+
+
+def reference_fo_eval(phi, b, env):
+    """Truth of ``phi`` in ``b`` under ``env`` by a direct exhaustive walk of
+    every node at every assignment: the reference ``boolalg.fo_eval`` is
+    compared with.  It keeps nothing of ``fo_eval``'s compile walk (no
+    vacuous quantifier is dropped) and leaves ``env`` as it found it."""
+    if isinstance(phi, boolalg.Eq):
+        return reference_term(phi.left, b.full, env) == reference_term(phi.right, b.full, env)
+    if isinstance(phi, boolalg.Le):
+        s, t = reference_term(phi.left, b.full, env), reference_term(phi.right, b.full, env)
+        return s & ~t == 0
+    if isinstance(phi, boolalg.Not):
+        return not reference_fo_eval(phi.arg, b, env)
+    if isinstance(phi, boolalg.And):
+        return reference_fo_eval(phi.left, b, env) and reference_fo_eval(phi.right, b, env)
+    if isinstance(phi, boolalg.Or):
+        return reference_fo_eval(phi.left, b, env) or reference_fo_eval(phi.right, b, env)
+    if isinstance(phi, boolalg.Implies):
+        return not reference_fo_eval(phi.left, b, env) or reference_fo_eval(phi.right, b, env)
+    assert isinstance(phi, (boolalg.Forall, boolalg.Exists)), phi
+    values = (reference_fo_eval(phi.body, b, {**env, phi.var: a}) for a in b.elements())
+    return any(values) if isinstance(phi, boolalg.Exists) else all(values)
+
+
+def shadowed_sentences(rng, corpus, count):
+    """Sentences ``Q x. (s op a)`` with ``s`` a corpus sentence binding x
+    itself and ``a`` an atom read after ``s``, so under the outer x."""
+    x, zero = boolalg.TVar("x"), boolalg.TZero()
+    atoms = [boolalg.Eq(x, zero), boolalg.Eq(x, boolalg.TOne()), boolalg.Le(boolalg.TCompl(x), x),
+             boolalg.Not(boolalg.Eq(boolalg.TMeet(x, x), zero))]
+    inner = [phi for phi in corpus
+             if isinstance(phi, (boolalg.Forall, boolalg.Exists)) and phi.var == "x"]
+    out = []
+    for _ in range(count):
+        op = rng.choice((boolalg.And, boolalg.Or, boolalg.Implies))
+        body = op(rng.choice(inner), rng.choice(atoms))
+        out.append(rng.choice((boolalg.Forall, boolalg.Exists))("x", body))
+    return out
