@@ -27,16 +27,18 @@ once per call into closures that each return their values over every
 projection of the innermost enclosing quantifier (``_compile_exact``).  The
 continuous sorts are handled by deterministic branch-and-bound over per-point
 complex boxes, pruned by both rectangle arithmetic and the Lipschitz moduli,
-with a few witness candidates scored per box (``_branch_and_bound``) and
-norm atoms bounded by the naive, centred and outward-rounded unit-disc
-forms (``_atom_enclosure``).  A formula built from norms, constants, max,
-nonnegative scaling and quantifiers only is searched one point at a time on
-a space of n > 1 points: C^n is a product, each sort's domain is the
-product of its one-point domains, and by induction on the formula its
-value is the max over the points i of its value on one point with every
-constant and parameter cut to point i (||t|| = max_i |t_i|, max and scaling
-by s >= 0 commute with a max over i, and a sup or an inf over a product of
-a max of functions of disjoint coordinates is the max of the sups or infs).
+with a few witness candidates scored per box, all in one stacked exact walk
+when the body has no quantifier and the other variables are points
+(``_branch_and_bound``, ``_stacked_eval``), and norm atoms bounded by the
+naive, centred and outward-rounded unit-disc forms (``_atom_enclosure``).
+A formula built from norms, constants, max, nonnegative scaling and
+quantifiers only is searched one point at a time on a space of n > 1
+points: C^n is a product, each sort's domain is the product of its
+one-point domains, and by induction on the formula its value is the max
+over the points i of its value on one point with every constant and
+parameter cut to point i (||t|| = max_i |t_i|, max and scaling by s >= 0
+commute with a max over i, and a sup or an inf over a product of a max of
+functions of disjoint coordinates is the max of the sups or infs).
 Sums, truncated differences, min and absolute differences couple the
 points, so formulas with them are searched over all the points at once.
 The truth-value bridge ``translate_fo`` maps a classical sentence about
@@ -237,7 +239,8 @@ def _no_nan(values):  # values in [0, inf] pass; a nan, which max and min would 
 #: Each binary connective's rules, stated here only: ``exact`` maps the children's
 #: lists of values to the node's, ``enclose`` their enclosures (lo, hi), and a
 #: ``lattice`` connective (max, min) is as wide and as Lipschitz as its wider
-#: child, where the others add widths and moduli.  inf - inf (nan) raises.
+#: child, where the others add widths and moduli.  inf - inf (nan) raises.  On
+#: point enclosures (v, v) ``enclose`` gives the floats of ``exact`` at both ends.
 _Connective = NamedTuple("_Connective", [("exact", Callable), ("enclose", Callable), ("lattice", bool)])
 _CONNECTIVES = {
     FPlus: _Connective(lambda l, r: list(map(operator.add, l, r)),
@@ -251,8 +254,10 @@ _CONNECTIVES = {
                       lambda l, r: (min(l[0], r[0]), min(l[1], r[1])), True),
     FAbsDiff: _Connective(
         lambda l, r: _no_nan(list(map(abs, map(operator.sub, l, r)))),
+        # the upper end is >= 0 but for a zero's sign: at l = -0.0, r = 0.0 the max
+        # is -0.0, and abs gives abs(l - r)'s 0.0
         lambda l, r: _no_nan((0.0 if l[0] <= r[1] and r[0] <= l[1] else max(l[0] - r[1], r[0] - l[1]),
-                              max(l[1] - r[0], r[1] - l[0]))), False),
+                              abs(max(l[1] - r[0], r[1] - l[0])))), False),
 }
 _BINARY_TYPES = tuple(_CONNECTIVES)
 _QUANT_TYPES = (FSup, FInf)
@@ -347,6 +352,12 @@ def _pointwise(op):
 
 #: Exact elements: tuples of complex values, combined point by point.
 EXACT = Arith(tuple, c_add, c_sub, c_mul, c_star, c_scale)
+
+
+def _stacked(copies: int) -> Arith:
+    """``EXACT`` over ``copies`` elements stacked into one: constants are repeated."""
+    return EXACT._replace(const=lambda values: tuple(values) * copies)
+
 
 #: (norm bound, Lipschitz constant in one variable) pairs: sums and
 #: differences add both, and a product's constant is the product rule's,
@@ -597,13 +608,14 @@ _DISC_BAND = 2.0**-50
 
 def _in_disc(re: float, im: float) -> bool:
     """Whether re + i im lies in the closed unit disc, decided exactly: the
-    float sum of squares is within 3 ulps of the exact one."""
+    float sum of squares is within 3 ulps of the exact one, and inside the
+    band around 1 the test is made in integers, with re = a/b and im = c/d
+    (b, d > 0) as (ad)^2 + (cb)^2 <= (bd)^2."""
     square = re * re + im * im
     if abs(square - 1) > _DISC_BAND:
         return square < 1
-    from fractions import Fraction  # rarely needed; spares every process its import
-
-    return Fraction(re) ** 2 + Fraction(im) ** 2 <= 1
+    (a, b), (c, d) = re.as_integer_ratio(), im.as_integer_ratio()
+    return (a * d) ** 2 + (c * b) ** 2 <= (b * d) ** 2
 
 
 def _onto_disc(re: float, im: float) -> complex:
@@ -705,6 +717,29 @@ def _interval_eval(phi, env, algebra, tol, state):
     raise PreconditionError(f"not a formula: {phi!r}")
 
 
+def _stacked_eval(phi, env, algebra, copies):
+    """The values of a quantifier-free formula at ``copies`` assignments of
+    points, in one walk: each name's values in ``env`` are the assignments'
+    elements stacked, the j-th at entries j*n to j*n + n - 1.  Each value is
+    the float ``_interval_eval`` gives at both ends on that assignment's
+    point rectangles: on a point the rectangle ops are complex arithmetic in
+    the same order, ``_rect_mod`` is ``abs``, and each ``enclose`` rule is
+    its ``exact`` rule."""
+    if isinstance(phi, FNorm):
+        n = algebra.point_count
+        mods = list(map(abs, eval_term(phi.term, env, algebra, _stacked(copies))))
+        return [max(_no_nan(mods[j:j + n])) for j in range(0, copies * n, n)]
+    if isinstance(phi, FConst):
+        return [phi.value] * copies
+    if isinstance(phi, _BINARY_TYPES):
+        left = _stacked_eval(phi.left, env, algebra, copies)
+        return _CONNECTIVES[type(phi)].exact(left, _stacked_eval(phi.right, env, algebra, copies))
+    if isinstance(phi, FScale):  # a zero scale still walks its argument, as ``_interval_eval`` does
+        values = _stacked_eval(phi.arg, env, algebra, copies)
+        return [phi.scalar * v for v in values] if phi.scalar else [0.0] * copies
+    raise PreconditionError(f"not a quantifier-free formula: {phi!r}")
+
+
 #: Safety net for a nested search (its environment holds genuine boxes),
 #: which normally stops at the target width its caller takes from the outer
 #: Lipschitz cone: it also stops once this many consecutive refinements
@@ -723,12 +758,16 @@ def _branch_and_bound(phi, env, algebra, tol, state):
     the Lipschitz cone around the witness.  The witness is the box's
     ``_witness_candidates`` with the highest lower bound (the
     representative on ties); every candidate lies in the sort's domain, so
-    the others never move the enclosure.  The cone is built first, and (b)
-    aims only for its width, since the intersection discards anything
-    finer: a search nested in a box stops there.  The certified interval
-    is [best witness lower bound, largest surviving box upper bound] at
-    every step, so stopping early is sound.  The queue is a heap on the box
-    upper bound, and boxes that can no longer move it are pruned.
+    the others never move the enclosure.  When the environment holds only
+    points and the body has no quantifier, the candidates are scored in
+    one ``_stacked_eval`` walk, each enclosure (v, v) the floats of its
+    own ``_interval_eval``; otherwise each takes its own.  The cone is
+    built first, and (b) aims only for its width, since the intersection
+    discards anything finer: a search nested in a box stops there.  The
+    certified interval is [best witness lower bound, largest surviving box
+    upper bound] at every step, so stopping early is sound.  The queue is a
+    heap on the box upper bound, and boxes that can no longer move it are
+    pruned.
     """
     negate = isinstance(phi, FInf)
 
@@ -744,6 +783,9 @@ def _branch_and_bound(phi, env, algebra, tol, state):
         bounds[name] = max(_abs_iv(r)[1] for r in rects) if point else 1.0
     lip = formula_modulus(phi.body, phi.var, algebra, bounds)
     nested = any(r[1] - r[0] > 0 or r[3] - r[2] > 0 for box in env.values() for r in box)
+    # on points, a quantifier-free body scores all of a box's candidates in one walk
+    points = None if nested or not _within(phi.body, _BINARY_TYPES, ()) else {
+        name: tuple(complex(r[0], r[2]) for r in env[name]) for name in cformula_free_vars(phi)}
 
     def assess(box, depth):  # -> (the box's upper bound, its witness's lower bound, tie order)
         state["boxes"] += 1
@@ -751,10 +793,18 @@ def _branch_and_bound(phi, env, algebra, tol, state):
         candidates = _witness_candidates(box, phi.sort)
         if candidates is None:
             return None
-        sub, scored = dict(env), []
-        for point in candidates:
-            sub[phi.var] = _box_point(point)
-            scored.append((flip(*_interval_eval(phi.body, sub, algebra, tol / 2, state)), point))
+        sub = dict(env)
+        if points is None:
+            found = []
+            for point in candidates:
+                sub[phi.var] = _box_point(point)
+                found.append(_interval_eval(phi.body, sub, algebra, tol / 2, state))
+        else:
+            copies = len(candidates)
+            stacked = {name: values * copies for name, values in points.items()}
+            stacked[phi.var] = sum(candidates, ())
+            found = [(v, v) for v in _stacked_eval(phi.body, stacked, algebra, copies)]
+        scored = [(flip(*e), point) for e, point in zip(found, candidates)]
         (rep_lo, rep_hi), rep = max(scored, key=lambda c: c[0][0])  # the first best
         radius = _box_radius(box, rep)
         cone_lo, cone_hi = rep_lo - lip * radius, rep_hi + lip * radius
@@ -853,8 +903,7 @@ def _compile_exact(phi, env, algebra):
             sub = {v: env[v] * (1 << k) for v in names - scope.keys()}
             for j, v in enumerate(bound):
                 sub[v] = tuple(1 + 0j if b >> j & 1 else 0j for b in range(1 << k) for _ in range(n))
-            stacked = EXACT._replace(const=lambda values: tuple(values) * (1 << k))
-            values = eval_term(phi.term, sub, algebra, stacked)
+            values = eval_term(phi.term, sub, algebra, _stacked(1 << k))
             rows = [_no_nan(list(map(abs, values[p::n]))) for p in range(n)]
             if not k:
                 value = [max(row[0] for row in rows)] * size

@@ -415,6 +415,30 @@ def test_witness_candidates_lie_in_the_domain():
                 assert _in_domain(point[0], SORT_BALL), box
 
 
+def _steps(x, k):
+    """``x`` moved ``k`` floats up (k > 0) or down."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def test_disc_membership_is_exact_at_the_unit_circle():
+    # Inside the band around 1 the test runs in integers; it must agree with
+    # the rational test, a tiny coordinate next to 1.0 included.
+    rng = random.Random(6062)
+    points = [(1.0, 0.0), (0.0, -1.0), (-1.0, -0.0), (5e-324, 1.0), (1.0, -5e-324),
+              (2.0**-27, 1.0), (2.0**-27, _steps(1.0, -1)), (0.6, 0.8), (-0.8, 0.6)]
+    for _ in range(300):
+        angle = rng.uniform(0, 2 * math.pi)
+        points.append((math.cos(angle), math.sin(angle)))
+    points += [(_steps(re, a), _steps(im, b)) for re, im in list(points)
+               for a in (-2, -1, 0, 1) for b in (-1, 0, 2)]
+    for re, im in points:
+        assert clogic._in_disc(re, im) == (Fraction(re) ** 2 + Fraction(im) ** 2 <= 1), (re, im)
+    assert clogic._in_disc(1.0, 0.0) and clogic._in_disc(0.0, -1.0)
+    assert not clogic._in_disc(5e-324, 1.0) and not clogic._in_disc(1.0, -5e-324)
+
+
 def _sample_in(rect, sort, rng):
     while True:
         v = complex(rng.uniform(rect[0], rect[1]), rng.uniform(rect[2], rect[3]))
@@ -520,7 +544,7 @@ def test_connective_enclosure_rules_agree_with_the_exact_rules():
     rng = random.Random(6065)
 
     def draw():
-        return rng.choice((0.0, rng.random(), rng.uniform(0, 1e3), 10 ** rng.uniform(-300, 300)))
+        return rng.choice((0.0, -0.0, rng.random(), rng.uniform(0, 1e3), 10 ** rng.uniform(-300, 300)))
 
     assert set(_CONNECTIVES) == set(_CONNECTIVE_VALUES)
     for connective, rule in _CONNECTIVES.items():
@@ -528,7 +552,8 @@ def test_connective_enclosure_rules_agree_with_the_exact_rules():
             a, b = draw(), draw()
             (value,) = rule.exact([a], [b])
             assert value == _CONNECTIVE_VALUES[connective](a, b)
-            assert rule.enclose((a, a), (b, b)) == (value, value), (connective, a, b)
+            ends = rule.enclose((a, a), (b, b))  # the same floats, a zero's sign included
+            assert [end.hex() for end in ends] == [value.hex()] * 2, (connective, a, b)
             l, r = sorted((a, draw())), sorted((b, draw()))
             lo, hi = rule.enclose(tuple(l), tuple(r))
             for _ in range(5):
@@ -1100,6 +1125,55 @@ def test_rectangles_on_point_boxes_reproduce_exact_values():
         assert exact == _ref_term(term, env, A)
         norm = max(math.hypot(v.real, v.imag) for v in exact)
         assert _atom_enclosure(term, boxes, A) == (norm, norm)
+
+
+def _stacked_or_error(phi, env, A, copies):
+    try:
+        return [v.hex() for v in clogic._stacked_eval(phi, env, A, copies)]
+    except PreconditionError as err:
+        return str(err)
+
+
+def _interval_or_error(phi, env, A):
+    try:
+        lo, hi = clogic._interval_eval(phi, env, A, 0.05, {"boxes": 0, "max": 1, "depth": 0})
+        assert lo.hex() == hi.hex(), (phi, env)
+        return lo.hex()
+    except PreconditionError as err:
+        return str(err)
+
+
+def test_stacked_walk_scores_each_assignment_as_the_interval_path_does():
+    # One walk over c assignments stacked against ``_interval_eval`` on each
+    # assignment's point rectangles: the same floats, a zero's sign included,
+    # and the same errors.  Parameters of norm ~1e155 overflow to inf and nan.
+    rng = random.Random(6066)
+    for _ in range(1500):
+        n, copies, var = rng.randint(1, 3), rng.randint(1, 5), rng.choice(TERM_NAMES)
+        A = CStarAlgebraFin(n)
+        phi = _random_formula(rng, n, rng.randint(1, 4), 0)
+        phi = rng.choice((phi, phi, FAbsDiff(FConst(-0.0), phi), FMin(phi, FConst(-0.0))))
+        big = rng.choice((1.0, 1.0, 3.0, 1e155))
+        params = {v: tuple(big * z for z in random_element(rng, n)) for v in TERM_NAMES if v != var}
+        points = [random_element(rng, n) for _ in range(copies)]
+        stacked = {name: value * copies for name, value in params.items()}
+        stacked[var] = sum(points, ())
+        got = _stacked_or_error(phi, stacked, A, copies)
+        each = [_interval_or_error(phi, {name: _box_point(value) for name, value in
+                                         {**params, var: point}.items()}, A) for point in points]
+        if isinstance(got, str):  # a nan is the only error here, whichever point gives it
+            assert got in each, (phi, params, points)
+        else:
+            assert got == each, (phi, params, points)
+    A, x, big = CStarAlgebraFin(2), CVar("x"), CScale(1e200, CScale(1e200, CVar("x")))
+    for phi, message in [
+        (FScale(0.0, FNorm(CMul(x, CConst((1j,) * 3)))), "constant element has the wrong size"),
+        (FMax(FNorm(x), FNorm(CVar("q"))), "unbound variable 'q'"),
+        (FTruncSub(FNorm(big), FNorm(big)), "the value overflows the floats: an overflowed operation gave nan"),
+    ]:
+        points = [A.one(), (0.5j, -1 + 0j), (1j, 0.5 + 0j)]
+        assert _stacked_or_error(phi, {"x": sum(points, ())}, A, 3) == message
+        assert [_interval_or_error(phi, {"x": _box_point(p)}, A) for p in points] == [message] * 3
 
 
 def test_walker_rejects_unbound_variables_and_wrong_sizes():
