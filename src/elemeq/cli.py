@@ -988,6 +988,9 @@ def _cmd_realize(args):
     conditions = [parse_condition(text) for text in args.cond]
     algebra = CStarAlgebraFin(args.points)
     sorts = _assignments(args.sort, "--sort", "variable=ball|sa|pos", str)
+    unused = sorted(sorts.keys() - frozenset().union(*(c.variables() for c in conditions)))
+    if unused:
+        raise ParseError(f"--sort names {unused[0]!r}, which no --cond uses")
     inputs = {
         "conditions": list(map(_format_condition, conditions)),
         "points": args.points,

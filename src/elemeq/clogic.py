@@ -17,9 +17,9 @@ modulus) pairs here, batched numpy rectangles and values in ``saturation``.
 The walker alone dispatches on term nodes, rejects unbound variables and
 constants of the wrong size.  The rectangle ops are written once, for a
 rectangle of four components that are floats here and arrays over a batch
-of boxes in ``saturation``; product and modulus bounds come from
-``_rect_kernel``, given min, max and hypot from builtins and ``math`` here
-and from numpy there, so this module never imports numpy.
+of boxes in ``saturation``; product and modulus bounds (also rounded outward)
+come from ``_rect_kernel``, given min, max, hypot and nextafter from builtins
+and ``math`` here and from numpy there, so this module never imports numpy.
 
 Evaluation returns an enclosure certificate.  Formulas whose quantifiers all
 range over projections are evaluated exactly (the sort is finite), compiled
@@ -427,13 +427,14 @@ def formula_modulus(phi, var: str, algebra: CStarAlgebraFin, bounds: dict) -> fl
 # tuple of rectangles, one per point of the space.  A component may be a
 # float or an array of them (``saturation`` batches boxes that way), so each
 # op is written once: add, sub, conj and the point rectangle use only
-# arithmetic, and product and modulus take min, max and hypot from a numeric
-# namespace.
+# arithmetic, and product and modulus take min, max, hypot and nextafter from
+# a numeric namespace.
 
 
-def _rect_kernel(lo, hi, hypot):
-    """The rectangle product and modulus bounds over ``lo``/``hi`` (min and
-    max of any number of values) and ``hypot``."""
+def _rect_kernel(lo, hi, hypot, nextafter):
+    """The rectangle product and modulus bounds, then those bounds two floats
+    outward (``hypot`` errs by under 1 ulp) with the lower end kept >= 0, over
+    ``lo``/``hi`` (min and max of any number of values), hypot and nextafter."""
 
     def imul(al, ah, bl, bh):
         c1, c2, c3, c4 = al * bl, al * bh, ah * bl, ah * bh
@@ -450,10 +451,15 @@ def _rect_kernel(lo, hi, hypot):
         return (hypot(hi(a[0], -a[1], 0.0), hi(a[2], -a[3], 0.0)),
                 hypot(hi(a[1], -a[0]), hi(a[3], -a[2])))
 
-    return mul, mod
+    def abs_iv(a):
+        least, most = mod(a)
+        return (hi(0.0, nextafter(nextafter(least, -math.inf), -math.inf)),
+                nextafter(nextafter(most, math.inf), math.inf))
+
+    return mul, mod, abs_iv
 
 
-_rect_mul, _rect_mod = _rect_kernel(min, max, math.hypot)
+_rect_mul, _rect_mod, _abs_iv = _rect_kernel(min, max, math.hypot, math.nextafter)
 
 
 def _rect_point(v: complex):
@@ -512,13 +518,9 @@ def _centred_arith(zeros: tuple) -> Arith:
 
 # Per-point modulus intervals (lo, hi), the triangle inequality above and its
 # reverse below, rounded outward: a computed endpoint steps one float out and
-# a modulus from ``hypot`` (error under 1 ulp) two; lower endpoints stay >= 0.
+# a modulus from ``hypot`` (error under 1 ulp) two, ``_abs_iv``; lower ends >= 0.
 def _out(lo, hi):
     return max(0.0, math.nextafter(lo, -math.inf)), math.nextafter(hi, math.inf)
-
-
-def _abs_iv(rect):
-    return _out(*_out(*_rect_mod(rect)))
 
 
 _mod_add = _pointwise(lambda a, b: _out(max(a[0] - b[1], b[0] - a[1]), a[1] + b[1]))

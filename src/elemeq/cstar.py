@@ -17,7 +17,7 @@ import cmath
 import math
 import operator
 
-from .errors import Frozen, PreconditionError
+from .errors import Frozen, PreconditionError, ResourceBudgetError
 
 __all__ = [
     "CStarAlgebraFin",
@@ -42,6 +42,9 @@ __all__ = [
 #: Largest space size accepted by the infinite-projection score: the
 #: infimum runs over the 2^n {0, 1}-valued partial isometries.
 MAX_PSI_POINTS = 4
+
+#: Largest grid parameter of the clopen coding: (2m + 1)^2 sets, 66,049 at it.
+MAX_CODE_SCALE = 128
 
 #: Residual bound used when certifying solvability of the singularity
 #: equation by the explicit pointwise solution.
@@ -232,10 +235,12 @@ def clopen_code(f: tuple, m: int) -> tuple:
     unit square and hence the closed unit disc; every value of ``f`` lies
     strictly within 1/m of some grid point, so the nonempty code sets cover
     the space.  All grid labels are emitted, empty preimages included, in
-    lexicographic ``(j1, j2)`` order.
+    lexicographic ``(j1, j2)`` order.  ``m`` is at most ``MAX_CODE_SCALE``.
     """
     if m < 1:
         raise PreconditionError("the grid parameter must be at least 1")
+    if m > MAX_CODE_SCALE:
+        raise ResourceBudgetError(f"scale {m} exceeds the cap {MAX_CODE_SCALE}")
     if c_norm(f) > 1:
         raise PreconditionError("coding requires a norm-at-most-1 element")
     codes = []

@@ -28,10 +28,12 @@ import numpy as np
 
 from elemeq.boolalg import FiniteBoolAlg
 from elemeq.clogic import (
+    CAdd,
     CConst,
     CMul,
     CScale,
     CStar,
+    CSub,
     CVar,
     CZero,
     COne,
@@ -228,6 +230,8 @@ def _term_degrees(term) -> dict:
         return {}
     if isinstance(term, (CStar, CScale)):
         return _term_degrees(term.arg)
+    if not isinstance(term, (CAdd, CSub, CMul)):
+        raise PreconditionError(f"not a term: {term!r}")
     left = _term_degrees(term.left)
     right = _term_degrees(term.right)
     merged = {}
@@ -309,39 +313,28 @@ class Inconclusive(Frozen):
 # Batched arithmetics for ``clogic.eval_term``
 #
 # A one-point box gives each variable a rectangle (re_lo, re_hi, im_lo, im_hi),
-# shape (V, 4).  A level packs point i's boxes into point i's column, so one
-# ``eval_term`` pass per condition bounds the moduli at every point against
-# that point's constants, in the rectangles of ``clogic`` (its kernel on
-# numpy's min, max and hypot), or at sample points in numpy complex values.
-# Modulus bounds are widened by two floats each way, as np.hypot is not
-# correctly rounded.  No max over the points is taken: the search is split
-# over them, and they meet only in cover states (``_RealizeProblem``).
+# shape (V, 4).  Each row of a level (a box or a sample point) carries its
+# point, and a constant is read at the rows' points, so one ``eval_term`` pass
+# per condition bounds the moduli of every row against its own point's
+# constants, in the rectangles of ``clogic`` (its kernel on numpy's min, max,
+# hypot and nextafter: modulus bounds widened by two floats each way, as
+# np.hypot is not correctly rounded), or at sample points in numpy complex
+# values.  No max over the points is taken: the search is split over them,
+# and they meet only in cover states (``_RealizeProblem``).
 # ---------------------------------------------------------------------------
 
-_np_mul, _np_mod = _rect_kernel(lambda *xs: functools.reduce(np.minimum, xs),
-                                lambda *xs: functools.reduce(np.maximum, xs), np.hypot)
+_np_mul, _np_mod, _np_abs_iv = _rect_kernel(lambda *xs: functools.reduce(np.minimum, xs),
+                                            lambda *xs: functools.reduce(np.maximum, xs), np.hypot, np.nextafter)
 
 _NP_RECTS = Arith(
-    lambda values: _rect_point(np.array(values, dtype=complex).reshape(1, -1)),
+    lambda values: _rect_point(np.asarray(values, dtype=complex)),
     _rect_add, _rect_sub, _np_mul, _rect_conj, lambda s, a: _np_mul(_rect_point(s), a),
 )
 
 _NP_VALUES = Arith(
-    lambda values: np.array(values, dtype=complex).reshape(1, -1),
+    lambda values: np.asarray(values, dtype=complex),
     operator.add, operator.sub, operator.mul, np.conj, operator.mul,
 )
-
-
-def _pack(rows, points, n, pad):
-    """Each row (a box or sample point) in its point's column, below that point's
-    earlier rows, the rest ``pad``: shape (N, n, *pad.shape), and the rows' places."""
-    index = np.empty_like(points)
-    for point in range(n):
-        index[points == point] = np.arange(np.count_nonzero(points == point))
-    packed = np.empty((index.max(initial=-1) + 1, n) + pad.shape, dtype=pad.dtype)
-    packed[...] = pad
-    packed[index, points] = rows
-    return packed, (index, points)
 
 
 def _member(keys, sorted_keys):
@@ -404,7 +397,7 @@ def _onto_disc_np(re, im):
 
 
 class _RealizeProblem:
-    """One-point geometry, packed bounds and cover states for one realize_type call.
+    """One-point geometry, bounds at each row's point and cover states for one realize_type call.
 
     Targets [l_1, h_1] < ... < [l_K, h_K] are padded to the longest by repeating
     the last.  At a threshold t, the state of a box or sample point at one point
@@ -431,32 +424,28 @@ class _RealizeProblem:
         # a state times the point count, plus the point, fits an int64 or is a Python int
         self.weights = np.array([1 << (at + k) for at in step for k in range(width)],
                                 dtype=object if 2 * bits > 60 else np.int64)
-        self.rects, self.values = (arith._replace(const=functools.cache(arith.const))
-                                   for arith in (_NP_RECTS, _NP_VALUES))
+        self.array = functools.cache(lambda values: np.array(values, dtype=complex))
 
     def initial_box(self):
         return _fill(tuple(self.sorts), 1)
 
+    def at(self, arith, points):
+        """``arith`` with each constant read at the rows' ``points``."""
+        return arith._replace(const=lambda values: arith.const(self.array(values)[points]))
+
     def bounds(self, boxes, points):
         """Modulus bounds (lo, hi) of each condition over each box at its point, shape
-        (C, m), widened as ``clogic._abs_iv``: one pass over the packed boxes."""
-        packed, place = _pack(boxes, points, self.points, self.initial_box()[0])
-        env = {name: tuple(packed[:, :, v, k] for k in range(4)) for v, name in enumerate(self.names)}
-        rects = np.empty((4, len(self.conditions)) + packed.shape[:2])
-        for i, condition in enumerate(self.conditions):
-            rects[:, i] = eval_term(condition.polynomial, env, self.algebra, self.rects)
-        lo, hi = _np_mod(rects[(slice(None), slice(None)) + place])
-        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
-        return np.maximum(np.nextafter(lo, -np.inf), 0.0), np.nextafter(hi, np.inf)
+        (C, m), widened as ``clogic._abs_iv``: one pass per condition over the boxes."""
+        env = {name: tuple(boxes[:, v, k] for k in range(4)) for v, name in enumerate(self.names)}
+        arith = self.at(_NP_RECTS, points)
+        rects = [eval_term(c.polynomial, env, self.algebra, arith) for c in self.conditions]
+        return _np_abs_iv(tuple(map(np.array, zip(*rects))))  # each component's (C, m) array
 
     def moduli(self, cands, points):
         """Exact moduli of each condition at each sample point at its point, shape (C, m)."""
-        packed, place = _pack(cands, points, self.points, np.zeros(len(self.names), dtype=complex))
-        env = {name: packed[:, :, v] for v, name in enumerate(self.names)}
-        values = np.empty((len(self.conditions),) + packed.shape[:2], dtype=complex)
-        for i, condition in enumerate(self.conditions):
-            values[i] = eval_term(condition.polynomial, env, self.algebra, self.values)
-        return np.abs(values[(slice(None),) + place])
+        env = {name: cands[:, v] for v, name in enumerate(self.names)}
+        arith = self.at(_NP_VALUES, points)
+        return np.abs([eval_term(c.polynomial, env, self.algebra, arith) for c in self.conditions])
 
     def gaps(self, lo, hi):
         """|p_c| - h_k and l_k - |p_c| at their least over modulus bounds (C, m): (C, K, m) each."""

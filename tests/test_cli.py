@@ -655,6 +655,8 @@ def test_cli_ceval_rejects_an_overflowed_value(capsys, formula):
          "bad --param 'c' (use name=v1,v2,...)"),
         (["realize", "--cond", "x in [0,1]", "--points", "1", "--tol", "0.1", "--sort", "=sa"],
          "bad --sort '=sa' (use variable=ball|sa|pos)"),
+        (["realize", "--cond", "x in {0.9}", "--points", "1", "--tol", "0.01", "--sort", "y=pos"],
+         "--sort names 'y', which no --cond uses"),
     ],
 )
 def test_cli_malformed_name_value_option_is_exit_two(capsys, argv, message):
@@ -704,6 +706,14 @@ def test_cli_code_reconstruct(capsys):
     payload = json.loads(out)
     assert code == EXIT_OK
     assert payload["reconstruction"]["error"] <= payload["reconstruction"]["bound"] == 0.25
+
+
+def test_cli_code_scale_cap_is_exit_four(capsys):
+    code, out, _ = run_cli(capsys, ["code", "0.5", "--scale", "128", "--json"])
+    assert code == EXIT_OK and json.loads(out)["inputs"]["scale"] == 128
+    code, out, err = run_cli(capsys, ["code", "0.5", "--scale", "129"])
+    assert code == EXIT_BUDGET
+    assert out == "" and err == "budget exceeded: scale 129 exceeds the cap 128\n"
 
 
 def test_cli_interpolate_cylinder(capsys):

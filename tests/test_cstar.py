@@ -7,6 +7,7 @@ import random
 import pytest
 
 from elemeq.cstar import (
+    MAX_CODE_SCALE,
     CStarAlgebraFin,
     c_add,
     c_mul,
@@ -24,7 +25,7 @@ from elemeq.cstar import (
     singular_cross_checks,
     spectrum_indicator,
 )
-from elemeq.errors import PreconditionError
+from elemeq.errors import PreconditionError, ResourceBudgetError
 
 
 def random_element(rng, n, radius=1.0):
@@ -220,6 +221,9 @@ def test_coding_preconditions():
         clopen_code(A.element([2, 0]), 4)
     with pytest.raises(PreconditionError):
         clopen_code(A.zero(), 0)
+    assert len(clopen_code(A.zero(), MAX_CODE_SCALE)) == (2 * MAX_CODE_SCALE + 1) ** 2
+    with pytest.raises(ResourceBudgetError, match="exceeds the cap 128"):
+        clopen_code(A.zero(), MAX_CODE_SCALE + 1)
     with pytest.raises(PreconditionError):
         reconstruct([])
 

@@ -26,6 +26,7 @@ from elemeq.clogic import (
     CStar,
     CVar,
     CZero,
+    FNorm,
     SORT_BALL,
     SORT_POS,
     SORT_SA,
@@ -205,6 +206,9 @@ def test_type_condition_degree_validation():
         TypeCondition(CMul(x, x), [(0.0, 1.0)])
     with pytest.raises(PreconditionError):
         TypeCondition(CMul(x, CStar(x)), [(0.0, 1.0)])
+    for polynomial in ("x", FNorm(x), None, CAdd(x, "y")):
+        with pytest.raises(PreconditionError, match="not a term"):
+            TypeCondition(polynomial, [(0.0, 1.0)])
 
 
 def test_type_condition_target_validation():
@@ -742,7 +746,7 @@ def test_batched_rectangles_equal_scalar_rectangles_per_box():
     # np.hypot (the C library's) is not always correctly rounded and
     # math.hypot is, so the batched norm bounds are compared with == to the
     # scalar kernel run on np.hypot, and to the scalar path within one ulp
-    _, libm_mod = _rect_kernel(min, max, lambda x, y: float(np.hypot(x, y)))
+    _, libm_mod, _ = _rect_kernel(min, max, lambda x, y: float(np.hypot(x, y)), math.nextafter)
     rng = random.Random(4104)
     cases = 0
     for term, algebra, boxes, batch in _parity_batches(rng):
@@ -852,8 +856,8 @@ def _random_target(rng):
 
 def _random_problem(rng):
     """1-4 conditions from ``random_term`` with targets of 1-3 intervals, and a
-    variable-free one (its arrays broadcast), over x, y, z of random sorts on
-    1-4 points."""
+    variable-free one (only its constant is read at the rows' points), over
+    x, y, z of random sorts on 1-4 points."""
     n = rng.randint(1, 4)
     sorts = {v: rng.choice((SORT_BALL, SORT_SA, SORT_POS)) for v in TERM_NAMES}
     conditions, wanted = [], rng.randint(1, 4)
@@ -883,30 +887,55 @@ def _random_boxes(rng, problem, count):
             return _random_rect(rng)
         lo = -1.0 if sort == SORT_SA else 0.0
         return (*sorted(rng.uniform(lo, 1.0) for _ in "ab"), 0.0, 0.0)
-    return np.array([[rect(sort) for sort in problem.sorts] for _ in range(count)])
+    boxes = np.array([[rect(sort) for sort in problem.sorts] for _ in range(count)])
+    return boxes.reshape(count, len(problem.sorts), 4)
+
+
+def _check_rows_at_their_points(problem, boxes, points, cands, spots):
+    """Each box and sample point reads the bounds and moduli, shape (C, m), that a
+    one-point problem with every constant cut to its point reads, row for row."""
+    n, shape = problem.points, (len(problem.conditions),)
+    bounds, moduli = problem.bounds(boxes, points), problem.moduli(cands, spots)
+    assert [b.shape for b in bounds] == [shape + points.shape] * 2 and moduli.shape == shape + spots.shape
+    for i in range(n):
+        cut = tuple(TypeCondition(_at_point(c.polynomial, i, n), c.target) for c in problem.conditions)
+        one = _RealizeProblem(cut, CStarAlgebraFin(1), dict(zip(problem.names, problem.sorts.tolist())))
+        at, where = points == i, spots == i
+        for got, want in zip(bounds, one.bounds(boxes[at], np.zeros(at.sum(), dtype=int))):
+            assert got[:, at].tolist() == want.tolist()
+        assert moduli[:, where].tolist() == one.moduli(cands[where], np.zeros(where.sum(), dtype=int)).tolist()
+
+
+def _random_cands(rng, problem, count):
+    """Sample points in the unit square, shape (count, V)."""
+    return np.array([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in problem.names]
+                     for _ in range(count)]).reshape(count, len(problem.names))
 
 
 def test_packed_evaluation_equals_one_point_evaluation():
-    # point i's boxes and sample points, packed into point i's column among
-    # the other points', read the bounds and moduli that a one-point problem
-    # with every constant cut to point i reads, box for box
+    # each point's boxes and sample points, evaluated among the other points'
+    # rows, read what a one-point problem with every constant cut to that
+    # point reads, box for box; so do a level of no rows and a level whose
+    # rows all sit at one point of several
     rng = random.Random(4105)
     for _ in range(150):
         problem = _random_problem(rng)
         n = problem.points
         boxes = _random_boxes(rng, problem, rng.randint(1, 30))
         points = np.array([rng.randrange(n) for _ in boxes])
-        cands = np.array([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in problem.names]
-                          for _ in range(rng.randint(1, 30))])
+        cands = _random_cands(rng, problem, rng.randint(1, 30))
         spots = np.array([rng.randrange(n) for _ in cands])
-        packed, moduli = problem.bounds(boxes, points), problem.moduli(cands, spots)
-        for i in range(n):
-            cut = tuple(TypeCondition(_at_point(c.polynomial, i, n), c.target) for c in problem.conditions)
-            one = _RealizeProblem(cut, CStarAlgebraFin(1), dict(zip(problem.names, problem.sorts.tolist())))
-            at, where = points == i, spots == i
-            for got, want in zip(packed, one.bounds(boxes[at], np.zeros(at.sum(), dtype=int))):
-                assert got[:, at].tolist() == want.tolist()
-            assert moduli[:, where].tolist() == one.moduli(cands[where], np.zeros(where.sum(), dtype=int)).tolist()
+        _check_rows_at_their_points(problem, boxes, points, cands, spots)
+    for _ in range(30):
+        problem = _random_problem(rng)
+        none = np.zeros(0, dtype=int)
+        _check_rows_at_their_points(problem, _random_boxes(rng, problem, 0), none,
+                                    _random_cands(rng, problem, 0), none)
+        while problem.points < 2:
+            problem = _random_problem(rng)
+        boxes, cands = _random_boxes(rng, problem, rng.randint(1, 30)), _random_cands(rng, problem, rng.randint(1, 30))
+        point = rng.randrange(problem.points)
+        _check_rows_at_their_points(problem, boxes, np.full(len(boxes), point), cands, np.full(len(cands), point))
 
 
 def test_fused_level_equals_per_condition_reference():
