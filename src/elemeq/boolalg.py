@@ -338,32 +338,35 @@ def _compile_term(t, full: int) -> tuple:
 
 
 def _compile(phi, full: int) -> tuple:
-    """A closure deciding ``phi`` on an environment, and its free variables.
+    """A closure deciding ``phi`` on an environment, its free variables and
+    its quantifier rank.
 
     A quantifier whose body ignores its variable compiles to its body (the
-    domain is never empty, so no truth value changes)."""
+    domain is never empty, so no truth value changes); it still counts in the
+    rank, which is that of ``phi`` as given."""
     if isinstance(phi, (Eq, Le)):
         left, free_left = _compile_term(phi.left, full)
         right, free_right = _compile_term(phi.right, full)
         if isinstance(phi, Eq):
-            return (lambda env: left(env) == right(env)), free_left | free_right
-        return (lambda env: left(env) & ~right(env) == 0), free_left | free_right
+            return (lambda env: left(env) == right(env)), free_left | free_right, 0
+        return (lambda env: left(env) & ~right(env) == 0), free_left | free_right, 0
     if isinstance(phi, Not):
-        arg, free = _compile(phi.arg, full)
-        return (lambda env: not arg(env)), free
+        arg, free, rank = _compile(phi.arg, full)
+        return (lambda env: not arg(env)), free, rank
     if isinstance(phi, (And, Or, Implies)):
-        left, free_left = _compile(phi.left, full)
-        right, free_right = _compile(phi.right, full)
+        left, free_left, rank_left = _compile(phi.left, full)
+        right, free_right, rank_right = _compile(phi.right, full)
+        free, rank = free_left | free_right, max(rank_left, rank_right)
         if isinstance(phi, And):
-            return (lambda env: left(env) and right(env)), free_left | free_right
+            return (lambda env: left(env) and right(env)), free, rank
         if isinstance(phi, Or):
-            return (lambda env: left(env) or right(env)), free_left | free_right
-        return (lambda env: not left(env) or right(env)), free_left | free_right
+            return (lambda env: left(env) or right(env)), free, rank
+        return (lambda env: not left(env) or right(env)), free, rank
     if isinstance(phi, (Forall, Exists)):
-        body, free = _compile(phi.body, full)
+        body, free, rank = _compile(phi.body, full)
         var = phi.var
         if var not in free:
-            return body, free
+            return body, free, rank + 1
         wanted, elements = isinstance(phi, Exists), range(full + 1)
 
         def quantify(env):
@@ -380,7 +383,7 @@ def _compile(phi, full: int) -> tuple:
                 env[var] = outer
             return result
 
-        return quantify, free - {var}
+        return quantify, free - {var}, rank + 1
     raise PreconditionError(f"not a formula node: {phi!r}")
 
 
@@ -393,7 +396,7 @@ def fo_eval(phi, b: FiniteBoolAlg, assignment: dict[str, int] | None = None) -> 
     that exponent exceeds ``FO_EVAL_BUDGET_EXPONENT``.
     """
     env = dict(assignment) if assignment else {}
-    decide, free = _compile(phi, b.full)
+    decide, free, rank = _compile(phi, b.full)
     missing = free - env.keys()
     if missing:
         raise PreconditionError(f"assignment misses free variables: {sorted(missing)}")
@@ -401,7 +404,7 @@ def fo_eval(phi, b: FiniteBoolAlg, assignment: dict[str, int] | None = None) -> 
                      if not (isinstance(a, int) and b.is_element(a)))
     if outside:
         raise PreconditionError(f"assigned values outside the algebra: {outside}")
-    cost = b.atom_count * quantifier_rank(phi)
+    cost = b.atom_count * rank
     if cost > FO_EVAL_BUDGET_EXPONENT:
         raise ResourceBudgetError(
             f"exhaustive evaluation budget exceeded: 2**{cost} leaves"

@@ -24,23 +24,29 @@ and ``math`` here and from numpy there, so this module never imports numpy.
 Evaluation returns an enclosure certificate.  Formulas whose quantifiers all
 range over projections are evaluated exactly (the sort is finite), compiled
 once per call into closures that each return their values over every
-projection of the innermost enclosing quantifier (``_compile_exact``).  The
+projection of the innermost enclosing quantifier (``_compile_exact``); when
+no constant or parameter tells the points apart, a point permutation fixes
+every value, and the outermost quantifier's body is evaluated at one
+projection for each number of points where it is 1.  The
 continuous sorts are handled by deterministic branch-and-bound over per-point
 complex boxes, pruned by both rectangle arithmetic and the Lipschitz moduli,
 with a few witness candidates scored per box, all in one stacked exact walk
 when the body has no quantifier and the other variables are points
 (``_branch_and_bound``, ``_stacked_eval``), and norm atoms bounded by the
 naive, centred and outward-rounded unit-disc forms (``_atom_enclosure``).
-A formula built from norms, constants, max, nonnegative scaling and
-quantifiers only is searched one point at a time on a space of n > 1
-points: C^n is a product, each sort's domain is the product of its
-one-point domains, and by induction on the formula its value is the max
-over the points i of its value on one point with every constant and
-parameter cut to point i (||t|| = max_i |t_i|, max and scaling by s >= 0
-commute with a max over i, and a sup or an inf over a product of a max of
-functions of disjoint coordinates is the max of the sups or infs).
-Sums, truncated differences, min and absolute differences couple the
-points, so formulas with them are searched over all the points at once.
+A formula whose connectives all commute with a max over the points is
+searched one point at a time on a space of n > 1 points
+(``_splits_over_points``): C^n is a product, each sort's domain is the
+product of its one-point domains, and by induction on the formula its
+value is the max over the points i of its value on one point with every
+constant and parameter cut to point i (||t|| = max_i |t_i|; max, scaling
+by s >= 0, and a sum, min or truncated subtraction A - c with a constant
+c, being nondecreasing in A, commute with a max over i, in floats too;
+and a sup or an inf over a product of a max of functions of disjoint
+coordinates is the max of the sups or infs).  Sums, min and truncated
+differences of two non-constant sides, c - A and absolute differences
+couple the points, so formulas with them are searched over all the
+points at once.
 The truth-value bridge ``translate_fo`` maps a classical sentence about
 Boolean algebras to a projection-sorted formula whose value is 0 on
 algebras satisfying the sentence and 1 on algebras refuting it.
@@ -786,7 +792,7 @@ def _branch_and_bound(phi, env, algebra, tol, state):
     lip = formula_modulus(phi.body, phi.var, algebra, bounds)
     nested = any(r[1] - r[0] > 0 or r[3] - r[2] > 0 for box in env.values() for r in box)
     # on points, a quantifier-free body scores all of a box's candidates in one walk
-    points = None if nested or not _within(phi.body, _BINARY_TYPES, ()) else {
+    points = None if nested or not _within(phi.body, ()) else {
         name: tuple(complex(r[0], r[2]) for r in env[name]) for name in cformula_free_vars(phi)}
 
     def assess(box, depth):  # -> (the box's upper bound, its witness's lower bound, tie order)
@@ -843,15 +849,30 @@ def _branch_and_bound(phi, env, algebra, tol, state):
                     heapq.heappush(heap, (-e[0], depth + 1, e[2], child))
 
 
-def _within(phi, connectives, sorts) -> bool:
-    """Whether every binary connective of a well-formed formula is one of
-    ``connectives`` and every quantifier ranges over one of ``sorts``."""
+def _within(phi, sorts) -> bool:
+    """Whether every quantifier of a well-formed formula ranges over one of ``sorts``."""
     if isinstance(phi, _QUANT_TYPES):
-        return phi.sort in sorts and _within(phi.body, connectives, sorts)
+        return phi.sort in sorts and _within(phi.body, sorts)
     if isinstance(phi, _BINARY_TYPES):
-        return (isinstance(phi, connectives) and _within(phi.left, connectives, sorts)
-                and _within(phi.right, connectives, sorts))
-    return not isinstance(phi, FScale) or _within(phi.arg, connectives, sorts)
+        return _within(phi.left, sorts) and _within(phi.right, sorts)
+    return not isinstance(phi, FScale) or _within(phi.arg, sorts)
+
+
+def _splits_over_points(phi) -> bool:
+    """Whether each connective of a well-formed formula commutes with a max
+    over the points: max, or a sum, min or truncated subtraction whose other
+    side is an ``FConst`` (nondecreasing in the one side that is not)."""
+    if isinstance(phi, _QUANT_TYPES):
+        return _splits_over_points(phi.body)
+    if isinstance(phi, FScale):
+        return _splits_over_points(phi.arg)
+    if isinstance(phi, FMax):
+        return _splits_over_points(phi.left) and _splits_over_points(phi.right)
+    if isinstance(phi, (FPlus, FMin)) and isinstance(phi.left, FConst):
+        return _splits_over_points(phi.right)
+    if isinstance(phi, (FPlus, FMin, FTruncSub)):
+        return isinstance(phi.right, FConst) and _splits_over_points(phi.left)
+    return not isinstance(phi, FAbsDiff)
 
 
 def _at_point(node, i: int, n: int):
@@ -888,11 +909,23 @@ def _compile_exact(phi, env, algebra):
     and 1, the outer bits indexed from the masks.  The floats are those of
     node-by-node evaluation.  The walk finds the atoms' variables itself, off
     the free-variable memos.
+
+    When every atom that reads a mask has the same table at every point (no
+    constant or parameter tells the points apart, as in every output of
+    ``translate_fo``), permuting the points permutes every list and leaves
+    each max and min unchanged: the values are maxima of ``abs`` outputs,
+    never nan or -0.0.  So the value at a mask of binder 0 depends only on
+    its popcount, and a quantifier looping over binder 0 runs its body at
+    the masks (1 << c) - 1 for c = 0..n and fills its list by popcount:
+    (n + 1) body calls instead of 2^n, with the same floats.
     """
     n = algebra.point_count
-    masks, missing = {}, set()
+    masks, missing, symmetric = {}, set(), True
+    representatives = [(1 << count) - 1 for count in range(n + 1)]
+    popcounts = [mask.bit_count() for mask in range(1 << n)]
 
     def build(phi, scope, depth):  # -> (function, the slots of masks it reads)
+        nonlocal symmetric
         size = 1 << n if depth else 1
         if isinstance(phi, FNorm):
             names = set(_term_names(phi.term))
@@ -910,6 +943,7 @@ def _compile_exact(phi, env, algebra):
             if not k:
                 value = [max(row[0] for row in rows)] * size
                 return (lambda: value), frozenset()
+            symmetric = symmetric and rows.count(rows[0]) == n
             # spread[m] moves bit p of mask m to bit p*k + j of the index
             gather = [(scope[v], [sum((m >> p & 1) << (p * k + j) for p in range(n))
                                   for m in range(1 << n)])
@@ -945,12 +979,13 @@ def _compile_exact(phi, env, algebra):
         body, slots = build(phi.body, {**scope, phi.var: depth}, depth + 1)
         slots, combine, outer = slots - {depth}, max if isinstance(phi, FSup) else min, depth - 1
 
-        def quant():
+        def quant():  # on symmetric input, binder 0 takes one mask per popcount
+            orbits = symmetric and not outer
             values = []
-            for mask in range(1 << n):
+            for mask in representatives if orbits else range(1 << n):
                 masks[outer] = mask
                 values.append(combine(body()))
-            return values
+            return [values[count] for count in popcounts] if orbits else values
 
         run = quant if outer in slots else (lambda: [combine(body())] * size)
         order = sorted(slots - {outer})
@@ -984,10 +1019,13 @@ def ceval(
 
     Free variables must be assigned concrete elements through ``params``.
     Projection-sorted quantifiers are evaluated exactly; continuous sorts go
-    through deterministic branch-and-bound.  On more than one point, a
-    formula built from norms, constants, max, scaling and quantifiers only
-    is searched one point at a time: its value is the max over the points
-    of its value on one point, with constants and parameters cut to that
+    through deterministic branch-and-bound; on a formula whose constants and
+    parameters are the same at every point, the exact path evaluates the
+    outermost quantifier's body once per popcount of its projection.  On
+    more than one point, a formula whose connectives are max, scaling, and
+    sums, min or truncated subtractions A - c with a constant c, is
+    searched one point at a time: its value is the max over the points of
+    its value on one point, with constants and parameters cut to that
     point (see the module docstring), so the enclosure is the max of the
     point enclosures at each end, no wider than the widest of them.  Every
     search draws on the one box budget, and ``grid_depth`` is the deepest
@@ -1005,7 +1043,7 @@ def ceval(
         raise PreconditionError(
             f"certified evaluation accepts at most {MAX_CEVAL_POINTS} points")
     params = {name: algebra.element(value) for name, value in (params or {}).items()}
-    if _within(phi, _BINARY_TYPES, {SORT_PROJ}):
+    if _within(phi, {SORT_PROJ}):
         exact, missing = _compile_exact(phi, params, algebra)
     else:
         exact, missing = None, cformula_free_vars(phi) - params.keys()
@@ -1014,7 +1052,7 @@ def ceval(
     state, n = {"boxes": 0, "max": max_boxes, "depth": 0}, algebra.point_count
     if exact:
         lo = hi = exact()[0]
-    elif n > 1 and _within(phi, FMax, SORTS):  # one search per point, all on one budget
+    elif n > 1 and _splits_over_points(phi):  # one search per point, all on one budget
         one, ends = CStarAlgebraFin(1), []
         for i in range(n):
             env = {name: _box_point(value[i:i + 1]) for name, value in params.items()}

@@ -161,12 +161,14 @@ def _type_mul_omega(t):
     return _intern((t[0], sub, frozenset(pairs)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _type_omega_power(exponent: int | None, rank: int):
     """The hereditary type of ``omega**exponent``; ``None`` stands for omega.
 
     A finite exponent counts steps of the ``* omega`` orbit from a singleton;
     omega takes the orbit's fixed point, which the comment above justifies.
+    The cache is bounded, since every exponent asked for would keep an entry,
+    and an entry costs only the few orbit steps up to the first repeat.
     """
     if exponent is not None:
         return _orbit(_type_mul_omega, _type_singleton(rank), exponent)

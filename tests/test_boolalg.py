@@ -216,10 +216,18 @@ def test_fo_eval_free_variable_assignment():
 
 
 def test_fo_eval_budget():
+    # y and z are vacuous, and still count in the rank the budget reads
     deep = Forall("x", Forall("y", Forall("z", Eq(_x(), _x()))))
-    with pytest.raises(ResourceBudgetError):
+    with pytest.raises(ResourceBudgetError, match=r"^exhaustive evaluation budget exceeded: 2\*\*27 leaves$"):
         fo_eval(deep, FiniteBoolAlg(9))
     assert fo_eval(deep, FiniteBoolAlg(8))
+
+
+def test_compile_walk_returns_the_quantifier_rank_as_given():
+    sentences = sentence_corpus(200, 3, seed=2026)
+    sentences += shadowed_sentences(random.Random(6064), sentence_corpus(60), 60)
+    for phi in sentences + [Exists("v", phi) for phi in sentences[:40]]:
+        assert boolalg._compile(phi, 0b111)[2] == quantifier_rank(phi), phi
 
 
 def test_fo_eval_rejects_assigned_values_outside_the_algebra():

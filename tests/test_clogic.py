@@ -674,8 +674,8 @@ def test_nested_enclosures_are_sound_and_agree_across_tolerances():
 
 
 # ---------------------------------------------------------------------------
-# One search per point for formulas of norms, constants, max, scaling and
-# quantifiers
+# One search per point for formulas whose connectives commute with a max over
+# the points
 # ---------------------------------------------------------------------------
 
 
@@ -686,7 +686,7 @@ def _random_max_closed(rng, n, quantifiers, kinds, top=False):
         sort = rng.choice((SORT_BALL, SORT_SA, SORT_POS) + (() if top else (SORT_PROJ,)))
         body = _random_max_closed(rng, n, quantifiers - 1, kinds)
         return rng.choice(kinds)(rng.choice(TERM_NAMES), sort, body)
-    pick = rng.randrange(5)
+    pick = rng.randrange(7)
     if pick == 0:
         return FConst(rng.choice((0.0, 0.25, 1.0)))
     if pick == 1:
@@ -694,6 +694,9 @@ def _random_max_closed(rng, n, quantifiers, kinds, top=False):
     if pick == 2:
         left = _random_max_closed(rng, n, quantifiers // 2, kinds)
         return FMax(left, _random_max_closed(rng, n, quantifiers - quantifiers // 2, kinds))
+    if pick == 3:  # a connective with a constant side, which commutes with the max too
+        arg, c = _random_max_closed(rng, n, quantifiers, kinds), FConst(rng.choice((0.1, 0.3, 0.6)))
+        return rng.choice((FPlus(arg, c), FPlus(c, arg), FMin(arg, c), FMin(c, arg), FTruncSub(arg, c)))
     return FNorm(random_term(rng, n, rng.randint(1, 3)))
 
 
@@ -705,10 +708,11 @@ def _sampled_value(phi, env, A, rng):
         return c_norm(eval_term(phi.term, env, A, EXACT))
     if isinstance(phi, FConst):
         return phi.value
-    if isinstance(phi, FMax):
-        return max(_sampled_value(phi.left, env, A, rng), _sampled_value(phi.right, env, A, rng))
     if isinstance(phi, FScale):
         return phi.scalar * _sampled_value(phi.arg, env, A, rng)
+    if isinstance(phi, (FMax, FPlus, FMin, FTruncSub)):
+        left, right = _sampled_value(phi.left, env, A, rng), _sampled_value(phi.right, env, A, rng)
+        return _CONNECTIVES[type(phi)].exact([left], [right])[0]
     points = (projections(A) if phi.sort == SORT_PROJ
               else _domain_samples(phi.sort, A.point_count, rng, 8))
     values = [_sampled_value(phi.body, {**env, phi.var: p}, A, rng) for p in points]
@@ -718,7 +722,7 @@ def _sampled_value(phi, env, A, rng):
 def _quantifier_kinds(phi):
     if isinstance(phi, (FSup, FInf)):
         return {type(phi)} | _quantifier_kinds(phi.body)
-    if isinstance(phi, FMax):
+    if isinstance(phi, (FMax, FPlus, FMin, FTruncSub)):
         return _quantifier_kinds(phi.left) | _quantifier_kinds(phi.right)
     return _quantifier_kinds(phi.arg) if isinstance(phi, FScale) else set()
 
@@ -733,8 +737,8 @@ def test_point_split_agrees_with_the_coupled_search_on_random_formulas():
         A = CStarAlgebraFin(n)
         kinds = ((FSup,), (FInf,), (FSup, FInf))[case % 3]
         phi = _random_max_closed(rng, n, 2, kinds, top=True)
-        assert clogic._within(phi, FMax, clogic.SORTS)
-        assert not clogic._within(phi, clogic._BINARY_TYPES, {SORT_PROJ})
+        assert clogic._splits_over_points(phi)
+        assert not clogic._within(phi, {SORT_PROJ})
         params = {v: random_element(rng, n) for v in TERM_NAMES}
         try:
             split = ceval(phi, A, params, tol, max_boxes=budget)
@@ -764,6 +768,22 @@ def test_point_split_certifies_a_sup_inf_within_a_small_budget():
     assert cert.lower <= 0 <= cert.upper and cert.width() <= 0.05
 
 
+def test_point_split_takes_connectives_with_a_constant_side():
+    # min with a constant is nondecreasing in its other side, so it commutes
+    # with the max over the points: searched over both at once, this took
+    # 6.4 s; a constant on the left of a truncated subtraction and an
+    # absolute difference do not, and stay coupled
+    x, y, c = CVar("x"), CVar("y"), FConst(0.9)
+    atom = FNorm(CAdd(x, y))
+    phi = FSup("x", SORT_SA, FInf("y", SORT_SA, FMin(atom, c)))
+    cert = ceval(phi, CStarAlgebraFin(2), {}, 0.05, max_boxes=20_000)
+    assert cert.lower <= 0 <= cert.upper and cert.width() <= 0.05
+    for split in (FPlus(c, atom), FMin(c, atom), FTruncSub(atom, c), FScale(0.5, FPlus(atom, c))):
+        assert clogic._splits_over_points(FSup("x", SORT_SA, split))
+    for coupled in (FTruncSub(c, atom), FAbsDiff(atom, c), FPlus(atom, atom), FMin(atom, FNorm(x))):
+        assert not clogic._splits_over_points(FSup("x", SORT_SA, FMax(c, coupled)))
+
+
 def test_wrong_size_constant_under_a_zero_scale_is_rejected_on_every_path():
     # The coupled search returned [1, 1] for the sum: scaling by 0 skipped
     # its argument, constant and all.
@@ -776,8 +796,9 @@ def test_wrong_size_constant_under_a_zero_scale_is_rejected_on_every_path():
             FPlus(search, FScale(0.0, FNorm(const))),  # coupled search
             FMax(search, FScale(0.0, FNorm(const))),  # one search per point
             FSup("x", SORT_PROJ, FPlus(FConst(0.5), hidden)),  # exact
-            FSup("x", SORT_SA, FPlus(FConst(0.5), hidden)),  # coupled search
+            FSup("x", SORT_SA, FAbsDiff(FConst(0.5), hidden)),  # coupled search
             FSup("x", SORT_SA, FMax(FConst(0.5), hidden)),  # one search per point
+            FSup("x", SORT_SA, FPlus(FConst(0.5), hidden)),  # one search per point
         ]
         for phi in cases:
             with pytest.raises(PreconditionError, match="constant element has the wrong size"):
@@ -953,22 +974,80 @@ def test_exact_path_vacuous_and_hoisted_quantifiers():
     assert ceval(vacuous, CStarAlgebraFin(3), {}).lower == 1
 
 
-def test_exact_path_hoists_on_several_binders(monkeypatch):
-    # the w quantifier reads x and z but not y, so it is memoised on x and
-    # loops over z once per x; its atom tells the three bound variables apart
+def _hoisting_sentence(c):
+    """Four binders over x, y, z, w; the w quantifier reads x and z but not y,
+    and its atom, scaled by the constant ``c``, tells the three apart."""
     x, y, z, w = (CVar(v) for v in "xyzw")
-    atom = FNorm(CSub(CMul(x, CSub(COne(), w)), CScale(0.5j, CMul(z, w))))
-    phi = FSup("x", SORT_PROJ, FInf("y", SORT_PROJ, FSup("z", SORT_PROJ, FTruncSub(
+    atom = FNorm(CSub(CMul(x, CSub(COne(), w)), CMul(c, CMul(z, w))))
+    return FSup("x", SORT_PROJ, FInf("y", SORT_PROJ, FSup("z", SORT_PROJ, FTruncSub(
         FInf("w", SORT_PROJ, FMax(atom, FScale(0.75, FNorm(CSub(w, z))))),
         FScale(0.5, FNorm(CMul(y, CSub(COne(), x)))),
     ))))
+
+
+def _count_fmax_calls(monkeypatch):
     calls, fmax = [], _CONNECTIVES[FMax]
     counted = fmax._replace(exact=lambda l, r: calls.append(1) or fmax.exact(l, r))
     monkeypatch.setitem(_CONNECTIVES, FMax, counted)
+    return calls
+
+
+def test_exact_path_hoists_on_several_binders(monkeypatch):
+    # the w quantifier is memoised on x and loops over z once per x; no
+    # constant tells the points apart, so x takes one mask per popcount
+    calls = _count_fmax_calls(monkeypatch)
     for n in range(1, 5):
         calls.clear()
-        _assert_exact(phi, CStarAlgebraFin(n), {})
+        _assert_exact(_hoisting_sentence(CScale(0.5j, COne())), CStarAlgebraFin(n), {})
+        assert len(calls) == (n + 1) * 2**n  # per (popcount of x, z), not per (x, y, z)
+
+
+def test_exact_path_searches_every_mask_when_a_constant_tells_points_apart(monkeypatch):
+    calls = _count_fmax_calls(monkeypatch)
+    for n in range(1, 5):
+        calls.clear()
+        c = CConst(tuple(complex(0.5 * p, 0.25) for p in range(n)))
+        _assert_exact(_hoisting_sentence(c), CStarAlgebraFin(n), {})
         assert len(calls) == 4**n  # the w body once per (x, z), not per (x, y, z)
+
+
+def _recast_constants(node, recast):
+    """The node with every ``CConst`` under it replaced by ``recast(constant)``."""
+    if isinstance(node, CConst):
+        return recast(node)
+    if not isinstance(node, tuple):  # a name, a sort or a scalar
+        return node
+    return type(node)(*(_recast_constants(field, recast) for field in node[1:]))
+
+
+def test_exact_path_on_point_symmetric_random_formulas():
+    # no constant or parameter tells the points apart, so the outermost binder
+    # takes one mask per popcount; the values must still be the reference's
+    rng = random.Random(26)
+    for case in range(150):
+        n = rng.randint(1, 5)
+        A = CStarAlgebraFin(n)
+        recast = (lambda c: COne(), lambda c: CConst((c.values[0],) * n))[case % 2]
+        body = _random_formula(rng, n, rng.randint(2, 5), 2)
+        phi = _recast_constants(rng.choice((FSup, FInf))(rng.choice(TERM_NAMES), SORT_PROJ, body), recast)
+        params = {v: (random_element(rng, 1)[0],) * n for v in TERM_NAMES}
+        _assert_exact(phi, A, params)
+
+
+def test_exact_path_keeps_every_mask_for_one_deep_point_constant():
+    # only the innermost atom's constant tells the points apart: the sup over
+    # y is x's bit at point 0, so the value is 0, at x = (0, 1, ...).  Read by
+    # popcount from x = (1, 0, ...), every nonzero x would give 1.
+    x, y, z = CVar("x"), CVar("y"), CVar("z")
+    for n in range(2, 5):
+        c = CConst((1 + 0j,) + (0j,) * (n - 1))
+        phi = FInf("x", SORT_PROJ, FPlus(
+            FTruncSub(FConst(1.0), FNorm(x)),
+            FSup("y", SORT_PROJ, FInf("z", SORT_PROJ, FPlus(
+                FNorm(CSub(z, y)), FNorm(CMul(CMul(x, z), c))))),
+        ))
+        _assert_exact(phi, CStarAlgebraFin(n), {})
+        assert ceval(phi, CStarAlgebraFin(n)).lower == 0.0
 
 
 def test_exact_path_on_three_binders_with_partial_reads():

@@ -206,6 +206,22 @@ def test_ordinals_domain_and_budget():
         ef_ordinals(OMEGA, OMEGA, -1)
 
 
+def test_omega_power_cache_is_bounded_over_many_exponents():
+    # a long-lived process asking for fresh exponents keeps at most maxsize
+    # entries; every exponent still reads its orbit entry, the fixed point
+    # from the first repeat on
+    orbit = efgames._orbit(efgames._type_mul_omega, efgames._type_singleton(3))
+    cache = efgames._type_omega_power
+    cache.cache_clear()
+    for k in range(20_000):
+        assert cache(k, 3) == orbit[min(k, len(orbit) - 1)]
+        assert cache.cache_info().currsize <= cache.cache_info().maxsize
+    assert cache.cache_info().maxsize < 20_000
+    last = len(orbit) - 1  # omega**last is the first omega-power of the fixed type
+    assert ef_ordinals(omega_power(nat(19_999)), omega_power(nat(last)), 3) is True
+    assert ef_ordinals(omega_power(nat(last - 1)), omega_power(nat(last)), 3) is False
+
+
 def test_ordinals_large_domain_is_fast():
     big1 = osum(ord_mul(omega_power(OMEGA), nat(3)), omega_power(nat(5)), nat(7))
     big2 = osum(ord_mul(omega_power(OMEGA), nat(2)), omega_power(nat(5)), nat(7))
