@@ -50,6 +50,7 @@ __all__ = [
     "quantifier_rank",
     "free_variables",
     "fo_eval",
+    "check_exhaustive_budget",
     "sentence_corpus",
 ]
 
@@ -404,12 +405,17 @@ def fo_eval(phi, b: FiniteBoolAlg, assignment: dict[str, int] | None = None) -> 
                      if not (isinstance(a, int) and b.is_element(a)))
     if outside:
         raise PreconditionError(f"assigned values outside the algebra: {outside}")
-    cost = b.atom_count * rank
-    if cost > FO_EVAL_BUDGET_EXPONENT:
-        raise ResourceBudgetError(
-            f"exhaustive evaluation budget exceeded: 2**{cost} leaves"
-        )
+    check_exhaustive_budget(b.atom_count, rank)
     return decide(env)
+
+
+def check_exhaustive_budget(atoms: int, rank: int) -> None:
+    """Refuse a search over every element of a ``2**atoms``-element algebra
+    at each of ``rank`` nested quantifiers: :class:`ResourceBudgetError` when
+    ``atoms * rank`` exceeds ``FO_EVAL_BUDGET_EXPONENT``."""
+    cost = atoms * rank
+    if cost > FO_EVAL_BUDGET_EXPONENT:
+        raise ResourceBudgetError(f"exhaustive evaluation budget exceeded: 2**{cost} leaves")
 
 
 # ---------------------------------------------------------------------------

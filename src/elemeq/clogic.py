@@ -26,8 +26,8 @@ range over projections are evaluated exactly (the sort is finite), compiled
 once per call into closures that each return their values over every
 projection of the innermost enclosing quantifier (``_compile_exact``); when
 no constant or parameter tells the points apart, a point permutation fixes
-every value, and the outermost quantifier's body is evaluated at one
-projection for each number of points where it is 1.  The
+every value, and each quantifier's body is evaluated at one projection per
+orbit of the permutations that fix the projections it reads.  The
 continuous sorts are handled by deterministic branch-and-bound over per-point
 complex boxes, pruned by both rectangle arithmetic and the Lipschitz moduli,
 with a few witness candidates scored per box, all in one stacked exact walk
@@ -892,6 +892,28 @@ def _at_point(node, i: int, n: int):
     return node
 
 
+@lru_cache(maxsize=1024)
+def _orbits(n: int, fixed: tuple) -> tuple:
+    """The orbits of the n-point masks under the point permutations that fix
+    every mask in ``fixed``: (their representatives, and for each of the 2^n
+    masks the index of its own).  Such a permutation maps each group of points
+    with the same bits in ``fixed`` onto itself, so a mask's orbit is set by
+    how many points of each group it holds, and its representative, the first
+    met in mask order, is its smallest mask: the lowest points of each group."""
+    groups = {}  # the points of each group, as a mask
+    for p in range(n):
+        bits = tuple(m >> p & 1 for m in fixed)
+        groups[bits] = groups.get(bits, 0) | 1 << p
+    representatives, seen, index = [], {}, []
+    for mask in range(1 << n):
+        counts = tuple((mask & group).bit_count() for group in groups.values())
+        if counts not in seen:
+            seen[counts] = len(representatives)
+            representatives.append(mask)
+        index.append(seen[counts])
+    return tuple(representatives), tuple(index)
+
+
 def _compile_exact(phi, env, algebra):
     """Compile a projection-only formula into a function returning its value,
     with the free variables it found unassigned.
@@ -912,26 +934,35 @@ def _compile_exact(phi, env, algebra):
 
     When every atom that reads a mask has the same table at every point (no
     constant or parameter tells the points apart, as in every output of
-    ``translate_fo``), permuting the points permutes every list and leaves
-    each max and min unchanged: the values are maxima of ``abs`` outputs,
-    never nan or -0.0.  So the value at a mask of binder 0 depends only on
-    its popcount, and a quantifier looping over binder 0 runs its body at
-    the masks (1 << c) - 1 for c = 0..n and fills its list by popcount:
-    (n + 1) body calls instead of 2^n, with the same floats.
+    ``translate_fo``), permuting the points in every mask permutes every list
+    and keeps each value equal.  So a quantifier's values at two masks of its
+    loop are equal when a permutation fixing every mask its subformula reads
+    (``order``) maps one onto the other: it runs its body once per orbit, at
+    the orbit's smallest mask, and fills its list from those values
+    (``_orbits``).  Without an ``FConst(-0.0)`` every value is a float in
+    [0, inf] other than -0.0, so equal values are the same float.  With one,
+    a list can hold both zeros, and max and min keep the first extreme in
+    mask order, the smallest mask of its orbit under the permutations fixing
+    what the reducing binder reads.  At binder 0 those are all permutations,
+    as for the loop, so that extreme is a representative, whose value is
+    computed, not copied; deeper, a loop can fix fewer masks than its
+    reducing binder, so there only binder 0 takes orbits.  Either way the
+    floats are those of the full loop.  A search of more than
+    2**``boolalg.FO_EVAL_BUDGET_EXPONENT`` leaves (points times the rank as
+    given, read in the walk) raises before it runs, as ``fo_eval`` does.
     """
     n = algebra.point_count
-    masks, missing, symmetric = {}, set(), True
-    representatives = [(1 << count) - 1 for count in range(n + 1)]
-    popcounts = [mask.bit_count() for mask in range(1 << n)]
+    masks, missing, symmetric, negative_zero = {}, set(), True, False
+    everything, unfixed = range(1 << n), _orbits(n, ())
 
-    def build(phi, scope, depth):  # -> (function, the slots of masks it reads)
-        nonlocal symmetric
+    def build(phi, scope, depth):  # -> (function, the slots of masks it reads, its rank)
+        nonlocal symmetric, negative_zero
         size = 1 << n if depth else 1
         if isinstance(phi, FNorm):
             names = set(_term_names(phi.term))
             missing.update(names - scope.keys() - env.keys())
             if missing:  # the walk goes on only to name them all
-                return None, frozenset()
+                return None, frozenset(), 0
             bound = sorted(names & scope.keys())
             k = len(bound)
             # bit pattern b of the bound variables takes entries b*n to b*n + n - 1
@@ -942,7 +973,7 @@ def _compile_exact(phi, env, algebra):
             rows = [_no_nan(list(map(abs, values[p::n]))) for p in range(n)]
             if not k:
                 value = [max(row[0] for row in rows)] * size
-                return (lambda: value), frozenset()
+                return (lambda: value), frozenset(), 0
             symmetric = symmetric and rows.count(rows[0]) == n
             # spread[m] moves bit p of mask m to bit p*k + j of the index
             gather = [(scope[v], [sum((m >> p & 1) << (p * k + j) for p in range(n))
@@ -962,35 +993,39 @@ def _compile_exact(phi, env, algebra):
                     values = [c if c > v else v for c in (row[i], row[i | inner]) for v in values]
                 return values
 
-            return atom, frozenset(scope[v] for v in bound)
+            return atom, frozenset(scope[v] for v in bound), 0
         if isinstance(phi, FConst):
+            negative_zero = negative_zero or math.copysign(1.0, phi.value) < 0
             value = [phi.value] * size
-            return (lambda: value), frozenset()
+            return (lambda: value), frozenset(), 0
         if isinstance(phi, _BINARY_TYPES):
-            left, ls = build(phi.left, scope, depth)
-            right, rs = build(phi.right, scope, depth)
+            left, ls, lr = build(phi.left, scope, depth)
+            right, rs, rr = build(phi.right, scope, depth)
             op = _CONNECTIVES[type(phi)].exact
-            return (lambda: op(left(), right())), ls | rs
+            return (lambda: op(left(), right())), ls | rs, max(lr, rr)
         if isinstance(phi, FScale):  # an exact zero scaling gives 0, as on the interval path
-            (arg, slots), scalar = build(phi.arg, scope, depth), phi.scalar
-            return (lambda: [scalar * v for v in arg()] if scalar else [0.0] * size), slots
+            (arg, slots, rank), scalar = build(phi.arg, scope, depth), phi.scalar
+            return (lambda: [scalar * v for v in arg()] if scalar else [0.0] * size), slots, rank
         if not isinstance(phi, _QUANT_TYPES):
             raise PreconditionError(f"not a formula: {phi!r}")
-        body, slots = build(phi.body, {**scope, phi.var: depth}, depth + 1)
+        body, slots, rank = build(phi.body, {**scope, phi.var: depth}, depth + 1)
         slots, combine, outer = slots - {depth}, max if isinstance(phi, FSup) else min, depth - 1
+        order = sorted(slots - {outer})
 
-        def quant():  # on symmetric input, binder 0 takes one mask per popcount
-            orbits = symmetric and not outer
+        def quant():  # on symmetric input, one mask per orbit of the permutations fixing order
+            if not symmetric or outer and negative_zero:
+                representatives, index = everything, None
+            else:
+                representatives, index = _orbits(n, tuple([masks[s] for s in order])) if order else unfixed
             values = []
-            for mask in representatives if orbits else range(1 << n):
+            for mask in representatives:
                 masks[outer] = mask
                 values.append(combine(body()))
-            return [values[count] for count in popcounts] if orbits else values
+            return values if index is None else [values[i] for i in index]
 
         run = quant if outer in slots else (lambda: [combine(body())] * size)
-        order = sorted(slots - {outer})
         if len(order) >= depth - 1:  # reads every binder an ancestor may loop over
-            return run, slots
+            return run, slots, rank + 1
         memo = {}
 
         def hoisted():  # memoised on the masks it reads, for this compile only
@@ -1001,10 +1036,12 @@ def _compile_exact(phi, env, algebra):
                 memo[key] = run()
             return memo[key]
 
-        return hoisted, slots
+        return hoisted, slots, rank + 1
 
-    value = build(phi, {}, 0)[0]
+    value, _, rank = build(phi, {}, 0)
     del build  # it refers to itself: unbound here, it is freed without the cyclic collector
+    if not missing:
+        boolalg.check_exhaustive_budget(n, rank)
     return value, missing
 
 
@@ -1020,8 +1057,10 @@ def ceval(
     Free variables must be assigned concrete elements through ``params``.
     Projection-sorted quantifiers are evaluated exactly; continuous sorts go
     through deterministic branch-and-bound; on a formula whose constants and
-    parameters are the same at every point, the exact path evaluates the
-    outermost quantifier's body once per popcount of its projection.  On
+    parameters are the same at every point, the exact path evaluates each
+    quantifier's body once per orbit of the point permutations fixing the
+    projections it reads, and it refuses a search that ``fo_eval`` would,
+    with a resource error, before running it.  On
     more than one point, a formula whose connectives are max, scaling, and
     sums, min or truncated subtractions A - c with a constant c, is
     searched one point at a time: its value is the max over the points of

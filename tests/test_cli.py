@@ -598,6 +598,17 @@ def test_cli_ceval_ok_and_budget(capsys):
     assert certificate["lower"] <= 0.25 <= certificate["upper"]
 
 
+def test_cli_ceval_over_the_exhaustive_budget_is_exit_four(capsys):
+    # 5 points times rank 5 exceeds the exponent 24 that fo_eval allows
+    phi = "(sup a :proj (sup b :proj (sup c :proj (sup d :proj (sup e :proj (norm (- a e)))))))"
+    code, out, _ = run_cli(capsys, ["ceval", phi, "--points", "5", "--json"])
+    assert code == EXIT_BUDGET
+    assert json.loads(out) == {"verb": "ceval", "inputs": {"formula": phi, "points": 5, "tol": 1e-6, "params": {}},
+                               "error": "resource budget exceeded"}
+    code, out, _ = run_cli(capsys, ["ceval", phi, "--points", "4", "--json"])
+    assert code == EXIT_OK and json.loads(out)["certificate"]["lower"] == 1.0
+
+
 def test_cli_ceval_with_parameter(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -994,12 +994,16 @@ def _count_fmax_calls(monkeypatch):
 
 def test_exact_path_hoists_on_several_binders(monkeypatch):
     # the w quantifier is memoised on x and loops over z once per x; no
-    # constant tells the points apart, so x takes one mask per popcount
+    # constant tells the points apart, so x takes one mask per popcount c, and
+    # z one mask per orbit of the permutations fixing x: c + 1 counts of z on
+    # x's c points times n - c + 1 on the others.  Summed over c = 0..n, that
+    # is C(n + 3, 3), the (x, z) pairs up to a permutation of the points.
     calls = _count_fmax_calls(monkeypatch)
     for n in range(1, 5):
         calls.clear()
         _assert_exact(_hoisting_sentence(CScale(0.5j, COne())), CStarAlgebraFin(n), {})
-        assert len(calls) == (n + 1) * 2**n  # per (popcount of x, z), not per (x, y, z)
+        assert sum((c + 1) * (n - c + 1) for c in range(n + 1)) == math.comb(n + 3, 3)
+        assert len(calls) == math.comb(n + 3, 3)  # 4, 10, 20, 35, not 4**n
 
 
 def test_exact_path_searches_every_mask_when_a_constant_tells_points_apart(monkeypatch):
@@ -1048,6 +1052,181 @@ def test_exact_path_keeps_every_mask_for_one_deep_point_constant():
         ))
         _assert_exact(phi, CStarAlgebraFin(n), {})
         assert ceval(phi, CStarAlgebraFin(n)).lower == 0.0
+
+
+def test_orbits_are_the_point_permutation_orbits_with_their_smallest_masks():
+    rng = random.Random(27)
+    for n in range(1, 7):
+        permutations = list(itertools.permutations(range(n)))
+
+        def image(perm, mask):
+            return sum((mask >> p & 1) << perm[p] for p in range(n))
+
+        for case in range(8):
+            # random masks, most of them no orbit's smallest, and a repeated one
+            fixed = tuple(rng.randrange(1 << n) for _ in range(case % 4))
+            fixed += fixed[:case // 4 % 2]
+            representatives, index = clogic._orbits(n, fixed)
+            stabiliser = [perm for perm in permutations if all(image(perm, f) == f for f in fixed)]
+            orbits = {frozenset(image(perm, m) for perm in stabiliser) for m in range(1 << n)}
+            assert sorted(map(min, orbits)) == sorted(representatives)  # one each, its smallest
+            column = [tuple(f >> p & 1 for f in fixed) for p in range(n)]
+            groups = [sum(1 << p for p in range(n) if column[p] == c) for c in set(column)]
+            for m in range(1 << n):
+                r = representatives[index[m]]
+                assert [(m & g).bit_count() for g in groups] == [(r & g).bit_count() for g in groups]
+                assert any(m in orbit and r in orbit for orbit in orbits)
+
+
+def test_orbit_cache_is_bounded_over_many_keys():
+    cache = clogic._orbits
+    cache.cache_clear()
+    for key in range(3 * cache.cache_info().maxsize):
+        representatives, index = cache(6, (key % 64, key // 64))
+        assert len(index) == 64 and representatives[index[key % 64]] <= key % 64
+        assert cache.cache_info().currsize <= cache.cache_info().maxsize
+
+
+def _searched_in_full(phi, n):
+    """``phi`` with a value-neutral atom that tells the points apart put into
+    every innermost quantifier's body: the exact path then searches every mask
+    of every binder, and no value changes (every value is at least 0 or -0.0,
+    and max keeps its left side on a tie)."""
+    c = CConst(tuple(complex(p + 1) for p in range(n)))
+
+    def walk(node):  # the node itself when no quantifier is under it
+        if isinstance(node, (FSup, FInf)):
+            body = walk(node.body)
+            if body is node.body:
+                body = FMax(body, FScale(0.0, FNorm(CMul(c, CVar(node.var)))))
+            return type(node)(node.var, node.sort, body)
+        if isinstance(node, (FPlus, FTruncSub, FMax, FMin, FAbsDiff)):
+            left, right = walk(node.left), walk(node.right)
+            return node if left is node.left and right is node.right else type(node)(left, right)
+        if isinstance(node, FScale):
+            arg = walk(node.arg)
+            return node if arg is node.arg else FScale(node.scalar, arg)
+        return node
+
+    return walk(phi)
+
+
+def _assert_bits_of_full_search(phi, A):
+    ends = [(cert.lower.hex(), cert.upper.hex())
+            for cert in (ceval(phi, A), ceval(_searched_in_full(phi, A.point_count), A))]
+    assert ends[0] == ends[1], phi
+    return ends[0][0]
+
+
+def _symmetric_term(rng, bound, depth):
+    if depth == 0 or rng.random() < 0.35:
+        pick = rng.randrange(len(bound) + 2)
+        if pick < len(bound):
+            return CVar(bound[pick])
+        return (COne(), CScale(rng.choice((0.5, -1j)), COne()))[pick - len(bound)]
+    kind = rng.randrange(5)
+    if kind == 0:
+        return CStar(_symmetric_term(rng, bound, depth - 1))
+    if kind == 1:
+        return CScale(rng.choice((0.5, -2.0, 1j)), _symmetric_term(rng, bound, depth - 1))
+    op = (CAdd, CSub, CMul)[kind - 2]
+    return op(_symmetric_term(rng, bound, depth - 1), _symmetric_term(rng, bound, depth - 1))
+
+
+def _symmetric_formula(rng, bound, rank, depth, constants):
+    """A projection-only formula over the names ``bound`` with at most ``rank``
+    nested quantifiers, each binding a fresh name, and formula constants drawn
+    from ``constants``; no constant tells the points apart."""
+    if depth == 0 or rng.random() < 0.1:
+        if not bound or rng.random() < 0.2:
+            return FConst(rng.choice(constants))
+        return FNorm(_symmetric_term(rng, bound, 2))
+    if rank and rng.random() < 0.5:
+        var = f"v{len(bound)}"
+        body = _symmetric_formula(rng, bound + (var,), rank - 1, depth - 1, constants)
+        return rng.choice((FSup, FInf))(var, SORT_PROJ, body)
+    kind = rng.randrange(6)
+    if kind == 5:
+        arg = _symmetric_formula(rng, bound, rank, depth - 1, constants)
+        return FScale(rng.choice((0.0, 0.5, 2.0)), arg)
+    op = (FPlus, FTruncSub, FMax, FMin, FAbsDiff)[kind]
+    return op(_symmetric_formula(rng, bound, rank, depth - 1, constants),
+              _symmetric_formula(rng, bound, rank, depth - 1, constants))
+
+
+def test_exact_path_orbits_keep_the_floats_of_the_full_search():
+    # rank 4 on up to 4 points and rank 3 on 5 and 6, where the full search of
+    # a rank-4 formula takes seconds; one formula in four may hold an
+    # FConst(-0.0), and then takes orbits at binder 0 only
+    rng = random.Random(27)
+    for case in range(200):
+        n = rng.randint(1, 6)
+        rank, constants = min(4, 18 // n), (0.0, 0.5, 1.0) + (-0.0,) * (case % 4 == 0)
+        phi = _symmetric_formula(rng, (), rank, rank + 3, constants)
+        _assert_bits_of_full_search(phi, CStarAlgebraFin(n))
+
+
+def test_exact_path_orbits_pair_values_by_the_masks_a_loop_fixes():
+    # at x = 1 (point 0 only), the atom is 0 at y = ~x alone, where the sup
+    # over z, |x y|, is 0; the smallest mask with as many points as ~x holds
+    # point 0, so had the z loop taken its orbits under every permutation, not
+    # only those fixing x, the inf over y and the sup over x would be 1
+    x, y, z = CVar("x"), CVar("y"), CVar("z")
+    phi = FSup("x", SORT_PROJ, FInf("y", SORT_PROJ, FPlus(
+        FNorm(CSub(y, CSub(COne(), x))), FSup("z", SORT_PROJ, FNorm(CMul(CMul(x, y), z))))))
+    for n in range(2, 6):
+        assert _assert_bits_of_full_search(phi, CStarAlgebraFin(n)) == 0.0.hex()
+
+
+def test_exact_path_orbits_keep_the_sign_of_a_zero():
+    # under inf x inf y, y = 0 and x = 0 give 1; at every other mask y the
+    # body is -0.0 where x meets y and 0.0 elsewhere, so the first one-point
+    # y, point 0, gives -0.0 exactly when x holds point 0.  The first x of
+    # popcount 1, x = 1, does: an x holding only the last point gives 0.0.
+    x, y = CVar("x"), CVar("y")
+    phi = FInf("x", SORT_PROJ, FMax(
+        FInf("y", SORT_PROJ, FMax(FMin(FNorm(CMul(x, y)), FConst(-0.0)),
+                                  FTruncSub(FConst(1.0), FNorm(y)))),
+        FTruncSub(FConst(1.0), FNorm(x))))
+    for n in range(2, 6):
+        assert _assert_bits_of_full_search(phi, CStarAlgebraFin(n)) == (-0.0).hex()
+
+
+def test_exact_path_with_a_signed_zero_keeps_every_mask_below_binder_0():
+    # the z loop reads only y, so its orbits under all permutations hold y = 01
+    # and y = 10; its value there is 0.0 and -0.0 (the first z where the body
+    # is 0 is 01, equal to y = 01 and not to y = 10).  The y loop fixes x, and
+    # at x = 01 its first minimum is y = 10, so read from y = 01 the value
+    # would be 0.0.  With an FConst(-0.0), only binder 0 takes orbits.
+    x, y, z = CVar("x"), CVar("y"), CVar("z")
+    inf_z = FInf("z", SORT_PROJ, FMax(FMin(FNorm(CSub(z, y)), FConst(-0.0)),
+                                      FAbsDiff(FNorm(z), FNorm(CSub(COne(), z)))))
+    phi = FInf("x", SORT_PROJ, FMax(
+        FInf("y", SORT_PROJ, FMax(inf_z, FNorm(CSub(y, CSub(COne(), x))))),
+        FTruncSub(FConst(1.0), FNorm(x))))
+    assert _assert_bits_of_full_search(phi, CStarAlgebraFin(2)) == (-0.0).hex()
+
+
+def test_exact_path_refuses_more_search_than_the_budget_before_running():
+    # points x rank above boolalg.FO_EVAL_BUDGET_EXPONENT (24) raises before any
+    # body runs, with fo_eval's message; the rank is counted as given, so an
+    # outer binder that an inner one of the same name shadows counts too
+
+    def chain(names, c):  # sup over each name in turn of |c (sum of the names)|
+        term = CVar(names[0])
+        for v in names[1:]:
+            term = CAdd(term, CVar(v))
+        phi = FNorm(CMul(c, term))
+        for v in reversed(names):
+            phi = FSup(v, SORT_PROJ, phi)
+        return phi
+
+    for names, n, exponent in (("abcde", 6, 30), ("abcdd", 5, 25), ("abbbb", 6, 30)):
+        phi = chain(names, CConst(tuple(complex(p) for p in range(n))))
+        with pytest.raises(ResourceBudgetError, match=rf"^exhaustive evaluation budget exceeded: 2\*\*{exponent} leaves$"):
+            ceval(phi, CStarAlgebraFin(n))
+    # at the budget, a rank-4 sentence runs on 6 points
+    assert ceval(chain("abcd", COne()), CStarAlgebraFin(6)).lower == 4.0
 
 
 def test_exact_path_on_three_binders_with_partial_reads():
@@ -1348,3 +1527,12 @@ def test_translation_bridge_sampled():
             truth = fo_eval(phi, b)
             value = ceval(translate_fo(phi), A, {}, 1e-6).lower
             assert value == (0.0 if truth else 1.0)
+
+
+def test_translation_bridge_on_five_and_six_points():
+    # orbits under the masks each binder reads make rank 3 on 6 points cheap
+    for n in (5, 6):
+        b, A = FiniteBoolAlg(n), CStarAlgebraFin(n)
+        for phi in sentence_corpus(100):
+            value = ceval(translate_fo(phi), A, {}, 1e-6).lower
+            assert value == (0.0 if fo_eval(phi, b) else 1.0), phi
