@@ -847,12 +847,14 @@ def _cmd_translate(args):
 
 
 def _assignments(pairs, option: str, usage: str, parse) -> dict:
-    """The ``NAME=VALUE`` pairs of a repeated option as a dict, each value parsed."""
+    """The ``NAME=VALUE`` pairs of a repeated option as a dict, each value parsed, each name once."""
     out = {}
     for pair in pairs or []:
         name, _, value = pair.partition("=")
         if not name or not value:
             raise ParseError(f"bad {option} {pair!r} (use {usage})")
+        if name in out:
+            raise ParseError(f"{option} names {name!r} twice")
         out[name] = parse(value)
     return out
 

@@ -24,10 +24,10 @@ and ``math`` here and from numpy there, so this module never imports numpy.
 Evaluation returns an enclosure certificate.  Formulas whose quantifiers all
 range over projections are evaluated exactly (the sort is finite), compiled
 once per call into closures that each return their values over every
-projection of the innermost enclosing quantifier (``_compile_exact``); when
-no constant or parameter tells the points apart, a point permutation fixes
-every value, and each quantifier's body is evaluated at one projection per
-orbit of the permutations that fix the projections it reads.  The
+projection of the innermost enclosing quantifier (``_compile_exact``); points
+no constant or parameter tells apart share a colour, and each quantifier's
+body runs at one projection per orbit of the point permutations within the
+colours that fix the projections it reads.  The
 continuous sorts are handled by deterministic branch-and-bound over per-point
 complex boxes, pruned by both rectangle arithmetic and the Lipschitz moduli,
 with a few witness candidates scored per box, all in one stacked exact walk
@@ -184,9 +184,10 @@ class FNorm(Frozen):
 class FConst(Frozen):
     value: float
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.value <= 1:
+    def __new__(cls, value):  # stores -0.0 as 0.0, so that no exact-path value is -0.0
+        if not 0 <= value <= 1:
             raise PreconditionError("formula constants must lie in [0, 1]")
+        return Frozen.__new__(cls, value + 0.0)
 
 
 class FPlus(_Pair):
@@ -932,31 +933,26 @@ def _compile_exact(phi, env, algebra):
     node-by-node evaluation.  The walk finds the atoms' variables itself, off
     the free-variable memos.
 
-    When every atom that reads a mask has the same table at every point (no
-    constant or parameter tells the points apart, as in every output of
-    ``translate_fo``), permuting the points in every mask permutes every list
-    and keeps each value equal.  So a quantifier's values at two masks of its
-    loop are equal when a permutation fixing every mask its subformula reads
-    (``order``) maps one onto the other: it runs its body once per orbit, at
-    the orbit's smallest mask, and fills its list from those values
-    (``_orbits``).  Without an ``FConst(-0.0)`` every value is a float in
-    [0, inf] other than -0.0, so equal values are the same float.  With one,
-    a list can hold both zeros, and max and min keep the first extreme in
-    mask order, the smallest mask of its orbit under the permutations fixing
-    what the reducing binder reads.  At binder 0 those are all permutations,
-    as for the loop, so that extreme is a representative, whose value is
-    computed, not copied; deeper, a loop can fix fewer masks than its
-    reducing binder, so there only binder 0 takes orbits.  Either way the
-    floats are those of the full loop.  A search of more than
-    2**``boolalg.FO_EVAL_BUDGET_EXPONENT`` leaves (points times the rank as
-    given, read in the walk) raises before it runs, as ``fo_eval`` does.
+    Two points share a colour when every atom that reads a mask has the same
+    table at both, as points do that no constant or parameter tells apart (in
+    every output of ``translate_fo``, all points).  A permutation within the
+    colours keeps every table, so, applied to every mask, it permutes every
+    list and keeps each value equal.  So a quantifier runs its body once per
+    orbit of the permutations within the colours that fix every mask its
+    subformula reads (``order``), at the orbit's smallest mask, and fills its
+    list from those values (``_orbits``, fixing one mask per colour but point
+    0's).  Every value is ``abs`` output, an ``FConst`` (which stores -0.0 as
+    0.0), or a sum, truncated difference, max, min or nonnegative scaling of
+    such values, so none is -0.0 and equal values are the same float: the
+    floats are those of the full loop, where every colour holds one point.  A
+    search of more than 2**``boolalg.FO_EVAL_BUDGET_EXPONENT`` leaves (points
+    times the rank as given, read in the walk) raises before it runs, as
+    ``fo_eval`` does.
     """
     n = algebra.point_count
-    masks, missing, symmetric, negative_zero = {}, set(), True, False
-    everything, unfixed = range(1 << n), _orbits(n, ())
+    masks, missing, tables = {}, set(), []  # tables: each mask-reading atom's rows
 
     def build(phi, scope, depth):  # -> (function, the slots of masks it reads, its rank)
-        nonlocal symmetric, negative_zero
         size = 1 << n if depth else 1
         if isinstance(phi, FNorm):
             names = set(_term_names(phi.term))
@@ -974,7 +970,7 @@ def _compile_exact(phi, env, algebra):
             if not k:
                 value = [max(row[0] for row in rows)] * size
                 return (lambda: value), frozenset(), 0
-            symmetric = symmetric and rows.count(rows[0]) == n
+            tables.append(rows)
             # spread[m] moves bit p of mask m to bit p*k + j of the index
             gather = [(scope[v], [sum((m >> p & 1) << (p * k + j) for p in range(n))
                                   for m in range(1 << n)])
@@ -995,7 +991,6 @@ def _compile_exact(phi, env, algebra):
 
             return atom, frozenset(scope[v] for v in bound), 0
         if isinstance(phi, FConst):
-            negative_zero = negative_zero or math.copysign(1.0, phi.value) < 0
             value = [phi.value] * size
             return (lambda: value), frozenset(), 0
         if isinstance(phi, _BINARY_TYPES):
@@ -1012,16 +1007,13 @@ def _compile_exact(phi, env, algebra):
         slots, combine, outer = slots - {depth}, max if isinstance(phi, FSup) else min, depth - 1
         order = sorted(slots - {outer})
 
-        def quant():  # on symmetric input, one mask per orbit of the permutations fixing order
-            if not symmetric or outer and negative_zero:
-                representatives, index = everything, None
-            else:
-                representatives, index = _orbits(n, tuple([masks[s] for s in order])) if order else unfixed
+        def quant():  # one mask per orbit of the permutations fixing the colours and order
+            representatives, index = _orbits(n, (*colours, *[masks[s] for s in order])) if order else unfixed
             values = []
             for mask in representatives:
                 masks[outer] = mask
                 values.append(combine(body()))
-            return values if index is None else [values[i] for i in index]
+            return [values[i] for i in index]
 
         run = quant if outer in slots else (lambda: [combine(body())] * size)
         if len(order) >= depth - 1:  # reads every binder an ancestor may loop over
@@ -1040,6 +1032,10 @@ def _compile_exact(phi, env, algebra):
 
     value, _, rank = build(phi, {}, 0)
     del build  # it refers to itself: unbound here, it is freed without the cyclic collector
+    signatures = list(zip(*tables))  # each point's rows; one mask per colour, from its first point but 0
+    colours = tuple([sum(1 << q for q, t in enumerate(signatures) if t == s)
+                     for p, s in enumerate(signatures) if p and signatures.index(s) == p])
+    unfixed = _orbits(n, colours)
     if not missing:
         boolalg.check_exhaustive_budget(n, rank)
     return value, missing
@@ -1056,11 +1052,11 @@ def ceval(
 
     Free variables must be assigned concrete elements through ``params``.
     Projection-sorted quantifiers are evaluated exactly; continuous sorts go
-    through deterministic branch-and-bound; on a formula whose constants and
-    parameters are the same at every point, the exact path evaluates each
-    quantifier's body once per orbit of the point permutations fixing the
-    projections it reads, and it refuses a search that ``fo_eval`` would,
-    with a resource error, before running it.  On
+    through deterministic branch-and-bound; points that no constant or
+    parameter tells apart share a colour, and the exact path evaluates each
+    quantifier's body once per orbit of the point permutations within the
+    colours fixing the projections it reads, and it refuses a search that
+    ``fo_eval`` would, with a resource error, before running it.  On
     more than one point, a formula whose connectives are max, scaling, and
     sums, min or truncated subtractions A - c with a constant c, is
     searched one point at a time: its value is the max over the points of

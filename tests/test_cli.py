@@ -668,6 +668,11 @@ def test_cli_ceval_rejects_an_overflowed_value(capsys, formula):
          "bad --sort '=sa' (use variable=ball|sa|pos)"),
         (["realize", "--cond", "x in {0.9}", "--points", "1", "--tol", "0.01", "--sort", "y=pos"],
          "--sort names 'y', which no --cond uses"),
+        (["ceval", "(norm x)", "--points", "1", "--param", "x=1", "--param", "x=2"],
+         "--param names 'x' twice"),
+        (["realize", "--cond", "x in [0,1]", "--points", "1", "--tol", "0.1", "--sort", "x=sa",
+          "--sort", "x=pos"],
+         "--sort names 'x' twice"),
     ],
 )
 def test_cli_malformed_name_value_option_is_exit_two(capsys, argv, message):

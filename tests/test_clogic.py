@@ -992,27 +992,30 @@ def _count_fmax_calls(monkeypatch):
     return calls
 
 
-def test_exact_path_hoists_on_several_binders(monkeypatch):
-    # the w quantifier is memoised on x and loops over z once per x; no
-    # constant tells the points apart, so x takes one mask per popcount c, and
-    # z one mask per orbit of the permutations fixing x: c + 1 counts of z on
-    # x's c points times n - c + 1 on the others.  Summed over c = 0..n, that
-    # is C(n + 3, 3), the (x, z) pairs up to a permutation of the points.
-    calls = _count_fmax_calls(monkeypatch)
-    for n in range(1, 5):
-        calls.clear()
-        _assert_exact(_hoisting_sentence(CScale(0.5j, COne())), CStarAlgebraFin(n), {})
-        assert sum((c + 1) * (n - c + 1) for c in range(n + 1)) == math.comb(n + 3, 3)
-        assert len(calls) == math.comb(n + 3, 3)  # 4, 10, 20, 35, not 4**n
-
-
-def test_exact_path_searches_every_mask_when_a_constant_tells_points_apart(monkeypatch):
-    calls = _count_fmax_calls(monkeypatch)
-    for n in range(1, 5):
-        calls.clear()
-        c = CConst(tuple(complex(0.5 * p, 0.25) for p in range(n)))
-        _assert_exact(_hoisting_sentence(c), CStarAlgebraFin(n), {})
-        assert len(calls) == 4**n  # the w body once per (x, z), not per (x, y, z)
+@pytest.mark.parametrize("sizes", [
+    (1,), (2,), (1, 1), (3,), (2, 1), (1, 2), (1, 1, 1), (4,), (3, 1), (1, 3), (2, 2), (2, 1, 1),
+    (1, 1, 1, 1), (5,), (4, 1), (3, 2), (2, 3), (3, 1, 1), (2, 2, 1), (1, 2, 2), (2, 1, 1, 1),
+    (1, 1, 1, 1, 1),
+], ids=lambda sizes: "-".join(map(str, sizes)))
+def test_exact_path_hoists_once_per_orbit_of_the_colour_classes(monkeypatch, sizes):
+    # the constant takes one value per class of points, consecutive classes of
+    # the given sizes, and its atom tells the classes apart, so they are the
+    # colours.  The w quantifier is memoised on (x, z) and runs its body once
+    # per pair; x takes one mask per orbit of the permutations within the
+    # classes: c_i of the a_i points of class i, for each i.  z takes one per
+    # orbit of those that also fix x: per class, c_i + 1 counts on x's points
+    # times a_i - c_i + 1 on the others.  Summed over c_i = 0..a_i, that is
+    # C(a_i + 3, 3), and the classes multiply: one class of n points gives
+    # C(n + 3, 3) (4, 10, 20, 35, 56), n classes of one point 4**n, every (x, z).
+    n, calls = sum(sizes), _count_fmax_calls(monkeypatch)
+    c = CConst(tuple(complex(0.5 * i, 0.25) for i, a in enumerate(sizes) for _ in range(a)))
+    phi, A = _hoisting_sentence(c), CStarAlgebraFin(n)
+    ceval(phi, A)
+    assert all(sum((k + 1) * (a - k + 1) for k in range(a + 1)) == math.comb(a + 3, 3) for a in sizes)
+    assert len(calls) == math.prod(math.comb(a + 3, 3) for a in sizes)
+    _assert_bits_of_full_search(phi, A)  # the twin searches in full, as the counts at 1-1-1-1(-1) show
+    if n < 4 or sizes in ((4,), (1, 1, 1, 1)):  # the reference walks 2**(4n) leaves
+        _assert_exact(phi, A, {})
 
 
 def _recast_constants(node, recast):
@@ -1038,10 +1041,12 @@ def test_exact_path_on_point_symmetric_random_formulas():
         _assert_exact(phi, A, params)
 
 
-def test_exact_path_keeps_every_mask_for_one_deep_point_constant():
-    # only the innermost atom's constant tells the points apart: the sup over
-    # y is x's bit at point 0, so the value is 0, at x = (0, 1, ...).  Read by
-    # popcount from x = (1, 0, ...), every nonzero x would give 1.
+def test_exact_path_orbits_fix_the_point_one_deep_constant_tells_apart():
+    # only the innermost atom's constant tells the points apart, point 0 from
+    # the others, so every loop takes the orbits of the permutations fixing
+    # point 0: the sup over y is x's bit at point 0, so the value is 0, at
+    # x = (0, 1, ...).  Read by popcount from x = (1, 0, ...), every nonzero x
+    # would give 1.
     x, y, z = CVar("x"), CVar("y"), CVar("z")
     for n in range(2, 5):
         c = CConst((1 + 0j,) + (0j,) * (n - 1))
@@ -1090,8 +1095,8 @@ def test_orbit_cache_is_bounded_over_many_keys():
 def _searched_in_full(phi, n):
     """``phi`` with a value-neutral atom that tells the points apart put into
     every innermost quantifier's body: the exact path then searches every mask
-    of every binder, and no value changes (every value is at least 0 or -0.0,
-    and max keeps its left side on a tie)."""
+    of every binder, and no value changes (every value is at least 0.0, and
+    max keeps its left side on a tie)."""
     c = CConst(tuple(complex(p + 1) for p in range(n)))
 
     def walk(node):  # the node itself when no quantifier is under it
@@ -1118,52 +1123,63 @@ def _assert_bits_of_full_search(phi, A):
     return ends[0][0]
 
 
-def _symmetric_term(rng, bound, depth):
+def _symmetric_term(rng, bound, depth, c):
     if depth == 0 or rng.random() < 0.35:
-        pick = rng.randrange(len(bound) + 2)
+        pick = rng.randrange(len(bound) + 2 + (c is not None))
         if pick < len(bound):
             return CVar(bound[pick])
-        return (COne(), CScale(rng.choice((0.5, -1j)), COne()))[pick - len(bound)]
+        return (COne(), CScale(rng.choice((0.5, -1j)), COne()), c)[pick - len(bound)]
     kind = rng.randrange(5)
     if kind == 0:
-        return CStar(_symmetric_term(rng, bound, depth - 1))
+        return CStar(_symmetric_term(rng, bound, depth - 1, c))
     if kind == 1:
-        return CScale(rng.choice((0.5, -2.0, 1j)), _symmetric_term(rng, bound, depth - 1))
+        return CScale(rng.choice((0.5, -2.0, 1j)), _symmetric_term(rng, bound, depth - 1, c))
     op = (CAdd, CSub, CMul)[kind - 2]
-    return op(_symmetric_term(rng, bound, depth - 1), _symmetric_term(rng, bound, depth - 1))
+    return op(_symmetric_term(rng, bound, depth - 1, c), _symmetric_term(rng, bound, depth - 1, c))
 
 
-def _symmetric_formula(rng, bound, rank, depth, constants):
+def _symmetric_formula(rng, bound, rank, depth, constants, c=None):
     """A projection-only formula over the names ``bound`` with at most ``rank``
     nested quantifiers, each binding a fresh name, and formula constants drawn
-    from ``constants``; no constant tells the points apart."""
+    from ``constants``; no constant tells the points apart but ``c``, an
+    element the atoms may hold when it is given."""
     if depth == 0 or rng.random() < 0.1:
         if not bound or rng.random() < 0.2:
             return FConst(rng.choice(constants))
-        return FNorm(_symmetric_term(rng, bound, 2))
+        return FNorm(_symmetric_term(rng, bound, 2, c))
     if rank and rng.random() < 0.5:
         var = f"v{len(bound)}"
-        body = _symmetric_formula(rng, bound + (var,), rank - 1, depth - 1, constants)
+        body = _symmetric_formula(rng, bound + (var,), rank - 1, depth - 1, constants, c)
         return rng.choice((FSup, FInf))(var, SORT_PROJ, body)
     kind = rng.randrange(6)
     if kind == 5:
-        arg = _symmetric_formula(rng, bound, rank, depth - 1, constants)
+        arg = _symmetric_formula(rng, bound, rank, depth - 1, constants, c)
         return FScale(rng.choice((0.0, 0.5, 2.0)), arg)
     op = (FPlus, FTruncSub, FMax, FMin, FAbsDiff)[kind]
-    return op(_symmetric_formula(rng, bound, rank, depth - 1, constants),
-              _symmetric_formula(rng, bound, rank, depth - 1, constants))
+    return op(_symmetric_formula(rng, bound, rank, depth - 1, constants, c),
+              _symmetric_formula(rng, bound, rank, depth - 1, constants, c))
 
 
 def test_exact_path_orbits_keep_the_floats_of_the_full_search():
     # rank 4 on up to 4 points and rank 3 on 5 and 6, where the full search of
     # a rank-4 formula takes seconds; one formula in four may hold an
-    # FConst(-0.0), and then takes orbits at binder 0 only
+    # FConst(-0.0), which is stored as 0.0.  From case 200 on, the atoms may
+    # also hold a constant with two or three values across the points, so the
+    # loops take the orbits of the permutations within its classes of points.
     rng = random.Random(27)
-    for case in range(200):
+    for case in range(320):
         n = rng.randint(1, 6)
         rank, constants = min(4, 18 // n), (0.0, 0.5, 1.0) + (-0.0,) * (case % 4 == 0)
-        phi = _symmetric_formula(rng, (), rank, rank + 3, constants)
+        c = None
+        if case >= 200 and n > 1:
+            values = (0.5 + 0j, -1j, 2 + 0j)[:rng.randint(2, min(3, n))]
+            pattern = [*values, *(rng.choice(values) for _ in range(n - len(values)))]
+            rng.shuffle(pattern)
+            c = CConst(tuple(pattern))
+        phi = _symmetric_formula(rng, (), rank, rank + 3, constants, c)
         _assert_bits_of_full_search(phi, CStarAlgebraFin(n))
+        if c and n * rank <= 12:  # the twin is a full search only if the colours are right
+            _assert_exact(phi, CStarAlgebraFin(n), {})
 
 
 def test_exact_path_orbits_pair_values_by_the_masks_a_loop_fixes():
@@ -1180,31 +1196,43 @@ def test_exact_path_orbits_pair_values_by_the_masks_a_loop_fixes():
 
 def test_exact_path_orbits_keep_the_sign_of_a_zero():
     # under inf x inf y, y = 0 and x = 0 give 1; at every other mask y the
-    # body is -0.0 where x meets y and 0.0 elsewhere, so the first one-point
-    # y, point 0, gives -0.0 exactly when x holds point 0.  The first x of
-    # popcount 1, x = 1, does: an x holding only the last point gives 0.0.
+    # body is 0.0, since FConst stores -0.0 as 0.0.  Were its sign kept, the
+    # body would be -0.0 where x meets y, so the first one-point y, point 0,
+    # would give -0.0 exactly when x holds point 0: the first x of popcount 1,
+    # x = 1, would give -0.0, and an x holding only the last point 0.0.
     x, y = CVar("x"), CVar("y")
     phi = FInf("x", SORT_PROJ, FMax(
         FInf("y", SORT_PROJ, FMax(FMin(FNorm(CMul(x, y)), FConst(-0.0)),
                                   FTruncSub(FConst(1.0), FNorm(y)))),
         FTruncSub(FConst(1.0), FNorm(x))))
     for n in range(2, 6):
-        assert _assert_bits_of_full_search(phi, CStarAlgebraFin(n)) == (-0.0).hex()
+        assert _assert_bits_of_full_search(phi, CStarAlgebraFin(n)) == 0.0.hex()
 
 
 def test_exact_path_with_a_signed_zero_keeps_every_mask_below_binder_0():
     # the z loop reads only y, so its orbits under all permutations hold y = 01
-    # and y = 10; its value there is 0.0 and -0.0 (the first z where the body
-    # is 0 is 01, equal to y = 01 and not to y = 10).  The y loop fixes x, and
-    # at x = 01 its first minimum is y = 10, so read from y = 01 the value
-    # would be 0.0.  With an FConst(-0.0), only binder 0 takes orbits.
+    # and y = 10.  Were the sign of FConst(-0.0) kept, its value there would
+    # be 0.0 and -0.0 (the first z where the body is 0 is 01, equal to y = 01
+    # and not to y = 10), and the y loop, which fixes x, would find its first
+    # minimum at y = 10 when x = 01, so read from y = 01 the value would be
+    # 0.0.  FConst stores 0.0, so every loop takes its orbits, as the full
+    # search's twin checks.
     x, y, z = CVar("x"), CVar("y"), CVar("z")
     inf_z = FInf("z", SORT_PROJ, FMax(FMin(FNorm(CSub(z, y)), FConst(-0.0)),
                                       FAbsDiff(FNorm(z), FNorm(CSub(COne(), z)))))
     phi = FInf("x", SORT_PROJ, FMax(
         FInf("y", SORT_PROJ, FMax(inf_z, FNorm(CSub(y, CSub(COne(), x))))),
         FTruncSub(FConst(1.0), FNorm(x))))
-    assert _assert_bits_of_full_search(phi, CStarAlgebraFin(2)) == (-0.0).hex()
+    assert _assert_bits_of_full_search(phi, CStarAlgebraFin(2)) == 0.0.hex()
+
+
+def test_a_constant_of_negative_zero_is_stored_as_zero():
+    zero, x = FConst(-0.0), CVar("x")
+    assert math.copysign(1.0, zero.value) == 1.0 and zero == FConst(0.0)
+    # min keeps its left side on a tie, so a kept -0.0 would be the value on both paths
+    for sort in (SORT_PROJ, SORT_BALL):
+        cert = ceval(FSup("x", sort, FMin(zero, FNorm(x))), CStarAlgebraFin(2))
+        assert (cert.lower.hex(), cert.upper.hex()) == (0.0.hex(), 0.0.hex())
 
 
 def test_exact_path_refuses_more_search_than_the_budget_before_running():
