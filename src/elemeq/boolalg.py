@@ -8,8 +8,8 @@ join is ``|``, and complement flips the low ``n`` bits.  This extensional
 representation keeps exhaustive quantification cheap enough for the model
 checker, whose entire purpose is brute-force truth evaluation at small scale.
 It compiles a formula into closures once per call, in the same walk that
-drops vacuous quantifiers and finds the free variables, and runs those
-closures at every assignment.
+drops vacuous quantifiers and finds the free variables and the quantifier
+rank, and runs those closures at every assignment.
 
 The module also provides the finite fragment of Stone duality (atoms as
 points, preimage homomorphisms of point maps) and a deterministic generator
@@ -302,15 +302,7 @@ class Exists(_Quantifier):
 
 def quantifier_rank(phi) -> int:
     """The quantifier rank (maximum nesting depth of quantifiers)."""
-    if isinstance(phi, (Eq, Le)):
-        return 0
-    if isinstance(phi, Not):
-        return quantifier_rank(phi.arg)
-    if isinstance(phi, (And, Or, Implies)):
-        return max(quantifier_rank(phi.left), quantifier_rank(phi.right))
-    if isinstance(phi, (Forall, Exists)):
-        return 1 + quantifier_rank(phi.body)
-    raise PreconditionError(f"not a formula node: {phi!r}")
+    return _compile(phi, 0)[2]
 
 
 def free_variables(phi) -> set[str]:

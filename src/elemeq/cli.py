@@ -200,27 +200,20 @@ def _parse_ordinal_sum(stream: _TokenStream) -> Ordinal:
 
 
 def _parse_ordinal_term(stream: _TokenStream) -> Ordinal:
+    """A natural, or ``w`` with its exponent chain and a natural coefficient."""
     token = stream.peek()
     if token is None:
         raise ParseError("expected an ordinal term", position=stream.position())
-    if token.isdigit():
-        stream.advance()
-        return finite(int(token))
-    if token != "w":
+    if token != "w" and not token.isdigit():
         raise ParseError(f"expected 'w' or a natural, got {token!r}", position=stream.position())
+    base = _parse_ordinal_exponent(stream)
+    if token != "w" or stream.peek() != "*":
+        return base
     stream.advance()
-    exponent = finite(1)
-    if stream.peek() == "^":
-        stream.advance()
-        exponent = _parse_ordinal_exponent(stream)
-    coefficient = 1
-    if stream.peek() == "*":
-        stream.advance()
-        token = stream.peek()
-        if token is None or not token.isdigit():
-            raise ParseError("expected a natural coefficient after '*'", position=stream.position())
-        coefficient = int(stream.advance())
-    return ord_mul(omega_power(exponent), finite(coefficient))
+    token = stream.peek()
+    if token is None or not token.isdigit():
+        raise ParseError("expected a natural coefficient after '*'", position=stream.position())
+    return ord_mul(base, finite(int(stream.advance())))
 
 
 def _parse_ordinal_exponent(stream: _TokenStream) -> Ordinal:
@@ -265,12 +258,12 @@ _FO_RELATIONS = {"=": Eq, "<=": Le}
 #: Precedence tables, loosest first: (token, node, right-associative).
 _FO_CONNECTIVES = (("->", Implies, True), ("|", Or, False), ("&", And, False))
 _TERM_OPERATORS = (("\\/", TJoin, False), ("/\\", TMeet, False))
-#: Node type -> token, for the formatters.
+#: Node type -> token, for format_fo.
 _FO_TOKEN = {
     node: token
-    for token, node, *_ in (*_FO_QUANTIFIERS.items(), *_FO_RELATIONS.items(), *_FO_CONNECTIVES)
+    for token, node, *_ in (*_FO_QUANTIFIERS.items(), *_FO_RELATIONS.items(), *_FO_CONNECTIVES,
+                            *_TERM_OPERATORS, ("!", Not), ("~", TCompl), ("0", TZero), ("1", TOne))
 }
-_TERM_TOKEN = {node: token for token, node, _ in _TERM_OPERATORS}
 
 
 def parse_fo_formula(text: str):
@@ -370,32 +363,24 @@ def _parse_term_unit(stream: _TokenStream, bound: list):
 
 
 def format_fo(phi) -> str:
-    """Canonical infix rendering; ``parse_fo_formula`` inverts it exactly."""
+    """Canonical infix rendering of a formula or a Boolean term;
+    ``parse_fo_formula`` inverts it exactly, a term inside an atom."""
     token = _FO_TOKEN.get(type(phi))
+    if isinstance(phi, TVar):
+        return phi.name
+    if token is None:
+        raise PreconditionError(f"cannot format {type(phi).__name__}")
     if isinstance(phi, (Forall, Exists)):
         return f"{token} {phi.var}. {format_fo(phi.body)}"
     if isinstance(phi, Not):
-        return f"!({format_fo(phi.arg)})"
+        return f"{token}({format_fo(phi.arg)})"
+    if isinstance(phi, TCompl):
+        return f"{token}{format_fo(phi.arg)}"
+    if isinstance(phi, (TZero, TOne)):
+        return token
     if isinstance(phi, (Eq, Le)):
-        return f"{_format_bterm(phi.left)} {token} {_format_bterm(phi.right)}"
-    if token is None:
-        raise PreconditionError(f"cannot format {type(phi).__name__}")
+        return f"{format_fo(phi.left)} {token} {format_fo(phi.right)}"
     return f"({format_fo(phi.left)} {token} {format_fo(phi.right)})"
-
-
-def _format_bterm(t) -> str:
-    if isinstance(t, TVar):
-        return t.name
-    if isinstance(t, TZero):
-        return "0"
-    if isinstance(t, TOne):
-        return "1"
-    if isinstance(t, TCompl):
-        return f"~{_format_bterm(t.arg)}"
-    token = _TERM_TOKEN.get(type(t))
-    if token is None:
-        raise PreconditionError(f"cannot format {type(t).__name__}")
-    return f"({_format_bterm(t.left)} {token} {_format_bterm(t.right)})"
 
 
 # ---------------------------------------------------------------------------
@@ -678,24 +663,19 @@ def _certificate_dict(cert) -> dict:
 
 
 def _render_value(value, indent: int = 0) -> list:
-    pad = "  " * indent
-    lines = []
+    """A dict as ``key: value`` lines and a list as ``- value`` lines, nested
+    ones indented below their key or dash."""
+    pad, lines = "  " * indent, []
     if isinstance(value, dict):
-        for key, inner in value.items():
-            if isinstance(inner, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_value(inner, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {inner}")
-    elif isinstance(value, list):
-        for inner in value:
-            if isinstance(inner, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render_value(inner, indent + 1))
-            else:
-                lines.append(f"{pad}- {inner}")
+        items = ((f"{key}:", inner) for key, inner in value.items())
     else:
-        lines.append(f"{pad}{value}")
+        items = (("-", inner) for inner in value)
+    for label, inner in items:
+        if isinstance(inner, (dict, list)):
+            lines.append(f"{pad}{label}")
+            lines.extend(_render_value(inner, indent + 1))
+        else:
+            lines.append(f"{pad}{label} {inner}")
     return lines
 
 
@@ -816,7 +796,7 @@ def _cmd_stone(args):
     space = stone_space(algebra)
     back = clopen_algebra(space)
     roundtrip = back.atom_count == algebra.atom_count
-    rng = random.Random(args.seed)
+    rng = random.Random(DEFAULT_SEED)
     samples, agree = 20, True
     for _ in range(samples):
         sizes = [rng.randint(1, 4) for _ in range(3)]
@@ -829,7 +809,7 @@ def _cmd_stone(args):
             if lhs.apply(element) != rhs_f.apply(rhs_g.apply(element)):
                 agree = False
     payload = {
-        "inputs": {"atoms": args.atoms, "seed": args.seed},
+        "inputs": {"atoms": args.atoms},
         "value": {"space_points": space.point_count, "roundtrip": roundtrip},
         "cross_checks": {"functoriality_samples": samples, "functoriality_agrees": agree},
     }
@@ -936,32 +916,23 @@ def _cmd_code(args):
 
 
 def _cmd_interpolate(args):
-    from elemeq.saturation import NOT_FOUND, CylinderElement, PresentedAtomlessBA, interpolate_chain
+    from elemeq.saturation import NOT_FOUND, PresentedAtomlessBA, interpolate_chain
 
     if args.algebra == "cyl":
-        algebra = PresentedAtomlessBA()
-        lower = [parse_cylinder_element(text) for text in args.lower]
-        upper = [parse_cylinder_element(text) for text in args.upper]
-        inputs = {
-            "algebra": "cyl",
-            "lower": [_cylinder_str(e) for e in lower],
-            "upper": [_cylinder_str(e) for e in upper],
-        }
-        result = interpolate_chain(lower, upper, algebra)
-        rendered = _cylinder_str(result) if isinstance(result, CylinderElement) else None
+        algebra, parse, render = PresentedAtomlessBA(), parse_cylinder_element, _cylinder_str
     else:
         match = re.fullmatch(r"finite:(\d+)", args.algebra)
         if not match:
             raise ParseError("--algebra must be 'cyl' or 'finite:<atoms>'")
         algebra = FiniteBoolAlg(int(match.group(1)))
-        lower = [_parse_mask(text, algebra) for text in args.lower]
-        upper = [_parse_mask(text, algebra) for text in args.upper]
-        inputs = {"algebra": args.algebra, "lower": lower, "upper": upper}
-        result = interpolate_chain(lower, upper, algebra)
-        rendered = result if result != NOT_FOUND else None
-    if rendered is None:
+        parse, render = functools.partial(_parse_mask, algebra=algebra), int  # a mask as itself
+    lower = [parse(text) for text in args.lower]
+    upper = [parse(text) for text in args.upper]
+    inputs = {"algebra": args.algebra, "lower": list(map(render, lower)), "upper": list(map(render, upper))}
+    result = interpolate_chain(lower, upper, algebra)
+    if result == NOT_FOUND:
         return {"inputs": inputs, "verdict": "not-found"}, EXIT_NEGATIVE
-    return {"inputs": inputs, "value": rendered}, EXIT_OK
+    return {"inputs": inputs, "value": render(result)}, EXIT_OK
 
 
 def _cylinder_str(element: CylinderElement) -> str:
@@ -1059,11 +1030,7 @@ _VERBS = (
     ("ba-eq", _cmd_ba_eq, "elementary equivalence of described Boolean algebras", _LEFT_RIGHT),
     ("ba-enumerate", _cmd_ba_enumerate, "enumerate completions in band order",
      (("count", {"type": int}),)),
-    ("stone", _cmd_stone, "finite Stone duality round trip", (
-        ("--seed",
-         {"type": int, "default": DEFAULT_SEED, "help": "seed for any sampled cross-checks"}),
-        ("atoms", {"type": int}),
-    )),
+    ("stone", _cmd_stone, "finite Stone duality round trip", (("atoms", {"type": int}),)),
     ("translate", _cmd_translate, "translate a classical sentence to a continuous formula",
      ("sentence",)),
     ("ceval", _cmd_ceval, "certified continuous-formula evaluation", (

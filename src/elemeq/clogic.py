@@ -1133,16 +1133,19 @@ def translate_fo(phi) -> object:
 
     Universal quantifiers become suprema, existentials become infima over
     the projection sort; conjunction becomes max, disjunction min, negation
-    1 ∸ value; equality of terms becomes the norm of their difference and
-    the order atom s ≤ t the norm of s·t − s.  On indicator projections all
-    atoms take values in {0, 1}, so the sentence holds in a finite algebra
-    exactly when the translated value is 0, and fails exactly when it is 1.
-    The walk that translates also checks that every variable is bound.
+    1 ∸ value, and φ → ψ is read as ¬φ ∨ ψ; equality of terms becomes the
+    norm of their difference and the order atom s ≤ t the norm of s·t − s.
+    On indicator projections all atoms take values in {0, 1}, so the
+    sentence holds in a finite algebra exactly when the translated value is
+    0, and fails exactly when it is 1.  The walk that translates also
+    checks that every variable is bound.
     """
     return _translate_fo(phi, frozenset())
 
 
 def _translate_fo(phi, bound):
+    if isinstance(phi, boolalg.Implies):
+        phi = boolalg.Or(boolalg.Not(phi.left), phi.right)
     if isinstance(phi, boolalg.Eq):
         return FNorm(CSub(_translate_term(phi.left, bound), _translate_term(phi.right, bound)))
     if isinstance(phi, boolalg.Le):
@@ -1154,11 +1157,6 @@ def _translate_fo(phi, bound):
         return FMax(_translate_fo(phi.left, bound), _translate_fo(phi.right, bound))
     if isinstance(phi, boolalg.Or):
         return FMin(_translate_fo(phi.left, bound), _translate_fo(phi.right, bound))
-    if isinstance(phi, boolalg.Implies):
-        return FMin(
-            FTruncSub(FConst(1.0), _translate_fo(phi.left, bound)),
-            _translate_fo(phi.right, bound),
-        )
     if isinstance(phi, boolalg.Forall):
         return FSup(phi.var, SORT_PROJ, _translate_fo(phi.body, bound | {phi.var}))
     if isinstance(phi, boolalg.Exists):

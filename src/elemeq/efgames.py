@@ -8,7 +8,9 @@ Three deciders for rank-``r`` back-and-forth equivalence:
   an ``omega``-power from the orbit of the multiply-by-``omega`` operator.
   No move-set heuristics are involved; the computation is exact.
 * :func:`ef_finite_orders` — finite linear orders given by size, decided by
-  the same type arithmetic: ``n`` points are ``n`` copies of a singleton.
+  the same type arithmetic: ``n`` points are ``n`` copies of a singleton,
+  and any size costs at most ``2**rank`` sums, as sizes from ``2**rank - 1``
+  on share one type and the repetition stops at its first repeated type.
 * :func:`ef_finite_bas` — finite powerset algebras, decided over abstracted
   positions (cell-size vectors of the partition generated by played
   elements), with the end condition that played tuples generate isomorphic
@@ -37,12 +39,8 @@ __all__ = [
     "ef_finite_bas",
 ]
 
-#: Rank cap for the finite-order solver.
+#: Rank cap for the finite-order solver; sizes need none (module docstring).
 MAX_RANK_ORDERS = 6
-#: Size cap for the finite-order solver.  Sizes from ``2**rank - 1`` on
-#: share one type, so the cycle cut-off of the repetition stops after at
-#: most ``2**rank`` sums whatever the size.
-MAX_SIZE_ORDERS = 1000
 #: Rank cap for the ordinal solver.
 MAX_RANK_ORDINALS = 4
 #: Rank cap for the Boolean-algebra solver.
@@ -210,13 +208,14 @@ def ef_ordinals(a: Ordinal, b: Ordinal, rank: int) -> bool:
 
 
 def ef_finite_orders(m: int, n: int, rank: int) -> bool:
-    """Duplicator wins the rank-``rank`` game on linear orders of sizes ``m``, ``n``."""
+    """Duplicator wins the rank-``rank`` game on linear orders of sizes ``m``, ``n``.
+
+    Any natural sizes are accepted; ``rank`` is capped at ``MAX_RANK_ORDERS``.
+    """
     if m < 0 or n < 0 or rank < 0:
         raise PreconditionError("sizes and rank must be natural numbers")
     if rank > MAX_RANK_ORDERS:
         raise ResourceBudgetError(f"rank {rank} exceeds the cap {MAX_RANK_ORDERS}")
-    if max(m, n) > MAX_SIZE_ORDERS:
-        raise ResourceBudgetError(f"size exceeds the cap {MAX_SIZE_ORDERS}")
     return _ordinal_type(finite(m), rank) == _ordinal_type(finite(n), rank)
 
 

@@ -566,11 +566,13 @@ def realize_type(
     covers, capped by the floor.  Only boxes whose state takes part in a
     covering choice are split (oldest first, up to ``_BATCH_SIZE // 2``
     times the point count per level) or score witnesses; a covering choice
-    of one witness per point is certified by ``ceval``, and their least
-    covering threshold is an ``Inconclusive``'s ``best_deviation``.  The
-    first level splits the domain up front for every point (``_fill``).  A
-    level is assessed whole, so ``boxes_used`` (one-point boxes over all
-    points) can pass ``max_boxes`` (at least 1) by at most one level.
+    of one witness per point is certified by ``ceval``.  An
+    ``Inconclusive``'s ``best_deviation`` is the least of the pooled
+    witnesses' covering threshold and a rejected choice's certified
+    deviation.  The first level splits the domain up front for every point
+    (``_fill``).  A level is assessed whole, so ``boxes_used`` (one-point
+    boxes over all points) can pass ``max_boxes`` (at least 1) by at most
+    one level.
     """
     conditions = tuple(conditions)
     if not conditions or len(conditions) > MAX_REALIZE_CONDITIONS:
@@ -606,6 +608,7 @@ def realize_type(
     # key; one scored witness per key, with its moduli and its deviation alone.
     levels, cursor, counts, pools = [], 0, collections.Counter(), {}
     boxes_used, dropped = 0, np.inf
+    failed = np.inf  # the least certified deviation of a choice that did not realize
 
     def tables(keys):  # per point, the states among the keys
         return [[key // n for key in keys if key % n == i] for i in range(n)]
@@ -667,11 +670,12 @@ def realize_type(
             certificates, deviation = _certify_assignment(conditions, algebra, assignment)
             if deviation <= tol:
                 return Realized(assignment, deviation, certificates)
+            failed = min(failed, deviation)
             pools.clear()  # keep searching with fresh witnesses
         if boxes_used >= max_boxes:
             found = np.array([m for _, m, _ in pools.values()]).reshape(-1, len(conditions)).T
             points = np.array([key % n for key in pools], dtype=int)
-            return Inconclusive(problem.least_cover(per_point(found, found, points), -1.0, np.inf), boxes_used)
+            return Inconclusive(problem.least_cover(per_point(found, found, points), -1.0, failed), boxes_used)
         taken = pop(useful)  # never empty: states only shrink, so no useful box lies behind the cursor
         assess(_split(taken[0]), np.tile(taken[1], 2))
 

@@ -230,6 +230,23 @@ def test_compile_walk_returns_the_quantifier_rank_as_given():
         assert boolalg._compile(phi, 0b111)[2] == quantifier_rank(phi), phi
 
 
+def _reference_rank(phi) -> int:
+    """Quantifier rank by its definition, walking every node."""
+    if isinstance(phi, (Eq, Le)):
+        return 0
+    if isinstance(phi, (Forall, Exists)):
+        return 1 + _reference_rank(phi.body)
+    return max(_reference_rank(part) for part in phi[1:])
+
+
+def test_quantifier_rank_matches_the_definition():
+    sentences = sentence_corpus(200, 3, seed=2026)
+    sentences += shadowed_sentences(random.Random(6064), sentence_corpus(60), 60)
+    for phi in sentences + [Exists("v", phi) for phi in sentences[:40]]:
+        assert quantifier_rank(phi) == _reference_rank(phi), phi
+    assert {_reference_rank(phi) for phi in sentences} == {1, 2, 3, 4}
+
+
 def test_fo_eval_rejects_assigned_values_outside_the_algebra():
     b = FiniteBoolAlg(2)
     for phi in (Le(_x(), TOne()), Eq(TJoin(_x(), TCompl(_x())), TOne())):

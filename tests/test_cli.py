@@ -15,11 +15,14 @@ from elemeq.boolalg import (
     Eq,
     Forall,
     Implies,
+    Le,
     Or,
     TCompl,
     TJoin,
     TMeet,
+    TOne,
     TVar,
+    TZero,
     sentence_corpus,
 )
 from elemeq.clogic import (
@@ -49,6 +52,7 @@ from elemeq.clogic import (
     translate_fo,
 )
 from elemeq.cli import (
+    _VERBS,
     EXIT_BUDGET,
     EXIT_NEGATIVE,
     EXIT_OK,
@@ -80,6 +84,15 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """A JSON payload; the NaN and Infinity that JSON lacks fail the test."""
+
+    def refuse(constant):
+        raise ValueError(f"payload holds {constant}, which is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +133,25 @@ def test_parse_ordinal_rejects_double_caret_with_position():
 def test_parse_ordinal_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_ordinal(text)
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("w^", "expected an exponent after '^'", 2),
+        ("w*", "expected a natural coefficient after '*'", 2),
+        ("w*w", "expected a natural coefficient after '*'", 2),
+        ("3*2", "unexpected trailing '*'", 1),
+        ("(w)", "expected 'w' or a natural, got '('", 0),
+        ("w^^2", "expected an exponent after '^'", 2),
+        ("", "expected an ordinal term", 0),
+    ],
+)
+def test_parse_ordinal_error_messages_and_positions(text, message, position):
+    with pytest.raises(ParseError) as excinfo:
+        parse_ordinal(text)
+    assert str(excinfo.value) == f"{message} (at position {position})"
+    assert excinfo.value.position == position
 
 
 def test_ordinal_print_parse_identity_on_seeded_terms():
@@ -200,6 +232,30 @@ def test_parse_fo_rejects_malformed(text):
 def test_fo_format_parse_identity_on_corpus():
     for phi in sentence_corpus(500):
         assert parse_fo_formula(format_fo(phi)) == phi
+
+
+def _subterms(node):
+    """Every Boolean term in a formula node, subterms included."""
+    if isinstance(node, (TVar, TZero, TOne, TMeet, TJoin, TCompl)):
+        yield node
+    for field in node[1:]:
+        if isinstance(field, tuple):
+            yield from _subterms(field)
+
+
+def test_fo_format_parse_identity_on_corpus_terms_inside_an_atom():
+    terms = {t for phi in sentence_corpus(200) for t in _subterms(phi)}
+    assert {type(t) for t in terms} == {TVar, TZero, TOne, TMeet, TJoin, TCompl}
+    for term in terms:
+        names = sorted({t.name for t in _subterms(term) if isinstance(t, TVar)})
+        phi, atom = Eq(term, TZero()), f"{format_fo(term)} = 0"
+        if len(names) % 2 == 0:
+            phi, atom = Le(TOne(), term), f"1 <= {format_fo(term)}"
+        for name in reversed(names):
+            phi = Forall(name, phi)
+        text = "".join(f"forall {name}. " for name in names) + atom
+        assert parse_fo_formula(text) == phi
+        assert format_fo(phi) == text
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +397,7 @@ def test_format_term_pinned_string(capsys):
         capsys, ["realize", "--cond", f"{text} in [0,4]", "--points", "2", "--tol", "0.5", "--json"]
     )
     assert code == EXIT_OK
-    assert json.loads(out)["inputs"]["conditions"] == [f"{text} in [0.0,4.0]"]
+    assert strict_json(out)["inputs"]["conditions"] == [f"{text} in [0.0,4.0]"]
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +491,7 @@ def test_cli_realize_target_beyond_the_floats_is_a_parse_error(capsys):
 def test_cli_ord_arith_json(capsys):
     code, out, _ = run_cli(capsys, ["ord-arith", "add", "w + 1", "w", "--json"])
     assert code == EXIT_OK
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["verb"] == "ord-arith"
     assert payload["inputs"] == {"op": "add", "left": "w+1", "right": "w"}
     assert payload["value"] == "w*2"
@@ -443,12 +499,12 @@ def test_cli_ord_arith_json(capsys):
 
 def test_cli_ord_eq_cross_checks_agree(capsys):
     code, out, _ = run_cli(capsys, ["ord-eq", "w + w", "w*2", "--json"])
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == EXIT_OK and payload["verdict"] is True
     assert payload["cross_checks"] == {"ef_rank_3": True}
 
     code, out, _ = run_cli(capsys, ["ord-eq", "w", "w*2", "--json"])
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == EXIT_OK and payload["verdict"] is False
     (key, value), = payload["cross_checks"].items()
     assert key.startswith("ef_rank_") and value is False
@@ -465,7 +521,7 @@ def test_cli_ord_eq_cross_checks_agree(capsys):
 )
 def test_cli_ef_ordinals_and_bas(capsys, argv, inputs, verdict):
     code, out, _ = run_cli(capsys, argv + ["--json"])
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == EXIT_OK
     assert payload["inputs"] == inputs and payload["verdict"] is verdict
 
@@ -487,14 +543,14 @@ def test_cli_budget_and_value_errors_exit_four_and_two(capsys):
 )
 def test_cli_ord_arith_zero_product_and_power_of_a_limit(capsys, op, left, right, value):
     code, out, _ = run_cli(capsys, ["ord-arith", op, left, right, "--json"])
-    assert code == EXIT_OK and json.loads(out)["value"] == value
+    assert code == EXIT_OK and strict_json(out)["value"] == value
 
 
 def test_cli_calkin_eq(capsys):
     code, out, _ = run_cli(
         capsys, ["calkin-eq", "w^(w)*3 + w*2 + 1", "w^(w)*5 + w*2 + 1", "--json"]
     )
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == EXIT_OK and payload["verdict"] is True
 
 
@@ -507,7 +563,7 @@ def test_cli_parse_failure_is_exit_two(capsys):
 def test_cli_ba_eq_golden_interval_pair(capsys):
     code, out, _ = run_cli(capsys, ["ba-eq", "intalg(w)", "intalg(w*2)", "--json"])
     assert code == EXIT_OK
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["verdict"] is False
     note = payload["conflict_note"]
     assert note["kind"] == "classification-conflict"
@@ -520,7 +576,7 @@ def test_cli_ba_eq_golden_interval_pair(capsys):
 def test_cli_ba_eq_golden_fincof_powerset_pair(capsys):
     code, out, _ = run_cli(capsys, ["ba-eq", "fincof", "P(omega)", "--json"])
     assert code == EXIT_OK
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["verdict"] is False
     note = payload["conflict_note"]
     assert note["kind"] == "classification-conflict"
@@ -530,7 +586,7 @@ def test_cli_ba_eq_golden_fincof_powerset_pair(capsys):
 
 def test_cli_ba_eq_equivalent_pair_has_no_conflict(capsys):
     code, out, _ = run_cli(capsys, ["ba-eq", "finite(3)", "finite(3)", "--json"])
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == EXIT_OK and payload["verdict"] is True
     assert "conflict_note" not in payload
     assert payload["cross_checks"] == {"ef_rank_3": True}
@@ -538,7 +594,7 @@ def test_cli_ba_eq_equivalent_pair_has_no_conflict(capsys):
 
 def test_cli_ba_invariants(capsys):
     code, out, _ = run_cli(capsys, ["ba-invariants", "intalg(w^2)", "--json"])
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == EXIT_OK
     assert payload["value"] == {"level": 2, "atom_count": 1, "atomless": False}
     assert payload["derivative_chain"][0] == "intalg(w^2)"
@@ -546,7 +602,7 @@ def test_cli_ba_invariants(capsys):
 
 def test_cli_ba_enumerate(capsys):
     code, out, _ = run_cli(capsys, ["ba-enumerate", "10", "--json"])
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == EXIT_OK and len(payload["value"]) == 10
     as_tuples = [tuple(sorted(item.items())) for item in payload["value"]]
     assert len(set(as_tuples)) == 10
@@ -554,7 +610,7 @@ def test_cli_ba_enumerate(capsys):
 
 def test_cli_stone(capsys):
     code, out, _ = run_cli(capsys, ["stone", "4", "--json"])
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == EXIT_OK
     assert payload["value"] == {"space_points": 4, "roundtrip": True}
     assert payload["cross_checks"]["functoriality_agrees"] is True
@@ -562,7 +618,7 @@ def test_cli_stone(capsys):
 
 def test_cli_translate(capsys):
     code, out, _ = run_cli(capsys, ["translate", "forall x. x /\\ x = x", "--json"])
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == EXIT_OK
     assert payload["inputs"]["quantifier_rank"] == 1
     parse_cformula(payload["value"])  # the output is itself valid input
@@ -573,7 +629,7 @@ def test_cli_ceval_ok_and_budget(capsys):
         capsys,
         ["ceval", "(sup p :proj (norm (- (* p p) p)))", "--points", "2", "--json"],
     )
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == EXIT_OK
     assert payload["certificate"]["lower"] == 0.0
     assert payload["certificate"]["upper"] <= 1e-6
@@ -592,7 +648,7 @@ def test_cli_ceval_ok_and_budget(capsys):
             "--json",
         ],
     )
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == EXIT_BUDGET
     certificate = payload["certificate"]
     assert certificate["lower"] <= 0.25 <= certificate["upper"]
@@ -603,10 +659,10 @@ def test_cli_ceval_over_the_exhaustive_budget_is_exit_four(capsys):
     phi = "(sup a :proj (sup b :proj (sup c :proj (sup d :proj (sup e :proj (norm (- a e)))))))"
     code, out, _ = run_cli(capsys, ["ceval", phi, "--points", "5", "--json"])
     assert code == EXIT_BUDGET
-    assert json.loads(out) == {"verb": "ceval", "inputs": {"formula": phi, "points": 5, "tol": 1e-6, "params": {}},
+    assert strict_json(out) == {"verb": "ceval", "inputs": {"formula": phi, "points": 5, "tol": 1e-6, "params": {}},
                                "error": "resource budget exceeded"}
     code, out, _ = run_cli(capsys, ["ceval", phi, "--points", "4", "--json"])
-    assert code == EXIT_OK and json.loads(out)["certificate"]["lower"] == 1.0
+    assert code == EXIT_OK and strict_json(out)["certificate"]["lower"] == 1.0
 
 
 def test_cli_ceval_with_parameter(capsys):
@@ -614,7 +670,7 @@ def test_cli_ceval_with_parameter(capsys):
         capsys,
         ["ceval", "(norm (- a (star a)))", "--points", "2", "--param", "a=1j,0", "--json"],
     )
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == EXIT_OK
     assert abs(payload["certificate"]["lower"] - 2.0) <= 1e-6
 
@@ -625,7 +681,7 @@ def test_cli_ceval_encloses_the_value_under_a_large_parameter(capsys):
     code, out, _ = run_cli(
         capsys, ["ceval", phi, "--points", "1", "--tol", "0.001", "--param", "c=10", "--json"]
     )
-    certificate = json.loads(out)["certificate"]
+    certificate = strict_json(out)["certificate"]
     assert code == EXIT_OK
     assert certificate["lower"] <= 1 <= certificate["upper"]
 
@@ -698,19 +754,19 @@ def test_cli_non_positive_box_budget_is_exit_two(capsys, argv, budget):
 
 def test_cli_jspec(capsys):
     code, out, _ = run_cli(capsys, ["jspec", "1,2", "0,1j", "--json"])
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == EXIT_OK
     assert payload["value"] == [["1+0j", "0j"], ["2+0j", "1j"]]
 
 
 def test_cli_fmember(capsys):
     code, out, _ = run_cli(capsys, ["fmember", "1,2", "--at", "1", "--json"])
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == EXIT_OK and payload["verdict"] is True
     assert payload["cross_checks"]["absolute_sum_not_invertible"] is True
 
     code, out, _ = run_cli(capsys, ["fmember", "1,2", "--at", "3", "--json"])
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == EXIT_OK and payload["verdict"] is False
     assert payload["cross_checks"]["solvable"] is True
 
@@ -719,24 +775,45 @@ def test_cli_code_reconstruct(capsys):
     code, out, _ = run_cli(
         capsys, ["code", "0.3+0.4j, -0.2", "--scale", "8", "--reconstruct", "--json"]
     )
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == EXIT_OK
     assert payload["reconstruction"]["error"] <= payload["reconstruction"]["bound"] == 0.25
 
 
 def test_cli_code_scale_cap_is_exit_four(capsys):
     code, out, _ = run_cli(capsys, ["code", "0.5", "--scale", "128", "--json"])
-    assert code == EXIT_OK and json.loads(out)["inputs"]["scale"] == 128
+    assert code == EXIT_OK and strict_json(out)["inputs"]["scale"] == 128
     code, out, err = run_cli(capsys, ["code", "0.5", "--scale", "129"])
     assert code == EXIT_BUDGET
     assert out == "" and err == "budget exceeded: scale 129 exceeds the cap 128\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, payload",
+    [
+        (["--lower", "00", "--upper", "00,01,10"], EXIT_OK,
+         {"inputs": {"algebra": "cyl", "lower": ["00"], "upper": ["00,01,10"]}, "value": "000,001,010"}),
+        (["--lower", "bottom", "--upper", "top"], EXIT_OK,
+         {"inputs": {"algebra": "cyl", "lower": ["bottom"], "upper": ["top"]}, "value": "0"}),
+        ([], EXIT_OK, {"inputs": {"algebra": "cyl", "lower": [], "upper": []}, "value": "0"}),
+        (["--algebra", "finite:3", "--lower", "1", "--upper", "7"], EXIT_OK,
+         {"inputs": {"algebra": "finite:3", "lower": [1], "upper": [7]}, "value": 3}),
+        (["--algebra", "finite:3", "--lower", "1", "--upper", "7", "--upper", "5"], EXIT_NEGATIVE,
+         {"inputs": {"algebra": "finite:3", "lower": [1], "upper": [7, 5]}, "verdict": "not-found"}),
+        (["--algebra", "finite:2", "--lower", "0x1", "--upper", "3"], EXIT_NEGATIVE,
+         {"inputs": {"algebra": "finite:2", "lower": [1], "upper": [3]}, "verdict": "not-found"}),
+    ],
+)
+def test_cli_interpolate_payloads_on_both_algebras(capsys, argv, code, payload):
+    got, out, _ = run_cli(capsys, ["interpolate", *argv, "--json"])
+    assert got == code and strict_json(out) == {"verb": "interpolate", **payload}
 
 
 def test_cli_interpolate_cylinder(capsys):
     code, out, _ = run_cli(
         capsys, ["interpolate", "--lower", "00", "--upper", "00,01,10", "--json"]
     )
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == EXIT_OK
     assert payload["value"] == "000,001,010"
 
@@ -746,7 +823,7 @@ def test_cli_interpolate_finite_not_found_is_exit_three(capsys):
         capsys,
         ["interpolate", "--algebra", "finite:2", "--lower", "1", "--upper", "3", "--json"],
     )
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == EXIT_NEGATIVE
     assert payload["verdict"] == "not-found"
 
@@ -756,7 +833,7 @@ def test_cli_interpolate_finite_found(capsys):
         capsys,
         ["interpolate", "--algebra", "finite:3", "--lower", "1", "--upper", "7", "--json"],
     )
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == EXIT_OK
     assert payload["value"] == 3
 
@@ -766,7 +843,7 @@ def test_cli_interpolate_finite_found(capsys):
 )
 def test_cli_interpolate_cylinder_bottom_and_top(capsys, lower, upper, value):
     code, out, _ = run_cli(capsys, ["interpolate", "--lower", lower, "--upper", upper, "--json"])
-    assert code == EXIT_OK and json.loads(out)["value"] == value
+    assert code == EXIT_OK and strict_json(out)["value"] == value
 
 
 @pytest.mark.parametrize(
@@ -798,7 +875,7 @@ def test_cli_realize_positive(capsys):
             "--json",
         ],
     )
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == EXIT_OK
     assert payload["result"] == "realized"
     assert payload["max_deviation"] <= 0.05
@@ -822,7 +899,7 @@ def test_cli_realize_unsatisfiable_is_exit_three(capsys):
             "--json",
         ],
     )
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == EXIT_NEGATIVE
     assert payload["result"] == "unsatisfiable"
     assert payload["epsilon"] > 0.25
@@ -843,61 +920,80 @@ def test_cli_realize_budget_is_exit_four(capsys):
             "--json",
         ],
     )
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == EXIT_BUDGET
     assert payload["result"] == "inconclusive"
     assert payload["boxes_used"] >= 8
 
 
+def test_cli_realize_after_a_failed_certification_prints_strict_json(capsys, monkeypatch):
+    # a covering choice whose certificate misses the tolerance empties the
+    # witness pools; the budget then runs out before they refill
+    from elemeq import saturation
+
+    certify = saturation._certify_assignment
+    monkeypatch.setattr(saturation, "_certify_assignment", lambda *args: (certify(*args)[0], 1.0))
+    code, out, _ = run_cli(capsys, ["realize", "--cond", "x in {0.5}", "--points", "2", "--tol", "0.01",
+                                    "--max-boxes", "100", "--json"])
+    assert code == EXIT_BUDGET
+    payload = strict_json(out)
+    assert payload["result"] == "inconclusive" and payload["best_deviation"] <= 1.0
+
+
 def test_cli_orth(capsys):
     code, out, _ = run_cli(capsys, ["orth", "--points", "3", "--json"])
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == EXIT_OK and payload["value"] == 3
     assert len(payload["witness_family"]) == 3
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["ord-arith", "add", "w", "1"],
-        ["ord-eq", "w", "w"],
-        ["calkin-eq", "w", "w"],
-        ["ef", "--kind", "orders", "--rank", "2", "2", "3"],
-        ["ba-invariants", "finite(2)"],
-        ["ba-eq", "finite(2)", "finite(2)"],
-        ["ba-enumerate", "3"],
-        ["stone", "2"],
-        ["translate", "forall x. x = x"],
-        ["ceval", "(norm 1)", "--points", "1"],
-        ["jspec", "1,2"],
-        ["fmember", "1,2", "--at", "1"],
-        ["code", "0.5", "--scale", "4"],
-        ["interpolate", "--algebra", "finite:2", "--lower", "1", "--upper", "3"],
-        ["realize", "--cond", "x in {1}", "--points", "1", "--tol", "0.5"],
-        ["orth", "--points", "2"],
-    ],
-)
+#: One call of each verb that exits 0 or 3 (interpolate finds no interpolant).
+VERB_CALLS = [
+    ["ord-arith", "add", "w", "1"],
+    ["ord-eq", "w", "w"],
+    ["calkin-eq", "w", "w"],
+    ["ef", "--kind", "orders", "--rank", "2", "2", "3"],
+    ["ba-invariants", "finite(2)"],
+    ["ba-eq", "finite(2)", "finite(2)"],
+    ["ba-enumerate", "3"],
+    ["stone", "2"],
+    ["translate", "forall x. x = x"],
+    ["ceval", "(norm 1)", "--points", "1"],
+    ["jspec", "1,2"],
+    ["fmember", "1,2", "--at", "1"],
+    ["code", "0.5", "--scale", "4"],
+    ["interpolate", "--algebra", "finite:2", "--lower", "1", "--upper", "3"],
+    ["realize", "--cond", "x in {1}", "--points", "1", "--tol", "0.5"],
+    ["orth", "--points", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", VERB_CALLS)
 def test_cli_payload_starts_with_the_verb(capsys, argv):
     _, out, _ = run_cli(capsys, [*argv, "--json"])
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert next(iter(payload)) == "verb" and payload["verb"] == argv[0]
     _, out, _ = run_cli(capsys, argv)
     assert out.splitlines()[0] == f"verb: {argv[0]}"
 
 
-def test_cli_seed_belongs_to_stone(capsys):
-    code, out, _ = run_cli(capsys, ["stone", "3", "--seed", "5", "--json"])
-    assert code == EXIT_OK and json.loads(out)["inputs"]["seed"] == 5
-    code, out, err = run_cli(capsys, ["ord-eq", "w", "w", "--seed", "5"])
-    assert code == EXIT_PARSE
-    assert out == "" and "unrecognized arguments: --seed 5" in err
+def test_cli_every_verb_rejects_seed(capsys):
+    # stone samples its functoriality checks from a fixed seed whatever its
+    # input, so no verb takes one
+    code, out, _ = run_cli(capsys, ["stone", "3", "--json"])
+    assert code == EXIT_OK and strict_json(out)["inputs"] == {"atoms": 3}
+    assert sorted(argv[0] for argv in VERB_CALLS) == sorted(name for name, *_ in _VERBS)
+    for argv in VERB_CALLS:
+        code, out, err = run_cli(capsys, [*argv, "--seed", "5"])
+        assert code == EXIT_PARSE, argv
+        assert out == "" and "unrecognized arguments: --seed 5" in err, argv
 
 
 def test_cli_out_writes_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code, out, _ = run_cli(capsys, ["ord-eq", "w", "w", "--json", "--out", str(target)])
     assert code == EXIT_OK and out == ""
-    payload = json.loads(target.read_text())
+    payload = strict_json(target.read_text())
     assert payload["verdict"] is True
 
 
@@ -925,7 +1021,7 @@ def test_cli_calls_in_one_process_leave_no_state_for_the_next(tmp_path, capsys):
 
     first = [run(argv) for argv in calls]
     assert [code for code, *_ in first] == [0, 0, EXIT_NEGATIVE, 0, EXIT_PARSE, 0, 0, 0]
-    assert first[5][1] == "" and json.loads(first[5][3])["verdict"] is True
+    assert first[5][1] == "" and strict_json(first[5][3])["verdict"] is True
     assert [run(argv) for argv in calls] == first
 
 
@@ -967,3 +1063,19 @@ def test_cli_loads_numpy_only_for_the_verbs_that_need_it():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["ord-eq", "w", "w*2", "--json"], EXIT_OK), (["ord-eq", "w^", "w", "--json"], EXIT_PARSE)],
+)
+def test_module_entry_point_exits_with_the_verb_code(argv, code):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "elemeq.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == code, done.stderr
+    if code == EXIT_OK:
+        assert strict_json(done.stdout)["verdict"] is False
+    else:
+        assert done.stdout == "" and done.stderr.startswith("parse error: expected an exponent")

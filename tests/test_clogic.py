@@ -1524,6 +1524,15 @@ def test_translation_requires_sentence():
         FNorm(CSub(CMul(CVar("x"), COne()), CVar("x")))))
 
 
+def test_translation_reads_implication_as_negation_or():
+    # node for node min(1 ∸ φ, ψ), on pairs of corpus sentences
+    corpus = sentence_corpus(30)
+    for phi, psi in zip(corpus, corpus[1:] + corpus[:1]):
+        got = translate_fo(boolalg.Implies(phi, psi))
+        assert got == translate_fo(boolalg.Or(boolalg.Not(phi), psi))
+        assert got == FMin(FTruncSub(FConst(1.0), translate_fo(phi)), translate_fo(psi))
+
+
 def test_translation_values_are_two_valued():
     corpus = sentence_corpus(40)
     A = CStarAlgebraFin(3)

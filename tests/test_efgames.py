@@ -87,7 +87,7 @@ def test_finite_orders_agree_with_split_recursion():
 
 
 def test_finite_orders_closed_form_to_size_cap_with_bounded_memo():
-    # Sizes up to the cap against "m = n, or both at least 2**r - 1"; every
+    # Sizes up to 1000 against "m = n, or both at least 2**r - 1"; every
     # size shares the same few types, so the sum memo stays small.
     efgames._type_sum.cache_clear()
     for r in range(7):
@@ -101,10 +101,15 @@ def test_finite_orders_closed_form_to_size_cap_with_bounded_memo():
 
 
 def test_finite_orders_budget():
+    # Only the rank is capped: any size answers by the closed form, "equal,
+    # or both at least 2**r - 1", as the repetition stops at its first repeat.
     with pytest.raises(ResourceBudgetError):
         ef_finite_orders(3, 3, 7)
-    with pytest.raises(ResourceBudgetError):
-        ef_finite_orders(5000, 3, 2)
+    sizes = (0, 1, 62, 63, 64, 5000, 10**12, 10**12 + 1, 10**25)
+    for r in range(7):
+        for m, n in itertools.product(sizes, repeat=2):
+            want = m == n or min(m, n) >= 2**r - 1
+            assert ef_finite_orders(m, n, r) == want, (m, n, r)
     with pytest.raises(PreconditionError):
         ef_finite_orders(-1, 3, 2)
 

@@ -633,6 +633,24 @@ def test_budget_is_passed_by_at_most_one_level(monkeypatch):
             assert sum(levels[:-1]) < budget and max(levels) <= points * _BATCH_SIZE, levels
 
 
+def test_a_failed_certification_keeps_best_deviation_finite(monkeypatch):
+    # a covering choice whose certificate misses the tolerance clears the
+    # witness pools; when the budget runs out before they refill, the failed
+    # choice's certified deviation still bounds best_deviation
+    from elemeq import saturation
+
+    failed = []
+
+    def fail(conditions, algebra, assignment):
+        failed.append(assignment)
+        return _certify_assignment(conditions, algebra, assignment)[0], 1.0
+
+    monkeypatch.setattr(saturation, "_certify_assignment", fail)
+    result = realize_type([TypeCondition(CVar("x"), [(0.5, 0.5)])], CStarAlgebraFin(2), 0.01, max_boxes=100)
+    assert failed and isinstance(result, Inconclusive)
+    assert math.isfinite(result.best_deviation) and result.best_deviation <= 1.0
+
+
 def test_sixteen_conditions_keep_their_states_in_python_ints():
     # 16 one-interval conditions need 64 state bits, past an int64
     algebra, x = CStarAlgebraFin(3), CVar("x")
