@@ -923,15 +923,13 @@ def _compile_exact(phi, env, algebra):
     1 where the mask's bit is set.  Every node returns its values over the 2^n
     masks of its innermost enclosing binder (one value outside all binders);
     a quantifier sets its enclosing binder's mask in turn (once, when its body
-    ignores that binder) and reduces its body's list with max or min; one that
-    ignores a binder an ancestor may loop over is memoised on the masks it
-    reads, for this compile only.  An atom depends at point p only on the bits
-    at p of its k bound variables: one ``eval_term`` call over the 2^k bit
-    patterns stacked into one element tabulates |t(p)|, and the atom builds
-    its list by doubling over the points from the entries for innermost bit 0
-    and 1, the outer bits indexed from the masks.  The floats are those of
-    node-by-node evaluation.  The walk finds the atoms' variables itself, off
-    the free-variable memos.
+    ignores that binder) and reduces its body's list with max or min.  An atom
+    depends at point p only on the bits at p of its k bound variables: one
+    ``eval_term`` call over the 2^k bit patterns stacked into one element
+    tabulates |t(p)|, and the atom builds its list by doubling over the points
+    from the entries for innermost bit 0 and 1, the outer bits indexed from the
+    masks.  The floats are those of node-by-node evaluation.  The walk finds
+    the atoms' variables itself, off the free-variable memos.
 
     Two points share a colour when every atom that reads a mask has the same
     table at both, as points do that no constant or parameter tells apart (in
@@ -1008,34 +1006,20 @@ def _compile_exact(phi, env, algebra):
         order = sorted(slots - {outer})
 
         def quant():  # one mask per orbit of the permutations fixing the colours and order
-            representatives, index = _orbits(n, (*colours, *[masks[s] for s in order])) if order else unfixed
+            representatives, index = _orbits(n, (*colours, *[masks[s] for s in order]))
             values = []
             for mask in representatives:
                 masks[outer] = mask
                 values.append(combine(body()))
             return [values[i] for i in index]
 
-        run = quant if outer in slots else (lambda: [combine(body())] * size)
-        if len(order) >= depth - 1:  # reads every binder an ancestor may loop over
-            return run, slots, rank + 1
-        memo = {}
-
-        def hoisted():  # memoised on the masks it reads, for this compile only
-            key = 0
-            for slot in order:
-                key = key << n | masks[slot]
-            if key not in memo:
-                memo[key] = run()
-            return memo[key]
-
-        return hoisted, slots, rank + 1
+        return (quant if outer in slots else lambda: [combine(body())] * size), slots, rank + 1
 
     value, _, rank = build(phi, {}, 0)
     del build  # it refers to itself: unbound here, it is freed without the cyclic collector
     signatures = list(zip(*tables))  # each point's rows; one mask per colour, from its first point but 0
     colours = tuple([sum(1 << q for q, t in enumerate(signatures) if t == s)
                      for p, s in enumerate(signatures) if p and signatures.index(s) == p])
-    unfixed = _orbits(n, colours)
     if not missing:
         boolalg.check_exhaustive_budget(n, rank)
     return value, missing

@@ -21,7 +21,9 @@ same criterion, exposed as :func:`calkin_equiv`.
 
 from __future__ import annotations
 
-from .errors import Frozen, PreconditionError
+import math
+
+from .errors import Frozen, PreconditionError, ResourceBudgetError
 
 __all__ = [
     "Ordinal",
@@ -111,17 +113,20 @@ def cnf_string(alpha: Ordinal) -> str:
     if alpha.is_zero():
         return "0"
     parts = []
-    for exponent, coeff in alpha.terms:
-        if exponent.is_zero():
-            parts.append(str(coeff))
-            continue
-        if exponent == ONE:
-            body = "w"
-        elif exponent.is_finite():
-            body = f"w^{exponent.to_int()}"
-        else:
-            body = f"w^({cnf_string(exponent)})"
-        parts.append(body if coeff == 1 else f"{body}*{coeff}")
+    try:
+        for exponent, coeff in alpha.terms:
+            if exponent.is_zero():
+                parts.append(str(coeff))
+                continue
+            if exponent == ONE:
+                body = "w"
+            elif exponent.is_finite():
+                body = f"w^{exponent.to_int()}"
+            else:
+                body = f"w^({cnf_string(exponent)})"
+            parts.append(body if coeff == 1 else f"{body}*{coeff}")
+    except ValueError:  # an int of over ``sys.get_int_max_str_digits()`` digits
+        raise ResourceBudgetError("an integer of the normal form is too long to print") from None
     return "+".join(parts)
 
 
@@ -155,6 +160,9 @@ def compare(a: Ordinal, b: Ordinal) -> int:
 
 # -- arithmetic -------------------------------------------------------
 
+MAX_POW_TERMS = 10_000
+MAX_COEFF_DIGITS = 4300  # CPython prints no longer int, by default
+
 
 def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
     if b.is_zero():
@@ -179,34 +187,42 @@ def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
 
 
 def ord_mul(a: Ordinal, b: Ordinal) -> Ordinal:
+    """Over the terms w^f * d of b, a * w^f * d is w^(e + f) * d for f > 0,
+    where w^e * c leads a, and w^e * (c * d) plus the rest of a for f = 0;
+    the pieces fall strictly in exponent, so the product is their concatenation."""
     if a.is_zero() or b.is_zero():
         return ZERO
-    ea = a.terms[0][0]
-    result = ZERO
+    (ea, ca), rest = a.terms[0], a.terms[1:]
+    terms = []
     for exponent, coeff in b.terms:
         if exponent.is_zero():
-            # a * n scales the leading coefficient only.
-            head = (ea, a.terms[0][1] * coeff)
-            part = Ordinal((head,) + a.terms[1:])
+            terms += [(ea, ca * coeff), *rest]
         else:
-            part = omega_power(ord_add(ea, exponent), coeff)
-        result = ord_add(result, part)
-    return result
+            terms.append((ord_add(ea, exponent), coeff))
+    return Ordinal(tuple(terms))
 
 
 def _pow_finite(a: Ordinal, n: int) -> Ordinal:
-    result = ONE
-    base = a
+    # k^n has n * log10(k) digits, rounded down, plus one (all k >= 2 exceed the cap
+    # from n = 4 * MAX_COEFF_DIGITS); with a finite part each factor adds a's other terms
+    if a.is_finite() and min(n, 4 * MAX_COEFF_DIGITS) * math.log10(a.to_int()) >= MAX_COEFF_DIGITS:
+        raise ResourceBudgetError(f"the power has a coefficient of over {MAX_COEFF_DIGITS} digits")
+    if a.finite_part() and len(a.terms) + (n - 1) * (len(a.terms) - 1) > MAX_POW_TERMS:
+        raise ResourceBudgetError(f"the power has over {MAX_POW_TERMS} terms")
+    result, base = ONE, a
     while n:
         if n & 1:
             result = ord_mul(result, base)
-        base = ord_mul(base, base)
         n >>= 1
+        if n:  # no square past the result's
+            base = ord_mul(base, base)
     return result
 
 
 def ord_pow(a: Ordinal, b: Ordinal) -> Ordinal:
-    """Ordinal exponentiation.  By convention 0^0 = 1."""
+    """Ordinal exponentiation.  By convention 0^0 = 1.  A power of over
+    ``MAX_POW_TERMS`` terms, or a natural one of over ``MAX_COEFF_DIGITS``
+    digits, raises :class:`ResourceBudgetError` before it is built."""
     if b.is_zero():
         return ONE
     if a.is_zero():
@@ -219,17 +235,10 @@ def ord_pow(a: Ordinal, b: Ordinal) -> Ordinal:
     limit = b.limit_part()
     n = b.finite_part()
     if a.is_finite():
-        # k^(w^g * d) = w^(w^g' * d) with g' = g - 1 for finite g,
-        # g' = g for infinite g.  Multiplying over the terms of the
-        # limit part sums those exponents.
-        exps = []
-        for g, d in limit.terms:
-            if g.is_finite():
-                g1 = finite(g.to_int() - 1)
-            else:
-                g1 = g
-            exps.append((g1, d))
-        head = omega_power(Ordinal(tuple(exps)))
+        # k^(w^g * d) = w^(w^g' * d) with 1 + g' = g, so g' = g - 1 for
+        # finite g and g itself for infinite g.  Multiplying over the terms
+        # of the limit part sums those exponents.
+        head = omega_power(Ordinal(tuple((left_difference(ONE, g), d) for g, d in limit.terms)))
     else:
         head = omega_power(ord_mul(a.terms[0][0], limit))
     return ord_mul(head, _pow_finite(a, n))

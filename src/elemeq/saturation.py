@@ -56,12 +56,13 @@ from elemeq.clogic import (
     term_free_vars,
 )
 from elemeq.cstar import CStarAlgebraFin, c_mul, c_norm
-from elemeq.errors import Frozen, PreconditionError
+from elemeq.errors import Frozen, PreconditionError, ResourceBudgetError
 
 MAX_REALIZE_VARIABLES = 3
 MAX_REALIZE_POINTS = 4
 MAX_REALIZE_CONDITIONS = 16
 MAX_ORTHOGONAL_POINTS = 8
+MAX_CYLINDER_DEPTH = 16
 DEFAULT_REALIZE_BOXES = 2_000_000
 _REALIZE_SORTS = (SORT_BALL, SORT_SA, SORT_POS)
 _BATCH_SIZE = 512
@@ -98,6 +99,8 @@ class CylinderElement(Frozen):
     def __new__(cls, depth, words):
         if depth < 0:
             raise PreconditionError("cylinder depth must be nonnegative")
+        if depth > MAX_CYLINDER_DEPTH:  # a lift to depth d spells up to 2^d words
+            raise ResourceBudgetError(f"cylinder depth {depth} exceeds the cap {MAX_CYLINDER_DEPTH}")
         for w in words:
             if len(w) != depth or any(ch not in "01" for ch in w):
                 raise PreconditionError(f"word {w!r} is not binary of length {depth}")

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -789,6 +790,35 @@ def test_cli_code_scale_cap_is_exit_four(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ord-arith", "pow", "3", "100000000"], "the power has a coefficient of over 4300 digits"),
+        (["ord-arith", "pow", "2", "20000"], "the power has a coefficient of over 4300 digits"),
+        (["ord-arith", "pow", "w+1", "100000"], "the power has over 10000 terms"),
+        (["ord-arith", "mul", "9" * 3000, "9" * 3000], "an integer of the normal form is too long to print"),
+        (["ord-arith", "pow", "w^2", "9" * 4300], "an integer of the normal form is too long to print"),
+        (["interpolate", "--upper", "0" * 37], "cylinder depth 37 exceeds the cap 16"),
+        (["interpolate", "--upper", "0" * 16], "cylinder depth 17 exceeds the cap 16"),
+    ],
+    ids=["pow-3", "pow-2", "pow-terms", "mul-print", "pow-exponent-print", "cylinder-37", "cylinder-16"],
+)
+def test_cli_refuses_a_result_too_large_to_build_or_print_with_exit_four(capsys, argv, message):
+    start = time.process_time()
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_BUDGET and out == "" and err == f"budget exceeded: {message}\n"
+    assert time.process_time() - start < 1
+
+
+@pytest.mark.parametrize(
+    "op, left, right, digits",
+    [("pow", "2", "14284", 4300), ("pow", "10", "4299", 4300), ("mul", "9" * 2150, "9" * 2150, 4300)],
+)
+def test_cli_prints_a_coefficient_at_the_digit_limit(capsys, op, left, right, digits):
+    code, out, _ = run_cli(capsys, ["ord-arith", op, left, right, "--json"])
+    assert code == EXIT_OK and len(strict_json(out)["value"]) == digits
+
+
+@pytest.mark.parametrize(
     "argv, code, payload",
     [
         (["--lower", "00", "--upper", "00,01,10"], EXIT_OK,
@@ -802,6 +832,8 @@ def test_cli_code_scale_cap_is_exit_four(capsys):
          {"inputs": {"algebra": "finite:3", "lower": [1], "upper": [7, 5]}, "verdict": "not-found"}),
         (["--algebra", "finite:2", "--lower", "0x1", "--upper", "3"], EXIT_NEGATIVE,
          {"inputs": {"algebra": "finite:2", "lower": [1], "upper": [3]}, "verdict": "not-found"}),
+        # the value is as deep as saturation.MAX_CYLINDER_DEPTH allows
+        (["--upper", "0" * 15], EXIT_OK, {"inputs": {"algebra": "cyl", "lower": [], "upper": ["0" * 15]}, "value": "0" * 16}),
     ],
 )
 def test_cli_interpolate_payloads_on_both_algebras(capsys, argv, code, payload):

@@ -961,20 +961,20 @@ def test_exact_path_shadowed_parameter():
 
 def test_exact_path_vacuous_and_hoisted_quantifiers():
     x, z = CVar("x"), CVar("z")
-    # the z quantifier ignores y, so it is evaluated once per value of x
-    hoisted = FSup("x", SORT_PROJ, FInf("y", SORT_PROJ, FPlus(
+    # the z quantifier ignores y, so its list is the same for every y
+    skips_y = FSup("x", SORT_PROJ, FInf("y", SORT_PROJ, FPlus(
         FSup("z", SORT_PROJ, FNorm(CSub(x, z))), FScale(0.25, FNorm(CVar("y")))
     )))
     # a quantifier whose body ignores its own variable
     vacuous = FInf("x", SORT_PROJ, FSup("y", SORT_PROJ, FNorm(CAdd(x, COne()))))
     for n in range(1, 5):
         A = CStarAlgebraFin(n)
-        _assert_exact(hoisted, A, {})
+        _assert_exact(skips_y, A, {})
         _assert_exact(vacuous, A, {})
     assert ceval(vacuous, CStarAlgebraFin(3), {}).lower == 1
 
 
-def _hoisting_sentence(c):
+def _four_binder_sentence(c):
     """Four binders over x, y, z, w; the w quantifier reads x and z but not y,
     and its atom, scaled by the constant ``c``, tells the three apart."""
     x, y, z, w = (CVar(v) for v in "xyzw")
@@ -1000,19 +1000,23 @@ def _count_fmax_calls(monkeypatch):
 def test_exact_path_hoists_once_per_orbit_of_the_colour_classes(monkeypatch, sizes):
     # the constant takes one value per class of points, consecutive classes of
     # the given sizes, and its atom tells the classes apart, so they are the
-    # colours.  The w quantifier is memoised on (x, z) and runs its body once
-    # per pair; x takes one mask per orbit of the permutations within the
-    # classes: c_i of the a_i points of class i, for each i.  z takes one per
-    # orbit of those that also fix x: per class, c_i + 1 counts on x's points
-    # times a_i - c_i + 1 on the others.  Summed over c_i = 0..a_i, that is
-    # C(a_i + 3, 3), and the classes multiply: one class of n points gives
-    # C(n + 3, 3) (4, 10, 20, 35, 56), n classes of one point 4**n, every (x, z).
+    # colours.  x takes one mask per orbit of the permutations within the
+    # classes: c_i of the a_i points of class i, for each i.  The z quantifier
+    # reads x and y, so y takes one mask per orbit of those that also fix x:
+    # per class, c_i + 1 counts on x's points times a_i - c_i + 1 on the
+    # others.  The w quantifier reads x and z but not y, so it runs again at
+    # each of those y, and z takes one mask per orbit fixing x, as many again.
+    # Its body runs once per (x, y, z): ((c_i + 1)(a_i - c_i + 1))**2 per
+    # class, summed over c_i = 0..a_i, and the classes multiply: one class of
+    # 1-5 points gives 8, 34, 104, 259, 560, n classes of one point 8**n,
+    # every (x, y, z).
     n, calls = sum(sizes), _count_fmax_calls(monkeypatch)
     c = CConst(tuple(complex(0.5 * i, 0.25) for i, a in enumerate(sizes) for _ in range(a)))
-    phi, A = _hoisting_sentence(c), CStarAlgebraFin(n)
+    phi, A = _four_binder_sentence(c), CStarAlgebraFin(n)
     ceval(phi, A)
-    assert all(sum((k + 1) * (a - k + 1) for k in range(a + 1)) == math.comb(a + 3, 3) for a in sizes)
-    assert len(calls) == math.prod(math.comb(a + 3, 3) for a in sizes)
+    per_class = [sum(((k + 1) * (a - k + 1)) ** 2 for k in range(a + 1)) for a in range(1, 6)]
+    assert per_class == [8, 34, 104, 259, 560]
+    assert len(calls) == math.prod(per_class[a - 1] for a in sizes)
     _assert_bits_of_full_search(phi, A)  # the twin searches in full, as the counts at 1-1-1-1(-1) show
     if n < 4 or sizes in ((4,), (1, 1, 1, 1)):  # the reference walks 2**(4n) leaves
         _assert_exact(phi, A, {})

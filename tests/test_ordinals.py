@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from functools import cmp_to_key
 from itertools import product
 
@@ -242,6 +243,37 @@ def test_compare_is_the_normal_form_loop_on_infinite_exponents():
         want = _loop_compare(a, b)
         assert compare(a, b) == want, (a, b)
         assert (a < b, a <= b, a > b, a >= b) == (want < 0, want <= 0, want > 0, want >= 0)
+
+
+def _fold_mul(a: Ordinal, b: Ordinal) -> Ordinal:
+    """a * b as the sum over the terms of b of a * w^f * d, folded by ord_add."""
+    if a.is_zero() or b.is_zero():
+        return ZERO
+    ea = a.terms[0][0]
+    result = ZERO
+    for exponent, coeff in b.terms:
+        if exponent.is_zero():
+            part = Ordinal(((ea, a.terms[0][1] * coeff),) + a.terms[1:])
+        else:
+            part = omega_power(ord_add(ea, exponent), coeff)
+        result = ord_add(result, part)
+    return result
+
+
+def test_mul_equals_the_fold_of_its_pieces_on_random_ordinals():
+    rng = random.Random(30)
+    sample = [_random_ordinal(rng, rng.randint(0, 3)) for _ in range(200)]
+    sample += [ord_pow(ord_add(OMEGA, ONE), nat(k)) for k in (40, 41)]  # 41 and 42 terms
+    for _ in range(3000):
+        a, b = rng.choice(sample), rng.choice(sample)
+        assert ord_mul(a, b) == _fold_mul(a, b), (a, b)
+
+
+def test_pow_of_a_long_sum_runs_in_one_pass_per_product():
+    start = time.process_time()
+    power = ord_pow(ord_add(OMEGA, ONE), nat(3000))
+    assert time.process_time() - start < 0.5  # the ord_add fold took seconds
+    assert power == Ordinal(tuple((nat(k), 1) for k in range(3000, -1, -1)))
 
 
 def test_ord_equiv_is_equivalence_relation():
