@@ -27,7 +27,8 @@ from elemeq.saturation import (
 
 # ---------------------------------------------------------------------------
 # The presented atomless algebra: finite unions of binary cylinders,
-# canonicalized to minimal depth.  Between ANY strict pair there is
+# stored as the sorted points of [0, 1) where they start and stop, and
+# printed as their maximal cylinders.  Between ANY strict pair there is
 # always room — and interpolate_chain finds a canonical witness.
 # ---------------------------------------------------------------------------
 
@@ -35,14 +36,13 @@ algebra = PresentedAtomlessBA()
 lower = [algebra.cylinder("00")]
 upper = [algebra.join(algebra.cylinder("0"), algebra.cylinder("10"))]
 interpolant = interpolate_chain(lower, upper, algebra)
-print("strictly between", sorted(lower[0].words), "and", sorted(upper[0].words), ":",
-      sorted(interpolant.words))
+print("strictly between", lower[0].cylinders, "and", upper[0].cylinders, ":", interpolant.cylinders)
 
 # Longer chains: ascending on the left, descending on the right.
 lower = [algebra.cylinder("000"), algebra.cylinder("00")]
 upper = [algebra.complement(algebra.cylinder("11")), algebra.cylinder("0")]
 interpolant = interpolate_chain(lower, upper, algebra)
-print("chain interpolant:", sorted(interpolant.words))
+print("chain interpolant:", interpolant.cylinders)
 
 # ---------------------------------------------------------------------------
 # Finite algebras are NOT saturated this way: between an element and a

@@ -104,6 +104,7 @@ from elemeq.cstar import (
 from elemeq.efgames import ef_finite_bas, ef_finite_orders, ef_ordinals
 from elemeq.errors import ParseError, PreconditionError, ResourceBudgetError
 from elemeq.ordinals import (
+    MAX_COEFF_DIGITS,
     Ordinal,
     calkin_equiv,
     cnf_string,
@@ -213,7 +214,14 @@ def _parse_ordinal_term(stream: _TokenStream) -> Ordinal:
     token = stream.peek()
     if token is None or not token.isdigit():
         raise ParseError("expected a natural coefficient after '*'", position=stream.position())
-    return ord_mul(base, finite(int(stream.advance())))
+    return ord_mul(base, _natural(stream.advance()))
+
+
+def _natural(token: str) -> Ordinal:
+    """A natural literal, refused as over budget where ``int`` would not read it."""
+    if len(token) > MAX_COEFF_DIGITS:
+        raise ResourceBudgetError(f"a natural of over {MAX_COEFF_DIGITS} digits")
+    return finite(int(token))
 
 
 def _parse_ordinal_exponent(stream: _TokenStream) -> Ordinal:
@@ -227,7 +235,7 @@ def _parse_ordinal_exponent(stream: _TokenStream) -> Ordinal:
         return inner
     if token is not None and token.isdigit():
         stream.advance()
-        return finite(int(token))
+        return _natural(token)
     if token == "w":
         stream.advance()
         if stream.peek() == "^":
@@ -936,13 +944,8 @@ def _cmd_interpolate(args):
 
 
 def _cylinder_str(element: CylinderElement) -> str:
-    from elemeq.saturation import PresentedAtomlessBA
-
-    if element == PresentedAtomlessBA().top:
-        return "top"
-    if element.is_zero():
-        return "bottom"
-    return ",".join(sorted(element.words))
+    cylinders = element.cylinders
+    return {(): "bottom", ("",): "top"}.get(cylinders) or ",".join(cylinders)
 
 
 def _parse_mask(text: str, algebra: FiniteBoolAlg) -> int:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import operator
 
 import numpy as np
@@ -56,13 +55,12 @@ from elemeq.clogic import (
     term_free_vars,
 )
 from elemeq.cstar import CStarAlgebraFin, c_mul, c_norm
-from elemeq.errors import Frozen, PreconditionError, ResourceBudgetError
+from elemeq.errors import Frozen, PreconditionError
 
 MAX_REALIZE_VARIABLES = 3
 MAX_REALIZE_POINTS = 4
 MAX_REALIZE_CONDITIONS = 16
 MAX_ORTHOGONAL_POINTS = 8
-MAX_CYLINDER_DEPTH = 16
 DEFAULT_REALIZE_BOXES = 2_000_000
 _REALIZE_SORTS = (SORT_BALL, SORT_SA, SORT_POS)
 _BATCH_SIZE = 512
@@ -74,47 +72,61 @@ _FILL_SIDE = 0.25  # of 1, 1/2, 1/4 and 1/8, 1/4 gave the realize bench its leas
 # ---------------------------------------------------------------------------
 
 
-def _reduce_words(depth: int, words: frozenset) -> tuple:
-    """Canonicalize a union of depth-`depth` cylinders at minimal depth."""
-    if not words:
-        return 0, frozenset()
-    while depth > 0 and all(w[:-1] + ("1" if w[-1] == "0" else "0") in words for w in words):
-        words = frozenset(w[:-1] for w in words)
-        depth -= 1
-    return depth, words
+def _spell(point: int, depth: int) -> str:
+    """The binary word of length ``depth`` that names ``point``."""
+    return format(point | 1 << depth, "b")[1:]
+
+
+def _element(depth: int, cuts) -> CylinderElement:
+    """The element with these cuts at ``depth``, at its least depth."""
+    low = functools.reduce(operator.or_, cuts, 1 << depth)
+    shift = (low & -low).bit_length() - 1  # the common trailing zero bits, at most depth
+    return Frozen.__new__(CylinderElement, depth - shift, tuple(c >> shift for c in cuts))
 
 
 class CylinderElement(Frozen):
-    """A finite union of cylinder sets, canonical at minimal depth.
+    """A finite union of cylinder sets, as the sorted points where it starts and stops.
 
-    ``words`` is a set of binary strings of length ``depth``; the element
-    is the union of the cylinders they name.  The constructor reduces the
-    representation until no sibling pair remains, so equal elements have
-    equal representations.
+    A word w of length d names the interval [w, w + 1) of [0, 2^d); an element
+    is [c0, c1) ∪ [c2, c3) ∪ ... for ``cuts`` c0 < c1 < ... at the least ``depth``
+    that makes every cut an integer, so equal elements have equal fields.  The
+    constructor takes words of length ``depth``, as ``words`` gives them back.
     """
 
     depth: int
-    words: frozenset
+    cuts: tuple
 
     def __new__(cls, depth, words):
         if depth < 0:
             raise PreconditionError("cylinder depth must be nonnegative")
-        if depth > MAX_CYLINDER_DEPTH:  # a lift to depth d spells up to 2^d words
-            raise ResourceBudgetError(f"cylinder depth {depth} exceeds the cap {MAX_CYLINDER_DEPTH}")
         for w in words:
-            if len(w) != depth or any(ch not in "01" for ch in w):
+            if len(w) != depth or w.strip("01"):
                 raise PreconditionError(f"word {w!r} is not binary of length {depth}")
-        return Frozen.__new__(cls, *_reduce_words(depth, frozenset(words)))
+        points = {int("0" + w, 2) for w in words}
+        return _element(depth, sorted(points ^ {p + 1 for p in points}))  # where runs start and stop
+
+    def __reduce__(self):
+        return _element, self[1:]
 
     def is_zero(self) -> bool:
-        return not self.words
+        return not self.cuts
 
+    @property
+    def words(self) -> tuple:
+        """The sorted words of length ``depth`` inside the element: up to 2^depth of them."""
+        runs = zip(self.cuts[::2], self.cuts[1::2])
+        return tuple(_spell(p, self.depth) for lo, hi in runs for p in range(lo, hi))
 
-def _lift_words(words, from_depth: int, to_depth: int) -> frozenset:
-    if from_depth == to_depth:
-        return frozenset(words)
-    suffixes = ["".join(bits) for bits in itertools.product("01", repeat=to_depth - from_depth)]
-    return frozenset(w + s for w in words for s in suffixes)
+    @property
+    def cylinders(self) -> tuple:
+        """The maximal cylinders inside the element, left to right."""
+        found = []
+        for lo, hi in zip(self.cuts[::2], self.cuts[1::2]):
+            while lo < hi:  # the largest aligned block at lo that fits below hi
+                size = min(lo & -lo or 1 << self.depth, 1 << (hi - lo).bit_length() - 1)
+                found.append(_spell(lo // size, self.depth + 1 - size.bit_length()))
+                lo += size
+        return tuple(found)
 
 
 class PresentedAtomlessBA:
@@ -127,35 +139,39 @@ class PresentedAtomlessBA:
 
     @property
     def bottom(self) -> CylinderElement:
-        return CylinderElement(0, frozenset())
+        return _element(0, ())
 
     @property
     def top(self) -> CylinderElement:
-        return CylinderElement(0, frozenset({""}))
+        return _element(0, (0, 1))
 
     def cylinder(self, word: str) -> CylinderElement:
         """The single cylinder of sequences starting with ``word``."""
-        return CylinderElement(len(word), frozenset({word}))
+        return CylinderElement(len(word), (word,))
 
-    def _common(self, a: CylinderElement, b: CylinderElement) -> tuple:
+    def _sweep(self, a: CylinderElement, b: CylinderElement, keep: tuple) -> CylinderElement:
+        """One pass over the cuts of a and b: x is in the result when keep[2 (x in a) + (x in b)]."""
         depth = max(a.depth, b.depth)
-        return depth, _lift_words(a.words, a.depth, depth), _lift_words(b.words, b.depth, depth)
+        in_a, in_b = ({c << depth - x.depth for c in x.cuts} for x in (a, b))
+        cuts, ina, inb = [], False, False
+        for point in sorted(in_a | in_b):
+            ina ^= point in in_a
+            inb ^= point in in_b
+            if keep[2 * ina + inb] != len(cuts) % 2:  # an odd count of cuts so far: inside
+                cuts.append(point)
+        return _element(depth, cuts)
 
     def join(self, a: CylinderElement, b: CylinderElement) -> CylinderElement:
-        depth, wa, wb = self._common(a, b)
-        return CylinderElement(depth, wa | wb)
+        return self._sweep(a, b, (0, 1, 1, 1))
 
     def meet(self, a: CylinderElement, b: CylinderElement) -> CylinderElement:
-        depth, wa, wb = self._common(a, b)
-        return CylinderElement(depth, wa & wb)
+        return self._sweep(a, b, (0, 0, 0, 1))
 
     def complement(self, a: CylinderElement) -> CylinderElement:
-        all_words = frozenset("".join(bits) for bits in itertools.product("01", repeat=a.depth))
-        return CylinderElement(a.depth, all_words - a.words)
+        return _element(a.depth, sorted(set(a.cuts) ^ {0, 1 << a.depth}))
 
     def leq(self, a: CylinderElement, b: CylinderElement) -> bool:
-        depth, wa, wb = self._common(a, b)
-        return wa <= wb
+        return self.meet(a, b) == a
 
     def lt(self, a: CylinderElement, b: CylinderElement) -> bool:
         return self.leq(a, b) and a != b
@@ -194,30 +210,26 @@ def interpolate_chain(lower_chain, upper_chain, algebra):
     descending, and the largest lower element strictly below the smallest
     upper element (empty chains default to bottom and top).  Violations
     raise ``PreconditionError``.  In ``PresentedAtomlessBA`` an
-    interpolant always exists: the lexicographically first cylinder of
-    the gap is split and its first half joined to the lower bound.  In
-    ``FiniteBoolAlg`` the verdict ``NOT_FOUND`` is returned when the open
-    interval is empty.  Every returned element is re-checked to lie
-    strictly between the bounds.
+    interpolant always exists: the gap's first word at its depth is split
+    and its first half joined to the lower bound.  In ``FiniteBoolAlg`` the
+    verdict ``NOT_FOUND`` is returned when the open interval is empty.
+    Every returned element is re-checked to lie strictly between the bounds.
     """
     if isinstance(algebra, PresentedAtomlessBA):
         u, v = _chain_bounds(lower_chain, upper_chain, algebra, algebra.bottom, algebra.top)
         gap = algebra.meet(v, algebra.complement(u))
-        first = min(gap.words)
-        candidate = algebra.join(u, algebra.cylinder(first + "0"))
-        if not (algebra.lt(u, candidate) and algebra.lt(candidate, v)):
-            raise RuntimeError("interpolation postcondition failed")
-        return candidate
-    if isinstance(algebra, FiniteBoolAlg):
+        candidate = algebra.join(u, algebra.cylinder(_spell(gap.cuts[0], gap.depth) + "0"))
+    elif isinstance(algebra, FiniteBoolAlg):
         u, v = _chain_bounds(lower_chain, upper_chain, algebra, 0, algebra.full)
         gap = v & ~u & algebra.full
         if gap.bit_count() < 2:
             return NOT_FOUND
         candidate = u | (gap & -gap)
-        if not (algebra.leq(u, candidate) and candidate != u and algebra.leq(candidate, v) and candidate != v):
-            raise RuntimeError("interpolation postcondition failed")
-        return candidate
-    raise PreconditionError("algebra must be PresentedAtomlessBA or FiniteBoolAlg")
+    else:
+        raise PreconditionError("algebra must be PresentedAtomlessBA or FiniteBoolAlg")
+    if not (algebra.leq(u, candidate) and algebra.leq(candidate, v) and u != candidate != v):
+        raise RuntimeError("interpolation postcondition failed")
+    return candidate
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
 """Tests for chain interpolation and degree-1 type realization."""
 
 import collections
+import functools
 import heapq
 import itertools
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +117,90 @@ def test_cylinder_algebra_is_atomless():
         assert not smaller.is_zero() and BA.leq(smaller, a) and smaller != a
 
 
+# A reference model of the same algebra at one uniform depth: an element is
+# (depth, frozenset of words of length depth), reduced while every word's
+# sibling is present; two elements are compared and combined at the larger
+# depth, every word lifted by every suffix.
+
+
+def _ref_reduce(depth, words):
+    if not words:
+        return 0, frozenset()
+    while depth > 0 and all(w[:-1] + "01"[w[-1] == "0"] in words for w in words):
+        words = frozenset(w[:-1] for w in words)
+        depth -= 1
+    return depth, frozenset(words)
+
+
+def _ref_lift(a, depth):
+    suffixes = ["".join(bits) for bits in itertools.product("01", repeat=depth - a[0])]
+    return frozenset(w + s for w in a[1] for s in suffixes)
+
+
+def _ref_apply(a, b, op):
+    depth = max(a[0], b[0])
+    return _ref_reduce(depth, op(_ref_lift(a, depth), _ref_lift(b, depth)))
+
+
+def _ref_complement(a):
+    return _ref_reduce(a[0], _ref_lift((0, {""}), a[0]) - a[1])
+
+
+def _ref_leq(a, b):
+    depth = max(a[0], b[0])
+    return _ref_lift(a, depth) <= _ref_lift(b, depth)
+
+
+def _ref_interpolate(u, v):
+    """Split the least word of the gap and join its first half to u."""
+    first = min(_ref_apply(v, _ref_complement(u), frozenset.__and__)[1])
+    return _ref_apply(u, (len(first) + 1, {first + "0"}), frozenset.__or__)
+
+
+def _random_words(rng, max_depth):
+    """Words of one random depth, sparse, half or dense."""
+    depth, density = rng.randint(0, max_depth), rng.choice((0.05, 0.5, 0.95))
+    return depth, frozenset(w for w in map("".join, itertools.product("01", repeat=depth)) if rng.random() < density)
+
+
+def _is_ref(element, ref):
+    return (element.depth, element.words) == (ref[0], tuple(sorted(ref[1])))
+
+
+def test_cylinder_algebra_matches_the_uniform_depth_reference():
+    rng = random.Random(31)
+    for _ in range(300):
+        ra, rb = _random_words(rng, 10), _random_words(rng, 10)
+        a, b = CylinderElement(*ra), CylinderElement(*rb)
+        ra, rb = _ref_reduce(*ra), _ref_reduce(*rb)
+        assert _is_ref(a, ra) and _is_ref(b, rb)
+        u, ru = BA.meet(a, b), _ref_apply(ra, rb, frozenset.__and__)
+        v, rv = BA.join(a, b), _ref_apply(ra, rb, frozenset.__or__)
+        assert _is_ref(u, ru) and _is_ref(v, rv) and _is_ref(BA.complement(a), _ref_complement(ra))
+        for x, y, rx, ry in ((a, b, ra, rb), (b, a, rb, ra), (u, a, ru, ra), (a, v, ra, rv)):
+            assert BA.leq(x, y) == _ref_leq(rx, ry)
+        if u != v:
+            assert _is_ref(interpolate_chain([u], [v], BA), _ref_interpolate(ru, rv))
+
+
+def test_cylinders_are_the_maximal_cylinders_left_to_right():
+    rng = random.Random(37)
+    for _ in range(200):
+        a = CylinderElement(*_random_words(rng, 10))
+        cylinders = a.cylinders
+        assert list(cylinders) == sorted(cylinders)
+        # sorted, a word's extensions follow it at once, so adjacent pairs show any prefix
+        assert not any(right.startswith(left) for left, right in zip(cylinders, cylinders[1:]))
+        assert not any(w[:-1] + "01"[w[-1] == "0"] in cylinders for w in cylinders if w)
+        assert functools.reduce(BA.join, map(BA.cylinder, cylinders), BA.bottom) == a
+
+
+def test_cylinder_element_pickles():
+    rng = random.Random(41)
+    for a in (BA.bottom, BA.top, *(CylinderElement(*_random_words(rng, 10)) for _ in range(20))):
+        assert pickle.loads(pickle.dumps(a)) == a
+
+
 # ---------------------------------------------------------------------------
 # Chain interpolation
 # ---------------------------------------------------------------------------
@@ -191,6 +281,32 @@ def test_interpolation_matches_brute_force_in_finite_algebras():
                     assert result in between
                 else:
                     assert result == NOT_FOUND
+
+
+#: Interpolants of seeded chains of depth-6 word sets, one repr a line; the
+#: sets are frozensets, whose iteration order follows the hash seed.
+_HASH_SEED_SCRIPT = """
+import random
+from elemeq.saturation import CylinderElement, PresentedAtomlessBA, interpolate_chain
+rng, words = random.Random(5), [format(i, "06b") for i in range(64)]
+for _ in range(40):
+    order, sizes = rng.sample(words, 64), sorted(rng.sample(range(1, 64), 4))
+    a, b, c, d = (CylinderElement(6, frozenset(order[:k])) for k in sizes)
+    found = interpolate_chain([a, b], [d, c], PresentedAtomlessBA())
+    print(repr((found.depth, found.words)))
+"""
+
+
+def test_interpolants_do_not_depend_on_the_hash_seed():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT], env={**env, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        for seed in ("0", "1", "7")
+    ]
+    assert outputs[0].count("\n") == 40 and outputs[0] == outputs[1] == outputs[2]
 
 
 # ---------------------------------------------------------------------------
