@@ -214,14 +214,14 @@ def _parse_ordinal_term(stream: _TokenStream) -> Ordinal:
     token = stream.peek()
     if token is None or not token.isdigit():
         raise ParseError("expected a natural coefficient after '*'", position=stream.position())
-    return ord_mul(base, _natural(stream.advance()))
+    return ord_mul(base, finite(_natural(stream.advance())))
 
 
-def _natural(token: str) -> Ordinal:
+def _natural(token: str) -> int:
     """A natural literal, refused as over budget where ``int`` would not read it."""
     if len(token) > MAX_COEFF_DIGITS:
         raise ResourceBudgetError(f"a natural of over {MAX_COEFF_DIGITS} digits")
-    return finite(int(token))
+    return int(token)
 
 
 def _parse_ordinal_exponent(stream: _TokenStream) -> Ordinal:
@@ -235,7 +235,7 @@ def _parse_ordinal_exponent(stream: _TokenStream) -> Ordinal:
         return inner
     if token is not None and token.isdigit():
         stream.advance()
-        return _natural(token)
+        return finite(_natural(token))
     if token == "w":
         stream.advance()
         if stream.peek() == "^":
@@ -554,7 +554,7 @@ def parse_descriptor(text: str):
         return _NAMED_DESCRIPTORS[text]()
     match = re.fullmatch(r"finite\((\d+)\)", text)
     if match:
-        return Finite(int(match.group(1)))
+        return Finite(_natural(match.group(1)))
     match = re.fullmatch(r"intalg\((.*)\)", text, re.DOTALL)
     if match:
         return IntervalAlgebra(parse_ordinal(match.group(1)))
@@ -748,7 +748,7 @@ def _cmd_calkin_eq(args):
 
 def _cmd_ef(args):
     if args.kind == "orders":
-        m, n = int(args.left), int(args.right)
+        m, n = _natural(args.left), _natural(args.right)
         verdict = ef_finite_orders(m, n, args.rank)
         inputs = {"kind": "orders", "left": m, "right": n, "rank": args.rank}
     elif args.kind == "ordinals":
@@ -756,7 +756,7 @@ def _cmd_ef(args):
         verdict = ef_ordinals(a, b, args.rank)
         inputs = {"kind": "ordinals", "left": cnf_string(a), "right": cnf_string(b), "rank": args.rank}
     else:
-        m, n = int(args.left), int(args.right)
+        m, n = _natural(args.left), _natural(args.right)
         verdict = ef_finite_bas(FiniteBoolAlg(m), FiniteBoolAlg(n), args.rank)
         inputs = {"kind": "ba", "left": m, "right": n, "rank": args.rank}
     return {"inputs": inputs, "verdict": verdict}, EXIT_OK
@@ -932,7 +932,7 @@ def _cmd_interpolate(args):
         match = re.fullmatch(r"finite:(\d+)", args.algebra)
         if not match:
             raise ParseError("--algebra must be 'cyl' or 'finite:<atoms>'")
-        algebra = FiniteBoolAlg(int(match.group(1)))
+        algebra = FiniteBoolAlg(_natural(match.group(1)))
         parse, render = functools.partial(_parse_mask, algebra=algebra), int  # a mask as itself
     lower = [parse(text) for text in args.lower]
     upper = [parse(text) for text in args.upper]

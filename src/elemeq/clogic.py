@@ -18,8 +18,8 @@ The walker alone dispatches on term nodes, rejects unbound variables and
 constants of the wrong size.  The rectangle ops are written once, for a
 rectangle of four components that are floats here and arrays over a batch
 of boxes in ``saturation``; product and modulus bounds (also rounded outward)
-come from ``_rect_kernel``, given min, max, hypot and nextafter from builtins
-and ``math`` here and from numpy there, so this module never imports numpy.
+come from ``_rect_kernel``, given min, max, hypot and a two-float outward step
+from ``math`` here and numpy there, so this module never imports numpy.
 
 Evaluation returns an enclosure certificate.  Formulas whose quantifiers all
 range over projections are evaluated exactly (the sort is finite), compiled
@@ -434,14 +434,15 @@ def formula_modulus(phi, var: str, algebra: CStarAlgebraFin, bounds: dict) -> fl
 # tuple of rectangles, one per point of the space.  A component may be a
 # float or an array of them (``saturation`` batches boxes that way), so each
 # op is written once: add, sub, conj and the point rectangle use only
-# arithmetic, and product and modulus take min, max, hypot and nextafter from
-# a numeric namespace.
+# arithmetic, and product and modulus take min, max, hypot and a step two
+# floats outward from a numeric namespace.
 
 
-def _rect_kernel(lo, hi, hypot, nextafter):
+def _rect_kernel(lo, hi, hypot, outward):
     """The rectangle product and modulus bounds, then those bounds two floats
     outward (``hypot`` errs by under 1 ulp) with the lower end kept >= 0, over
-    ``lo``/``hi`` (min and max of any number of values), hypot and nextafter."""
+    ``lo``/``hi`` (min and max of any number of values), hypot and ``outward``
+    (x, toward): x two floats toward -inf or inf."""
 
     def imul(al, ah, bl, bh):
         c1, c2, c3, c4 = al * bl, al * bh, ah * bl, ah * bh
@@ -460,13 +461,12 @@ def _rect_kernel(lo, hi, hypot, nextafter):
 
     def abs_iv(a):
         least, most = mod(a)
-        return (hi(0.0, nextafter(nextafter(least, -math.inf), -math.inf)),
-                nextafter(nextafter(most, math.inf), math.inf))
+        return hi(0.0, outward(least, -math.inf)), outward(most, math.inf)
 
     return mul, mod, abs_iv
 
 
-_rect_mul, _rect_mod, _abs_iv = _rect_kernel(min, max, math.hypot, math.nextafter)
+_rect_mul, _rect_mod, _abs_iv = _rect_kernel(min, max, math.hypot, lambda x, t: math.nextafter(math.nextafter(x, t), t))
 
 
 def _rect_point(v: complex):

@@ -332,14 +332,22 @@ class Inconclusive(Frozen):
 # point, and a constant is read at the rows' points, so one ``eval_term`` pass
 # per condition bounds the moduli of every row against its own point's
 # constants, in the rectangles of ``clogic`` (its kernel on numpy's min, max,
-# hypot and nextafter: modulus bounds widened by two floats each way, as
+# hypot and ``_np_outward``: modulus bounds widened by two floats each way, as
 # np.hypot is not correctly rounded), or at sample points in numpy complex
 # values.  No max over the points is taken: the search is split over them,
 # and they meet only in cover states (``_RealizeProblem``).
 # ---------------------------------------------------------------------------
 
+def _np_outward(x, toward):
+    """Moduli x (>= +0.0, inf or nan) two floats toward -inf or inf on their float64 bit patterns:
+    downward floored at +0.0 (below it the pattern wraps), upward clamped at inf, nan kept."""
+    bits = x.view(np.int64)
+    stepped = np.maximum(bits - 2, 0) if toward < 0 else np.minimum(bits + 2, 0x7FF0000000000000)  # inf's
+    return np.where(np.isnan(x), x, stepped.view(np.float64))
+
+
 _np_mul, _np_mod, _np_abs_iv = _rect_kernel(lambda *xs: functools.reduce(np.minimum, xs),
-                                            lambda *xs: functools.reduce(np.maximum, xs), np.hypot, np.nextafter)
+                                            lambda *xs: functools.reduce(np.maximum, xs), np.hypot, _np_outward)
 
 _NP_RECTS = Arith(
     lambda values: _rect_point(np.asarray(values, dtype=complex)),
@@ -371,15 +379,39 @@ def _split(boxes):
     return halves
 
 
+def _read_only(*arrays):
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 @functools.lru_cache(maxsize=64)
-def _fill(sorts, room):
-    """The one-point domain of the sorts split into sides of at most
-    ``_FILL_SIDE``, while the boxes number at most ``room``."""
-    boxes = np.array([sum((_initial_box(sort, 1) for sort in sorts), ())])
+def _geometry(sorts):
+    """Variables of these sorts: the sorts, the slots of ``ball`` and of the real sorts,
+    the real sorts' domain ends (floor, ceiling) and the one-point domain as one box."""
+    array = np.array(sorts)
+    ball, real = np.flatnonzero(array == SORT_BALL), np.flatnonzero(array != SORT_BALL)
+    domain = np.array([sum((_initial_box(sort, 1) for sort in sorts), ())])
+    return _read_only(array, ball, real, *domain[0, real, :2].T, domain)
+
+
+@functools.lru_cache(maxsize=64)
+def _first_level(sorts, room, n):
+    """The one-point domain split to sides of at most ``_FILL_SIDE`` in at most ``room`` boxes, at
+    each of the n points: the boxes that meet every domain, their points and the count made."""
+    _, ball, *_, boxes = _geometry(sorts)
     while 2 * len(boxes) <= room and (boxes[0, :, 1::2] - boxes[0, :, 0::2]).max() > _FILL_SIDE:
         boxes = _split(boxes)
-    boxes.flags.writeable = False
-    return boxes
+    kept = boxes[_feasible(boxes, ball)]
+    return *_read_only(np.tile(kept, (n, 1, 1)), np.repeat(np.arange(n), len(kept))), n * len(boxes)
+
+
+def _feasible(boxes, ball):
+    """Whether each box meets every domain (a ``ball`` box's nearest point in the disc, exactly)."""
+    if not ball.size:
+        return np.ones(boxes.shape[0], dtype=bool)
+    near = np.minimum(np.maximum(boxes[:, ball, 0::2], 0.0), boxes[:, ball, 1::2])
+    return _in_disc_np(near[..., 0], near[..., 1]).all(axis=1)
 
 
 def _maximal(keys):
@@ -426,9 +458,8 @@ class _RealizeProblem:
     def __init__(self, conditions, algebra, sorts_by_var):
         self.conditions, self.algebra, self.points = conditions, algebra, algebra.point_count
         self.names = sorted(sorts_by_var)
-        self.sorts = np.array([sorts_by_var[name] for name in self.names])
-        self.ball, self.real = np.flatnonzero(self.sorts == SORT_BALL), np.flatnonzero(self.sorts != SORT_BALL)
-        self.floor, self.ceiling = self.initial_box()[0, self.real, :2].T  # the real sorts' domain ends
+        self.sort_key = tuple(sorts_by_var[name] for name in self.names)
+        self.sorts, self.ball, self.real, self.floor, self.ceiling, self.domain = _geometry(self.sort_key)
         self.width = width = max(len(c.target) for c in conditions)
         ends = np.array([c.target + c.target[-1:] * (width - len(c.target)) for c in conditions])
         self.t_lo, self.t_hi = ends[..., :1], ends[..., 1:]
@@ -439,14 +470,15 @@ class _RealizeProblem:
         # a state times the point count, plus the point, fits an int64 or is a Python int
         self.weights = np.array([1 << (at + k) for at in step for k in range(width)],
                                 dtype=object if 2 * bits > 60 else np.int64)
-        self.array = functools.cache(lambda values: np.array(values, dtype=complex))
-
-    def initial_box(self):
-        return _fill(tuple(self.sorts), 1)
+        self.arrays = {}  # each constant's values as one array
 
     def at(self, arith, points):
         """``arith`` with each constant read at the rows' ``points``."""
-        return arith._replace(const=lambda values: arith.const(self.array(values)[points]))
+        def const(values):
+            if values not in self.arrays:
+                self.arrays[values] = np.array(values, dtype=complex)
+            return arith.const(self.arrays[values][points])
+        return arith._replace(const=const)
 
     def bounds(self, boxes, points):
         """Modulus bounds (lo, hi) of each condition over each box at its point, shape
@@ -510,13 +542,6 @@ class _RealizeProblem:
             else:
                 below, values = t, values[values < t]
         return float(below)
-
-    def feasible(self, boxes):
-        """Whether each box meets every domain (a ``ball`` box's nearest point in the disc, exactly)."""
-        if not self.ball.size:
-            return np.ones(boxes.shape[0], dtype=bool)
-        near = np.minimum(np.maximum(boxes[:, self.ball, 0::2], 0.0), boxes[:, self.ball, 1::2])
-        return _in_disc_np(near[..., 0], near[..., 1]).all(axis=1)
 
     def witnesses(self, boxes):
         """Witness candidates of feasible boxes, candidate-major, shape (M, V), and each one's
@@ -585,9 +610,9 @@ def realize_type(
     ``Inconclusive``'s ``best_deviation`` is the least of the pooled
     witnesses' covering threshold and a rejected choice's certified
     deviation.  The first level splits the domain up front for every point
-    (``_fill``).  A level is assessed whole, so ``boxes_used`` (one-point
-    boxes over all points) can pass ``max_boxes`` (at least 1) by at most
-    one level.
+    (``_first_level``, cached per sorts, room and point count).  A level is
+    assessed whole, so ``boxes_used`` (one-point boxes over all points) can
+    pass ``max_boxes`` (at least 1) by at most one level.
     """
     conditions = tuple(conditions)
     if not conditions or len(conditions) > MAX_REALIZE_CONDITIONS:
@@ -628,11 +653,9 @@ def realize_type(
     def tables(keys):  # per point, the states among the keys
         return [[key // n for key in keys if key % n == i] for i in range(n)]
 
-    def assess(boxes, points):
+    def assess(boxes, points, count):  # boxes that meet every domain, of count made
         nonlocal boxes_used, dropped
-        boxes_used += len(boxes)
-        feasible = problem.feasible(boxes)
-        boxes, points = boxes[feasible], points[feasible]
+        boxes_used += count
         lo, hi = problem.bounds(boxes, points)
         excess = (lo - problem.t_hi[:, -1]).max(axis=0)  # over the upper part
         alive = excess <= tol
@@ -654,11 +677,11 @@ def realize_type(
             cursor += room > 0  # no useful box is left on this level
         return [np.concatenate(part) for part in zip(*taken)]
 
-    def per_point(lo, hi, points):
-        return [(lo[:, points == i], hi[:, points == i]) for i in range(n)]
+    def per_point(lo, hi, points):  # each point's columns in order, cut from one stable argsort
+        order, ends = np.argsort(points, kind="stable"), [0, *np.bincount(points, minlength=n).cumsum().tolist()]
+        return [(lo[:, order[a:b]], hi[:, order[a:b]]) for a, b in zip(ends, ends[1:])]
 
-    boxes = _fill(tuple(problem.sorts), min(_BATCH_SIZE // 2, max_boxes // n))
-    assess(np.tile(boxes, (n, 1, 1)), np.repeat(np.arange(n), len(boxes)))
+    assess(*_first_level(problem.sort_key, min(_BATCH_SIZE // 2, max_boxes // n), n))
     while True:
         useful = problem.useful(tables([key for key, count in counts.items() if count]))
         if not useful[0]:
@@ -692,7 +715,9 @@ def realize_type(
             points = np.array([key % n for key in pools], dtype=int)
             return Inconclusive(problem.least_cover(per_point(found, found, points), -1.0, failed), boxes_used)
         taken = pop(useful)  # never empty: states only shrink, so no useful box lies behind the cursor
-        assess(_split(taken[0]), np.tile(taken[1], 2))
+        boxes, points = _split(taken[0]), np.tile(taken[1], 2)
+        feasible = _feasible(boxes, problem.ball)
+        assess(boxes[feasible], points[feasible], len(boxes))
 
 
 # ---------------------------------------------------------------------------

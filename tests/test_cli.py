@@ -801,8 +801,13 @@ def test_cli_code_scale_cap_is_exit_four(capsys):
         (["ord-arith", "add", "9" * 4400, "1"], "a natural of over 4300 digits"),
         (["ord-arith", "add", "w^" + "9" * 4301, "1"], "a natural of over 4300 digits"),
         (["ord-arith", "add", "w*" + "9" * 4301, "1"], "a natural of over 4300 digits"),
+        (["ef", "--kind", "orders", "9" * 4400, "1"], "a natural of over 4300 digits"),
+        (["ef", "--kind", "ba", "9" * 4400, "1"], "a natural of over 4300 digits"),
+        (["interpolate", "--algebra", "finite:" + "9" * 4400], "a natural of over 4300 digits"),
+        (["ba-invariants", "finite(" + "9" * 4400 + ")"], "a natural of over 4300 digits"),
     ],
-    ids=["pow-3", "pow-2", "pow-terms", "mul-print", "pow-exponent-print", "natural", "exponent", "coefficient"],
+    ids=["pow-3", "pow-2", "pow-terms", "mul-print", "pow-exponent-print", "natural", "exponent", "coefficient",
+         "ef-orders", "ef-ba", "interpolate-atoms", "descriptor-atoms"],
 )
 def test_cli_refuses_a_result_too_large_to_build_or_print_with_exit_four(capsys, argv, message):
     start = time.process_time()
@@ -823,6 +828,17 @@ def test_cli_refuses_a_result_too_large_to_build_or_print_with_exit_four(capsys,
 def test_cli_prints_a_coefficient_at_the_digit_limit(capsys, op, left, right, digits):
     code, out, _ = run_cli(capsys, ["ord-arith", op, left, right, "--json"])
     assert code == EXIT_OK and len(strict_json(out)["value"]) == digits
+
+
+def test_cli_reads_natural_literals_outside_the_ordinals_at_the_digit_limit(capsys):
+    # the literals of ef and of finite descriptors share the ordinal grammar's digit cap
+    limit = "9" * 4300
+    code, out, _ = run_cli(capsys, ["ef", "--kind", "orders", limit, "1", "--json"])
+    assert code == EXIT_OK and strict_json(out)["inputs"]["left"] == int(limit)
+    code, out, _ = run_cli(capsys, ["ba-invariants", f"finite({limit})", "--json"])
+    assert code == EXIT_OK and strict_json(out)["value"]["atom_count"] == int(limit)
+    code, _, err = run_cli(capsys, ["ef", "--kind", "ba", limit, "1"])
+    assert code == EXIT_BUDGET and err == "budget exceeded: atom count exceeds the cap 5\n"
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ import pytest
 from elemeq.boolalg import FiniteBoolAlg
 from elemeq.clogic import (
     _RECTS,
+    _abs_iv,
     _at_point,
     _rect_kernel,
     _rect_mod,
@@ -45,9 +46,15 @@ from elemeq.saturation import (
     _NP_RECTS,
     _RealizeProblem,
     _certify_assignment,
+    _feasible,
+    _first_level,
+    _geometry,
+    _np_abs_iv,
+    _np_outward,
     _np_mod,
     _split,
     NOT_FOUND,
+    DEFAULT_REALIZE_BOXES,
     CylinderElement,
     Inconclusive,
     PresentedAtomlessBA,
@@ -491,7 +498,7 @@ def test_refutations_score_no_witness(monkeypatch):
 
 def _candidates(problem, boxes):
     """The ``witnesses`` of the boxes that are ``feasible``, and that mask."""
-    feasible = problem.feasible(boxes)
+    feasible = _feasible(boxes, problem.ball)
     return problem.witnesses(boxes[feasible])[0], feasible
 
 
@@ -539,7 +546,8 @@ def _reference_realize(conditions, algebra, tol, sorts, max_boxes):
     def assess(boxes):
         nonlocal floor, best, used
         used += len(boxes)
-        boxes = boxes[problem.feasible(_one_point_boxes(problem, boxes)[0]).reshape(len(boxes), -1).all(axis=1)]
+        feasible = _feasible(_one_point_boxes(problem, boxes)[0], problem.ball)
+        boxes = boxes[feasible.reshape(len(boxes), -1).all(axis=1)]
         lo, hi = (_coupled_norms(problem, b) for b in problem.bounds(*_one_point_boxes(problem, boxes)))
         meets = ((lo[:, None] <= problem.t_hi) & (problem.t_lo <= hi[:, None])).any(axis=1)
         g_lo = np.where(meets, 0.0, np.minimum(_target_distance(problem, lo),
@@ -561,7 +569,7 @@ def _reference_realize(conditions, algebra, tol, sorts, max_boxes):
         for item in zip(g_lo.tolist(), counter, boxes):
             heapq.heappush(heap, item)
 
-    box = np.repeat(problem.initial_box()[:, :, None], problem.points, axis=2)
+    box = np.repeat(problem.domain[:, :, None], problem.points, axis=2)
     verdict = assess(box)
     while verdict is None and heap and used < max_boxes:
         popped = np.stack([heapq.heappop(heap)[2] for _ in range(min(256, len(heap)))])
@@ -880,7 +888,8 @@ def test_batched_rectangles_equal_scalar_rectangles_per_box():
     # np.hypot (the C library's) is not always correctly rounded and
     # math.hypot is, so the batched norm bounds are compared with == to the
     # scalar kernel run on np.hypot, and to the scalar path within one ulp
-    _, libm_mod, _ = _rect_kernel(min, max, lambda x, y: float(np.hypot(x, y)), math.nextafter)
+    outward = lambda x, t: math.nextafter(math.nextafter(x, t), t)  # as clogic passes it
+    _, libm_mod, _ = _rect_kernel(min, max, lambda x, y: float(np.hypot(x, y)), outward)
     rng = random.Random(4104)
     cases = 0
     for term, algebra, boxes, batch in _parity_batches(rng):
@@ -1177,7 +1186,7 @@ def test_candidates_lie_in_their_sorts_domains():
         names = TERM_NAMES[: rng.randint(1, 3)]
         sorts = {v: rng.choice((SORT_BALL, SORT_SA, SORT_POS)) for v in names}
         problem = _RealizeProblem((TypeCondition(CVar(names[0]), [(1.0, 1.0)]),), CStarAlgebraFin(1), sorts)
-        boxes = problem.initial_box()
+        boxes = problem.domain
         for _ in range(rng.randint(0, 12)):  # a random frontier of dyadic boxes
             boxes = _split(boxes)
             boxes = boxes[sorted(rng.sample(range(len(boxes)), min(len(boxes), 40)))]
@@ -1223,3 +1232,79 @@ def test_orthogonal_witness_family_verified():
 def test_max_orthogonal_family_precondition():
     with pytest.raises(PreconditionError):
         max_orthogonal_family(CStarAlgebraFin(9))
+
+
+# ---------------------------------------------------------------------------
+# Shape caches and the numpy outward step
+# ---------------------------------------------------------------------------
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def test_numpy_outward_step_equals_two_nextafter_steps():
+    # the numpy kernel steps each modulus end on the float64 bit pattern; that must
+    # equal two np.nextafter steps each way, the lower end then floored at 0, bit for bit
+    tiny, big = sys.float_info.min, sys.float_info.max
+    special = np.array([0.0, 5e-324, 1e-323, tiny, 0.5, 1.0, big, math.inf, math.nan, -math.nan])
+    rng = np.random.default_rng(4107)
+    scales = 2.0 ** rng.integers(-1074, 1000, size=(2, 10_000))
+    moduli = np.hypot(*(rng.standard_normal((2, 10_000)) * scales))
+    for x in (special, moduli):
+        with np.errstate(over="ignore"):  # past the largest float
+            down = np.maximum(0.0, np.nextafter(np.nextafter(x, -np.inf), -np.inf))
+            up = np.nextafter(np.nextafter(x, np.inf), np.inf)
+        assert _bits(np.maximum(0.0, _np_outward(x, -np.inf))) == _bits(down)
+        assert _bits(_np_outward(x, np.inf)) == _bits(up)
+        finite = x[~np.isnan(x)]  # through the kernel: the rectangle [x, x] x [0, 0] has modulus x
+        lo, hi = _np_abs_iv((finite, finite, np.zeros_like(finite), np.zeros_like(finite)))
+        assert _bits(lo) == _bits(down[~np.isnan(x)]) and _bits(hi) == _bits(up[~np.isnan(x)])
+    step = lambda x, to: math.nextafter(math.nextafter(x, to), to)
+    for v in special.tolist():  # the scalar kernel keeps math.nextafter, twice
+        expected = (max(0.0, step(abs(v), -math.inf)), step(abs(v), math.inf))
+        assert list(map(float.hex, _abs_iv((v, v, 0.0, 0.0)))) == list(map(float.hex, expected)), v
+
+
+def _hexed(value):
+    """A value with every float spelled by ``float.hex``, for exact comparison."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    if isinstance(value, dict):
+        return sorted((key, _hexed(item)) for key, item in value.items())
+    if isinstance(value, tuple):
+        return type(value).__name__, [_hexed(item) for item in value]
+    return repr(value)
+
+
+def _shifted(rng, name, n):
+    """||name - c|| in [a, a] or [a, a + 1/4], for seeded dyadic c and a."""
+    c = CConst(tuple(rng.choice((0.0, 0.25, 0.5)) for _ in range(n)))
+    low = rng.choice((0.0, 0.25, 0.75))
+    return TypeCondition(CSub(CVar(name), c), [(low, low + rng.choice((0.0, 0.25)))])
+
+
+def test_realize_type_is_the_same_with_cold_and_warm_shape_caches():
+    caches = (_geometry, _first_level)
+    assert all(cache.cache_parameters()["maxsize"] == 64 for cache in caches)
+    rng = random.Random(4108)
+    sorts = (SORT_BALL, SORT_SA, SORT_POS)
+    mixes = (m for k in (1, 2, 3) for m in itertools.product(sorts, repeat=k))
+    for mix, n in itertools.product(mixes, (1, 2, 3, 4)):
+        names = TERM_NAMES[: len(mix)]
+        algebra = CStarAlgebraFin(n)
+        conditions = [_shifted(rng, name, n) for name in names]
+        if len(names) > 1:
+            conditions.append(TypeCondition(CMul(CVar(names[0]), CVar(names[1])), [(0.0, 0.25)]))
+        for budget in (DEFAULT_REALIZE_BOXES, rng.randint(n, 60)):  # a room below 256 / n boxes
+            for cache in caches:
+                cache.cache_clear()
+            cold = realize_type(conditions, algebra, 0.2, sorts=dict(zip(names, mix)), max_boxes=budget)
+            warm = realize_type(conditions, algebra, 0.2, sorts=dict(zip(names, mix)), max_boxes=budget)
+            assert _first_level.cache_info().hits == 1
+            assert _hexed(warm) == _hexed(cold), (mix, n, budget)
+            for array in (*_geometry(mix), *_first_level(mix, min(_BATCH_SIZE // 2, budget // n), n)[:2]):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
