@@ -22,7 +22,7 @@ verdict is reached by terminating symbolic computation rather than search.
 
 from __future__ import annotations
 
-from .errors import Frozen, PreconditionError
+from .errors import Frozen, PreconditionError, ResourceBudgetError
 from .ordinals import ONE, Ordinal, cnf_string, finite, left_difference
 
 __all__ = [
@@ -369,7 +369,7 @@ def enumerate_theories(k: int) -> list:
     if k < 0:
         raise PreconditionError("k must be a natural number")
     if k > MAX_ENUMERATION:
-        raise PreconditionError(f"k exceeds the cap {MAX_ENUMERATION}")
+        raise ResourceBudgetError(f"k exceeds the cap {MAX_ENUMERATION}")
     out: list[ErshovInvariant] = []
     band = 1
     while len(out) < k:

@@ -102,7 +102,7 @@ class FiniteBoolAlg(Frozen):
         return a != 0 and a & (a - 1) == 0
 
     def is_element(self, a: int) -> bool:
-        return 0 <= a <= self.full
+        return 0 <= a and a.bit_length() <= self.atom_count  # never builds ``full``
 
 
 class FiniteSpace(Frozen):

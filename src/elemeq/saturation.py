@@ -55,12 +55,13 @@ from elemeq.clogic import (
     term_free_vars,
 )
 from elemeq.cstar import CStarAlgebraFin, c_mul, c_norm
-from elemeq.errors import Frozen, PreconditionError
+from elemeq.errors import Frozen, PreconditionError, ResourceBudgetError
 
 MAX_REALIZE_VARIABLES = 3
 MAX_REALIZE_POINTS = 4
 MAX_REALIZE_CONDITIONS = 16
 MAX_ORTHOGONAL_POINTS = 8
+MAX_INTERPOLATE_ATOMS = 10_000  # every mask then prints in at most 3,011 digits
 DEFAULT_REALIZE_BOXES = 2_000_000
 _REALIZE_SORTS = (SORT_BALL, SORT_SA, SORT_POS)
 _BATCH_SIZE = 512
@@ -212,7 +213,9 @@ def interpolate_chain(lower_chain, upper_chain, algebra):
     raise ``PreconditionError``.  In ``PresentedAtomlessBA`` an
     interpolant always exists: the gap's first word at its depth is split
     and its first half joined to the lower bound.  In ``FiniteBoolAlg`` the
-    verdict ``NOT_FOUND`` is returned when the open interval is empty.
+    verdict ``NOT_FOUND`` is returned when the open interval is empty; an
+    algebra of over ``MAX_INTERPOLATE_ATOMS`` atoms raises
+    ``ResourceBudgetError`` before its top element is built.
     Every returned element is re-checked to lie strictly between the bounds.
     """
     if isinstance(algebra, PresentedAtomlessBA):
@@ -220,6 +223,8 @@ def interpolate_chain(lower_chain, upper_chain, algebra):
         gap = algebra.meet(v, algebra.complement(u))
         candidate = algebra.join(u, algebra.cylinder(_spell(gap.cuts[0], gap.depth) + "0"))
     elif isinstance(algebra, FiniteBoolAlg):
+        if algebra.atom_count > MAX_INTERPOLATE_ATOMS:
+            raise ResourceBudgetError(f"atom count exceeds the cap {MAX_INTERPOLATE_ATOMS}")
         u, v = _chain_bounds(lower_chain, upper_chain, algebra, 0, algebra.full)
         gap = v & ~u & algebra.full
         if gap.bit_count() < 2:

@@ -29,7 +29,7 @@ from elemeq.batheory import (
 )
 from elemeq.boolalg import FiniteBoolAlg
 from elemeq.efgames import ef_finite_bas
-from elemeq.errors import PreconditionError
+from elemeq.errors import PreconditionError, ResourceBudgetError
 from elemeq.ordinals import Ordinal, finite
 
 from util import check_frozen_nodes, check_node_shape, mk, w
@@ -271,7 +271,7 @@ def test_enumerate_distinct_and_prefix_stable():
 def test_enumerate_bounds():
     with pytest.raises(PreconditionError):
         enumerate_theories(-1)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ResourceBudgetError, match=r"^k exceeds the cap 10000$"):
         enumerate_theories(10_001)
 
 

@@ -53,8 +53,10 @@ from elemeq.clogic import (
     SORT_SA,
     translate_fo,
 )
+from elemeq import cli
 from elemeq.cli import (
     _VERBS,
+    _build_parser,
     EXIT_BUDGET,
     EXIT_NEGATIVE,
     EXIT_OK,
@@ -805,9 +807,11 @@ def test_cli_code_scale_cap_is_exit_four(capsys):
         (["ef", "--kind", "ba", "9" * 4400, "1"], "a natural of over 4300 digits"),
         (["interpolate", "--algebra", "finite:" + "9" * 4400], "a natural of over 4300 digits"),
         (["ba-invariants", "finite(" + "9" * 4400 + ")"], "a natural of over 4300 digits"),
+        (["interpolate", "--algebra", "finite:" + "9" * 11, "--lower", "1"], "atom count exceeds the cap 10000"),
+        (["ba-enumerate", "10001"], "k exceeds the cap 10000"),
     ],
     ids=["pow-3", "pow-2", "pow-terms", "mul-print", "pow-exponent-print", "natural", "exponent", "coefficient",
-         "ef-orders", "ef-ba", "interpolate-atoms", "descriptor-atoms"],
+         "ef-orders", "ef-ba", "interpolate-atoms", "descriptor-atoms", "interpolate-atom-cap", "ba-enumerate-cap"],
 )
 def test_cli_refuses_a_result_too_large_to_build_or_print_with_exit_four(capsys, argv, message):
     start = time.process_time()
@@ -1095,6 +1099,55 @@ def test_cli_human_output_has_key_value_lines(capsys):
 def test_cli_unknown_verb_is_exit_two(capsys):
     assert main(["frobnicate"]) == EXIT_PARSE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("argv", VERB_CALLS)
+def test_cli_dispatches_the_namespace_of_the_full_parser(capsys, monkeypatch, argv, json_flag):
+    # main hands a call that starts with a verb to that verb's parser alone
+    dispatched = []
+    monkeypatch.setattr(cli, "_emit", lambda payload, args: dispatched.append(vars(args)))
+    run_cli(capsys, [*argv, *json_flag])
+    assert dispatched == [vars(_build_parser().parse_args([*argv, *json_flag]))]
+
+
+def _words(text):
+    """The text with each run of white space as one space, as argparse wraps to the terminal's width."""
+    return " ".join(text.split())
+
+
+@pytest.mark.parametrize(
+    "argv, code, last_line",
+    [
+        ([], EXIT_PARSE, "elemeq: error: the following arguments are required: verb"),
+        (["nope"], EXIT_PARSE, "elemeq: error: argument verb: invalid choice: 'nope'"),
+        (["--json", "ord-eq", "w", "w"], EXIT_PARSE, "elemeq: error: unrecognized arguments: --json"),
+        # extra arguments after a verb are reported in the top-level parser's words
+        (["ord-eq", "w", "w", "x"], EXIT_PARSE, "elemeq: error: unrecognized arguments: x"),
+    ],
+    ids=["no-verb", "unknown-verb", "option-before-verb", "extra-argument"],
+)
+def test_cli_front_end_errors(capsys, argv, code, last_line):
+    got, out, err = run_cli(capsys, argv)
+    assert got == code and out == "" and err.splitlines()[-1].startswith(last_line)
+    assert _words(err).startswith("usage: elemeq [-h] {ord-arith,ord-eq,")
+
+
+def test_cli_help_lists_every_verb_and_each_verb_has_its_own(capsys):
+    code, out, err = run_cli(capsys, ["-h"])
+    assert code == EXIT_OK and err == "" and _words(out).startswith("usage: elemeq [-h] {ord-arith,")
+    listed = re.findall(r"^    ([a-z-]+)\b", out, re.M)
+    assert listed == [name for name, *_ in _VERBS] and len(listed) == 16
+    code, out, err = run_cli(capsys, ["ord-eq", "-h"])
+    assert code == EXIT_OK and err == ""
+    assert _words(out).startswith("usage: elemeq ord-eq [-h] [--json] [--out FILE] left right ")
+
+
+def test_cli_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    argv = ["ord-arith", "add", "w^w*2 + w^2*3 + 5", "w^3 + 1", "--json"]
+    explicit = run_cli(capsys, argv)
+    monkeypatch.setattr(sys, "argv", ["elemeq", *argv])
+    assert run_cli(capsys, None) == explicit and explicit[0] == EXIT_OK
 
 
 def test_cli_precondition_violation_is_exit_two(capsys):

@@ -40,7 +40,7 @@ from elemeq.clogic import (
     eval_term,
 )
 from elemeq.cstar import CStarAlgebraFin, c_add, c_mul, c_norm, c_scale, c_star, c_sub
-from elemeq.errors import PreconditionError
+from elemeq.errors import PreconditionError, ResourceBudgetError
 from elemeq.saturation import (
     _BATCH_SIZE,
     _NP_RECTS,
@@ -55,6 +55,7 @@ from elemeq.saturation import (
     _split,
     NOT_FOUND,
     DEFAULT_REALIZE_BOXES,
+    MAX_INTERPOLATE_ATOMS,
     CylinderElement,
     Inconclusive,
     PresentedAtomlessBA,
@@ -219,6 +220,17 @@ def test_interpolation_frozen_examples():
     assert interpolate_chain([], [BA.top], BA) == BA.cylinder("0")
     assert interpolate_chain([1], [3], FiniteBoolAlg(2)) == NOT_FOUND
     assert interpolate_chain([1], [7], FiniteBoolAlg(3)) == 3
+
+
+def test_interpolation_refuses_a_finite_algebra_over_the_atom_cap():
+    top = FiniteBoolAlg(MAX_INTERPOLATE_ATOMS).full
+    assert interpolate_chain([1], [top], FiniteBoolAlg(MAX_INTERPOLATE_ATOMS)) == 3
+    # refused before the top element, a 2^n-bit integer, is built
+    for atoms in (MAX_INTERPOLATE_ATOMS + 1, 10**11):
+        algebra = FiniteBoolAlg(atoms)
+        assert algebra.is_element(1) and not algebra.is_element(-1)
+        with pytest.raises(ResourceBudgetError, match=rf"^atom count exceeds the cap {MAX_INTERPOLATE_ATOMS}$"):
+            interpolate_chain([1], [], algebra)
 
 
 def test_interpolation_preconditions():
