@@ -552,20 +552,23 @@ def _random_body(rng: random.Random, variables: list[str], depth: int):
     return Implies(left, right)
 
 
-def sentence_corpus(count: int = 200, max_rank: int = 3, seed: int = 2026) -> list:
-    """A deterministic corpus of closed sentences of quantifier rank <= ``max_rank``.
+#: The corpus's largest quantifier rank, which every battery sentence keeps, and its seed.
+_CORPUS_RANK, _CORPUS_SEED = 3, 2026
+
+
+def sentence_corpus(count: int = 200) -> list:
+    """A deterministic corpus of closed sentences of quantifier rank <= 3.
 
     The corpus opens with a fixed battery of hand-built separating sentences
     (atom counts 1 through 5 are pairwise distinguished) and is padded to
     ``count`` with seeded random sentences.  The same arguments always yield
     the same list.
     """
-    corpus = [phi for phi in _core_battery() if quantifier_rank(phi) <= max_rank]
-    corpus = corpus[:count]
-    rng = random.Random(seed)
-    names = ["x", "y", "z", "u"]
+    corpus = _core_battery()[:count]
+    rng = random.Random(_CORPUS_SEED)
+    names = ["x", "y", "z"]
     while len(corpus) < count:
-        rank = rng.randint(1, max_rank)
+        rank = rng.randint(1, _CORPUS_RANK)
         variables = names[:rank]
         body = _random_body(rng, variables, 2)
         phi = body

@@ -953,8 +953,9 @@ def _parse_mask(text: str, algebra: FiniteBoolAlg) -> int:
         mask = int(text, 0)
     except ValueError:
         raise ParseError(f"bad atom mask {text!r}") from None
-    if not algebra.is_element(mask):
-        raise PreconditionError(f"mask {mask} is out of range for {algebra.atom_count} atoms")
+    if not algebra.is_element(mask):  # named by its size: a long mask has too many digits to print
+        size = "below 0" if mask < 0 else f"of {mask.bit_length()} bits"
+        raise PreconditionError(f"mask {size} is out of range for {algebra.atom_count} atoms")
     return mask
 
 

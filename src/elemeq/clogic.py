@@ -8,7 +8,7 @@ suprema and infima over four sorts of the unit ball — the full ball, its
 self-adjoint and positive parts, and the (finite) set of projections.  Every
 node has a computable Lipschitz modulus in each free variable, obtained by
 composing the children's moduli.  Each binary connective's exact rule,
-enclosure rule and lattice flag are stated once, in ``_CONNECTIVES``.
+monotonicity in each side and lattice flag are stated once, in ``_CONNECTIVES``.
 
 Terms are evaluated by one walker, ``eval_term``, in an arithmetic passed to
 it: exact elements (the ``cstar`` operations), per-point complex rectangles,
@@ -61,7 +61,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import boolalg
-from .cstar import CStarAlgebraFin, c_add, c_mul, c_norm, c_scale, c_star, c_sub, projections
+from .cstar import CStarAlgebraFin, _sized, c_add, c_mul, c_norm, c_star, c_sub, projections
 from .errors import Frozen, PreconditionError, ResourceBudgetError
 
 __all__ = [
@@ -244,30 +244,35 @@ def _no_nan(values):  # values in [0, inf] pass; a nan, which max and min would 
 
 
 #: Each binary connective's rules, stated here only: ``exact`` maps the children's
-#: lists of values to the node's, ``enclose`` their enclosures (lo, hi), and a
-#: ``lattice`` connective (max, min) is as wide and as Lipschitz as its wider
-#: child, where the others add widths and moduli.  inf - inf (nan) raises.  On
-#: point enclosures (v, v) ``enclose`` gives the floats of ``exact`` at both ends.
-_Connective = NamedTuple("_Connective", [("exact", Callable), ("enclose", Callable), ("lattice", bool)])
+#: lists of values to the node's, ``monotone`` is its sense in each side (+1
+#: nondecreasing, -1 nonincreasing; None for the absolute difference, which is
+#: neither), and a ``lattice`` connective (max, min) is as wide and as Lipschitz
+#: as its wider child, where the others add widths and moduli.  inf - inf (nan)
+#: raises.  ``_enclose`` reads a monotone connective's enclosure off ``exact``.
+_Connective = NamedTuple("_Connective", [("exact", Callable), ("monotone", tuple), ("lattice", bool)])
 _CONNECTIVES = {
-    FPlus: _Connective(lambda l, r: list(map(operator.add, l, r)),
-                       lambda l, r: (l[0] + r[0], l[1] + r[1]), False),
+    FPlus: _Connective(lambda l, r: list(map(operator.add, l, r)), (1, 1), False),
     FTruncSub: _Connective(
-        lambda l, r: _no_nan([0.0 if 0.0 > d else d for d in map(operator.sub, l, r)]),
-        lambda l, r: _no_nan((max(l[0] - r[1], 0.0), max(l[1] - r[0], 0.0))), False),
-    FMax: _Connective(lambda l, r: list(map(max, l, r)),
-                      lambda l, r: (max(l[0], r[0]), max(l[1], r[1])), True),
-    FMin: _Connective(lambda l, r: list(map(min, l, r)),
-                      lambda l, r: (min(l[0], r[0]), min(l[1], r[1])), True),
-    FAbsDiff: _Connective(
-        lambda l, r: _no_nan(list(map(abs, map(operator.sub, l, r)))),
-        # the upper end is >= 0 but for a zero's sign: at l = -0.0, r = 0.0 the max
-        # is -0.0, and abs gives abs(l - r)'s 0.0
-        lambda l, r: _no_nan((0.0 if l[0] <= r[1] and r[0] <= l[1] else max(l[0] - r[1], r[0] - l[1]),
-                              abs(max(l[1] - r[0], r[1] - l[0])))), False),
+        lambda l, r: _no_nan([0.0 if 0.0 > d else d for d in map(operator.sub, l, r)]), (1, -1), False),
+    FMax: _Connective(lambda l, r: list(map(max, l, r)), (1, 1), True),
+    FMin: _Connective(lambda l, r: list(map(min, l, r)), (1, 1), True),
+    FAbsDiff: _Connective(lambda l, r: _no_nan(list(map(abs, map(operator.sub, l, r)))), None, False),
 }
 _BINARY_TYPES = tuple(_CONNECTIVES)
 _QUANT_TYPES = (FSup, FInf)
+
+
+def _enclose(rule, l, r):
+    """A connective's enclosure [lo, hi] over its children's enclosures (lo, hi): a monotone
+    one's ``exact`` at the ends its sense in each side picks, since rounding to nearest is
+    nondecreasing too, so on point enclosures (v, v) it gives the floats of ``exact``."""
+    if rule.monotone:
+        a, b = rule.monotone
+        return rule.exact(l if a > 0 else l[::-1], r if b > 0 else r[::-1])
+    # the absolute difference; the upper end is >= 0 but for a zero's sign: at
+    # l = -0.0, r = 0.0 the max is -0.0, and abs gives abs(l - r)'s 0.0
+    return _no_nan((0.0 if l[0] <= r[1] and r[0] <= l[1] else max(l[0] - r[1], r[0] - l[1]),
+                    abs(max(l[1] - r[0], r[1] - l[0]))))
 
 
 @lru_cache(maxsize=FREE_VARS_MEMO_SIZE)
@@ -314,9 +319,9 @@ def _term_names(term) -> list:
 class Arith(NamedTuple):
     """The operations a term is evaluated in.
 
-    ``const`` lifts an element (one complex value per point), ``scale``
-    takes a complex scalar and a value, and the rest act on the values of
-    the children.
+    ``const`` lifts an element (one complex value per point), and the rest
+    act on the values of the children; a scaling by s is the product with
+    the constant element s 1.
     """
 
     const: Callable
@@ -324,7 +329,6 @@ class Arith(NamedTuple):
     sub: Callable
     mul: Callable
     conj: Callable
-    scale: Callable
 
 
 def eval_term(term, env: dict, algebra: CStarAlgebraFin, arith: Arith):
@@ -341,7 +345,8 @@ def eval_term(term, env: dict, algebra: CStarAlgebraFin, arith: Arith):
     if isinstance(term, CStar):
         return arith.conj(eval_term(term.arg, env, algebra, arith))
     if isinstance(term, CScale):
-        return arith.scale(complex(term.scalar), eval_term(term.arg, env, algebra, arith))
+        scalar = arith.const((complex(term.scalar),) * algebra.point_count)
+        return arith.mul(scalar, eval_term(term.arg, env, algebra, arith))
     if isinstance(term, CZero):
         return arith.const(algebra.zero())
     if isinstance(term, COne):
@@ -353,12 +358,8 @@ def eval_term(term, env: dict, algebra: CStarAlgebraFin, arith: Arith):
     raise PreconditionError(f"not a term: {term!r}")
 
 
-def _pointwise(op):
-    return lambda l, r: tuple(map(op, l, r))
-
-
 #: Exact elements: tuples of complex values, combined point by point.
-EXACT = Arith(tuple, c_add, c_sub, c_mul, c_star, c_scale)
+EXACT = Arith(tuple, c_add, c_sub, c_mul, c_star)
 
 
 def _stacked(copies: int) -> Arith:
@@ -369,14 +370,9 @@ def _stacked(copies: int) -> Arith:
 #: (norm bound, Lipschitz constant in one variable) pairs: sums and
 #: differences add both, and a product's constant is the product rule's,
 #: |l r - l' r'| <= |l| |r - r'| + |r'| |l - l'|.
-_LIPSCHITZ = Arith(
-    lambda values: (c_norm(values), 0.0),
-    lambda l, r: (l[0] + r[0], l[1] + r[1]),
-    lambda l, r: (l[0] + r[0], l[1] + r[1]),
-    lambda l, r: (l[0] * r[0], l[0] * r[1] + r[0] * l[1]),
-    lambda a: a,
-    lambda s, a: (abs(s) * a[0], abs(s) * a[1]),
-)
+_lip_add = lambda l, r: (l[0] + r[0], l[1] + r[1])
+_LIPSCHITZ = Arith(lambda values: (c_norm(values), 0.0), _lip_add, _lip_add,
+                   lambda l, r: (l[0] * r[0], l[0] * r[1] + r[0] * l[1]), lambda a: a)
 
 
 # ---------------------------------------------------------------------------
@@ -489,16 +485,9 @@ def _box_point(values: tuple) -> tuple:
     return tuple(_rect_point(v) for v in values)
 
 
-def _rect_scale(s: complex, box: tuple) -> tuple:
-    s = _rect_point(s)
-    return tuple(_rect_mul(s, a) for a in box)
-
-
 #: Element enclosures: tuples of rectangles, one per point.
-_RECTS = Arith(
-    _box_point, _pointwise(_rect_add), _pointwise(_rect_sub), _pointwise(_rect_mul),
-    lambda box: tuple(map(_rect_conj, box)), _rect_scale,
-)
+_RECTS = Arith(_box_point, _sized(_rect_add), _sized(_rect_sub), _sized(_rect_mul),
+               lambda box: tuple(map(_rect_conj, box)))
 
 
 # Centred form: per point the rectangles (naive, at the box centre c,
@@ -516,10 +505,9 @@ def _cf_mul(a, b):
 def _centred_arith(zeros: tuple) -> Arith:
     return Arith(
         lambda values: tuple((r, r) + zeros for r in map(_rect_point, values)),
-        _pointwise(lambda a, b: tuple(map(_rect_add, a, b))),
-        _pointwise(lambda a, b: tuple(map(_rect_sub, a, b))), _pointwise(_cf_mul),
+        _sized(lambda a, b: tuple(map(_rect_add, a, b))),
+        _sized(lambda a, b: tuple(map(_rect_sub, a, b))), _sized(_cf_mul),
         lambda value: tuple(tuple(map(_rect_conj, a)) for a in value),
-        lambda s, value: tuple(_rect_scale(s, a) for a in value),
     )
 
 
@@ -530,11 +518,9 @@ def _out(lo, hi):
     return max(0.0, math.nextafter(lo, -math.inf)), math.nextafter(hi, math.inf)
 
 
-_mod_add = _pointwise(lambda a, b: _out(max(a[0] - b[1], b[0] - a[1]), a[1] + b[1]))
-_mod_mul = _pointwise(lambda a, b: _out(a[0] * b[0], a[1] * b[1]))
-_mod_const = lambda values: tuple(_abs_iv(_rect_point(v)) for v in values)
-_MODULI = Arith(_mod_const, _mod_add, _mod_add, _mod_mul, lambda a: a,
-                lambda s, a: _mod_mul(_mod_const((s,) * len(a)), a))
+_mod_add = _sized(lambda a, b: _out(max(a[0] - b[1], b[0] - a[1]), a[1] + b[1]))
+_MODULI = Arith(lambda values: tuple(_abs_iv(_rect_point(v)) for v in values), _mod_add, _mod_add,
+                _sized(lambda a, b: _out(a[0] * b[0], a[1] * b[1])), lambda a: a)
 
 
 @lru_cache(maxsize=FREE_VARS_MEMO_SIZE)
@@ -708,7 +694,7 @@ def _interval_eval(phi, env, algebra, tol, state):
         rule = _CONNECTIVES[type(phi)]
         sub_tol = tol if rule.lattice else tol / 2
         l = _interval_eval(phi.left, env, algebra, sub_tol, state)
-        return rule.enclose(l, _interval_eval(phi.right, env, algebra, sub_tol, state))
+        return _enclose(rule, l, _interval_eval(phi.right, env, algebra, sub_tol, state))
     if isinstance(phi, FScale):
         # a zero scale still bounds its argument, once and coarsely, so that a
         # constant of the wrong size under it is rejected as anywhere else
@@ -732,8 +718,8 @@ def _stacked_eval(phi, env, algebra, copies):
     elements stacked, the j-th at entries j*n to j*n + n - 1.  Each value is
     the float ``_interval_eval`` gives at both ends on that assignment's
     point rectangles: on a point the rectangle ops are complex arithmetic in
-    the same order, ``_rect_mod`` is ``abs``, and each ``enclose`` rule is
-    its ``exact`` rule."""
+    the same order, ``_rect_mod`` is ``abs``, and ``_enclose`` gives each
+    connective's ``exact`` floats."""
     if isinstance(phi, FNorm):
         n = algebra.point_count
         mods = list(map(abs, eval_term(phi.term, env, algebra, _stacked(copies))))
@@ -861,19 +847,20 @@ def _within(phi, sorts) -> bool:
 
 def _splits_over_points(phi) -> bool:
     """Whether each connective of a well-formed formula commutes with a max
-    over the points: max, or a sum, min or truncated subtraction whose other
-    side is an ``FConst`` (nondecreasing in the one side that is not)."""
+    over the points: max, or one whose other side is an ``FConst`` and that
+    is nondecreasing (``monotone``) in the one side that is not."""
     if isinstance(phi, _QUANT_TYPES):
         return _splits_over_points(phi.body)
     if isinstance(phi, FScale):
         return _splits_over_points(phi.arg)
     if isinstance(phi, FMax):
         return _splits_over_points(phi.left) and _splits_over_points(phi.right)
-    if isinstance(phi, (FPlus, FMin)) and isinstance(phi.left, FConst):
-        return _splits_over_points(phi.right)
-    if isinstance(phi, (FPlus, FMin, FTruncSub)):
-        return isinstance(phi.right, FConst) and _splits_over_points(phi.left)
-    return not isinstance(phi, FAbsDiff)
+    if not isinstance(phi, _BINARY_TYPES):
+        return True
+    monotone = _CONNECTIVES[type(phi)].monotone or (0, 0)
+    sides = phi.left, phi.right
+    return any(sense > 0 and isinstance(other, FConst) and _splits_over_points(side)
+               for sense, side, other in zip(monotone, sides, sides[::-1]))
 
 
 def _at_point(node, i: int, n: int):

@@ -88,27 +88,23 @@ class CStarAlgebraFin(Frozen):
 
 
 # ---------------------------------------------------------------------------
-# Pointwise element arithmetic; sizes are checked inline, since a helper's
-# call would cost more than the operation itself on a few points.
+# Pointwise element arithmetic.  ``_sized`` lifts a binary operation on the
+# values at one point to tuples of them of one size, point by point; it builds
+# the element operations here and ``clogic``'s rectangle, centred-form and
+# modulus ones.  The size is checked inline, since a helper's call would cost
+# more than the operation itself on a few points.
 # ---------------------------------------------------------------------------
 
 
-def c_add(f: tuple, g: tuple) -> tuple:
-    if len(f) != len(g):
-        raise PreconditionError("elements of different sizes")
-    return tuple(map(operator.add, f, g))
+def _sized(op):
+    def lifted(f: tuple, g: tuple) -> tuple:
+        if len(f) != len(g):
+            raise PreconditionError("elements of different sizes")
+        return tuple(map(op, f, g))
+    return lifted
 
 
-def c_sub(f: tuple, g: tuple) -> tuple:
-    if len(f) != len(g):
-        raise PreconditionError("elements of different sizes")
-    return tuple(map(operator.sub, f, g))
-
-
-def c_mul(f: tuple, g: tuple) -> tuple:
-    if len(f) != len(g):
-        raise PreconditionError("elements of different sizes")
-    return tuple(map(operator.mul, f, g))
+c_add, c_sub, c_mul = _sized(operator.add), _sized(operator.sub), _sized(operator.mul)
 
 
 def c_star(f: tuple) -> tuple:

@@ -354,15 +354,10 @@ def _np_outward(x, toward):
 _np_mul, _np_mod, _np_abs_iv = _rect_kernel(lambda *xs: functools.reduce(np.minimum, xs),
                                             lambda *xs: functools.reduce(np.maximum, xs), np.hypot, _np_outward)
 
-_NP_RECTS = Arith(
-    lambda values: _rect_point(np.asarray(values, dtype=complex)),
-    _rect_add, _rect_sub, _np_mul, _rect_conj, lambda s, a: _np_mul(_rect_point(s), a),
-)
+_NP_RECTS = Arith(lambda values: _rect_point(np.asarray(values, dtype=complex)),
+                  _rect_add, _rect_sub, _np_mul, _rect_conj)
 
-_NP_VALUES = Arith(
-    lambda values: np.asarray(values, dtype=complex),
-    operator.add, operator.sub, operator.mul, np.conj, operator.mul,
-)
+_NP_VALUES = Arith(lambda values: np.asarray(values, dtype=complex), operator.add, operator.sub, operator.mul, np.conj)
 
 
 def _member(keys, sorted_keys):

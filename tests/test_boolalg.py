@@ -233,7 +233,7 @@ def _reference_rank(phi) -> int:
 
 
 def test_quantifier_rank_matches_the_definition():
-    sentences = sentence_corpus(200, 3, seed=2026)
+    sentences = sentence_corpus(200)
     sentences += shadowed_sentences(random.Random(6064), sentence_corpus(60), 60)
     for phi in sentences + [Exists("v", phi) for phi in sentences[:40]]:
         assert quantifier_rank(phi) == _reference_rank(phi), phi
@@ -254,7 +254,7 @@ def test_fo_eval_rejects_assigned_values_outside_the_algebra():
 def test_fo_eval_vacuous_quantifier_parity():
     # Wrapping a sentence in a quantifier it ignores changes no truth value;
     # the direct exhaustive walk over the wrapped sentence is the reference.
-    corpus = sentence_corpus(200, 3, seed=2026)
+    corpus = sentence_corpus(200)
     for atoms in (1, 2, 3):
         b = FiniteBoolAlg(atoms)
         for phi in corpus:
@@ -269,7 +269,7 @@ def test_fo_eval_matches_the_direct_walk_on_shadowed_and_open_formulas():
     # variables; every assignment of them is checked.  The shadowed sentences
     # rebind x inside, so peeling their outer x also makes an inner binder
     # shadow, and then restore, a variable of the assignment.
-    sentences = sentence_corpus(200, 3, seed=2026)
+    sentences = sentence_corpus(200)
     sentences += shadowed_sentences(random.Random(6064), sentence_corpus(60), 60)
     for atoms in (1, 2, 3):
         b = FiniteBoolAlg(atoms)
@@ -308,8 +308,8 @@ def test_quantifier_rank_and_free_variables():
 
 
 def test_corpus_is_deterministic_and_well_formed():
-    corpus = sentence_corpus(200, 3, seed=2026)
-    again = sentence_corpus(200, 3, seed=2026)
+    corpus = sentence_corpus(200)
+    again = sentence_corpus(200)
     assert corpus == again
     assert len(corpus) == 200
     for phi in corpus:
@@ -318,7 +318,7 @@ def test_corpus_is_deterministic_and_well_formed():
 
 
 def test_corpus_separates_small_atom_counts():
-    corpus = sentence_corpus(200, 3, seed=2026)
+    corpus = sentence_corpus(200)
     profiles = {}
     for n in range(1, 6):
         b = FiniteBoolAlg(n)
@@ -328,7 +328,7 @@ def test_corpus_separates_small_atom_counts():
 
 
 def test_corpus_agreement_is_isomorphism_invariant():
-    corpus = sentence_corpus(60, 3, seed=2026)
+    corpus = sentence_corpus(60)
     b = FiniteBoolAlg(4)
     round_trip = clopen_algebra(stone_space(b))
     for phi in corpus:

@@ -902,6 +902,16 @@ def test_cli_interpolate_finite_found(capsys):
     assert payload["value"] == 3
 
 
+@pytest.mark.parametrize("mask, size", [("5", "of 3 bits"), ("-1", "below 0"), ("0x" + "f" * 4000, "of 16000 bits")],
+                         ids=["short", "negative", "long"])
+def test_cli_interpolate_names_an_out_of_range_mask_by_its_size(capsys, mask, size):
+    # a mask of over 4300 decimal digits cannot be printed in decimal: CPython
+    # refused the conversion, and the message never named the mask
+    code, out, err = run_cli(capsys, ["interpolate", "--algebra", "finite:2", "--lower", mask])
+    assert code == EXIT_PARSE and out == ""
+    assert err == f"invalid input: mask {size} is out of range for 2 atoms\n"
+
+
 @pytest.mark.parametrize(
     "lower, upper, value", [("bottom", "top", "0"), ("0", "top", "0,10")]
 )

@@ -69,6 +69,7 @@ from util import (
     TERM_NAMES,
     check_frozen_nodes,
     check_node_shape,
+    eval_with_own_scale,
     random_element,
     random_term,
     shadowed_sentences,
@@ -552,13 +553,265 @@ def test_connective_enclosure_rules_agree_with_the_exact_rules():
             a, b = draw(), draw()
             (value,) = rule.exact([a], [b])
             assert value == _CONNECTIVE_VALUES[connective](a, b)
-            ends = rule.enclose((a, a), (b, b))  # the same floats, a zero's sign included
+            ends = clogic._enclose(rule, (a, a), (b, b))  # the same floats, a zero's sign included
             assert [end.hex() for end in ends] == [value.hex()] * 2, (connective, a, b)
             l, r = sorted((a, draw())), sorted((b, draw()))
-            lo, hi = rule.enclose(tuple(l), tuple(r))
+            lo, hi = clogic._enclose(rule, tuple(l), tuple(r))
             for _ in range(5):
                 x, y = rng.uniform(*l), rng.uniform(*r)
                 assert lo <= rule.exact([x], [y])[0] <= hi, (connective, l, r, x, y)
+
+
+# ---------------------------------------------------------------------------
+# Each arithmetic rule against the statement it had before it was stated once:
+# every arithmetic's own scaling rule, each connective's own enclosure rule and
+# the point split's list of classes.  The program must give the same floats.
+# ---------------------------------------------------------------------------
+
+
+def _no_nan_by_hand(values):
+    if math.isnan(sum(values)):
+        raise PreconditionError("the value overflows the floats: an overflowed operation gave nan")
+    return values
+
+
+#: Each connective's enclosure rule, written out end by end.
+_OWN_ENCLOSURES = {
+    FPlus: lambda l, r: (l[0] + r[0], l[1] + r[1]),
+    FTruncSub: lambda l, r: _no_nan_by_hand((max(l[0] - r[1], 0.0), max(l[1] - r[0], 0.0))),
+    FMax: lambda l, r: (max(l[0], r[0]), max(l[1], r[1])),
+    FMin: lambda l, r: (min(l[0], r[0]), min(l[1], r[1])),
+    FAbsDiff: lambda l, r: _no_nan_by_hand((
+        0.0 if l[0] <= r[1] and r[0] <= l[1] else max(l[0] - r[1], r[0] - l[1]),
+        abs(max(l[1] - r[0], r[1] - l[0])))),
+}
+
+
+def _splits_over_points_by_class(phi):
+    """The point split's rule as a list of connective classes."""
+    if isinstance(phi, (FSup, FInf)):
+        return _splits_over_points_by_class(phi.body)
+    if isinstance(phi, FScale):
+        return _splits_over_points_by_class(phi.arg)
+    if isinstance(phi, FMax):
+        return _splits_over_points_by_class(phi.left) and _splits_over_points_by_class(phi.right)
+    if isinstance(phi, (FPlus, FMin)) and isinstance(phi.left, FConst):
+        return _splits_over_points_by_class(phi.right)
+    if isinstance(phi, (FPlus, FMin, FTruncSub)):
+        return isinstance(phi.right, FConst) and _splits_over_points_by_class(phi.left)
+    return not isinstance(phi, FAbsDiff)
+
+
+def _rect_scale_by_hand(s, box):
+    return tuple(clogic._rect_mul(clogic._rect_point(s), a) for a in box)
+
+
+#: Each arithmetic's own scaling rule (s, value) -> s value, keyed by its ``mul``.
+_OWN_SCALES = {
+    c_mul: c_scale,  # exact elements, stacked or not
+    clogic._LIPSCHITZ.mul: lambda s, a: (abs(s) * a[0], abs(s) * a[1]),
+    _RECTS.mul: _rect_scale_by_hand,
+    clogic._MODULI.mul: lambda s, a: clogic._MODULI.mul(clogic._MODULI.const((s,) * len(a)), a),
+}
+
+
+def _centred_scale_by_hand(s, value):
+    return tuple(_rect_scale_by_hand(s, a) for a in value)
+
+
+def _use_own_rules(mp):
+    """Make ``clogic`` evaluate by the rules above: scalings, enclosures, point split."""
+    scales, make_centred, walk = dict(_OWN_SCALES), clogic._centred_arith, clogic.eval_term
+
+    def centred_arith(zeros):
+        arith = make_centred(zeros)
+        scales[arith.mul] = _centred_scale_by_hand
+        return arith
+
+    kinds = {rule: kind for kind, rule in _CONNECTIVES.items()}
+    mp.setattr(clogic, "_centred_arith", centred_arith)
+    mp.setattr(clogic, "eval_term", lambda term, env, algebra, arith: eval_with_own_scale(
+        term, env, algebra, arith, scales[arith.mul], walk))
+    mp.setattr(clogic, "_enclose", lambda rule, l, r: _OWN_ENCLOSURES[kinds[rule]](l, r))
+    mp.setattr(clogic, "_splits_over_points", _splits_over_points_by_class)
+
+
+def _hex(value):
+    """A value's floats by ``float.hex`` (so -0.0 counts), nested as the value is."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    return tuple(map(_hex, value))
+
+
+def _outcome(f, *args):
+    """What ``f`` gives: its floats by hex, or its error's class and message."""
+    try:
+        return _hex(f(*args))
+    except (PreconditionError, ResourceBudgetError) as err:
+        return type(err).__name__, str(err)
+
+
+def test_connective_enclosures_are_their_own_rules_bit_for_bit():
+    # on every mix of ends, in order or not, signed zeros, infinities and nan:
+    # the same floats, or the same error where the rule meets a nan
+    rng = random.Random(3401)
+    special = (0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 0.5, 1e308, 5e-324)
+
+    def draw():
+        return rng.choice(special) if rng.random() < 0.6 else rng.uniform(-2, 2)
+
+    for connective, by_hand in _OWN_ENCLOSURES.items():
+        rule, raised = _CONNECTIVES[connective], 0
+        for _ in range(3000):
+            l, r = (draw(), draw()), (draw(), draw())
+            expected = _outcome(by_hand, l, r)
+            assert _outcome(clogic._enclose, rule, l, r) == expected, (connective, l, r)
+            raised += isinstance(expected[0], str) and expected[0] == "PreconditionError"
+        assert (raised > 0) == (connective in (FTruncSub, FAbsDiff)), connective
+
+
+def _constant_sided(rng, depth):
+    """Formulas whose connectives often have an ``FConst`` side."""
+    if depth == 0 or rng.random() < 0.2:
+        return FConst(0.5) if rng.random() < 0.5 else FNorm(CVar("x"))
+    kind = rng.randrange(7)
+    if kind < 5:
+        op = (FPlus, FTruncSub, FMax, FMin, FAbsDiff)[kind]
+        sides = [_constant_sided(rng, depth - 1), FConst(0.25)]
+        rng.shuffle(sides)
+        return op(*sides) if rng.random() < 0.7 else op(_constant_sided(rng, depth - 1), sides[0])
+    if kind == 5:
+        return FScale(0.5, _constant_sided(rng, depth - 1))
+    return FSup("x", SORT_SA, _constant_sided(rng, depth - 1))
+
+
+def test_point_split_reads_the_rows_as_its_list_of_classes_did():
+    rng, seen = random.Random(3402), set()
+    formulas = [_random_formula(rng, 2, rng.randint(1, 5), 3) for _ in range(400)]
+    formulas += [_random_max_closed(rng, 2, 2, (FSup, FInf), top=True) for _ in range(200)]
+    formulas += [_constant_sided(rng, rng.randint(1, 5)) for _ in range(600)]
+    for phi in formulas:
+        expected = _splits_over_points_by_class(phi)
+        assert clogic._splits_over_points(phi) == expected, phi
+        seen.add(expected)
+    assert seen == {False, True}
+
+
+def _random_rect(rng):
+    ends = (0.0, -0.0, 1.0, -1.0, 0.5)
+    re = sorted(rng.choice(ends) if rng.random() < 0.3 else rng.uniform(-1, 1) for _ in range(2))
+    im = sorted(rng.choice(ends) if rng.random() < 0.3 else rng.uniform(-1, 1) for _ in range(2))
+    return (*re, *im)
+
+
+def test_every_arithmetic_scales_by_its_own_rule_bit_for_bit():
+    # terms of every node kind, scalings included, on points, boxes, moduli and
+    # (norm bound, modulus) pairs; the centred form on a repeated boxed variable
+    # under a scaling.  A scaling by a product adds the constant's zero slope
+    # times the argument to each slope, which can turn a -0.0 slope end into 0.0:
+    # the centred form is compared through its moduli, all that reads it.
+    rng, zero = random.Random(3403), (0.0,) * 4
+    for _ in range(600):
+        n = rng.randint(1, 3)
+        A = CStarAlgebraFin(n)
+        term = random_term(rng, n, rng.randint(1, 4))
+        points = {v: random_element(rng, n) for v in TERM_NAMES}
+        boxes = {v: tuple(_random_rect(rng) for _ in range(n)) for v in TERM_NAMES}
+        moduli = {v: tuple(clogic._abs_iv(r) for r in boxes[v]) for v in TERM_NAMES}
+        pairs = {v: (rng.choice((0.5, 1.0, 2.0)), float(v == "x")) for v in TERM_NAMES}
+        for arith, env in ((EXACT, points), (clogic._stacked(3), {v: p * 3 for v, p in points.items()}),
+                           (clogic._LIPSCHITZ, pairs), (_RECTS, boxes), (clogic._MODULI, moduli)):
+            by_hand = _outcome(eval_with_own_scale, term, env, A, arith, _OWN_SCALES[arith.mul])
+            assert _outcome(eval_term, term, env, A, arith) == by_hand, (term, arith)
+        x = CVar("x")
+        centred = CScale(rng.choice((0.5, -2 + 0.75j)), CMul(term, CAdd(x, CScale(-2.0, CStar(x)))))
+        boxed = {**boxes, "x": tuple(_random_rect(rng) for _ in range(n))}
+        zeros = (zero,) * 2
+        cenv = {v: tuple((r, r, (1.0, 1.0, 0.0, 0.0) if v == "x" else zero, (0.0, 0.0, 1.0, 1.0) if v == "x" else zero)
+                         for r in boxed[v]) for v in TERM_NAMES}
+        mods = [[_hex(clogic._rect_mod(r)) for r in point]
+                for point in eval_term(centred, cenv, A, clogic._centred_arith(zeros))]
+        own = eval_with_own_scale(centred, cenv, A, clogic._centred_arith(zeros), _centred_scale_by_hand)
+        assert mods == [[_hex(clogic._rect_mod(r)) for r in point] for point in own], centred
+        with pytest.MonkeyPatch.context() as mp:
+            _use_own_rules(mp)
+            expected = _outcome(_atom_enclosure, centred, boxed, A)
+        assert _outcome(_atom_enclosure, centred, boxed, A) == expected, centred
+
+
+def test_pointwise_arithmetics_refuse_operands_of_different_sizes():
+    # the rectangles, the centred form and the modulus intervals are the element
+    # operations' sized lift: one point against two raises, where map truncated
+    for arith in (_RECTS, clogic._centred_arith(()), clogic._MODULI):
+        one, two = arith.const((1j,)), arith.const((1j, 0.5 + 0j))
+        for op in (arith.add, arith.sub, arith.mul):
+            with pytest.raises(PreconditionError, match="elements of different sizes"):
+                op(one, two)
+
+
+def _with_sorts(phi, rng, sorts):
+    """The formula with each quantifier's sort drawn from ``sorts``."""
+    if isinstance(phi, (FSup, FInf)):
+        return type(phi)(phi.var, rng.choice(sorts), _with_sorts(phi.body, rng, sorts))
+    if isinstance(phi, FScale):
+        return FScale(phi.scalar, _with_sorts(phi.arg, rng, sorts))
+    if isinstance(phi, (FPlus, FTruncSub, FMax, FMin, FAbsDiff)):
+        return type(phi)(_with_sorts(phi.left, rng, sorts), _with_sorts(phi.right, rng, sorts))
+    return phi
+
+
+def test_ceval_gives_the_floats_of_the_rules_as_each_stated_them():
+    # random formulas with scalings in their terms, re-sorted to every sort, on
+    # both paths, split over the points or not: the same enclosures by hex, the
+    # same depths and the same errors, budget errors' enclosures included
+    rng, searched = random.Random(3404), 0
+    sorts = ((SORT_BALL,), (SORT_SA,), (SORT_POS,), (SORT_PROJ,), (SORT_BALL, SORT_SA, SORT_POS, SORT_PROJ))
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        A = CStarAlgebraFin(n)
+        phi = _with_sorts(_random_formula(rng, n, rng.randint(1, 4), 2), rng, rng.choice(sorts))
+        if rng.random() < 0.5:  # a search over a variable its body reads
+            var = rng.choice(TERM_NAMES)
+            body = rng.choice(list(_CONNECTIVES))(FNorm(CAdd(CVar(var), random_term(rng, n, 1))), phi)
+            phi = rng.choice((FSup, FInf))(var, rng.choice((SORT_BALL, SORT_SA, SORT_POS)), body)
+        params = {v: random_element(rng, n) for v in TERM_NAMES}
+
+        def run():
+            try:
+                cert = ceval(phi, A, params, 0.05, max_boxes=60)
+            except ResourceBudgetError as err:
+                cert = err.best_known
+            return cert.lower, cert.upper, float(cert.grid_depth)
+
+        with pytest.MonkeyPatch.context() as mp:
+            _use_own_rules(mp)
+            expected = _outcome(run)
+        found = _outcome(run)
+        assert found == expected, (phi, params)
+        searched += len(found) == 3 and found[2] != _hex(0.0)
+    assert searched >= 40, searched
+
+
+def test_a_scaling_of_an_overflowed_bound_has_a_nan_modulus_as_a_product_does():
+    # The product rule takes the constant's modulus 0 times the other factor's
+    # bound, which is nan once that bound is inf; a scaling is that product now,
+    # where its own rule gave |s| times the modulus (here inf).  The lattice max
+    # of ``formula_modulus`` passes over the nan, and the atom's own nan still
+    # makes ``ceval`` refuse the formula.
+    x, A = CVar("x"), CStarAlgebraFin(1)
+    huge = CScale(1e300, CScale(1e300, x))
+    assert term_bound(CScale(0.5, huge), A, {"x": 1.0}) == math.inf
+    assert math.isnan(term_modulus(CScale(0.5, huge), "x", A, {"x": 1.0}))
+    assert math.isnan(term_modulus(CMul(CConst((0.5,)), huge), "x", A, {"x": 1.0}))
+    with pytest.MonkeyPatch.context() as mp:
+        _use_own_rules(mp)
+        assert term_modulus(CScale(0.5, huge), "x", A, {"x": 1.0}) == math.inf
+    phi = FSup("x", SORT_SA, FMin(FConst(0.5), FNorm(CScale(0.5, huge))))
+    assert formula_modulus(phi.body, "x", A, {"x": 1.0}) == 0.0
+    with pytest.raises(PreconditionError, match="an overflowed operation gave nan"):
+        ceval(phi, A, {}, 0.01)
 
 
 def test_nested_search_stops_at_the_outer_cone_width():

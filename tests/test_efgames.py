@@ -335,7 +335,7 @@ def test_finite_bas_budget():
 def test_finite_bas_implies_corpus_agreement():
     # Game equivalence at rank r must force agreement on every corpus
     # sentence of quantifier rank at most r.
-    corpus = sentence_corpus(200, 3, seed=2026)
+    corpus = sentence_corpus(200)
     values = {
         n: [(quantifier_rank(phi), fo_eval(phi, P(n))) for phi in corpus]
         for n in range(1, 6)

@@ -5,11 +5,13 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 import os
 import pickle
 import random
 import subprocess
 import sys
+import time
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from elemeq import saturation
 from elemeq.boolalg import FiniteBoolAlg
 from elemeq.clogic import (
     _RECTS,
@@ -24,6 +27,7 @@ from elemeq.clogic import (
     _at_point,
     _rect_kernel,
     _rect_mod,
+    _rect_point,
     CAdd,
     CConst,
     CMul,
@@ -33,10 +37,13 @@ from elemeq.clogic import (
     CStar,
     CVar,
     CZero,
+    FInf,
     FNorm,
+    FSup,
     SORT_BALL,
     SORT_POS,
     SORT_SA,
+    ceval,
     eval_term,
 )
 from elemeq.cstar import CStarAlgebraFin, c_add, c_mul, c_norm, c_scale, c_star, c_sub
@@ -52,6 +59,7 @@ from elemeq.saturation import (
     _np_abs_iv,
     _np_outward,
     _np_mod,
+    _np_mul,
     _split,
     NOT_FOUND,
     DEFAULT_REALIZE_BOXES,
@@ -68,7 +76,7 @@ from elemeq.saturation import (
     orthogonal_witness_family,
     realize_type,
 )
-from util import TERM_NAMES, random_term
+from util import TERM_NAMES, eval_with_own_scale, random_term
 
 BA = PresentedAtomlessBA()
 
@@ -642,6 +650,56 @@ def test_point_split_agrees_with_the_coupled_search():
     assert verdicts["realized", "Realized"] >= 120 and verdicts["unsatisfiable", "Unsatisfiable"] >= 120, verdicts
     # and on these types the point split decides all the coupled search decides
     assert verdicts["realized", "Inconclusive"] + verdicts["unsatisfiable", "Inconclusive"] == 0, verdicts
+
+
+def _random_degree_one_term(rng, n):
+    """A one-variable degree-1 term in x with seeded scalars and constants."""
+    x = CVar("x")
+
+    def const():
+        return CConst(tuple(complex(rng.choice((-1, -0.5, 0, 0.5, 1)), rng.choice((0, 0, 0.5))) for _ in range(n)))
+
+    scalar = complex(rng.choice((0.5, -1.0, 2.0)), rng.choice((0.0, 0.75)))
+    return rng.choice((CAdd(CScale(scalar, x), const()), CSub(CMul(x, const()), const()),
+                       CScale(scalar, CSub(CStar(x), const())), CSub(x, const())))
+
+
+def test_realize_type_never_contradicts_ceval_on_the_range_of_a_norm():
+    # Two engines answer about ||p(x)|| over a sort: ceval encloses its sup and
+    # inf, and every value between is attained (the domain is connected, the
+    # norm continuous).  So a target inside [inf, sup] is never refuted, one
+    # more than tol outside it is never met, and a refutation's epsilon never
+    # exceeds the deviation of the points attaining the sup and the inf.
+    # Inconclusive is allowed: realize_type is slow to refute a ball target
+    # just above the sup.
+    rng, tol, start = random.Random(3407), 0.02, time.process_time()
+    verdicts = collections.Counter()
+
+    def distance(value, target):
+        return max(target - value, value - target, 0.0)
+
+    for _ in range(120):
+        n, sort = rng.randint(1, 3), rng.choice((SORT_BALL, SORT_SA, SORT_POS))
+        algebra, term = CStarAlgebraFin(n), _random_degree_one_term(rng, n)
+        top, bottom = (ceval(q("x", sort, FNorm(term)), algebra, {}, tol / 2) for q in (FSup, FInf))
+        targets = [rng.uniform(bottom.upper, top.lower)] if bottom.upper < top.lower else []
+        targets += [top.upper + rng.uniform(1.1, 3) * tol]
+        targets += [bottom.lower - rng.uniform(1.1, 3) * tol] if bottom.lower > 3 * tol else []
+        for target in targets:
+            result = realize_type([TypeCondition(term, [(target, target)])], algebra, tol,
+                                  sorts={"x": sort}, max_boxes=4000)
+            inside = bottom.upper <= target <= top.lower
+            verdicts[inside, type(result).__name__] += 1
+            if inside:
+                assert not isinstance(result, Unsatisfiable), (term, sort, target, result)
+            else:
+                assert not isinstance(result, Realized), (term, sort, target, result)
+            if isinstance(result, Unsatisfiable):
+                for cert in (top, bottom):  # some point's norm lies in each enclosure
+                    attained = max(distance(cert.lower, target), distance(cert.upper, target))
+                    assert result.epsilon <= attained + 1e-9, (term, sort, target, result)
+    assert verdicts[True, "Realized"] >= 100 and verdicts[False, "Unsatisfiable"] >= 150, verdicts
+    assert time.process_time() - start < 5
 
 
 def test_orthogonal_obstruction_is_refuted_within_1024_boxes():
@@ -1296,6 +1354,46 @@ def _shifted(rng, name, n):
     c = CConst(tuple(rng.choice((0.0, 0.25, 0.5)) for _ in range(n)))
     low = rng.choice((0.0, 0.25, 0.75))
     return TypeCondition(CSub(CVar(name), c), [(low, low + rng.choice((0.0, 0.25)))])
+
+
+def _use_own_numpy_scales(mp):
+    """Make ``saturation`` scale by each numpy arithmetic's own rule: a rectangle
+    product with the scalar's point rectangle, and a complex product."""
+    own = {_np_mul: lambda s, a: _np_mul(_rect_point(s), a), operator.mul: operator.mul}
+    mp.setattr(saturation, "eval_term", lambda term, env, algebra, arith: eval_with_own_scale(
+        term, env, algebra, arith, own[arith.mul]))
+
+
+def _bits(arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def test_numpy_arithmetics_scale_by_their_own_rules_bit_for_bit():
+    # a scaling is the product with a constant element read at each row's point;
+    # each numpy arithmetic's own rule took the scalar as it is.  Bounds and
+    # moduli of terms with every node kind, then whole searches: the same bits.
+    rng = random.Random(3406)
+    for _ in range(150):
+        problem = _random_problem(rng)
+        boxes = _random_boxes(rng, problem, rng.randint(1, 30))
+        points = np.array([rng.randrange(problem.points) for _ in boxes])
+        cands = _random_cands(rng, problem, rng.randint(1, 30))
+        spots = np.array([rng.randrange(problem.points) for _ in cands])
+        found = _bits(problem.bounds(boxes, points)) + _bits([problem.moduli(cands, spots)])
+        with pytest.MonkeyPatch.context() as mp:
+            _use_own_numpy_scales(mp)
+            assert found == _bits(problem.bounds(boxes, points)) + _bits([problem.moduli(cands, spots)])
+    scaled = 0
+    for _ in range(40):
+        conditions, algebra, tol, sorts = _random_norm_type(rng)
+        conditions = [TypeCondition(CScale(rng.choice((0.5, -2.0, 0.75j, 1 - 0.5j)), c.polynomial), c.target)
+                      if rng.random() < 0.5 else c for c in conditions]
+        scaled += any(isinstance(c.polynomial, CScale) for c in conditions)
+        found = _hexed(realize_type(conditions, algebra, tol, sorts=sorts, max_boxes=2000))
+        with pytest.MonkeyPatch.context() as mp:
+            _use_own_numpy_scales(mp)
+            assert found == _hexed(realize_type(conditions, algebra, tol, sorts=sorts, max_boxes=2000))
+    assert scaled >= 30
 
 
 def test_realize_type_is_the_same_with_cold_and_warm_shape_caches():

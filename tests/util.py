@@ -8,7 +8,7 @@ from itertools import combinations, product
 import pytest
 
 from elemeq import boolalg
-from elemeq.clogic import CAdd, CConst, CMul, COne, CScale, CStar, CSub, CVar, CZero
+from elemeq.clogic import CAdd, CConst, CMul, COne, CScale, CStar, CSub, CVar, CZero, eval_term
 from elemeq.ordinals import Ordinal, ZERO, finite, omega_power, ord_add, ord_mul
 
 
@@ -72,6 +72,20 @@ def random_term(rng, n, depth):
         return CScale(scalar, random_term(rng, n, depth - 1))
     op = (CAdd, CSub, CMul)[kind - 2]
     return op(random_term(rng, n, depth - 1), random_term(rng, n, depth - 1))
+
+
+def eval_with_own_scale(term, env, algebra, arith, scale, walk=eval_term):
+    """``eval_term`` with each scaling by ``scale`` (s, value) -> s value, the rule
+    each arithmetic stated for itself, instead of a product with a constant."""
+    if isinstance(term, CScale):
+        return scale(complex(term.scalar), eval_with_own_scale(term.arg, env, algebra, arith, scale, walk))
+    if isinstance(term, (CAdd, CSub, CMul)):
+        op = {CAdd: arith.add, CSub: arith.sub, CMul: arith.mul}[type(term)]
+        left = eval_with_own_scale(term.left, env, algebra, arith, scale, walk)
+        return op(left, eval_with_own_scale(term.right, env, algebra, arith, scale, walk))
+    if isinstance(term, CStar):
+        return arith.conj(eval_with_own_scale(term.arg, env, algebra, arith, scale, walk))
+    return walk(term, env, algebra, arith)  # a leaf
 
 
 def check_node_shape(classes, args, fields, text):
