@@ -105,6 +105,8 @@ from elemeq.efgames import ef_finite_bas, ef_finite_orders, ef_ordinals
 from elemeq.errors import ParseError, PreconditionError, ResourceBudgetError
 from elemeq.ordinals import (
     MAX_COEFF_DIGITS,
+    ONE,
+    ZERO,
     Ordinal,
     calkin_equiv,
     cnf_string,
@@ -114,6 +116,7 @@ from elemeq.ordinals import (
     ord_equiv,
     ord_mul,
     ord_pow,
+    ord_sum,
 )
 
 # ``elemeq.saturation`` loads numpy (~72 ms and ~12 MB a process), so only
@@ -133,39 +136,34 @@ DEFAULT_SEED = 2026
 # ---------------------------------------------------------------------------
 
 
-def _tokenize(text: str, pattern: re.Pattern) -> list:
-    """Longest-match tokens with positions; rejects unknown characters."""
-    tokens, pos = [], 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = pattern.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", position=pos)
-        tokens.append((match.group(), pos))
-        pos = match.end()
-    return tokens
-
-
 class _TokenStream:
+    """The longest-match tokens of ``text``, from one ``findall``.
+
+    No token holds a blank, so the tokens read every other character exactly
+    when they join to the text without its blanks; if not, the first character
+    that no token covers is refused.  Positions come from one ``finditer``,
+    once one is asked for.
+    """
+
     def __init__(self, text: str, pattern: re.Pattern):
-        self.text = text
-        self.tokens = _tokenize(text, pattern)
-        self.index = 0
+        self.text, self.pattern, self.index, self.starts = text, pattern, 0, None
+        self.tokens = pattern.findall(text)
+        if "".join(self.tokens) != "".join(text.split()):
+            left = pattern.sub(lambda match: " " * len(match.group()), text).lstrip()
+            raise ParseError(f"unexpected character {left[0]!r}", position=len(text) - len(left))
 
     def peek(self):
-        return self.tokens[self.index][0] if self.index < len(self.tokens) else None
+        return self.tokens[self.index] if self.index < len(self.tokens) else None
 
-    def position(self) -> int:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][1]
-        return len(self.text)
+    def position(self, index: int = None) -> int:
+        """Where token ``index`` (by default the next) starts, or the text's end."""
+        if self.starts is None:
+            self.starts = [match.start() for match in self.pattern.finditer(self.text)] + [len(self.text)]
+        return self.starts[self.index if index is None else index]
 
     def advance(self):
-        token = self.tokens[self.index]
         self.index += 1
-        return token[0]
+        return self.tokens[self.index - 1]
 
     def expect(self, token: str):
         if self.peek() != token:
@@ -187,34 +185,39 @@ _ORD_PATTERN = re.compile(r"\d+|[w^*+()]")
 def parse_ordinal(text: str) -> Ordinal:
     """Parse ``w^w*2 + w^2*3 + 5`` style notation into normal form.
 
-    Unsorted or duplicated terms are legal input; the result is
-    renormalized through ordinal addition (so ``w + w`` equals ``w*2``).
+    Unsorted or duplicated terms are legal input: each sum's terms w^e * c
+    fold right to left by :func:`ord_sum`, the rule of ordinal addition, so
+    a term vanishes under a larger exponent after it and coefficients add at
+    an equal one (``w + w`` equals ``w*2``, and ``1 + w`` equals ``w``).
     """
     stream = _TokenStream(text, _ORD_PATTERN)
-    total = _parse_ordinal_sum(stream)
+    total, stream.index = _parse_ordinal_sum(stream, stream.tokens + [""], 0)
     stream.expect_end()
     return total
 
 
-def _parse_ordinal_sum(stream: _TokenStream) -> Ordinal:
-    return _parse_chain(stream, None, (("+", ord_add, False),), lambda s, _: _parse_ordinal_term(s))
-
-
-def _parse_ordinal_term(stream: _TokenStream) -> Ordinal:
-    """A natural, or ``w`` with its exponent chain and a natural coefficient."""
-    token = stream.peek()
-    if token is None:
-        raise ParseError("expected an ordinal term", position=stream.position())
-    if token != "w" and not token.isdigit():
-        raise ParseError(f"expected 'w' or a natural, got {token!r}", position=stream.position())
-    base = _parse_ordinal_exponent(stream)
-    if token != "w" or stream.peek() != "*":
-        return base
-    stream.advance()
-    token = stream.peek()
-    if token is None or not token.isdigit():
-        raise ParseError("expected a natural coefficient after '*'", position=stream.position())
-    return ord_mul(base, finite(_natural(stream.advance())))
+def _parse_ordinal_sum(stream: _TokenStream, tokens: list, i: int) -> tuple:
+    """The sum from token ``i`` of ``tokens`` (ending in ""), and the index after it."""
+    terms = []
+    while True:
+        token = tokens[i]
+        if token == "w":  # w with its exponent chain and a natural coefficient
+            exponent, i = _parse_ordinal_exponent(stream, tokens, i + 2) if tokens[i + 1] == "^" else (ONE, i + 1)
+            coeff = 1
+            if tokens[i] == "*":
+                if not tokens[i + 1].isdigit():
+                    raise ParseError("expected a natural coefficient after '*'", position=stream.position(i + 1))
+                coeff, i = _natural(tokens[i + 1]), i + 2
+        elif token.isdigit():
+            exponent, coeff, i = ZERO, _natural(token), i + 1
+        elif not token:
+            raise ParseError("expected an ordinal term", position=stream.position(i))
+        else:
+            raise ParseError(f"expected 'w' or a natural, got {token!r}", position=stream.position(i))
+        terms.append((exponent, coeff))
+        if tokens[i] != "+":
+            return ord_sum(terms), i
+        i += 1
 
 
 def _natural(token: str) -> int:
@@ -224,25 +227,21 @@ def _natural(token: str) -> int:
     return int(token)
 
 
-def _parse_ordinal_exponent(stream: _TokenStream) -> Ordinal:
-    """A bare exponent: a natural, a right-associative ``w^...`` chain
-    (no coefficient — ``w^w*2`` is ``(w^w)*2``), or a parenthesized sum."""
-    token = stream.peek()
+def _parse_ordinal_exponent(stream: _TokenStream, tokens: list, i: int) -> tuple:
+    """A bare exponent from token ``i``, and the index after it: a natural, a right-associative
+    ``w^...`` chain (no coefficient — ``w^w*2`` is ``(w^w)*2``), or a parenthesized sum."""
+    token = tokens[i]
     if token == "(":
-        stream.advance()
-        inner = _parse_ordinal_sum(stream)
-        stream.expect(")")
-        return inner
-    if token is not None and token.isdigit():
-        stream.advance()
-        return finite(_natural(token))
+        inner, i = _parse_ordinal_sum(stream, tokens, i + 1)
+        if tokens[i] != ")":
+            raise ParseError("expected ')'", position=stream.position(i))
+        return inner, i + 1
     if token == "w":
-        stream.advance()
-        if stream.peek() == "^":
-            stream.advance()
-            return omega_power(_parse_ordinal_exponent(stream))
-        return omega_power(finite(1))
-    raise ParseError("expected an exponent after '^'", position=stream.position())
+        exponent, i = _parse_ordinal_exponent(stream, tokens, i + 2) if tokens[i + 1] == "^" else (ONE, i + 1)
+        return omega_power(exponent), i
+    if token.isdigit():
+        return finite(_natural(token)), i + 1
+    raise ParseError("expected an exponent after '^'", position=stream.position(i))
 
 
 # ---------------------------------------------------------------------------

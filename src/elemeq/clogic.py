@@ -405,15 +405,16 @@ def formula_modulus(phi, var: str, algebra: CStarAlgebraFin, bounds: dict) -> fl
     in the remaining variables (a pointwise sup or inf of an L-Lipschitz
     family is L-Lipschitz).
     """
-    if isinstance(phi, FNorm):
-        return term_modulus(phi.term, var, algebra, bounds)
+    if isinstance(phi, FNorm):  # a nan (0 * an overflowed bound) bounds nothing
+        modulus = term_modulus(phi.term, var, algebra, bounds)
+        return math.inf if math.isnan(modulus) else modulus
     if isinstance(phi, FConst):
         return 0.0
     if isinstance(phi, _BINARY_TYPES):
         l, r = (formula_modulus(kid, var, algebra, bounds) for kid in (phi.left, phi.right))
         return max(l, r) if _CONNECTIVES[type(phi)].lattice else l + r
-    if isinstance(phi, FScale):
-        return phi.scalar * formula_modulus(phi.arg, var, algebra, bounds)
+    if isinstance(phi, FScale):  # a zero scaling is constant, though 0 * inf is nan
+        return phi.scalar * formula_modulus(phi.arg, var, algebra, bounds) if phi.scalar else 0.0
     if isinstance(phi, _QUANT_TYPES):
         if phi.var == var:
             return 0.0

@@ -35,6 +35,7 @@ __all__ = [
     "finite",
     "omega_power",
     "compare",
+    "ord_sum",
     "ord_add",
     "ord_mul",
     "ord_pow",
@@ -164,26 +165,23 @@ MAX_POW_TERMS = 10_000
 MAX_COEFF_DIGITS = 4300  # CPython prints no longer int, by default
 
 
+def ord_sum(terms, tail: tuple = ()) -> Ordinal:
+    """The normal form of the sum of the terms w^e * c, in order, followed by
+    the normal form ``tail``.  Folding right to left, a term vanishes when its
+    coefficient is 0 or the sum after it leads with a larger exponent, and
+    adds its coefficient to the lead at an equal one."""
+    out = list(tail[::-1])
+    for exponent, coeff in reversed(terms):
+        if not coeff or out and exponent < out[-1][0]:
+            continue
+        if out and exponent == out[-1][0]:
+            coeff += out.pop()[1]
+        out.append((exponent, coeff))
+    return Ordinal(tuple(out[::-1]))
+
+
 def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
-    if b.is_zero():
-        return a
-    if a.is_zero():
-        return b
-    eb = b.terms[0][0]
-    keep = []
-    merge_coeff = 0
-    for exponent, coeff in a.terms:
-        c = compare(exponent, eb)
-        if c > 0:
-            keep.append((exponent, coeff))
-        elif c == 0:
-            merge_coeff = coeff
-            break
-        else:
-            break
-    head = b.terms[0]
-    merged = (head[0], head[1] + merge_coeff)
-    return Ordinal(tuple(keep) + (merged,) + b.terms[1:])
+    return ord_sum(a.terms, b.terms) if b.terms else a
 
 
 def ord_mul(a: Ordinal, b: Ordinal) -> Ordinal:

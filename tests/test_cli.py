@@ -80,8 +80,9 @@ from elemeq.batheory import (
     Product,
     format_descriptor,
 )
-from elemeq.errors import ParseError, PreconditionError
-from elemeq.ordinals import OMEGA, cnf_string, finite, omega_power, ord_add, ord_mul
+from elemeq.errors import ParseError, PreconditionError, ResourceBudgetError
+from elemeq.ordinals import MAX_COEFF_DIGITS, OMEGA, Ordinal, cnf_string, finite, omega_power, ord_add, ord_mul
+from util import reference_parse_ordinal
 
 
 def run_cli(capsys, argv):
@@ -158,6 +159,86 @@ def test_parse_ordinal_error_messages_and_positions(text, message, position):
     assert excinfo.value.position == position
 
 
+def _random_natural(rng):
+    digits = rng.choice(("0", "1", "2", "3", "7", "10", "12", "999", "18446744073709551617"))
+    if rng.random() < 0.15:
+        digits = "0" * rng.randint(1, 3) + digits  # leading zeros
+    if rng.random() < 0.01:
+        digits = "9" * (MAX_COEFF_DIGITS + rng.choice((0, 1)))  # the last natural read, the first refused
+    return digits
+
+
+def _random_blank(rng):
+    return rng.choice(("", "", "", " ", "\t", "  ", " \t"))
+
+
+def _random_ordinal_exponent(rng, depth):
+    pick = rng.randrange(4 if depth else 3)
+    if pick == 0:
+        return _random_natural(rng)
+    if pick == 1:
+        return "w"
+    if pick == 2:  # a w^w^...^k chain
+        return "w" + _random_blank(rng) + "^" + _random_blank(rng) + _random_ordinal_exponent(rng, depth)
+    return "(" + _random_ordinal_text(rng, depth - 1) + ")"
+
+
+def _random_ordinal_text(rng, depth=2):
+    """A sum of one to five terms in any order, repeats and zero terms included."""
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        if rng.random() < 0.25:
+            terms.append(_random_natural(rng))
+            continue
+        term = "w"
+        if rng.random() < 0.7:
+            term += _random_blank(rng) + "^" + _random_blank(rng) + _random_ordinal_exponent(rng, depth)
+        if rng.random() < 0.5:
+            term += _random_blank(rng) + "*" + _random_blank(rng) + _random_natural(rng)
+        terms.append(term)
+        if rng.random() < 0.2:
+            terms.append(term)  # a repeated term
+    return _random_blank(rng) + (_random_blank(rng) + "+" + _random_blank(rng)).join(terms) + _random_blank(rng)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except (ParseError, ResourceBudgetError) as error:
+        return type(error), str(error), getattr(error, "position", None)
+
+
+def test_parse_ordinal_matches_the_reference_parser_on_seeded_texts():
+    # The reference reads a token stream with a position per token and sums the
+    # terms with its own ordinal addition, left to right; the parser must give
+    # the same ordinal, or the same exception, message and position.
+    rng = random.Random(2026)
+    alphabet = "0123456789w^*+()  \t" + "x\u00e9\n\u00a0\u0663\u00b2W-"  # and a few foreign characters
+    texts = []
+    for _ in range(6000):
+        text = _random_ordinal_text(rng)
+        texts.append(text)
+        if rng.random() < 0.5 and text:  # a slip: one character dropped, doubled or replaced
+            i, c = rng.randrange(len(text)), rng.choice(alphabet)
+            texts.append(rng.choice((text[:i] + text[i + 1:], text[:i + 1] + text[i:], text[:i] + c + text[i + 1:])))
+    for _ in range(3000):
+        texts.append("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12))))
+    assert len(texts) >= 10_000
+    ordinals, messages = 0, []
+    for text in texts:
+        expected = _parse_outcome(reference_parse_ordinal, text)
+        assert _parse_outcome(parse_ordinal, text) == expected, text
+        if isinstance(expected, Ordinal):
+            ordinals += 1
+        else:
+            messages.append(expected[1])
+    assert ordinals >= 5000 and len(messages) >= 2500
+    for kind in ("unexpected character", "unexpected trailing", "expected an ordinal term", "expected ')'",
+                 "expected 'w' or a natural", "expected an exponent after '^'",
+                 "expected a natural coefficient after '*'", f"a natural of over {MAX_COEFF_DIGITS} digits"):
+        assert sum(message.startswith(kind) for message in messages) >= 20, kind
+
+
 def test_ordinal_print_parse_identity_on_seeded_terms():
     rng = random.Random(2026)
     for _ in range(500):
@@ -224,13 +305,28 @@ def test_parse_fo_shadowing_and_nested_quantifiers():
     assert type(phi.body).__name__ == "Exists"
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["forall . x = x", "x = x", "forall x. x =", "forall x. (x = x", "forall x. x & x"],
-)
+#: text -> (message, position); the tokenizer reads this grammar's text too
+_FO_ERRORS = {
+    "forall . x = x": ("expected a variable after quantifier", 7),
+    "x = x": ("unbound variable 'x'", 0),
+    "forall x. x =": ("expected a Boolean term", 13),
+    "forall x. (x = x": ("expected ')'", 16),
+    "forall x. x & x": ("expected '=' or '<=' in an atom", 12),
+    "forall x. x = $x": ("unexpected character '$'", 14),  # right after a blank
+    "forall\tx.\tx\t= #": ("unexpected character '#'", 14),
+    "forall \u00e9. \u00e9 = \u00e9": ("unexpected character '\u00e9'", 7),
+    "forall x. x = x x": ("unexpected trailing 'x'", 16),
+    "": ("expected a Boolean term", 0),
+}
+
+
+@pytest.mark.parametrize("text", list(_FO_ERRORS))
 def test_parse_fo_rejects_malformed(text):
-    with pytest.raises(ParseError):
+    message, position = _FO_ERRORS[text]
+    with pytest.raises(ParseError) as excinfo:
         parse_fo_formula(text)
+    assert str(excinfo.value) == f"{message} (at position {position})"
+    assert excinfo.value.position == position
 
 
 def test_fo_format_parse_identity_on_corpus():

@@ -797,9 +797,10 @@ def test_ceval_gives_the_floats_of_the_rules_as_each_stated_them():
 def test_a_scaling_of_an_overflowed_bound_has_a_nan_modulus_as_a_product_does():
     # The product rule takes the constant's modulus 0 times the other factor's
     # bound, which is nan once that bound is inf; a scaling is that product now,
-    # where its own rule gave |s| times the modulus (here inf).  The lattice max
-    # of ``formula_modulus`` passes over the nan, and the atom's own nan still
-    # makes ``ceval`` refuse the formula.
+    # where its own rule gave |s| times the modulus (here inf).  ``formula_modulus``
+    # reads the atom's nan as inf, on either side of a lattice connective, whose
+    # max would pass over a nan, and the atom's own nan still makes ``ceval``
+    # refuse the formula.
     x, A = CVar("x"), CStarAlgebraFin(1)
     huge = CScale(1e300, CScale(1e300, x))
     assert term_bound(CScale(0.5, huge), A, {"x": 1.0}) == math.inf
@@ -809,7 +810,11 @@ def test_a_scaling_of_an_overflowed_bound_has_a_nan_modulus_as_a_product_does():
         _use_own_rules(mp)
         assert term_modulus(CScale(0.5, huge), "x", A, {"x": 1.0}) == math.inf
     phi = FSup("x", SORT_SA, FMin(FConst(0.5), FNorm(CScale(0.5, huge))))
-    assert formula_modulus(phi.body, "x", A, {"x": 1.0}) == 0.0
+    assert formula_modulus(phi.body, "x", A, {"x": 1.0}) == math.inf
+    swapped = FMin(FNorm(CScale(0.5, huge)), FConst(0.5))
+    assert formula_modulus(swapped, "x", A, {"x": 1.0}) == math.inf
+    # a zero scaling is constant: its modulus is 0, not 0 * inf
+    assert formula_modulus(FScale(0.0, swapped), "x", A, {"x": 1.0}) == 0.0
     with pytest.raises(PreconditionError, match="an overflowed operation gave nan"):
         ceval(phi, A, {}, 0.01)
 

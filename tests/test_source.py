@@ -5,7 +5,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "elemeq"
-LINE_CEILING = 5003  # lines in src/elemeq/*.py, as ``cat src/elemeq/*.py | wc -l`` counts them
+LINE_CEILING = 5001  # lines in src/elemeq/*.py, as ``cat src/elemeq/*.py | wc -l`` counts them
 # memos with no maxsize today, each keyed on a small game-type or parser key
 UNBOUNDED_MEMOS = {
     ("efgames.py", "_type_empty"), ("efgames.py", "_type_singleton"), ("efgames.py", "_type_sum"),

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import pickle
+import re
 from itertools import combinations, product
 
 import pytest
 
 from elemeq import boolalg
 from elemeq.clogic import CAdd, CConst, CMul, COne, CScale, CStar, CSub, CVar, CZero, eval_term
-from elemeq.ordinals import Ordinal, ZERO, finite, omega_power, ord_add, ord_mul
+from elemeq.errors import ParseError, ResourceBudgetError
+from elemeq.ordinals import MAX_COEFF_DIGITS, Ordinal, ZERO, compare, finite, omega_power, ord_add, ord_mul
 
 
 def mk(pairs: list[tuple[int, int]]) -> Ordinal:
@@ -182,3 +184,138 @@ def shadowed_sentences(rng, corpus, count):
         body = op(rng.choice(inner), rng.choice(atoms))
         out.append(rng.choice((boolalg.Forall, boolalg.Exists))("x", body))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference ordinal parser: a token stream with a position per token, read by
+# a recursive grammar that builds every term as an ``Ordinal`` and joins the
+# terms with its own left-to-right ordinal addition.  ``cli.parse_ordinal``
+# must give equal values, and the same exception, message and position.
+# ---------------------------------------------------------------------------
+
+
+def reference_tokenize(text, pattern):
+    """Longest-match tokens with positions; rejects unknown characters."""
+    tokens, pos = [], 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        match = pattern.match(text, pos)
+        if match is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", position=pos)
+        tokens.append((match.group(), pos))
+        pos = match.end()
+    return tokens
+
+
+class ReferenceTokenStream:
+    def __init__(self, text, pattern):
+        self.text = text
+        self.tokens = reference_tokenize(text, pattern)
+        self.index = 0
+
+    def peek(self):
+        return self.tokens[self.index][0] if self.index < len(self.tokens) else None
+
+    def position(self):
+        if self.index < len(self.tokens):
+            return self.tokens[self.index][1]
+        return len(self.text)
+
+    def advance(self):
+        token = self.tokens[self.index]
+        self.index += 1
+        return token[0]
+
+    def expect(self, token):
+        if self.peek() != token:
+            raise ParseError(f"expected {token!r}", position=self.position())
+        return self.advance()
+
+    def expect_end(self):
+        if self.peek() is not None:
+            raise ParseError(f"unexpected trailing {self.peek()!r}", position=self.position())
+
+
+def reference_ord_add(a, b):
+    """a + b: the terms of a above b's leading exponent, then b, merging one
+    coefficient at an equal exponent."""
+    if b.is_zero():
+        return a
+    if a.is_zero():
+        return b
+    eb = b.terms[0][0]
+    keep = []
+    merge_coeff = 0
+    for exponent, coeff in a.terms:
+        c = compare(exponent, eb)
+        if c > 0:
+            keep.append((exponent, coeff))
+        elif c == 0:
+            merge_coeff = coeff
+            break
+        else:
+            break
+    head = b.terms[0]
+    merged = (head[0], head[1] + merge_coeff)
+    return Ordinal(tuple(keep) + (merged,) + b.terms[1:])
+
+
+REFERENCE_ORD_PATTERN = re.compile(r"\d+|[w^*+()]")
+
+
+def reference_parse_ordinal(text):
+    stream = ReferenceTokenStream(text, REFERENCE_ORD_PATTERN)
+    total = _reference_ordinal_sum(stream)
+    stream.expect_end()
+    return total
+
+
+def _reference_ordinal_sum(stream):
+    total = _reference_ordinal_term(stream)
+    while stream.peek() == "+":
+        stream.advance()
+        total = reference_ord_add(total, _reference_ordinal_term(stream))
+    return total
+
+
+def _reference_ordinal_term(stream):
+    token = stream.peek()
+    if token is None:
+        raise ParseError("expected an ordinal term", position=stream.position())
+    if token != "w" and not token.isdigit():
+        raise ParseError(f"expected 'w' or a natural, got {token!r}", position=stream.position())
+    base = _reference_ordinal_exponent(stream)
+    if token != "w" or stream.peek() != "*":
+        return base
+    stream.advance()
+    token = stream.peek()
+    if token is None or not token.isdigit():
+        raise ParseError("expected a natural coefficient after '*'", position=stream.position())
+    return ord_mul(base, finite(_reference_natural(stream.advance())))
+
+
+def _reference_natural(token):
+    if len(token) > MAX_COEFF_DIGITS:
+        raise ResourceBudgetError(f"a natural of over {MAX_COEFF_DIGITS} digits")
+    return int(token)
+
+
+def _reference_ordinal_exponent(stream):
+    token = stream.peek()
+    if token == "(":
+        stream.advance()
+        inner = _reference_ordinal_sum(stream)
+        stream.expect(")")
+        return inner
+    if token is not None and token.isdigit():
+        stream.advance()
+        return finite(_reference_natural(token))
+    if token == "w":
+        stream.advance()
+        if stream.peek() == "^":
+            stream.advance()
+            return omega_power(_reference_ordinal_exponent(stream))
+        return omega_power(finite(1))
+    raise ParseError("expected an exponent after '^'", position=stream.position())
