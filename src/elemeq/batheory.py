@@ -6,14 +6,16 @@ countable set, the full powerset of a countable set and its quotient by the
 finite sets, the countable atomless algebra, interval algebras of ordinals
 with finite Cantor-normal-form exponents, and finite products of these.
 
-The classification works through the derivative operation — quotient by the
-ideal generated by the atoms and the atomless elements — which is computable
-symbolically on the descriptor class by simple rewrite rules.  Iterating the
-derivative until it reaches the trivial algebra yields an invariant triple
-``(level, atom_count, atomless_flag)`` describing the last nontrivial stage;
-two descriptors are declared elementarily equivalent exactly when their
-triples agree.  The triples double as an enumeration device: every complete
-theory in the classification corresponds to one realizable triple, and
+The classification works through the derivative operation, the quotient by the
+ideal generated by the atoms and the atomless elements.  One walk over the
+descriptor kinds computes it symbolically, with the atom count and whether an
+atomless element exists; the kinds without parameters read all three, and
+their surface names, from one table.  Iterating the derivative until it reaches
+the trivial algebra yields an invariant triple ``(level, atom_count,
+atomless_flag)`` describing the last nontrivial stage; two descriptors are
+declared elementarily equivalent exactly when their triples agree.  The
+triples double as an enumeration device: every complete theory in the
+classification corresponds to one realizable triple, and
 :func:`enumerate_theories` lists them in a canonical order.
 
 The module deliberately accepts only this closed descriptor class, so every
@@ -53,8 +55,8 @@ __all__ = [
 #: Symbolic cardinality used when an atom count is countably infinite.
 OMEGA_ATOMS = "omega"
 
-#: Derivative chains of the descriptor class always terminate; this cap
-#: turns a broken rewrite into a loud failure instead of a hang.
+#: The most nontrivial stages a derivative chain may have: ``intalg(w^63)`` has
+#: 64, and a longer chain is refused, as a broken rewrite's would be.
 MAX_CHAIN_LENGTH = 64
 
 
@@ -124,33 +126,27 @@ class Product(Frozen):
         if not self.factors:
             raise PreconditionError("product of no factors is trivial; use Trivial")
         for f in self.factors:
-            _check_descriptor(f)
+            if not isinstance(f, (_Named, Finite, IntervalAlgebra, Product)):
+                raise PreconditionError(f"not a descriptor: {f!r}")
 
 
-_LEAF_TYPES = (_Named, Finite, IntervalAlgebra)
-
-
-def _check_descriptor(d) -> None:
-    if not isinstance(d, _LEAF_TYPES + (Product,)):
-        raise PreconditionError(f"not a descriptor: {d!r}")
-
-
-#: Surface names of the descriptors without parameters; the CLI's
-#: ``parse_descriptor`` reads them from here.
-_NAMED_DESCRIPTORS = {
-    "trivial": Trivial,
-    "fincof": FinCof,
-    "P(omega)": PowersetOmega,
-    "P(omega)/fin": PowersetModFin,
-    "free": FreeAtomless,
+#: One row per descriptor kind without parameters: its surface name, which the
+#: CLI's ``parse_descriptor`` reads, then its stage as ``_stage`` returns it
+#: (atom count, whether it has an atomless element, derivative).
+_NAMED_KINDS = {
+    Trivial: ("trivial", 0, False, Trivial()),
+    FinCof: ("fincof", OMEGA_ATOMS, False, Finite(1)),
+    PowersetOmega: ("P(omega)", OMEGA_ATOMS, False, PowersetModFin()),
+    PowersetModFin: ("P(omega)/fin", 0, True, Trivial()),
+    FreeAtomless: ("free", 0, True, Trivial()),
 }
 
 
 def format_descriptor(d) -> str:
     """Render a descriptor in the surface grammar used by the CLI."""
-    for name, kind in _NAMED_DESCRIPTORS.items():
-        if isinstance(d, kind):
-            return name
+    named = _NAMED_KINDS.get(type(d))
+    if named is not None:
+        return named[0]
     if isinstance(d, Finite):
         return f"finite({d.atoms})"
     if isinstance(d, IntervalAlgebra):
@@ -161,44 +157,42 @@ def format_descriptor(d) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Structural predicates
+# The stage of a descriptor: its atoms, atomless part and derivative
 # ---------------------------------------------------------------------------
 
 
-def _add_counts(a, b):
-    if a == OMEGA_ATOMS or b == OMEGA_ATOMS:
-        return OMEGA_ATOMS
-    return a + b
+def _stage(d) -> tuple:
+    """``(atom count, has an atomless element, derivative)`` of a descriptor: the
+    one walk over the descriptor kinds.  A product takes the atoms and atomless
+    elements of its factors, and the product of their nontrivial derivatives."""
+    named = _NAMED_KINDS.get(type(d))
+    if named is not None:
+        return named[1:]
+    if isinstance(d, Finite):
+        return d.atoms, False, Trivial()
+    if isinstance(d, IntervalAlgebra):
+        atoms = d.alpha.to_int() if d.alpha.is_finite() else OMEGA_ATOMS
+        # drop the exponent-0 terms, then lower every other exponent by one
+        lowered = tuple(
+            (left_difference(ONE, e), c) for e, c in d.alpha.terms if not e.is_zero()
+        )
+        return atoms, False, IntervalAlgebra(Ordinal(lowered)) if lowered else Trivial()
+    if isinstance(d, Product):
+        counts, flags, derived = zip(*map(_stage, d.factors))
+        atoms = OMEGA_ATOMS if OMEGA_ATOMS in counts else sum(counts)
+        survivors = tuple(f for f in derived if not isinstance(f, Trivial))
+        return atoms, any(flags), Product(survivors) if survivors else Trivial()
+    raise PreconditionError(f"not a descriptor: {d!r}")
 
 
 def atom_count(d):
     """The number of atoms of the algebra itself, capped at ``OMEGA_ATOMS``."""
-    if isinstance(d, Trivial):
-        return 0
-    if isinstance(d, Finite):
-        return d.atoms
-    if isinstance(d, (FinCof, PowersetOmega)):
-        return OMEGA_ATOMS
-    if isinstance(d, (PowersetModFin, FreeAtomless)):
-        return 0
-    if isinstance(d, IntervalAlgebra):
-        return d.alpha.to_int() if d.alpha.is_finite() else OMEGA_ATOMS
-    if isinstance(d, Product):
-        total = 0
-        for f in d.factors:
-            total = _add_counts(total, atom_count(f))
-        return total
-    raise PreconditionError(f"not a descriptor: {d!r}")
+    return _stage(d)[0]
 
 
 def has_atomless_element(d) -> bool:
     """Whether the algebra contains a nonzero element with no atom below it."""
-    if isinstance(d, (PowersetModFin, FreeAtomless)):
-        return True
-    if isinstance(d, Product):
-        return any(has_atomless_element(f) for f in d.factors)
-    _check_descriptor(d)
-    return False
+    return _stage(d)[1]
 
 
 def is_atomic(d) -> bool:
@@ -209,53 +203,32 @@ def is_atomic(d) -> bool:
     return not has_atomless_element(d)
 
 
-# ---------------------------------------------------------------------------
-# Derivative and invariants
-# ---------------------------------------------------------------------------
-
-
-def _interval_derivative(alpha: Ordinal):
-    """Drop exponent-0 terms, then lower every remaining exponent by one."""
-    lowered = tuple(
-        (left_difference(ONE, e), c) for e, c in alpha.terms if not e.is_zero()
-    )
-    if not lowered:
-        return Trivial()
-    return IntervalAlgebra(Ordinal(lowered))
-
-
 def ba_derivative(d):
     """One step of the derivative: quotient by atoms and atomless elements."""
-    if isinstance(d, (Trivial, Finite, FreeAtomless)):
-        return Trivial()
-    if isinstance(d, FinCof):
-        return Finite(1)
-    if isinstance(d, PowersetOmega):
-        return PowersetModFin()
-    if isinstance(d, PowersetModFin):
-        return Trivial()
-    if isinstance(d, IntervalAlgebra):
-        return _interval_derivative(d.alpha)
-    if isinstance(d, Product):
-        survivors = tuple(
-            out
-            for out in (ba_derivative(f) for f in d.factors)
-            if not isinstance(out, Trivial)
-        )
-        if not survivors:
-            return Trivial()
-        return Product(survivors)
-    raise PreconditionError(f"not a descriptor: {d!r}")
+    return _stage(d)[2]
+
+
+# ---------------------------------------------------------------------------
+# Derivative chains and invariants
+# ---------------------------------------------------------------------------
+
+
+def _stages(d):
+    """Yield ``(descriptor, atom count, atomless flag)`` for each nontrivial
+    stage of the derivative chain of ``d``, in order; the pass after the last
+    admitted stage is the one that finds the trivial end."""
+    for _ in range(MAX_CHAIN_LENGTH + 1):
+        if isinstance(d, Trivial):
+            return
+        atoms, atomless, derived = _stage(d)
+        yield d, atoms, atomless
+        d = derived
+    raise PreconditionError("derivative chain exceeded the hard cap")
 
 
 def derivative_chain(d) -> list:
     """The descriptor chain down to (and including) the trivial algebra."""
-    chain = [d]
-    while not isinstance(chain[-1], Trivial):
-        if len(chain) > MAX_CHAIN_LENGTH:
-            raise PreconditionError("derivative chain exceeded the hard cap")
-        chain.append(ba_derivative(chain[-1]))
-    return chain
+    return [stage for stage, _, _ in _stages(d)] + [Trivial()]
 
 
 class ErshovInvariant(Frozen):
@@ -280,13 +253,10 @@ class ErshovInvariant(Frozen):
 
 def ershov_invariants(d) -> ErshovInvariant:
     """Iterate the derivative and report the last nontrivial stage's data."""
-    chain = derivative_chain(d)
-    if len(chain) == 1:
-        return ErshovInvariant(0, 0, False)
-    last = chain[-2]
-    return ErshovInvariant(
-        len(chain) - 2, atom_count(last), has_atomless_element(last)
-    )
+    level, atoms, atomless = 0, 0, False
+    for level, (_, atoms, atomless) in enumerate(_stages(d)):
+        pass
+    return ErshovInvariant(level, atoms, atomless)
 
 
 def ba_equiv(d1, d2) -> bool:
@@ -316,13 +286,12 @@ def classification_conflict(d1, d2):
     verdict is negative, the disagreement is reported rather than silently
     resolved.  Returns ``None`` when no conflict applies.
     """
-    if ba_equiv(d1, d2):
-        return None
-    if not (is_atomic(d1) and is_atomic(d2)):
-        return None
-    if not (atom_count(d1) == OMEGA_ATOMS and atom_count(d2) == OMEGA_ATOMS):
-        return None
     inv1, inv2 = ershov_invariants(d1), ershov_invariants(d2)
+    if inv1 == inv2:
+        return None
+    # both atomic, with infinitely many atoms
+    if not _stage(d1)[:2] == _stage(d2)[:2] == (OMEGA_ATOMS, False):
+        return None
     return {
         "kind": "classification-conflict",
         "status": "unresolved",

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from elemeq.batheory import (
-    _NAMED_DESCRIPTORS,
+    _NAMED_KINDS,
     Finite,
     IntervalAlgebra,
     Product,
@@ -549,8 +549,9 @@ _FORMAT_KIND = {
 def parse_descriptor(text: str):
     """Parse a Boolean-algebra descriptor in ``format_descriptor`` syntax."""
     text = text.strip()
-    if text in _NAMED_DESCRIPTORS:
-        return _NAMED_DESCRIPTORS[text]()
+    for kind, (name, *_) in _NAMED_KINDS.items():
+        if text == name:
+            return kind()
     match = re.fullmatch(r"finite\((\d+)\)", text)
     if match:
         return Finite(_natural(match.group(1)))

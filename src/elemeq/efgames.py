@@ -85,6 +85,9 @@ MAX_ATOMS_BAS = 5
 
 _T0 = (0,)
 
+# The rank caps keep the types of finite orders and of ordinals below
+# omega**omega * omega to a few hundred (63 ordinal types at rank 4), so this
+# table stays small and, on inputs within the caps, no memo below evicts.
 _intern_table: dict = {}
 
 
@@ -92,14 +95,14 @@ def _intern(value):
     return _intern_table.setdefault(value, value)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _type_empty(rank: int):
     if rank == 0:
         return _T0
     return _intern((rank, _type_empty(rank - 1), frozenset()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _type_singleton(rank: int):
     if rank == 0:
         return _T0
@@ -107,7 +110,7 @@ def _type_singleton(rank: int):
     return _intern((rank, _type_singleton(rank - 1), frozenset({(z, z)})))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def _type_sum(a, b):
     """The hereditary type of ``A + B`` from the types of ``A`` and ``B``."""
     if a[0] == 0:
@@ -144,7 +147,7 @@ def _type_repeat(t, count: int):
     return _orbit(lambda s: _type_sum(s, t), zero, count)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _type_mul_omega(t):
     """The hereditary type of ``L * omega`` from the hereditary type of ``L``."""
     if t[0] == 0:
@@ -229,9 +232,10 @@ def ef_finite_orders(m: int, n: int, rank: int) -> bool:
 # act transitively on elements with equal cell counts).  A position is the
 # vector of those cell sizes; a move chooses how many atoms to take from
 # each cell.  At the end of play the tuples generate isomorphic subalgebras
-# exactly when the same pattern cells are nonempty on both sides.
+# exactly when the same pattern cells are nonempty on both sides.  The caps
+# leave 1,626 (cells, rank) keys in all, which ``_ba_type`` keeps every one of.
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _ba_type(cells: tuple[int, ...], rank: int):
     occupied = frozenset(p for p, size in enumerate(cells) if size)
     if rank == 0:

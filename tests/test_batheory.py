@@ -1,5 +1,8 @@
 """Tests for the symbolic Boolean-algebra classification."""
 
+import random
+import re
+
 import pytest
 
 from elemeq import batheory
@@ -28,11 +31,24 @@ from elemeq.batheory import (
     is_atomic,
 )
 from elemeq.boolalg import FiniteBoolAlg
+from elemeq.cli import parse_descriptor
 from elemeq.efgames import ef_finite_bas
 from elemeq.errors import PreconditionError, ResourceBudgetError
 from elemeq.ordinals import Ordinal, finite
 
-from util import check_frozen_nodes, check_node_shape, mk, w
+from util import (
+    check_frozen_nodes,
+    check_node_shape,
+    mk,
+    reference_atom_count,
+    reference_ba_derivative,
+    reference_classification_conflict,
+    reference_derivative_chain,
+    reference_ershov_invariants,
+    reference_format_descriptor,
+    reference_has_atomless_element,
+    w,
+)
 
 
 def intalg(*term_pairs):
@@ -239,6 +255,118 @@ def test_no_conflict_note_otherwise():
     assert classification_conflict(Finite(2), Finite(3)) is None
     # Inequivalent but not atomic on one side.
     assert classification_conflict(FreeAtomless(), PowersetOmega()) is None
+
+
+# ---------------------------------------------------------------------------
+# The one walk against the reference walkers, and the chain cap
+# ---------------------------------------------------------------------------
+
+NAMED = (Trivial(), FinCof(), PowersetOmega(), PowersetModFin(), FreeAtomless())
+
+
+def _seeded_descriptor(rng, depth):
+    """A named kind, ``Finite(1..9)``, an interval algebra with exponents 0-8, or
+    a product of two or three of these nested up to ``depth`` levels."""
+    kind = rng.randrange(4 if depth else 3)
+    if kind == 0:
+        return rng.choice(NAMED)
+    if kind == 1:
+        return Finite(rng.randint(1, 9))
+    if kind == 2:
+        exponents = sorted(rng.sample(range(9), rng.randint(1, 3)), reverse=True)
+        return intalg(*((e, rng.randint(1, 5)) for e in exponents))
+    return Product(tuple(_seeded_descriptor(rng, depth - 1) for _ in range(rng.randint(2, 3))))
+
+
+def _program_and_reference(d):
+    facts = (atom_count, has_atomless_element, ba_derivative, derivative_chain,
+             ershov_invariants, format_descriptor)
+    references = (reference_atom_count, reference_has_atomless_element, reference_ba_derivative,
+                  reference_derivative_chain, reference_ershov_invariants, reference_format_descriptor)
+    return [f(d) for f in facts], [f(d) for f in references]
+
+
+def test_classification_matches_the_reference_walkers_on_seeded_descriptors():
+    rng = random.Random(36)
+    corpus = list(NAMED) + [Finite(n) for n in range(1, 10)]
+    corpus += [intalg((e, c)) for e in range(9) for c in (1, 2)]
+    corpus += [_seeded_descriptor(rng, 3) for _ in range(2_000)]
+    depths = {0}
+    for d in corpus:
+        got, want = _program_and_reference(d)
+        assert got == want, d
+        assert is_atomic(d) is (not want[1])
+        assert parse_descriptor(format_descriptor(d)) == d
+        depth, level = 0, [d]
+        while any(isinstance(f, Product) for f in level):
+            depth += 1
+            level = [g for f in level if isinstance(f, Product) for g in f.factors]
+        depths.add(depth)
+    assert depths == {0, 1, 2, 3}
+    outcomes = {"note": 0, "equivalent": 0, "atomless": 0, "finitely many atoms": 0}
+    for d1, d2 in zip(corpus, rng.sample(corpus, len(corpus))):
+        note = classification_conflict(d1, d2)
+        assert note == reference_classification_conflict(d1, d2), (d1, d2)
+        equivalent = reference_ershov_invariants(d1) == reference_ershov_invariants(d2)
+        assert ba_equiv(d1, d2) is cstar_equiv(d1, d2) is equivalent
+        if note is not None:
+            outcomes["note"] += 1
+        elif equivalent:
+            outcomes["equivalent"] += 1
+        elif reference_has_atomless_element(d1) or reference_has_atomless_element(d2):
+            outcomes["atomless"] += 1
+        else:
+            outcomes["finitely many atoms"] += 1
+    # each way through the conflict check is taken many times
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_the_chain_cap_admits_63_lowerings_and_refuses_64():
+    top = intalg((63, 1))
+    chain = derivative_chain(top)
+    assert len(chain) == 65 and chain == reference_derivative_chain(top)
+    assert chain[-2:] == [intalg((0, 1)), Trivial()]
+    assert ershov_invariants(top).as_tuple() == (63, 1, False)
+    assert ershov_invariants(Product((top, Finite(2)))).as_tuple() == (63, 1, False)
+    over = intalg((64, 1))
+    calls = [
+        lambda: derivative_chain(over),
+        lambda: ershov_invariants(over),
+        lambda: ershov_invariants(Product((Finite(1), over))),
+        lambda: ba_equiv(top, over),
+        lambda: cstar_equiv(over, top),
+        lambda: classification_conflict(top, over),
+        lambda: reference_derivative_chain(over),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError, match=r"^derivative chain exceeded the hard cap$"):
+            call()
+    # one step is not a chain: the capped descriptor still has its own facts
+    assert atom_count(over) == OMEGA_ATOMS and ba_derivative(over) == intalg((63, 1))
+
+
+@pytest.mark.parametrize("bad", ["finite(2)", 3, None, (Finite, 2), Ordinal(())])
+def test_every_public_function_refuses_a_non_descriptor(bad):
+    message = "^" + re.escape(f"not a descriptor: {bad!r}") + "$"
+    calls = [
+        lambda: format_descriptor(bad),
+        lambda: atom_count(bad),
+        lambda: has_atomless_element(bad),
+        lambda: is_atomic(bad),
+        lambda: ba_derivative(bad),
+        lambda: derivative_chain(bad),
+        lambda: ershov_invariants(bad),
+        lambda: ba_equiv(Finite(2), bad),
+        lambda: cstar_equiv(bad, Finite(2)),
+        lambda: classification_conflict(FinCof(), bad),
+        lambda: Product((Finite(2), bad)),
+        lambda: reference_atom_count(bad),
+        lambda: reference_has_atomless_element(bad),
+        lambda: reference_derivative_chain(bad),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError, match=message):
+            call()
 
 
 # ---------------------------------------------------------------------------

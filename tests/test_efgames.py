@@ -7,6 +7,7 @@ low-rank sentences (noted inline where used).
 """
 
 import itertools
+import random
 from functools import lru_cache
 
 import pytest
@@ -28,6 +29,7 @@ from elemeq.ordinals import (
     ord_add,
     ord_equiv,
     ord_mul,
+    ord_sum,
 )
 from oracle_games import GamePosition, duplicator_wins
 from util import below_omega_cubed, mk, nat, osum, w
@@ -225,6 +227,39 @@ def test_omega_power_cache_is_bounded_over_many_exponents():
     last = len(orbit) - 1  # omega**last is the first omega-power of the fixed type
     assert ef_ordinals(omega_power(nat(19_999)), omega_power(nat(last)), 3) is True
     assert ef_ordinals(omega_power(nat(last - 1)), omega_power(nat(last)), 3) is False
+
+
+def _seeded_ordinal(rng):
+    """A sum of up to four terms ``omega**e * c``, ``e`` finite or omega, any order."""
+    terms = [(OMEGA if rng.random() < 0.2 else finite(rng.randint(0, 8)), rng.randint(0, 9))
+             for _ in range(rng.randint(0, 4))]
+    return ord_sum(terms)
+
+
+def test_game_memos_keep_their_whole_reach_within_the_caps():
+    # the rank and atom caps keep every memo's reach finite and far below its maxsize:
+    # over every ef_finite_bas algebra within the caps, every finite order below 300
+    # and 20,000 seeded ordinals, at every rank up to the caps, no memo evicts an
+    # entry (each computed type is kept), and the interned types stay few
+    memos = (efgames._ba_type, efgames._type_sum, efgames._type_mul_omega,
+             efgames._type_empty, efgames._type_singleton)
+    for memo in memos:
+        memo.cache_clear()
+    for r in range(efgames.MAX_RANK_BAS + 1):
+        for m in range(efgames.MAX_ATOMS_BAS + 1):
+            assert ef_finite_bas(P(m), P(m), r)
+    for r in range(efgames.MAX_RANK_ORDERS + 1):
+        for m in range(300):
+            assert ef_finite_orders(m, m + 1, r) == (m >= 2**r - 1)
+    rng = random.Random(36)
+    for i in range(20_000):
+        alpha = _seeded_ordinal(rng)
+        assert ef_ordinals(alpha, alpha, i % (efgames.MAX_RANK_ORDINALS + 1))
+    assert efgames._ba_type.cache_info().currsize == 1626  # every (cells, rank) key
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.currsize == info.misses, (memo.__name__, info)
+    assert len(efgames._intern_table) < 1000
 
 
 def test_ordinals_large_domain_is_fast():

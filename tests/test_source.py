@@ -5,12 +5,9 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "elemeq"
-LINE_CEILING = 5001  # lines in src/elemeq/*.py, as ``cat src/elemeq/*.py | wc -l`` counts them
-# memos with no maxsize today, each keyed on a small game-type or parser key
-UNBOUNDED_MEMOS = {
-    ("efgames.py", "_type_empty"), ("efgames.py", "_type_singleton"), ("efgames.py", "_type_sum"),
-    ("efgames.py", "_type_mul_omega"), ("efgames.py", "_ba_type"), ("cli.py", "_build_parser"),
-}
+LINE_CEILING = 4975  # lines in src/elemeq/*.py, as ``cat src/elemeq/*.py | wc -l`` counts them
+# memos with no maxsize today: the one parser of the process, keyed on nothing
+UNBOUNDED_MEMOS = {("cli.py", "_build_parser")}
 
 
 def test_src_stays_under_the_line_ceiling():

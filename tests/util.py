@@ -9,9 +9,25 @@ from itertools import combinations, product
 import pytest
 
 from elemeq import boolalg
+from elemeq.batheory import (
+    OMEGA_ATOMS,
+    ErshovInvariant,
+    FinCof,
+    Finite,
+    FreeAtomless,
+    IntervalAlgebra,
+    PowersetModFin,
+    PowersetOmega,
+    Product,
+    Trivial,
+    _Named,
+)
 from elemeq.clogic import CAdd, CConst, CMul, COne, CScale, CStar, CSub, CVar, CZero, eval_term
-from elemeq.errors import ParseError, ResourceBudgetError
-from elemeq.ordinals import MAX_COEFF_DIGITS, Ordinal, ZERO, compare, finite, omega_power, ord_add, ord_mul
+from elemeq.errors import ParseError, PreconditionError, ResourceBudgetError
+from elemeq.ordinals import (
+    MAX_COEFF_DIGITS, ONE, Ordinal, ZERO, cnf_string, compare, finite, left_difference, omega_power, ord_add,
+    ord_mul,
+)
 
 
 def mk(pairs: list[tuple[int, int]]) -> Ordinal:
@@ -319,3 +335,143 @@ def _reference_ordinal_exponent(stream):
             return omega_power(_reference_ordinal_exponent(stream))
         return omega_power(finite(1))
     raise ParseError("expected an exponent after '^'", position=stream.position())
+
+
+# ---------------------------------------------------------------------------
+# Reference Boolean-algebra classification: one walker per structural fact
+# (atoms, atomless elements, derivative), the named descriptors in a table of
+# their own, and a conflict note that decides the equivalence again and then
+# asks each fact of each input.  ``batheory`` reads all of them off one walk,
+# and must give equal values and the same exception and message.
+# ---------------------------------------------------------------------------
+
+REFERENCE_NAMED_DESCRIPTORS = {
+    "trivial": Trivial,
+    "fincof": FinCof,
+    "P(omega)": PowersetOmega,
+    "P(omega)/fin": PowersetModFin,
+    "free": FreeAtomless,
+}
+REFERENCE_MAX_CHAIN_LENGTH = 64
+
+
+def _reference_check_descriptor(d):
+    if not isinstance(d, (_Named, Finite, IntervalAlgebra, Product)):
+        raise PreconditionError(f"not a descriptor: {d!r}")
+
+
+def reference_format_descriptor(d):
+    for name, kind in REFERENCE_NAMED_DESCRIPTORS.items():
+        if isinstance(d, kind):
+            return name
+    if isinstance(d, Finite):
+        return f"finite({d.atoms})"
+    if isinstance(d, IntervalAlgebra):
+        return f"intalg({cnf_string(d.alpha)})"
+    if isinstance(d, Product):
+        return "prod(" + ",".join(reference_format_descriptor(f) for f in d.factors) + ")"
+    raise PreconditionError(f"not a descriptor: {d!r}")
+
+
+def _reference_add_counts(a, b):
+    if a == OMEGA_ATOMS or b == OMEGA_ATOMS:
+        return OMEGA_ATOMS
+    return a + b
+
+
+def reference_atom_count(d):
+    if isinstance(d, Trivial):
+        return 0
+    if isinstance(d, Finite):
+        return d.atoms
+    if isinstance(d, (FinCof, PowersetOmega)):
+        return OMEGA_ATOMS
+    if isinstance(d, (PowersetModFin, FreeAtomless)):
+        return 0
+    if isinstance(d, IntervalAlgebra):
+        return d.alpha.to_int() if d.alpha.is_finite() else OMEGA_ATOMS
+    if isinstance(d, Product):
+        total = 0
+        for f in d.factors:
+            total = _reference_add_counts(total, reference_atom_count(f))
+        return total
+    raise PreconditionError(f"not a descriptor: {d!r}")
+
+
+def reference_has_atomless_element(d):
+    if isinstance(d, (PowersetModFin, FreeAtomless)):
+        return True
+    if isinstance(d, Product):
+        return any(reference_has_atomless_element(f) for f in d.factors)
+    _reference_check_descriptor(d)
+    return False
+
+
+def _reference_interval_derivative(alpha):
+    lowered = tuple((left_difference(ONE, e), c) for e, c in alpha.terms if not e.is_zero())
+    if not lowered:
+        return Trivial()
+    return IntervalAlgebra(Ordinal(lowered))
+
+
+def reference_ba_derivative(d):
+    if isinstance(d, (Trivial, Finite, FreeAtomless)):
+        return Trivial()
+    if isinstance(d, FinCof):
+        return Finite(1)
+    if isinstance(d, PowersetOmega):
+        return PowersetModFin()
+    if isinstance(d, PowersetModFin):
+        return Trivial()
+    if isinstance(d, IntervalAlgebra):
+        return _reference_interval_derivative(d.alpha)
+    if isinstance(d, Product):
+        survivors = tuple(
+            out for out in (reference_ba_derivative(f) for f in d.factors) if not isinstance(out, Trivial)
+        )
+        if not survivors:
+            return Trivial()
+        return Product(survivors)
+    raise PreconditionError(f"not a descriptor: {d!r}")
+
+
+def reference_derivative_chain(d):
+    chain = [d]
+    while not isinstance(chain[-1], Trivial):
+        if len(chain) > REFERENCE_MAX_CHAIN_LENGTH:
+            raise PreconditionError("derivative chain exceeded the hard cap")
+        chain.append(reference_ba_derivative(chain[-1]))
+    return chain
+
+
+def reference_ershov_invariants(d):
+    chain = reference_derivative_chain(d)
+    if len(chain) == 1:
+        return ErshovInvariant(0, 0, False)
+    last = chain[-2]
+    return ErshovInvariant(len(chain) - 2, reference_atom_count(last), reference_has_atomless_element(last))
+
+
+def reference_classification_conflict(d1, d2):
+    if reference_ershov_invariants(d1) == reference_ershov_invariants(d2):
+        return None
+    if reference_has_atomless_element(d1) or reference_has_atomless_element(d2):
+        return None
+    if not (reference_atom_count(d1) == OMEGA_ATOMS and reference_atom_count(d2) == OMEGA_ATOMS):
+        return None
+    inv1, inv2 = reference_ershov_invariants(d1), reference_ershov_invariants(d2)
+    return {
+        "kind": "classification-conflict",
+        "status": "unresolved",
+        "claim": (
+            "an external claim asserts that infinite atomic Boolean algebras "
+            "whose atoms are dense all have elementarily equivalent function "
+            "algebras; the invariant computation distinguishes these two"
+        ),
+        "left": {"descriptor": reference_format_descriptor(d1), "invariants": inv1.as_tuple()},
+        "right": {"descriptor": reference_format_descriptor(d2), "invariants": inv2.as_tuple()},
+        "note": (
+            "the verdict reports the invariant computation; the conflicting "
+            "claim is documented, not adjudicated"
+        ),
+    }
