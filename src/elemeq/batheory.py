@@ -56,7 +56,7 @@ __all__ = [
 OMEGA_ATOMS = "omega"
 
 #: The most nontrivial stages a derivative chain may have: ``intalg(w^63)`` has
-#: 64, and a longer chain is refused, as a broken rewrite's would be.
+#: 64, and a longer chain, such as the valid ``intalg(w^64)``'s, exceeds this budget.
 MAX_CHAIN_LENGTH = 64
 
 
@@ -223,7 +223,7 @@ def _stages(d):
         atoms, atomless, derived = _stage(d)
         yield d, atoms, atomless
         d = derived
-    raise PreconditionError("derivative chain exceeded the hard cap")
+    raise ResourceBudgetError("derivative chain exceeded the hard cap")
 
 
 def derivative_chain(d) -> list:

@@ -98,9 +98,6 @@ class FiniteBoolAlg(Frozen):
     def leq(self, a: int, b: int) -> bool:
         return a & ~b == 0
 
-    def is_atom(self, a: int) -> bool:
-        return a != 0 and a & (a - 1) == 0
-
     def is_element(self, a: int) -> bool:
         return 0 <= a and a.bit_length() <= self.atom_count  # never builds ``full``
 

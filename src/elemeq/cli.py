@@ -24,7 +24,7 @@ import random
 import re
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from elemeq.batheory import (
     _NAMED_KINDS,
@@ -431,20 +431,20 @@ def _finite_complex(text: str):
     return value if cmath.isfinite(value) else None
 
 
-def _parse_complex(token: str, position: int) -> complex:
+def _parse_complex(token: str, where: Callable[[], int]) -> complex:
     value = _finite_complex(token)
     if value is None:
-        raise ParseError(f"expected a complex literal, got {token!r}", position=position)
+        raise ParseError(f"expected a complex literal, got {token!r}", position=where())
     return value
 
 
-def _parse_real(token: str, position: int) -> float:
+def _parse_real(token: str, where: Callable[[], int]) -> float:
     try:
         return float(Fraction(token))
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"expected a real literal, got {token!r}", position=position) from None
+        raise ParseError(f"expected a real literal, got {token!r}", position=where()) from None
     except OverflowError:
-        raise ParseError(f"real literal {token!r} is beyond the floats", position=position) from None
+        raise ParseError(f"real literal {token!r} is beyond the floats", position=where()) from None
 
 
 def parse_cformula(text: str):
@@ -463,46 +463,46 @@ def parse_cformula(text: str):
 
 def _parse_sexpr(stream: _TokenStream, kind: str):
     """Read one value of ``kind``; a node reads its fields by its head's kinds."""
-    position, token = stream.position(), stream.peek()
+    at, token = stream.index, stream.peek()
+    where = functools.partial(stream.position, at)  # the value's position, found only to refuse it
     if kind == "complexes":
         values = []
         while stream.peek() not in (None, ")"):
             values.append(_parse_sexpr(stream, "complex"))
         if not values:
-            raise ParseError("const needs at least one value", position=position)
+            raise ParseError("const needs at least one value", position=where())
         return tuple(values)
     if token is None and kind in _SEXPR_HEADS:
-        raise ParseError(f"expected a {kind}", position=position)
+        raise ParseError(f"expected a {kind}", position=where())
     if token is not None:
         stream.advance()
     if token == "(" and kind in _SEXPR_HEADS:
-        head_position = stream.position()
         head = stream.advance() if stream.peek() is not None else None
         if head not in _SEXPR_HEADS[kind]:
-            raise ParseError(f"unknown {kind} head {head!r}", position=head_position)
+            raise ParseError(f"unknown {kind} head {head!r}", position=stream.position(at + 1))
         node, kinds = _SEXPR_HEADS[kind][head]
         values = [_parse_sexpr(stream, field_kind) for field_kind in kinds]
         stream.expect(")")
         return node(*values)
     if kind == "formula":
-        return FConst(_parse_real(token, position))
+        return FConst(_parse_real(token, where))
     if kind == "real":
-        return _parse_real(token or "", position)
+        return _parse_real(token or "", where)
     if kind == "complex":
-        return _parse_complex(token or "", position)
+        return _parse_complex(token or "", where)
     if kind == "term":
         if token in _CTERM_SYMBOLS:
             return _CTERM_SYMBOLS[token]()
         if not _CVAR_RE.fullmatch(token):
-            raise ParseError(f"expected a term symbol, got {token!r}", position=position)
+            raise ParseError(f"expected a term symbol, got {token!r}", position=where())
         return CVar(token)
     if kind == "var":
         if token is None or not _CVAR_RE.fullmatch(token):
-            raise ParseError("expected a variable after quantifier", position=position)
+            raise ParseError("expected a variable after quantifier", position=where())
         return token
     if token not in _SORT_KEYWORDS:
         keywords = " ".join(_SORT_KEYWORDS)
-        raise ParseError(f"expected a sort keyword ({keywords})", position=position)
+        raise ParseError(f"expected a sort keyword ({keywords})", position=where())
     return _SORT_KEYWORDS[token]
 
 
@@ -623,7 +623,7 @@ def parse_target(text: str, offset: int = 0) -> tuple:
         if match is None:
             raise ParseError(f"bad target piece {piece.strip()!r} (use [a,b] or {{a}})")
         groups = [g for g in (1, 2, 3) if match.group(g) is not None]
-        values = [_parse_real(match.group(g).strip(), offset + match.start(g)) for g in groups]
+        values = [_parse_real(match.group(g).strip(), lambda: offset + match.start(g)) for g in groups]
         intervals.append((values[0], values[-1]))
         offset += len(piece) + 1
     return tuple(intervals)
@@ -1117,13 +1117,10 @@ def main(argv=None) -> int:
     except ParseError as error:
         print(f"parse error: {error}", file=sys.stderr)
         return EXIT_PARSE
-    except PreconditionError as error:
-        print(f"invalid input: {error}", file=sys.stderr)
-        return EXIT_PARSE
     except ResourceBudgetError as error:
         print(f"budget exceeded: {error}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OverflowError) as error:
+    except (ValueError, OverflowError) as error:  # a PreconditionError is a ValueError
         print(f"invalid input: {error}", file=sys.stderr)
         return EXIT_PARSE
     _emit({"verb": args.verb, **payload}, args)

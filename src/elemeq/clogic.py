@@ -35,18 +35,18 @@ when the body has no quantifier and the other variables are points
 (``_branch_and_bound``, ``_stacked_eval``), and norm atoms bounded by the
 naive, centred and outward-rounded unit-disc forms (``_atom_enclosure``).
 A formula whose connectives all commute with a max over the points is
-searched one point at a time on a space of n > 1 points
-(``_splits_over_points``): C^n is a product, each sort's domain is the
-product of its one-point domains, and by induction on the formula its
-value is the max over the points i of its value on one point with every
-constant and parameter cut to point i (||t|| = max_i |t_i|; max, scaling
-by s >= 0, and a sum, min or truncated subtraction A - c with a constant
-c, being nondecreasing in A, commute with a max over i, in floats too;
-and a sup or an inf over a product of a max of functions of disjoint
-coordinates is the max of the sups or infs).  Sums, min and truncated
-differences of two non-constant sides, c - A and absolute differences
-couple the points, so formulas with them are searched over all the
-points at once.
+searched one point at a time on a space of n > 1 points, as its cut to
+each point (``_at_point``, None where a connective couples the points):
+C^n is a product, each sort's domain is the product of its one-point
+domains, and by induction on the formula its value is the max over the
+points i of its value on one point with every constant and parameter
+cut to point i (||t|| = max_i |t_i|; max, scaling by s >= 0, and a sum,
+min or truncated subtraction A - c with a constant c, being
+nondecreasing in A, commute with a max over i, in floats too; and a sup
+or an inf over a product of a max of functions of disjoint coordinates
+is the max of the sups or infs).  Sums, min and truncated differences of
+two non-constant sides, c - A and absolute differences couple the
+points, so formulas with them are searched over all the points at once.
 The truth-value bridge ``translate_fo`` maps a classical sentence about
 Boolean algebras to a projection-sorted formula whose value is 0 on
 algebras satisfying the sentence and 1 on algebras refuting it.
@@ -243,6 +243,10 @@ def _no_nan(values):  # values in [0, inf] pass; a nan, which max and min would 
     return values
 
 
+def _scaled(s, values):  # a zero scaling gives 0, of an overflowed value too, where 0 * inf is nan
+    return [s * v for v in values] if s else [0.0] * len(values)
+
+
 #: Each binary connective's rules, stated here only: ``exact`` maps the children's
 #: lists of values to the node's, ``monotone`` is its sense in each side (+1
 #: nondecreasing, -1 nonincreasing; None for the absolute difference, which is
@@ -413,8 +417,8 @@ def formula_modulus(phi, var: str, algebra: CStarAlgebraFin, bounds: dict) -> fl
     if isinstance(phi, _BINARY_TYPES):
         l, r = (formula_modulus(kid, var, algebra, bounds) for kid in (phi.left, phi.right))
         return max(l, r) if _CONNECTIVES[type(phi)].lattice else l + r
-    if isinstance(phi, FScale):  # a zero scaling is constant, though 0 * inf is nan
-        return phi.scalar * formula_modulus(phi.arg, var, algebra, bounds) if phi.scalar else 0.0
+    if isinstance(phi, FScale):
+        return _scaled(phi.scalar, [formula_modulus(phi.arg, var, algebra, bounds)])[0]
     if isinstance(phi, _QUANT_TYPES):
         if phi.var == var:
             return 0.0
@@ -698,17 +702,17 @@ def _interval_eval(phi, env, algebra, tol, state):
         return _enclose(rule, l, _interval_eval(phi.right, env, algebra, sub_tol, state))
     if isinstance(phi, FScale):
         # a zero scale still bounds its argument, once and coarsely, so that a
-        # constant of the wrong size under it is rejected as anywhere else
+        # constant of the wrong size or a nan under it is refused as anywhere else
         inner = _interval_eval(phi.arg, env, algebra, tol / phi.scalar if phi.scalar else math.inf, state)
-        return (phi.scalar * inner[0], phi.scalar * inner[1]) if phi.scalar else (0.0, 0.0)
+        return _scaled(phi.scalar, inner)
     if isinstance(phi, _QUANT_TYPES):
+        if phi.var not in cformula_free_vars(phi.body):  # every sort's domain is nonempty
+            return _interval_eval(phi.body, env, algebra, tol, state)
         if phi.sort == SORT_PROJ:
             combine = max if isinstance(phi, FSup) else min
             subs = ({**env, phi.var: _box_point(p)} for p in projections(algebra))
             found = [_interval_eval(phi.body, sub, algebra, tol, state) for sub in subs]
             return combine(lo for lo, _ in found), combine(hi for _, hi in found)
-        if phi.var not in cformula_free_vars(phi.body):  # every sort's domain is nonempty
-            return _interval_eval(phi.body, env, algebra, tol, state)
         return _branch_and_bound(phi, env, algebra, tol, state)
     raise PreconditionError(f"not a formula: {phi!r}")
 
@@ -730,9 +734,8 @@ def _stacked_eval(phi, env, algebra, copies):
     if isinstance(phi, _BINARY_TYPES):
         left = _stacked_eval(phi.left, env, algebra, copies)
         return _CONNECTIVES[type(phi)].exact(left, _stacked_eval(phi.right, env, algebra, copies))
-    if isinstance(phi, FScale):  # a zero scale still walks its argument, as ``_interval_eval`` does
-        values = _stacked_eval(phi.arg, env, algebra, copies)
-        return [phi.scalar * v for v in values] if phi.scalar else [0.0] * copies
+    if isinstance(phi, FScale):
+        return _scaled(phi.scalar, _stacked_eval(phi.arg, env, algebra, copies))
     raise PreconditionError(f"not a quantifier-free formula: {phi!r}")
 
 
@@ -846,38 +849,28 @@ def _within(phi, sorts) -> bool:
     return not isinstance(phi, FScale) or _within(phi.arg, sorts)
 
 
-def _splits_over_points(phi) -> bool:
-    """Whether each connective of a well-formed formula commutes with a max
-    over the points: max, or one whose other side is an ``FConst`` and that
-    is nondecreasing (``monotone``) in the one side that is not."""
-    if isinstance(phi, _QUANT_TYPES):
-        return _splits_over_points(phi.body)
-    if isinstance(phi, FScale):
-        return _splits_over_points(phi.arg)
-    if isinstance(phi, FMax):
-        return _splits_over_points(phi.left) and _splits_over_points(phi.right)
-    if not isinstance(phi, _BINARY_TYPES):
-        return True
-    monotone = _CONNECTIVES[type(phi)].monotone or (0, 0)
-    sides = phi.left, phi.right
-    return any(sense > 0 and isinstance(other, FConst) and _splits_over_points(side)
-               for sense, side, other in zip(monotone, sides, sides[::-1]))
-
-
 def _at_point(node, i: int, n: int):
     """The node with every constant cut to its value at point ``i`` of ``n``;
-    the node itself when nothing under it changes."""
+    the node itself when nothing under it changes, and None when a connective
+    under it couples the points: one that is not max, and not nondecreasing
+    (``monotone``) in a side whose other side is an ``FConst``."""
     if isinstance(node, CConst):
         if len(node.values) != n:
             raise PreconditionError("constant element has the wrong size")
         return CConst(node.values[i:i + 1])
+    if isinstance(node, _BINARY_TYPES) and not isinstance(node, FMax):
+        senses = zip(_CONNECTIVES[type(node)].monotone or (), (node.right, node.left))
+        if not any(sense > 0 and isinstance(other, FConst) for sense, other in senses):
+            return None
     if isinstance(node, _Pair):
         left, right = _at_point(node.left, i, n), _at_point(node.right, i, n)
+        if left is None or right is None:
+            return None
         return node if left is node.left and right is node.right else type(node)(left, right)
     if isinstance(node, (FNorm, CStar, CScale, FScale, *_QUANT_TYPES)):  # the child is the last field
         *head, kid = node[1:]
         cut = _at_point(kid, i, n)
-        return node if cut is kid else type(node)(*head, cut)
+        return node if cut is kid else None if cut is None else type(node)(*head, cut)
     return node
 
 
@@ -984,9 +977,9 @@ def _compile_exact(phi, env, algebra):
             right, rs, rr = build(phi.right, scope, depth)
             op = _CONNECTIVES[type(phi)].exact
             return (lambda: op(left(), right())), ls | rs, max(lr, rr)
-        if isinstance(phi, FScale):  # an exact zero scaling gives 0, as on the interval path
+        if isinstance(phi, FScale):
             (arg, slots, rank), scalar = build(phi.arg, scope, depth), phi.scalar
-            return (lambda: [scalar * v for v in arg()] if scalar else [0.0] * size), slots, rank
+            return (lambda: _scaled(scalar, arg())), slots, rank
         if not isinstance(phi, _QUANT_TYPES):
             raise PreconditionError(f"not a formula: {phi!r}")
         body, slots, rank = build(phi.body, {**scope, phi.var: depth}, depth + 1)
@@ -1040,7 +1033,8 @@ def ceval(
     enclosure, and a result still wider than ``tol`` raises a resource
     error carrying it as ``best_known``.  An infinite end (the arithmetic
     overflowed) raises a precondition error before that, and so does a nan
-    where a norm or a difference first gives one, before max or min drop it.
+    where a norm or a difference first gives one, under a scaling by 0 too
+    (every route evaluates its argument), before max or min drop it.
     """
     if not 0 < tol < math.inf:
         raise PreconditionError("the tolerance must be positive and finite")
@@ -1059,11 +1053,11 @@ def ceval(
     state, n = {"boxes": 0, "max": max_boxes, "depth": 0}, algebra.point_count
     if exact:
         lo = hi = exact()[0]
-    elif n > 1 and _splits_over_points(phi):  # one search per point, all on one budget
-        one, ends = CStarAlgebraFin(1), []
-        for i in range(n):
+    elif n > 1 and None not in (cuts := [_at_point(phi, i, n) for i in range(n)]):
+        one, ends = CStarAlgebraFin(1), []  # one search per point, all on one budget
+        for i, cut in enumerate(cuts):
             env = {name: _box_point(value[i:i + 1]) for name, value in params.items()}
-            ends.append(_interval_eval(_at_point(phi, i, n), env, one, tol, state))
+            ends.append(_interval_eval(cut, env, one, tol, state))
         lo, hi = map(max, zip(*ends))
     else:
         env = {name: _box_point(value) for name, value in params.items()}

@@ -269,9 +269,6 @@ class OmegaOmegaSplit(Frozen):
     quotient: Ordinal
     residue: Ordinal
 
-    def recombine(self) -> Ordinal:
-        return ord_add(ord_mul(OMEGA_OMEGA, self.quotient), self.residue)
-
 
 def split_mod_omega_omega(alpha: Ordinal) -> OmegaOmegaSplit:
     head = []

@@ -174,9 +174,6 @@ class PresentedAtomlessBA:
     def leq(self, a: CylinderElement, b: CylinderElement) -> bool:
         return self.meet(a, b) == a
 
-    def lt(self, a: CylinderElement, b: CylinderElement) -> bool:
-        return self.leq(a, b) and a != b
-
 
 # ---------------------------------------------------------------------------
 # Chain interpolation

@@ -423,12 +423,12 @@ def _seeded_chains(rng, algebra, max_len=6):
         piece = algebra.cylinder(word + rng.choice("01"))
         if rng.random() < 0.5:
             candidate = algebra.join(current_low, piece)
-            if candidate != current_low and algebra.lt(candidate, current_high):
+            if candidate not in (current_low, current_high) and algebra.leq(candidate, current_high):
                 lower.append(candidate)
                 current_low = candidate
         else:
             candidate = algebra.meet(current_high, algebra.complement(piece))
-            if candidate != current_high and algebra.lt(current_low, candidate):
+            if candidate not in (current_low, current_high) and algebra.leq(current_low, candidate):
                 upper.append(candidate)
                 current_high = candidate
     return lower, upper
@@ -443,9 +443,9 @@ def test_criterion_12_interpolation_complete_atomless_and_sharp_finite():
         interpolant = interpolate_chain(lower, upper, algebra)
         assert isinstance(interpolant, CylinderElement)
         for element in lower:
-            assert algebra.lt(element, interpolant)
+            assert algebra.leq(element, interpolant) and element != interpolant
         for element in upper:
-            assert algebra.lt(interpolant, element)
+            assert algebra.leq(interpolant, element) and interpolant != element
         succeeded += 1
     assert succeeded == 500
 

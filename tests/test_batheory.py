@@ -339,7 +339,7 @@ def test_the_chain_cap_admits_63_lowerings_and_refuses_64():
         lambda: reference_derivative_chain(over),
     ]
     for call in calls:
-        with pytest.raises(PreconditionError, match=r"^derivative chain exceeded the hard cap$"):
+        with pytest.raises(ResourceBudgetError, match=r"^derivative chain exceeded the hard cap$"):
             call()
     # one step is not a chain: the capped descriptor still has its own facts
     assert atom_count(over) == OMEGA_ATOMS and ba_derivative(over) == intalg((63, 1))

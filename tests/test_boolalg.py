@@ -50,8 +50,6 @@ def test_element_ranges_and_atoms():
     assert list(b.elements()) == list(range(8))
     assert b.atoms() == [1, 2, 4]
     assert b.full == 7
-    assert all(b.is_atom(a) for a in b.atoms())
-    assert not b.is_atom(0) and not b.is_atom(3)
 
 
 @given(st.integers(0, 5), st.data())

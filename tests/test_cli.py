@@ -488,6 +488,24 @@ def test_cformula_print_parse_identity_on_translated_corpus():
         assert parse_cformula(format_cformula(translated)) == translated
 
 
+def test_valid_sexpressions_never_ask_for_a_position(monkeypatch):
+    # a position takes a second scan of the text, which only a refusal reads
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rng = random.Random(3702)
+    formulas = [format_cformula(translate_fo(phi)) for phi in sentence_corpus(200)]
+    formulas += [format_cformula(_random_cformula(rng, rng.randint(1, 3))) for _ in range(200)]
+    formulas += re.findall(r"elemeq ceval '([^']*)'", readme)
+    conditions = re.findall(r"--cond '([^']*)'", readme)
+    assert len(formulas) == 402 and len(conditions) == 3
+    parsed = [parse_cformula(text) for text in formulas], [parse_condition(text) for text in conditions]
+
+    def refuse(self, index=None):
+        raise AssertionError("a valid s-expression asked for a position")
+
+    monkeypatch.setattr(cli._TokenStream, "position", refuse)
+    assert ([parse_cformula(text) for text in formulas], [parse_condition(text) for text in conditions]) == parsed
+
+
 def test_format_term_pinned_string(capsys):
     term = CSub(CScale(complex(-0.5, 1e-9), CVar("x")), CConst((1 + 0j, 2.5j)))
     text = "(- (scale -0.5+1e-09j x) (const 1+0j 2.5j))"

@@ -64,7 +64,7 @@ from elemeq.cstar import (
     c_sub,
     projections,
 )
-from elemeq.errors import PreconditionError, ResourceBudgetError
+from elemeq.errors import Frozen, PreconditionError, ResourceBudgetError
 from util import (
     TERM_NAMES,
     check_frozen_nodes,
@@ -602,6 +602,20 @@ def _splits_over_points_by_class(phi):
     return not isinstance(phi, FAbsDiff)
 
 
+def _cut_by_hand(node, i, n):
+    """The node with every constant cut to point ``i`` of ``n``, rebuilt field by field."""
+    if isinstance(node, CConst):
+        if len(node.values) != n:
+            raise PreconditionError("constant element has the wrong size")
+        return CConst(node.values[i:i + 1])
+    return type(node)(*(_cut_by_hand(f, i, n) for f in node[1:])) if isinstance(node, Frozen) else node
+
+
+def _at_point_by_class(node, i, n):
+    """The point split's cut, or None, by its rule as a list of connective classes."""
+    return _cut_by_hand(node, i, n) if _splits_over_points_by_class(node) else None
+
+
 def _rect_scale_by_hand(s, box):
     return tuple(clogic._rect_mul(clogic._rect_point(s), a) for a in box)
 
@@ -633,7 +647,7 @@ def _use_own_rules(mp):
     mp.setattr(clogic, "eval_term", lambda term, env, algebra, arith: eval_with_own_scale(
         term, env, algebra, arith, scales[arith.mul], walk))
     mp.setattr(clogic, "_enclose", lambda rule, l, r: _OWN_ENCLOSURES[kinds[rule]](l, r))
-    mp.setattr(clogic, "_splits_over_points", _splits_over_points_by_class)
+    mp.setattr(clogic, "_at_point", _at_point_by_class)
 
 
 def _hex(value):
@@ -693,9 +707,9 @@ def test_point_split_reads_the_rows_as_its_list_of_classes_did():
     formulas += [_random_max_closed(rng, 2, 2, (FSup, FInf), top=True) for _ in range(200)]
     formulas += [_constant_sided(rng, rng.randint(1, 5)) for _ in range(600)]
     for phi in formulas:
-        expected = _splits_over_points_by_class(phi)
-        assert clogic._splits_over_points(phi) == expected, phi
-        seen.add(expected)
+        expected = _at_point_by_class(phi, 0, 2)
+        assert clogic._at_point(phi, 0, 2) == expected, phi
+        seen.add(expected is not None)
     assert seen == {False, True}
 
 
@@ -995,7 +1009,7 @@ def test_point_split_agrees_with_the_coupled_search_on_random_formulas():
         A = CStarAlgebraFin(n)
         kinds = ((FSup,), (FInf,), (FSup, FInf))[case % 3]
         phi = _random_max_closed(rng, n, 2, kinds, top=True)
-        assert clogic._splits_over_points(phi)
+        assert clogic._at_point(phi, 0, n) is not None
         assert not clogic._within(phi, {SORT_PROJ})
         params = {v: random_element(rng, n) for v in TERM_NAMES}
         try:
@@ -1037,9 +1051,9 @@ def test_point_split_takes_connectives_with_a_constant_side():
     cert = ceval(phi, CStarAlgebraFin(2), {}, 0.05, max_boxes=20_000)
     assert cert.lower <= 0 <= cert.upper and cert.width() <= 0.05
     for split in (FPlus(c, atom), FMin(c, atom), FTruncSub(atom, c), FScale(0.5, FPlus(atom, c))):
-        assert clogic._splits_over_points(FSup("x", SORT_SA, split))
+        assert clogic._at_point(FSup("x", SORT_SA, split), 0, 2) is not None
     for coupled in (FTruncSub(c, atom), FAbsDiff(atom, c), FPlus(atom, atom), FMin(atom, FNorm(x))):
-        assert not clogic._splits_over_points(FSup("x", SORT_SA, FMax(c, coupled)))
+        assert clogic._at_point(FSup("x", SORT_SA, FMax(c, coupled)), 0, 2) is None
 
 
 def test_wrong_size_constant_under_a_zero_scale_is_rejected_on_every_path():
@@ -1198,6 +1212,48 @@ def test_exact_path_equals_reference_over_projection_parameters():
         for px, py in itertools.product(projections(A), repeat=2):
             _assert_exact(phi, A, {"x": px, "y": py})
             _assert_exact(FInf("z", SORT_PROJ, FNorm(CSub(x, z))), A, {"x": px})
+
+
+def test_exact_path_and_interval_path_agree_under_a_zero_scaling_of_a_nan():
+    # A vacuous sup over sa sends a projection-only formula down the interval
+    # path (split over the points or not) with the same value.  Every fifth
+    # formula adds a zero scaling of inf - inf: each route evaluates it and
+    # raises, where the exact path read 0 and gave a value.
+    rng, raised = random.Random(3701), 0
+    big = FNorm(CScale(1e200, CScale(1e200, COne())))
+    for case in range(1500):
+        n = rng.randint(1, 3)
+        A = CStarAlgebraFin(n)
+        phi = _random_formula(rng, n, rng.randint(1, 4), 3)
+        if case % 5 == 0:
+            phi = FPlus(phi, FScale(0.0, rng.choice((FTruncSub, FAbsDiff))(big, big)))
+        params = {v: random_element(rng, n) for v in TERM_NAMES}
+
+        def ends(f):
+            cert = ceval(f, A, params)
+            return cert.lower, cert.upper
+
+        exact = _outcome(ends, phi)
+        assert _outcome(ends, FSup("w", SORT_SA, phi)) == exact, (phi, params)
+        raised += exact[0] == "PreconditionError"
+    assert raised == 300, raised
+
+
+def test_a_vacuous_projection_quantifier_runs_its_body_once_on_the_interval_path():
+    # The absolute difference keeps the formula off the point split, and the
+    # sup over p ignores p: its body's search ran once per projection, 8
+    # searches of 9 boxes on 3 points, for the same certificate.
+    y, c = CVar("y"), CConst((0.5 + 0j, 1.5 + 0j, -0.25 + 0j))
+    inner = FInf("y", SORT_SA, FNorm(CSub(y, c)))
+    A, boxes = CStarAlgebraFin(3), []
+    with pytest.MonkeyPatch.context() as mp:
+        candidates = clogic._witness_candidates
+        mp.setattr(clogic, "_witness_candidates", lambda *args: boxes.append(1) or candidates(*args))
+        cert = ceval(FAbsDiff(FConst(0.1), FSup("p", SORT_PROJ, inner)), A)
+        assert (cert.lower, cert.upper, cert.grid_depth) == (0.4, 0.4, 3)
+        searched = len(boxes)
+        ceval(inner, A, {}, clogic.DEFAULT_TOL / 2)  # the absolute difference halves the tolerance
+    assert searched == len(boxes) - searched == 9
 
 
 def test_exact_path_shadowed_parameter():

@@ -439,7 +439,7 @@ def reference_derivative_chain(d):
     chain = [d]
     while not isinstance(chain[-1], Trivial):
         if len(chain) > REFERENCE_MAX_CHAIN_LENGTH:
-            raise PreconditionError("derivative chain exceeded the hard cap")
+            raise ResourceBudgetError("derivative chain exceeded the hard cap")
         chain.append(reference_ba_derivative(chain[-1]))
     return chain
 
