@@ -760,13 +760,17 @@ def _branch_and_bound(phi, env, algebra, tol, state):
     the others never move the enclosure.  When the environment holds only
     points and the body has no quantifier, the candidates are scored in
     one ``_stacked_eval`` walk, each enclosure (v, v) the floats of its
-    own ``_interval_eval``; otherwise each takes its own.  The cone is
-    built first, and (b) aims only for its width, since the intersection
-    discards anything finer: a search nested in a box stops there.  The
-    certified interval is [best witness lower bound, largest surviving box
-    upper bound] at every step, so stopping early is sound.  The queue is a
-    heap on the box upper bound, and boxes that can no longer move it are
-    pruned.
+    own ``_interval_eval``; otherwise each point is scored once per search
+    (a split's halves reuse their parent's corners and midpoint): with the
+    environment, body and width fixed, its enclosure (the budget aside)
+    depends on the point's values alone, reached by arithmetic, min, max and
+    comparisons, then moduli, so a key merging -0.0 and 0.0 changes no float.
+    The cone is built first, and (b) aims only for its width, since the
+    intersection discards anything finer: a search nested in a box stops
+    there.  The certified interval is [best witness lower bound, largest
+    surviving box upper bound] at every step, so stopping early is sound.
+    The queue is a heap on the box upper bound, and boxes that can no
+    longer move it are pruned.
     """
     negate = isinstance(phi, FInf)
 
@@ -785,6 +789,7 @@ def _branch_and_bound(phi, env, algebra, tol, state):
     # on points, a quantifier-free body scores all of a box's candidates in one walk
     points = None if nested or not _within(phi.body, ()) else {
         name: tuple(complex(r[0], r[2]) for r in env[name]) for name in cformula_free_vars(phi)}
+    scored_at = {}  # candidate point -> body enclosure: a split's halves share corners
 
     def assess(box, depth):  # -> (the box's upper bound, its witness's lower bound, tie order)
         state["boxes"] += 1
@@ -796,8 +801,10 @@ def _branch_and_bound(phi, env, algebra, tol, state):
         if points is None:
             found = []
             for point in candidates:
-                sub[phi.var] = _box_point(point)
-                found.append(_interval_eval(phi.body, sub, algebra, tol / 2, state))
+                if (enclosure := scored_at.get(point)) is None:
+                    sub[phi.var] = _box_point(point)
+                    enclosure = scored_at[point] = _interval_eval(phi.body, sub, algebra, tol / 2, state)
+                found.append(enclosure)
         else:
             copies = len(candidates)
             stacked = {name: values * copies for name, values in points.items()}

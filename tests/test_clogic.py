@@ -877,6 +877,127 @@ def test_stall_limit_ends_inner_searches_that_cannot_narrow(monkeypatch):
         ceval(phi, A, {}, 0.02, max_boxes=3000)
 
 
+# ---------------------------------------------------------------------------
+# Each witness candidate scored once per search
+# ---------------------------------------------------------------------------
+
+
+def _count_searches(monkeypatch):
+    """Record each ``_branch_and_bound`` call as the outer one, one at a point or one over a box."""
+    search, calls = clogic._branch_and_bound, []
+
+    def counted(phi, env, algebra, tol, state):
+        at_points = all(r[0] == r[1] and r[2] == r[3] for box in env.values() for r in box)
+        calls.append("box" if not at_points else "point" if env else "outer")
+        return search(phi, env, algebra, tol, state)
+
+    monkeypatch.setattr(clogic, "_branch_and_bound", counted)
+    return calls
+
+
+def test_each_witness_candidate_runs_its_inner_search_once(monkeypatch):
+    # a split's halves take their parent's corners and midpoint as their own
+    # corners: scoring each of a box's candidates anew ran 15 inner searches at
+    # points, where 7 points were asked for
+    calls = _count_searches(monkeypatch)
+    phi = FInf("x", SORT_SA, FSup("y", SORT_POS, FNorm(CSub(CVar("x"), CVar("y")))))
+    cert = ceval(phi, CStarAlgebraFin(1), {}, 1e-2)
+    assert (cert.lower, cert.upper, cert.grid_depth) == (0.5, 0.5, 2)
+    assert {kind: calls.count(kind) for kind in ("outer", "point", "box")} == {"outer": 1, "point": 7, "box": 5}
+
+
+def test_shared_scores_certify_a_sup_inf_within_a_thousand_boxes():
+    # the least budget that certifies this went from 1,579 boxes to 889
+    phi = FSup("x", SORT_SA, FInf("y", SORT_SA, FNorm(CAdd(CVar("x"), CVar("y")))))
+    cert = ceval(phi, CStarAlgebraFin(1), {}, 0.05, max_boxes=1000)
+    assert (cert.lower, cert.upper, cert.grid_depth) == (0.0, 0.03125, 5)
+
+
+@pytest.mark.parametrize("sort, op, capped, n, depth", [
+    (SORT_SA, CAdd, False, 1, 5),
+    (SORT_POS, CSub, False, 1, 4),
+    (SORT_SA, CAdd, True, 2, 5),
+])
+def test_coupled_sup_inf_certificates(sort, op, capped, n, depth):
+    # sup x inf y ||x + y|| and ||x - y|| (capped: min(||x + y||, 0.9)) are 0,
+    # attained at every outer point, so no outer box is pruned
+    body = FNorm(op(CVar("x"), CVar("y")))
+    body = FMin(body, FConst(0.9)) if capped else body
+    cert = ceval(FSup("x", sort, FInf("y", sort, body)), CStarAlgebraFin(n), {}, 0.05)
+    assert _hex((cert.lower, cert.upper)) == ("0x0.0p+0", "0x1.0000000000000p-5")
+    assert cert.grid_depth == depth
+
+
+class _Unshared(tuple):
+    """A witness candidate equal only to itself, so that no search shares its score."""
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+
+def _score_each_candidate(mp):
+    """Make every search score each candidate of each box by its own evaluation."""
+    candidates = clogic._witness_candidates
+    mp.setattr(clogic, "_witness_candidates",
+               lambda box, sort: (found := candidates(box, sort)) and list(map(_Unshared, found)))
+
+
+def _negative_zero_representatives(mp):
+    """Write each zero coordinate of a box's representative as -0.0; a split's
+    halves then take the same point with 0.0 as a corner."""
+    candidates = clogic._witness_candidates
+
+    def signed(box, sort):
+        found = candidates(box, sort)
+        return found and [tuple(complex(v.real or -0.0, v.imag or -0.0) for v in found[0])] + found[1:]
+
+    mp.setattr(clogic, "_witness_candidates", signed)
+
+
+def test_shared_scores_keep_every_float_of_scoring_each_candidate():
+    # Nested searches over every pair of continuous sorts: sharing a point's
+    # score between the boxes of a search gives the floats and depth, or the
+    # error, that scoring each candidate of each box gave, wherever the box
+    # budget does not bind (where it binds, the boxes saved refine further).
+    # Every fourth formula writes its representatives' zeros as -0.0, whose
+    # scores then stand in for the halves' corners with 0.0: an enclosure
+    # reads a point only through its values and moduli.
+    rng, budget, compared, boxes = random.Random(3801), 2000, 0, [0, 0]
+    sorts = (SORT_BALL, SORT_SA, SORT_POS)
+    shapes = list(itertools.product(itertools.product(sorts, repeat=2), itertools.product((FSup, FInf), repeat=2)))
+    for case in range(420):
+        (s1, s2), (q1, q2) = shapes[case % len(shapes)]
+        n = rng.randint(1, 2)
+        term = random_term(rng, n, rng.randint(1, 2))
+        while not {"x", "y"} <= term_free_vars(term):
+            term = random_term(rng, n, rng.randint(1, 2))
+        phi, params = q1("x", s1, q2("y", s2, FNorm(term))), {"z": random_element(rng, n)}
+        states = []
+
+        def run(mp):  # each search of the call records the call's one box count
+            search = clogic._branch_and_bound
+            states.clear()
+            mp.setattr(clogic, "_branch_and_bound", lambda *args: states.append(args[-1]) or search(*args))
+            cert = ceval(phi, CStarAlgebraFin(n), params, 0.25, budget)
+            return cert.lower, cert.upper, float(cert.grid_depth)
+
+        runs = []
+        for shared in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                if case % 4 == 0:
+                    _negative_zero_representatives(mp)
+                if not shared:
+                    _score_each_candidate(mp)
+                runs.append((_outcome(run, mp), states[-1]["boxes"]))
+        (each, each_boxes), (once, once_boxes) = runs
+        if each_boxes < budget:
+            assert once == each, (phi, params)
+            compared += 1
+            boxes = [boxes[0] + each_boxes, boxes[1] + once_boxes]
+    assert compared >= 400, compared
+    # the reference shared no score: scoring each candidate anew took more boxes
+    assert boxes[1] < 0.8 * boxes[0], boxes
+
+
 def _modsq(z):
     return Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
 
