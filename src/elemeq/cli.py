@@ -811,11 +811,8 @@ def _cmd_stone(args):
         spaces = [FiniteSpace(s) for s in sizes]
         f = SpaceMap(spaces[0], spaces[1], tuple(rng.randrange(sizes[1]) for _ in range(sizes[0])))
         g = SpaceMap(spaces[1], spaces[2], tuple(rng.randrange(sizes[2]) for _ in range(sizes[1])))
-        lhs = dual_morphism(compose_maps(g, f))
-        rhs_g, rhs_f = dual_morphism(g), dual_morphism(f)
-        for element in FiniteBoolAlg(sizes[2]).elements():
-            if lhs.apply(element) != rhs_f.apply(rhs_g.apply(element)):
-                agree = False
+        lhs, rhs_g, rhs_f = dual_morphism(compose_maps(g, f)), dual_morphism(g), dual_morphism(f)
+        agree &= lhs.graph() == tuple(map(rhs_f.apply, rhs_g.graph()))  # dual(g f) = dual(f) dual(g)
     payload = {
         "inputs": {"atoms": args.atoms},
         "value": {"space_points": space.point_count, "roundtrip": roundtrip},
@@ -1119,6 +1116,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except ResourceBudgetError as error:
         print(f"budget exceeded: {error}", file=sys.stderr)
+        return EXIT_BUDGET
+    except RecursionError:  # the parsers and evaluators recurse once per level of nesting
+        print("budget exceeded: the input nests too deeply", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OverflowError) as error:  # a PreconditionError is a ValueError
         print(f"invalid input: {error}", file=sys.stderr)

@@ -757,7 +757,7 @@ def _branch_and_bound(phi, env, algebra, tol, state):
     the Lipschitz cone around the witness.  The witness is the box's
     ``_witness_candidates`` with the highest lower bound (the
     representative on ties); every candidate lies in the sort's domain, so
-    the others never move the enclosure.  When the environment holds only
+    the others never move the enclosure.  When the names it reads hold only
     points and the body has no quantifier, the candidates are scored in
     one ``_stacked_eval`` walk, each enclosure (v, v) the floats of its
     own ``_interval_eval``; otherwise each point is scored once per search
@@ -777,18 +777,17 @@ def _branch_and_bound(phi, env, algebra, tol, state):
     def flip(lo, hi):  # between enclosures of the body and of the searched body, both ways
         return (-hi, -lo) if negate else (lo, hi)
 
+    # only the names the search reads: a box it never reads does not nest it
+    env = {name: env[name] for name in cformula_free_vars(phi)}
+    point = {name: all(r[0] == r[1] and r[2] == r[3] for r in rects) for name, rects in env.items()}
+    nested = not all(point.values())
     # sort values lie in the unit ball; a point (a parameter, a projection, an
     # outer witness) is bounded by its own norm, which may exceed 1
-    bounds = {phi.var: 1.0}
-    for name in cformula_free_vars(phi):
-        rects = env[name]
-        point = all(r[0] == r[1] and r[2] == r[3] for r in rects)
-        bounds[name] = max(_abs_iv(r)[1] for r in rects) if point else 1.0
-    lip = formula_modulus(phi.body, phi.var, algebra, bounds)
-    nested = any(r[1] - r[0] > 0 or r[3] - r[2] > 0 for box in env.values() for r in box)
+    bounds = {name: max(_abs_iv(r)[1] for r in rects) if point[name] else 1.0 for name, rects in env.items()}
+    lip = formula_modulus(phi.body, phi.var, algebra, {**bounds, phi.var: 1.0})
     # on points, a quantifier-free body scores all of a box's candidates in one walk
     points = None if nested or not _within(phi.body, ()) else {
-        name: tuple(complex(r[0], r[2]) for r in env[name]) for name in cformula_free_vars(phi)}
+        name: tuple(complex(r[0], r[2]) for r in rects) for name, rects in env.items()}
     scored_at = {}  # candidate point -> body enclosure: a split's halves share corners
 
     def assess(box, depth):  # -> (the box's upper bound, its witness's lower bound, tie order)
@@ -1013,6 +1012,13 @@ def _compile_exact(phi, env, algebra):
     return value, missing
 
 
+def _check_search(tol: float, max_boxes: int) -> None:  # ceval's and realize_type's width and box budget
+    if not 0 < tol < math.inf:
+        raise PreconditionError("the tolerance must be positive and finite")
+    if not max_boxes >= 1:
+        raise PreconditionError("the box budget must be at least 1")
+
+
 def ceval(
     phi,
     algebra: CStarAlgebraFin,
@@ -1043,10 +1049,7 @@ def ceval(
     where a norm or a difference first gives one, under a scaling by 0 too
     (every route evaluates its argument), before max or min drop it.
     """
-    if not 0 < tol < math.inf:
-        raise PreconditionError("the tolerance must be positive and finite")
-    if not max_boxes >= 1:
-        raise PreconditionError("the box budget must be at least 1")
+    _check_search(tol, max_boxes)
     if algebra.point_count > MAX_CEVAL_POINTS:
         raise PreconditionError(
             f"certified evaluation accepts at most {MAX_CEVAL_POINTS} points")

@@ -79,7 +79,8 @@ MAX_ATOMS_BAS = 5
 #     each exponent >= f+1 of such an ordinal to f keeps its rank r-1 type
 #     under the sum rule.  So T_r(omega**(f+1)) = T_r(omega**omega) = P_r
 #     from there on, and the sub-type of a fixed point is the rank r-1
-#     fixed point.  The solver still checks that P_r is fixed before use.
+#     fixed point.  So one orbit walk serves every exponent, and the solver
+#     checks that the entry where it repeats is fixed before use.
 #
 # All rules are exact; no theorem about which moves "suffice" is assumed.
 
@@ -124,27 +125,27 @@ def _type_sum(a, b):
     return _intern((a[0], sub, frozenset(pairs)))
 
 
-def _orbit(step, start, count: int | None = None):
-    """``step`` applied ``count`` times to ``start`` or, without ``count``, the
-    list of values ``step**k(start)`` up to the first repeat; either way the
-    iteration stops at the first repeated value."""
-    index, values = {start: 0}, [start]
-    while count is None or len(values) <= count:
+def _orbit(step, start, limit: int | None = None) -> list:
+    """The values ``step**k(start)`` from k = 0 up to the first repeat, or
+    to k = ``limit`` if that comes first."""
+    seen, values = {start}, [start]
+    while limit is None or len(values) <= limit:
         current = step(values[-1])
-        if current in index:
-            if count is None:
-                return values
-            first = index[current]
-            return values[first + (count - first) % (len(values) - first)]
-        index[current] = len(values)
+        if current in seen:
+            break
+        seen.add(current)
         values.append(current)
-    return values[count]
+    return values
 
 
 def _type_repeat(t, count: int):
-    """The hereditary type of ``L * count`` from the type of ``L``."""
-    zero = _type_empty(t[0])
-    return _orbit(lambda s: _type_sum(s, t), zero, count)
+    """The hereditary type of ``L * count`` from the type of ``L``: past the
+    first repeat, the orbit of adding ``T(L)`` is read around its cycle."""
+    values = _orbit(lambda s: _type_sum(s, t), _type_empty(t[0]), count)
+    if count < len(values):
+        return values[count]
+    first = values.index(_type_sum(values[-1], t))
+    return values[first + (count - first) % (len(values) - first)]
 
 
 @lru_cache(maxsize=256)
@@ -166,17 +167,16 @@ def _type_mul_omega(t):
 def _type_omega_power(exponent: int | None, rank: int):
     """The hereditary type of ``omega**exponent``; ``None`` stands for omega.
 
-    A finite exponent counts steps of the ``* omega`` orbit from a singleton;
-    omega takes the orbit's fixed point, which the comment above justifies.
-    The cache is bounded, since every exponent asked for would keep an entry,
-    and an entry costs only the few orbit steps up to the first repeat.
+    Every exponent walks one ``* omega`` orbit from a singleton up to the
+    exponent or the first repeat (later types are larger, so no further) and
+    reads its last entry: min(k, last) for a finite k, and for omega the
+    fixed point, checked wherever the orbit repeats before its exponent.
+    The cache is bounded, since every exponent asked for would keep an entry.
     """
-    if exponent is not None:
-        return _orbit(_type_mul_omega, _type_singleton(rank), exponent)
-    fixed = _orbit(_type_mul_omega, _type_singleton(rank))[-1]
-    if _type_mul_omega(fixed) != fixed:
+    orbit = _orbit(_type_mul_omega, _type_singleton(rank), exponent)
+    if (exponent is None or len(orbit) <= exponent) and _type_mul_omega(orbit[-1]) != orbit[-1]:
         raise ResourceBudgetError(f"the omega-power types of rank {rank} do not settle")
-    return fixed
+    return orbit[-1]
 
 
 def _ordinal_type(alpha: Ordinal, rank: int):

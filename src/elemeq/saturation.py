@@ -42,6 +42,7 @@ from elemeq.clogic import (
     SORT_SA,
     Arith,
     _DISC_BAND,
+    _check_search,
     _in_disc,
     _initial_box,
     _onto_disc,
@@ -430,13 +431,10 @@ def _in_disc_np(re, im):
 
 
 def _onto_disc_np(re, im):
-    """re + i im, pulled radially into the unit disc unless certainly in it."""
-    rim = re * re + im * im >= 1 - _DISC_BAND
-    shrink = np.where(rim, (1 - _DISC_BAND) / np.maximum(np.hypot(re, im), 1.0), 1.0)
-    points = re * shrink + 1j * (im * shrink)
-    missed = ~_in_disc_np(points.real, points.imag)
+    """``clogic._onto_disc`` elementwise: the points outside the disc are pulled in one by one."""
+    points, missed = re + 1j * im, ~_in_disc_np(re, im)
     if missed.any():
-        points[missed] = [_onto_disc(z.real, z.imag) for z in points[missed].tolist()]
+        points[missed] = list(map(_onto_disc, re[missed].tolist(), im[missed].tolist()))
     return points
 
 
@@ -574,6 +572,7 @@ def _certify_assignment(conditions, algebra, assignment):
     return certificates, deviation
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the bounds keep inf and nan (``_np_outward``)
 def realize_type(
     conditions,
     algebra: CStarAlgebraFin,
@@ -616,10 +615,7 @@ def realize_type(
         raise PreconditionError(f"need between 1 and {MAX_REALIZE_CONDITIONS} conditions")
     if algebra.point_count > MAX_REALIZE_POINTS:
         raise PreconditionError(f"algebra must have at most {MAX_REALIZE_POINTS} points")
-    if not 0 < tol < np.inf:
-        raise PreconditionError("tolerance must be positive and finite")
-    if not max_boxes >= 1:
-        raise PreconditionError("box budget must be at least 1")
+    _check_search(tol, max_boxes)
     for condition in conditions:
         if not isinstance(condition, TypeCondition):
             raise PreconditionError("conditions must be TypeCondition instances")

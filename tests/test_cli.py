@@ -595,6 +595,15 @@ def test_cli_realize_rejects_a_tolerance_that_is_not_positive_and_finite(capsys,
     assert out == "" and "tolerance must be positive and finite" in err and "Traceback" not in err
 
 
+def test_cli_realize_of_an_overflowing_condition_prints_no_warning(capsys):
+    # under this suite's filters a numpy RuntimeWarning would raise out of main
+    argv = ["realize", "--cond", "(scale 1e200 (scale 1e200 x)) in {1}", "--points", "1", "--tol", "0.1",
+            "--max-boxes", "2000", "--json"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_BUDGET and err == ""
+    assert strict_json(out)["result"] == "inconclusive"
+
+
 def test_cli_realize_target_beyond_the_floats_is_a_parse_error(capsys):
     code, _, err = run_cli(capsys, ["realize", "--cond", "x in {1e400}", "--points", "1", "--tol", "0.1"])
     assert code == EXIT_PARSE
@@ -923,9 +932,15 @@ def test_cli_code_scale_cap_is_exit_four(capsys):
         (["ba-invariants", "finite(" + "9" * 4400 + ")"], "a natural of over 4300 digits"),
         (["interpolate", "--algebra", "finite:" + "9" * 11, "--lower", "1"], "atom count exceeds the cap 10000"),
         (["ba-enumerate", "10001"], "k exceeds the cap 10000"),
+        # the parsers and evaluators recurse once per level of nesting
+        (["translate", "forall x. " + "(" * 400 + "x = x" + ")" * 400], "the input nests too deeply"),
+        (["ord-arith", "add", "w^(" * 3000 + "1" + ")" * 3000, "1"], "the input nests too deeply"),
+        (["ceval", "(norm " + "(+ 1 " * 3000 + "1" + ")" * 3001, "--points", "1"], "the input nests too deeply"),
+        (["ba-eq", "prod(" * 3000 + "free" + ")" * 3000, "free"], "the input nests too deeply"),
     ],
     ids=["pow-3", "pow-2", "pow-terms", "mul-print", "pow-exponent-print", "natural", "exponent", "coefficient",
-         "ef-orders", "ef-ba", "interpolate-atoms", "descriptor-atoms", "interpolate-atom-cap", "ba-enumerate-cap"],
+         "ef-orders", "ef-ba", "interpolate-atoms", "descriptor-atoms", "interpolate-atom-cap", "ba-enumerate-cap",
+         "deep-translate", "deep-ordinal", "deep-ceval", "deep-descriptor"],
 )
 def test_cli_refuses_a_result_too_large_to_build_or_print_with_exit_four(capsys, argv, message):
     start = time.process_time()

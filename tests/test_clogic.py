@@ -877,6 +877,26 @@ def test_stall_limit_ends_inner_searches_that_cannot_narrow(monkeypatch):
         ceval(phi, A, {}, 0.02, max_boxes=3000)
 
 
+def test_a_search_reads_only_its_own_free_variables(monkeypatch):
+    # the inner inf never reads x: an outer x-box no longer nests it, so it scores
+    # its candidates in one walk, never with x in its environment, and certifies
+    # what the search with x in it certified
+    atoms, enclosure = [], clogic._atom_enclosure
+
+    def recorded(term, env, algebra):
+        atoms.append((term, set(env)))
+        return enclosure(term, env, algebra)
+
+    monkeypatch.setattr(clogic, "_atom_enclosure", recorded)
+    gap = CSub(CVar("y"), CVar("c"))
+    phi = FSup("x", SORT_SA, FPlus(FScale(0.25, FNorm(CVar("x"))), FInf("y", SORT_POS, FNorm(gap))))
+    cert = ceval(phi, CStarAlgebraFin(1), {"c": (0.7 + 0j,)}, 1e-2)
+    assert _hex((cert.lower, cert.upper)) == ("0x1.0000000000000p-2", "0x1.0333333333334p-2")
+    assert cert.grid_depth == 7
+    read = [names for term, names in atoms if term == gap]
+    assert read and all(names == {"y", "c"} for names in read)
+
+
 # ---------------------------------------------------------------------------
 # Each witness candidate scored once per search
 # ---------------------------------------------------------------------------

@@ -229,6 +229,18 @@ def test_omega_power_cache_is_bounded_over_many_exponents():
     assert ef_ordinals(omega_power(nat(last - 1)), omega_power(nat(last)), 3) is False
 
 
+@pytest.mark.parametrize("rank", range(efgames.MAX_RANK_ORDINALS + 1))
+def test_omega_powers_read_one_orbit_that_ends_at_a_fixed_point(rank):
+    # a finite exponent k is the k-th step of the * omega orbit from a singleton,
+    # which settles at a fixed point: omega's type
+    steps = [efgames._type_singleton(rank)]
+    for k in range(14):
+        assert efgames._type_omega_power(k, rank) == steps[-1]
+        steps.append(efgames._type_mul_omega(steps[-1]))
+    fixed = efgames._type_omega_power(None, rank)
+    assert efgames._type_mul_omega(fixed) == fixed == steps[-1]
+
+
 def _seeded_ordinal(rng):
     """A sum of up to four terms ``omega**e * c``, ``e`` finite or omega, any order."""
     terms = [(OMEGA if rng.random() < 0.2 else finite(rng.randint(0, 8)), rng.randint(0, 9))

@@ -25,6 +25,7 @@ from elemeq.clogic import (
     _RECTS,
     _abs_iv,
     _at_point,
+    _onto_disc,
     _rect_kernel,
     _rect_mod,
     _rect_point,
@@ -60,6 +61,7 @@ from elemeq.saturation import (
     _np_outward,
     _np_mod,
     _np_mul,
+    _onto_disc_np,
     _split,
     NOT_FOUND,
     DEFAULT_REALIZE_BOXES,
@@ -1418,3 +1420,53 @@ def test_realize_type_is_the_same_with_cold_and_warm_shape_caches():
             for array in (*_geometry(mix), *_first_level(mix, min(_BATCH_SIZE // 2, budget // n), n)[:2]):
                 with pytest.raises(ValueError, match="read-only"):
                     array[...] = 0
+
+
+# ---------------------------------------------------------------------------
+# The rules the numpy search shares with ``clogic``
+# ---------------------------------------------------------------------------
+
+
+def test_the_numpy_disc_pull_is_clogic_onto_disc_elementwise():
+    # points inside the circle, on it, either side of the 2**-50 band around it
+    # and far outside: each is pulled (or kept) as ``_onto_disc`` does, so 1 and
+    # -i stay on the circle and no point already in the disc moves
+    rng = random.Random(5011)
+    radii = [0.0, 0.3, 1 - 2.0**-40, 1 - 2.0**-49, 1 - 2.0**-51, 1.0, 1 + 2.0**-52, 1 + 2.0**-51,
+             1 + 2.0**-49, 1 + 2.0**-40, 1.5, 1e3]
+    points = [(1.0, 0.0), (0.0, -1.0), (-1.0, 0.0), (0.6, 0.8), (-0.0, 1.0)]
+    for radius in radii:
+        for _ in range(40):
+            angle = rng.uniform(0, 2 * math.pi)
+            points.append((radius * math.cos(angle), radius * math.sin(angle)))
+    re, im = np.array(points).reshape(-1, 5, 2).transpose(2, 0, 1)  # the (boxes, variables) shape
+    pulled = _onto_disc_np(re, im)
+    assert pulled.shape == re.shape
+    assert pulled.ravel().tolist() == [_onto_disc(*p) for p in points]
+    assert pulled.ravel()[:2].tolist() == [1 + 0j, -1j]
+
+
+@pytest.mark.parametrize("tol, budget", [(0.0, 10), (-1.0, 10), (math.nan, 10), (math.inf, 10), (0.1, 0)])
+def test_realize_type_and_ceval_refuse_a_search_in_one_wording(tol, budget):
+    algebra, x = CStarAlgebraFin(1), CVar("x")
+    messages = []
+    for search in (lambda: ceval(FSup("x", SORT_SA, FNorm(x)), algebra, {}, tol, max_boxes=budget),
+                   lambda: realize_type([TypeCondition(x, [(1.0, 1.0)])], algebra, tol, max_boxes=budget)):
+        with pytest.raises(PreconditionError) as excinfo:
+            search()
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("the tolerance" if budget else "the box budget")
+
+
+def test_realize_type_warns_of_no_overflow():
+    # the modulus bounds keep inf and nan by design, so an overflowing condition is
+    # searched with no numpy RuntimeWarning (an error under this suite's filters)
+    # and leaves numpy's error state as it was
+    state = np.geterr()
+    big = CScale(1e200, CScale(1e200, CVar("x")))
+    result = realize_type([TypeCondition(big, [(1.0, 1.0)])], CStarAlgebraFin(1), 0.1, max_boxes=2000)
+    assert isinstance(result, Inconclusive) and result.best_deviation == 1.0
+    result = realize_type([TypeCondition(CSub(big, big), [(0.0, 0.0)])], CStarAlgebraFin(1), 0.1, max_boxes=2000)
+    assert isinstance(result, Realized) and result.max_deviation == 0.0
+    assert np.geterr() == state
