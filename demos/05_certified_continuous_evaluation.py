@@ -30,8 +30,9 @@ print("sup_p ||p^2 - p||            in", [certificate.lower, certificate.upper])
 
 # ---------------------------------------------------------------------------
 # A genuinely quantitative one: the positive contraction maximizing
-# ||x(1-x)|| attains 1/4 at x = 1/2.  The certificate pins the value to
-# the requested tolerance.
+# ||x(1-x)|| attains 1/4 at x = 1/2.  Each half of [0, 1] is monotone,
+# so the search shrinks it to its face x = 1/2, and the certificate is
+# exact: [1/4, 1/4], well inside the requested tolerance.
 # ---------------------------------------------------------------------------
 
 phi = parse_cformula("(sup x :pos (norm (* x (- 1 x))))")

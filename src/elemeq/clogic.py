@@ -34,6 +34,8 @@ with a few witness candidates scored per box, all in one stacked exact walk
 when the body has no quantifier and the other variables are points
 (``_branch_and_bound``, ``_stacked_eval``), and norm atoms bounded by the
 naive, centred and outward-rounded unit-disc forms (``_atom_enclosure``).
+A real-sort box lies in the domain, so it shrinks to the face holding its sup
+or inf where such a body's one atom is monotone in a coordinate (``_slope_signs``).
 A formula whose connectives all commute with a max over the points is
 searched one point at a time on a space of n > 1 points, as its cut to
 each point (``_at_point``, None where a connective couples the points):
@@ -558,6 +560,24 @@ def _centred_rects(term, env, algebra, boxed):
     return rects
 
 
+_SLOPES = _centred_arith(((0.0,) * 4,))  # one slope column, read as a derivative by ``_slope_signs``
+
+
+def _slope_signs(term, env, var, algebra) -> list:
+    """Per point p, 1 (-1) where |t_p| is nondecreasing (nonincreasing) in the
+    real part of ``var`` at p over its box, else 0: with each centre the box
+    itself, the centred form is the derivative form d(ab) = d(a) b + a d(b),
+    one slope serving every point, and d|t|^2 = 2 Re(t conj(dt))."""
+    zero, signs = (0.0,) * 4, []
+    sub = {name: tuple((r, r, _rect_point(1.0) if name == var else zero) for r in rects) for name, rects in env.items()}
+    for t, _, d in eval_term(term, sub, algebra, _SLOPES):  # Re(t conj(dt)) = re re' + im im'
+        re = t[0] * d[0], t[0] * d[1], t[1] * d[0], t[1] * d[1]
+        im = t[2] * d[2], t[2] * d[3], t[3] * d[2], t[3] * d[3]
+        nan = math.isnan(sum(re + im))  # a nan product, which min and max may pass over, fixes no sign
+        signs.append(0 if nan else 1 if min(re) + min(im) >= 0 else -1 if max(re) + max(im) <= 0 else 0)
+    return signs
+
+
 def _atom_enclosure(term, env, algebra):
     """(lo, hi) enclosing the norm of the term over the environment's boxes.
 
@@ -770,7 +790,14 @@ def _branch_and_bound(phi, env, algebra, tol, state):
     there.  The certified interval is [best witness lower bound, largest
     surviving box upper bound] at every step, so stopping early is sound.
     The queue is a heap on the box upper bound, and boxes that can no
-    longer move it are pruned.
+    longer move it are pruned.  On the ``sa`` and ``pos`` sorts, a one-atom
+    body repeating the variable, on points, first shrinks each box to a face
+    (the monotonicity test): each point p with a ``_slope_signs`` sign keeps
+    the end of x_p where the searched value is largest.  A real box is a
+    product of intervals in the domain, t_p reads x_p alone and the norm is
+    nondecreasing in each |t_p|, so this is exact; a ``ball`` box pokes out of
+    the disc, where a face can leave the domain.  A weak sign (a bound ending
+    at 0) shrinks a half whose optimum is its bisection point to that point.
     """
     negate = isinstance(phi, FInf)
 
@@ -789,10 +816,15 @@ def _branch_and_bound(phi, env, algebra, tol, state):
     points = None if nested or not _within(phi.body, ()) else {
         name: tuple(complex(r[0], r[2]) for r in rects) for name, rects in env.items()}
     scored_at = {}  # candidate point -> body enclosure: a split's halves share corners
+    monotone = phi.sort != SORT_BALL and points is not None and isinstance(phi.body, FNorm) \
+        and phi.var in _term_vars(phi.body.term)[1]  # the box shrinks to a face (see above)
 
-    def assess(box, depth):  # -> (the box's upper bound, its witness's lower bound, tie order)
+    def assess(box, depth):  # -> (the box's upper bound, its witness's lower bound, tie order, box)
         state["boxes"] += 1
         state["depth"] = max(state["depth"], depth)
+        if monotone:  # the searched end: the higher value for a sup, the lower for an inf
+            signs = _slope_signs(phi.body.term, {**env, phi.var: box}, phi.var, algebra)
+            box = tuple((r[(s > 0) != negate],) * 2 + r[2:] if s else r for r, s in zip(box, signs))
         candidates = _witness_candidates(box, phi.sort)
         if candidates is None:
             return None
@@ -818,13 +850,12 @@ def _branch_and_bound(phi, env, algebra, tol, state):
                                               max(tol / 2, cone_hi - cone_lo), state))
         lo, hi = max(box_lo, cone_lo), min(box_hi, cone_hi)
         # boxes of equal bound and depth pop in the order of their unnegated enclosures
-        return hi, rep_lo, (*flip(lo, hi), *flip(rep_lo, rep_hi))
+        return hi, rep_lo, (*flip(lo, hi), *flip(rep_lo, rep_hi)), box
 
-    box = _initial_box(phi.sort, algebra.point_count)
-    first = assess(box, 0)
+    first = assess(_initial_box(phi.sort, algebra.point_count), 0)
     if first is None:
         raise PreconditionError("empty quantifier domain")
-    witness, heap = first[1], [(-first[0], 0, first[2], box)]
+    witness, heap = first[1], [(-first[0], 0, first[2], first[3])]
     stall, best_width = 0, math.inf
     while True:
         lo, hi = witness, max(-heap[0][0], witness) if heap else witness
@@ -843,7 +874,7 @@ def _branch_and_bound(phi, env, algebra, tol, state):
             if e is not None:
                 witness = max(witness, e[1])
                 if e[0] > witness:  # can still move the bound
-                    heapq.heappush(heap, (-e[0], depth + 1, e[2], child))
+                    heapq.heappush(heap, (-e[0], depth + 1, e[2], e[3]))
 
 
 def _within(phi, sorts) -> bool:

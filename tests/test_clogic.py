@@ -322,28 +322,127 @@ def test_ceval_monotone_refinement():
 
 
 def test_ceval_budget_error_reports_best_enclosure():
-    # Over positive contractions the supremum of ||x(1-x)|| is 1/4 (at
-    # x = 1/2), but interval bounds cannot certify it to 1e-12 within 50 boxes.
+    # Over positive contractions the supremum of ||x(1.2-x)|| is 0.36 (at
+    # x = 0.6, which no bisection of [0, 1] reaches, so every box around it
+    # keeps both slopes), and interval bounds cannot certify it to 1e-12
+    # within 50 boxes.
     A = CStarAlgebraFin(2)
     x = CVar("x")
-    phi = FSup("x", SORT_POS, FNorm(CMul(x, CSub(COne(), x))))
+    phi = FSup("x", SORT_POS, FNorm(CMul(x, CSub(CScale(1.2, COne()), x))))
     with pytest.raises(ResourceBudgetError) as info:
         ceval(phi, A, {}, 1e-12, max_boxes=50)
     best = info.value.best_known
-    assert best.lower <= 0.25 <= best.upper
+    assert best.lower <= 0.36 <= best.upper
 
 
 def test_budget_error_encloses_the_whole_formula():
     # The budget runs out in a quantifier below a connective or another
-    # quantifier; the enclosure reported was that quantifier's (about 1/4).
+    # quantifier; the enclosure reported was that quantifier's (about 0.36).
     A, x, y = CStarAlgebraFin(2), CVar("x"), CVar("y")
-    inner = FSup("x", SORT_POS, FNorm(CMul(x, CSub(COne(), x))))
-    for phi, value in ((FPlus(FConst(0.5), inner), 0.75),
-                       (FSup("y", SORT_POS, FPlus(inner, FNorm(y))), 1.25)):
+    inner = FSup("x", SORT_POS, FNorm(CMul(x, CSub(CScale(1.2, COne()), x))))
+    for phi, value in ((FPlus(FConst(0.5), inner), 0.86),
+                       (FSup("y", SORT_POS, FPlus(inner, FNorm(y))), 1.36)):
         with pytest.raises(ResourceBudgetError) as info:
             ceval(phi, A, {}, 1e-12, max_boxes=50)
         best = info.value.best_known
         assert best.lower <= value <= best.upper, phi
+
+
+def _assessed_boxes(mp):
+    """The boxes every search assesses from now on, in order."""
+    boxes, candidates = [], clogic._witness_candidates
+    mp.setattr(clogic, "_witness_candidates", lambda box, sort: boxes.append(box) or candidates(box, sort))
+    return boxes
+
+
+def test_a_monotone_half_shrinks_to_the_bisection_point():
+    # d|x(1-x)|/dx = 1 - 2x keeps one sign on each half of [0, 1], so each
+    # half shrinks to its face x = 1/2, where the value 1/4 is attained: the
+    # first box and its two halves certify [1/4, 1/4] at any tolerance.
+    x = CVar("x")
+    phi = FSup("x", SORT_POS, FNorm(CMul(x, CSub(COne(), x))))
+    for n, tol in itertools.product((1, 2), (1e-2, 1e-3, 1e-12)):
+        with pytest.MonkeyPatch.context() as mp:
+            boxes = _assessed_boxes(mp)
+            cert = ceval(phi, CStarAlgebraFin(n), {}, tol)
+        assert (cert.lower.hex(), cert.upper.hex(), cert.grid_depth) == ((0.25).hex(),) * 2 + (1,), (n, tol)
+        assert len(boxes) == 3 * n, (n, tol)
+
+
+def test_an_increasing_atom_shrinks_an_inf_to_its_lower_face():
+    # |x^2 + x| increases on [0, 1], so the inf's first box is the point x = 0
+    x = CVar("x")
+    with pytest.MonkeyPatch.context() as mp:
+        boxes = _assessed_boxes(mp)
+        cert = ceval(FInf("x", SORT_POS, FNorm(CAdd(CMul(x, x), x))), CStarAlgebraFin(1), {}, 1e-3)
+    assert (cert.lower, cert.upper, cert.grid_depth) == (0.0, 0.0, 0)
+    assert boxes == [((0.0, 0.0, 0.0, 0.0),)]
+
+
+def test_the_ball_sort_never_shrinks_to_a_face():
+    # A ball box pokes out of the disc, where a face can leave the domain.
+    # |x* - x| = 2|Im x| has a zero real slope, so a real face of the first
+    # box would keep only its domain point x = 1 and lose the optimum at ±i.
+    x = CVar("x")
+    for n in (1, 2):
+        cert = ceval(FSup("x", SORT_BALL, FNorm(CMul(x, CSub(COne(), x)))), CStarAlgebraFin(n), {}, 1e-2)
+        assert (cert.lower, cert.upper, cert.grid_depth) == (2.0, 2.0000000000000013, 2)
+        cert = ceval(FSup("x", SORT_BALL, FNorm(CSub(CStar(x), x))), CStarAlgebraFin(n), {}, 1e-2)
+        assert (cert.lower, cert.upper, cert.grid_depth) == (2.0, 2.0, 1)
+
+
+def test_a_nan_slope_product_fixes_no_sign():
+    # over x in [0, 1] with c = 1e308, t = x^2 c lies in [0, 1e308] and its
+    # derivative 2x c in [0, inf], so Re(t conj(t')) has the product 0 * inf,
+    # a nan that min and max would pass over, leaving the lower end 0
+    x, c = CVar("x"), CVar("c")
+    env = {"x": ((0.0, 1.0, 0.0, 0.0),), "c": ((1e308, 1e308, 0.0, 0.0),)}
+    A = CStarAlgebraFin(1)
+    assert clogic._slope_signs(CMul(CMul(x, x), c), env, "x", A) == [0]
+    assert clogic._slope_signs(CMul(x, c), env, "x", A) == [1]
+
+
+def test_face_shrinks_keep_certificates_sound_and_meeting_the_unshrunk_ones():
+    # Atoms that repeat the searched variable, with random parameters: every
+    # certificate holds the body at sampled domain points, ends included (with
+    # the slack of test_ceval_bounds_dominate_sampled_body_values), and meets
+    # the certificate of the same search with no face shrink.
+    rng, shrinks, shrunk, checked = random.Random(4040), [], 0, 0
+    signs = clogic._slope_signs
+
+    def counted(*args):
+        found = signs(*args)
+        shrinks.append(any(found))
+        return found
+
+    while checked < 300:
+        n, sort = rng.randint(1, 2), rng.choice((SORT_SA, SORT_POS))
+        term = random_term(rng, n, rng.randint(2, 3))
+        if "x" not in clogic._term_vars(term)[1]:
+            continue
+        checked += 1
+        A, is_sup = CStarAlgebraFin(n), rng.random() < 0.5
+        phi = (FSup if is_sup else FInf)("x", sort, FNorm(term))
+        params = {"y": random_element(rng, n), "z": random_element(rng, n)}
+        certs = []
+        for sign_of in (counted, lambda term, env, var, algebra: [0] * algebra.point_count):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(clogic, "_slope_signs", sign_of)
+                try:
+                    certs.append(ceval(phi, A, params, 0.05, max_boxes=2000))
+                except ResourceBudgetError as err:
+                    certs.append(err.best_known)
+        cert, unshrunk = certs
+        shrunk += any(shrinks)
+        shrinks.clear()
+        assert max(cert.lower, unshrunk.lower) <= min(cert.upper, unshrunk.upper), (phi, params)
+        for point in _domain_samples(sort, n, rng, 200):
+            value = c_norm(eval_term(term, {**params, "x": point}, A, EXACT))
+            if is_sup:
+                assert value <= cert.upper + 1e-12, (phi, params, point)
+            else:
+                assert value >= cert.lower - 1e-12, (phi, params, point)
+    assert shrunk >= 100, shrunk
 
 
 def test_ceval_ball_optimum_on_the_unit_circle():

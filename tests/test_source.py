@@ -5,7 +5,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "elemeq"
-LINE_CEILING = 4963  # lines in src/elemeq/*.py, as ``cat src/elemeq/*.py | wc -l`` counts them
+LINE_CEILING = 4994  # lines in src/elemeq/*.py, as ``cat src/elemeq/*.py | wc -l`` counts them
 # memos with no maxsize today: the one parser of the process, keyed on nothing
 UNBOUNDED_MEMOS = {("cli.py", "_build_parser")}
 
